@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import os
+import secrets
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -120,8 +121,11 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    # a fresh name per write, created exclusively, so that runs sharing a
+    # directory never write into each other's temporary files; unlike
+    # mkstemp's 0600 files, this one gets the umask's permissions
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
 

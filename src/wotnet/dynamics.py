@@ -8,7 +8,7 @@ per-user metrics of the whole log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -20,6 +20,7 @@ from .model import EventLog, NodeMetrics, node_metrics
 
 _EPOCH = date(1970, 1, 1)
 SECONDS_PER_DAY = 86_400
+_FIELDS = tuple(f.name for f in fields(NodeMetrics))
 
 
 class Snapshot:
@@ -30,31 +31,13 @@ class Snapshot:
     the mapping lazily for the seen users.
     """
 
-    __slots__ = (
-        "day",
-        "user_ids",
-        "seen",
-        "k_in_plus",
-        "k_in_minus",
-        "k_out_plus",
-        "k_out_minus",
-        "rho_plus",
-        "rho_minus",
-        "_metrics",
-    )
+    __slots__ = ("day", "user_ids", "seen", *_FIELDS, "_metrics")
 
     def __init__(self, day: date, user_ids: np.ndarray, seen: np.ndarray, **cols):
         self.day = day
         self.user_ids = user_ids
         self.seen = seen
-        for name in (
-            "k_in_plus",
-            "k_in_minus",
-            "k_out_plus",
-            "k_out_minus",
-            "rho_plus",
-            "rho_minus",
-        ):
+        for name in _FIELDS:
             setattr(self, name, cols[name])
         self._metrics: dict[int, NodeMetrics] | None = None
 
@@ -66,17 +49,8 @@ class Snapshot:
     def metrics(self) -> dict[int, NodeMetrics]:
         if self._metrics is None:
             idx = np.flatnonzero(self.seen)
-            self._metrics = {
-                int(self.user_ids[i]): NodeMetrics(
-                    k_in_plus=int(self.k_in_plus[i]),
-                    k_in_minus=int(self.k_in_minus[i]),
-                    k_out_plus=int(self.k_out_plus[i]),
-                    k_out_minus=int(self.k_out_minus[i]),
-                    rho_plus=int(self.rho_plus[i]),
-                    rho_minus=int(self.rho_minus[i]),
-                )
-                for i in idx
-            }
+            columns = (getattr(self, name)[idx].tolist() for name in _FIELDS)
+            self._metrics = dict(zip(self.user_ids[idx].tolist(), map(NodeMetrics, *columns)))
         return self._metrics
 
 
@@ -88,27 +62,14 @@ def snapshot_series(log: EventLog) -> Iterator[Snapshot]:
     """
     if len(log) == 0:
         raise ValueError("snapshot series of an empty log is undefined")
-    index = log.dense_index()
-    n = len(index)
-    user_ids = np.array(sorted(index), dtype=np.int64)
-    cols = {
-        name: np.zeros(n, dtype=np.int64)
-        for name in (
-            "k_in_plus",
-            "k_in_minus",
-            "k_out_plus",
-            "k_out_minus",
-            "rho_plus",
-            "rho_minus",
-        )
-    }
+    user_ids, (rater_idx, ratee_idx) = log.user_codes()
+    n = len(user_ids)
+    cols = {name: np.zeros(n, dtype=np.int64) for name in _FIELDS}
     seen = np.zeros(n, dtype=bool)
     days = log.timestamps // SECONDS_PER_DAY
     first_day, last_day = int(days[0]), int(days[-1])
     pos = 0
     n_events = len(log)
-    rater_idx = np.fromiter((index[u] for u in log.raters.tolist()), np.int64, n_events)
-    ratee_idx = np.fromiter((index[u] for u in log.ratees.tolist()), np.int64, n_events)
     scores = log.scores
     for day_no in range(first_day, last_day + 1):
         while pos < n_events and days[pos] == day_no:
@@ -323,10 +284,10 @@ class Trajectory:
 def _flattened_values(log: EventLog) -> dict[int, list[int]]:
     values: dict[int, list[int]] = {}
     running: dict[int, int] = {}
-    for e in log:
-        new = running.get(e.ratee, 0) + e.score
-        running[e.ratee] = new
-        values.setdefault(e.ratee, []).append(new)
+    for ratee, score in zip(log.ratees.tolist(), log.scores.tolist()):
+        new = running.get(ratee, 0) + score
+        running[ratee] = new
+        values.setdefault(ratee, []).append(new)
     return values
 
 

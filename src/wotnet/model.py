@@ -36,6 +36,20 @@ class Layer(Enum):
         return "plus" if self is Layer.REWARDING else "minus"
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _check_event(rater: int, ratee: int, score: int, timestamp: int) -> None:
+    """Raise ValueError unless the fields make one legal rating event."""
+    if score == 0 or not MIN_SCORE <= score <= MAX_SCORE:
+        raise ValueError(f"score must be in [-10,-1] or [1,10], got {score}")
+    if rater == ratee:
+        raise ValueError(f"self-rating rejected (user {rater})")
+    for name, value in (("rater", rater), ("ratee", ratee), ("timestamp", timestamp)):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ValueError(f"{name} {value} is outside the int64 range")
+
+
 @dataclass(frozen=True)
 class RatingEvent:
     """One directed rating: `rater` scores `ratee` at `timestamp` (epoch seconds)."""
@@ -46,95 +60,119 @@ class RatingEvent:
     timestamp: int
 
     def __post_init__(self) -> None:
-        if self.score == 0 or not MIN_SCORE <= self.score <= MAX_SCORE:
-            raise ValueError(f"score must be in [-10,-1] or [1,10], got {self.score}")
-        if self.rater == self.ratee:
-            raise ValueError(f"self-rating rejected (user {self.rater})")
+        _check_event(self.rater, self.ratee, self.score, self.timestamp)
 
 
 class EventLog:
-    """Immutable, time-ordered sequence of rating events.
+    """Immutable, time-ordered rating log, stored as int64 columns.
 
-    Events are sorted by timestamp; ties keep input order.  The log is the
-    source of truth for every downstream measurement.
+    The log keeps four read-only columns (`raters`, `ratees`, `scores`,
+    `timestamps`) sorted by timestamp, ties in input order, plus dense user
+    codes: each rater and ratee as its position in the sorted user ids.
+    `events` and iteration build `RatingEvent` objects on first use.
+    `truncated(cutoff)` is a prefix view sharing the columns and codes, so
+    a query at a cutoff costs a scan of the prefix, not a copy of the log.
+    The log is the source of truth for every downstream measurement.
     """
 
     def __init__(self, events: Iterable[RatingEvent]):
-        ordered = sorted(events, key=lambda e: e.timestamp)
-        self._events: tuple[RatingEvent, ...] = tuple(ordered)
-        self._users = frozenset(e.rater for e in ordered) | frozenset(
-            e.ratee for e in ordered
-        )
-        self._arrays: dict[str, np.ndarray] | None = None
+        rows = [(e.rater, e.ratee, e.score, e.timestamp) for e in events]
+        self._build(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+    @classmethod
+    def _from_columns(cls, columns: np.ndarray) -> "EventLog":
+        """Log from a 4 x n int64 array of legal (rater, ratee, score,
+        timestamp) rows in input order."""
+        log = cls.__new__(cls)
+        log._build(columns)
+        return log
+
+    def _build(self, columns: np.ndarray) -> None:
+        columns = columns.take(np.argsort(columns[3], kind="stable"), axis=1)
+        ids, codes = np.unique(columns[:2].ravel(), return_inverse=True)
+        self._init_view(columns, ids, codes.reshape(2, -1))
+        self._own = (self._universe, self._codes)
+
+    def _init_view(self, columns: np.ndarray, universe: np.ndarray, codes: np.ndarray) -> None:
+        # `codes` index `universe`, the user ids of the log this one is a
+        # prefix of; `_own` holds the ids and codes of this log's own users
+        for a in (columns, universe, codes):
+            a.setflags(write=False)
+        self._columns, self._universe, self._codes = columns, universe, codes
+        self._own: tuple[np.ndarray, np.ndarray] | None = None
+        self._events: tuple[RatingEvent, ...] | None = None
+        self._users: frozenset[int] | None = None
         self._dense: dict[int, int] | None = None
+
+    def user_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted ids of the users in the log, and a 2 x n array of each
+        event's rater and ratee as positions in those ids."""
+        if self._own is None:
+            seen = np.zeros(len(self._universe), dtype=bool)
+            seen[self._codes] = True
+            ids, codes = self._universe[seen], (np.cumsum(seen) - 1)[self._codes]
+            for a in (ids, codes):
+                a.setflags(write=False)
+            self._own = (ids, codes)
+        return self._own
 
     @property
     def events(self) -> tuple[RatingEvent, ...]:
+        if self._events is None:
+            self._events = tuple(map(RatingEvent, *(c.tolist() for c in self._columns)))
         return self._events
 
     @property
     def users(self) -> frozenset[int]:
+        if self._users is None:
+            self._users = frozenset(self.user_codes()[0].tolist())
         return self._users
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._columns.shape[1]
 
     def __iter__(self) -> Iterator[RatingEvent]:
-        return iter(self._events)
-
-    def _columns(self) -> dict[str, np.ndarray]:
-        if self._arrays is None:
-            n = len(self._events)
-            cols = {
-                "rater": np.fromiter((e.rater for e in self._events), np.int64, n),
-                "ratee": np.fromiter((e.ratee for e in self._events), np.int64, n),
-                "score": np.fromiter((e.score for e in self._events), np.int64, n),
-                "timestamp": np.fromiter(
-                    (e.timestamp for e in self._events), np.int64, n
-                ),
-            }
-            for a in cols.values():
-                a.setflags(write=False)
-            self._arrays = cols
-        return self._arrays
+        return iter(self.events)
 
     @property
     def raters(self) -> np.ndarray:
-        return self._columns()["rater"]
+        return self._columns[0]
 
     @property
     def ratees(self) -> np.ndarray:
-        return self._columns()["ratee"]
+        return self._columns[1]
 
     @property
     def scores(self) -> np.ndarray:
-        return self._columns()["score"]
+        return self._columns[2]
 
     @property
     def timestamps(self) -> np.ndarray:
-        return self._columns()["timestamp"]
+        return self._columns[3]
 
     @property
     def start_time(self) -> int | None:
-        return self._events[0].timestamp if self._events else None
+        return int(self.timestamps[0]) if len(self) else None
 
     @property
     def end_time(self) -> int | None:
-        return self._events[-1].timestamp if self._events else None
+        return int(self.timestamps[-1]) if len(self) else None
 
     def dense_index(self) -> dict[int, int]:
         """Map user id -> position in sorted(users).  Internal detail; the
         ids themselves stay opaque everywhere in the public surface."""
         if self._dense is None:
-            self._dense = {u: i for i, u in enumerate(sorted(self._users))}
+            self._dense = {u: i for i, u in enumerate(self.user_codes()[0].tolist())}
         return self._dense
 
     def truncated(self, cutoff: int | None) -> "EventLog":
-        """New log containing the events with timestamp <= cutoff."""
+        """Log of the events with timestamp <= cutoff: a prefix view."""
         if cutoff is None:
             return self
         hi = int(np.searchsorted(self.timestamps, cutoff, side="right"))
-        return EventLog(self._events[:hi])
+        view = EventLog.__new__(EventLog)
+        view._init_view(self._columns[:, :hi], self._universe, self._codes[:, :hi])
+        return view
 
 
 class LayerView:
@@ -166,10 +204,6 @@ class LayerView:
     def n_edges(self) -> int:
         return len(self.weights)
 
-    @property
-    def nodes(self) -> frozenset[int]:
-        return frozenset(self.raters.tolist()) | frozenset(self.ratees.tolist())
-
     def restrict_weights(self, min_weight: int = 1, max_weight: int = MAX_SCORE) -> "LayerView":
         """Sub-layer keeping only edges with min_weight <= w <= max_weight."""
         keep = (self.weights >= min_weight) & (self.weights <= max_weight)
@@ -180,17 +214,6 @@ class LayerView:
             self.ratees[keep].copy(),
             self.weights[keep].copy(),
             self.timestamps[keep].copy(),
-        )
-
-    def edge_list(self) -> list[tuple[int, int, int, int]]:
-        """Edges as (rater, ratee, weight, timestamp) tuples."""
-        return list(
-            zip(
-                self.raters.tolist(),
-                self.ratees.tolist(),
-                self.weights.tolist(),
-                self.timestamps.tolist(),
-            )
         )
 
 
@@ -254,7 +277,7 @@ def _parse_timestamp(text: str) -> int:
         return math.floor(value)
 
 
-def _parse_line(text: str) -> RatingEvent:
+def _parse_line(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"expected 4 fields, got {len(parts)}")
@@ -262,7 +285,8 @@ def _parse_line(text: str) -> RatingEvent:
     ratee = int(parts[1])
     score = int(parts[2])
     timestamp = _parse_timestamp(parts[3])
-    return RatingEvent(rater=rater, ratee=ratee, score=score, timestamp=timestamp)
+    _check_event(rater, ratee, score, timestamp)
+    return rater, ratee, score, timestamp
 
 
 def ingest(
@@ -278,7 +302,7 @@ def ingest(
     """
     if mode not in ("lenient", "strict"):
         raise ValueError(f"mode must be 'lenient' or 'strict', got {mode!r}")
-    events: list[RatingEvent] = []
+    fields: list[int] = []  # four per kept record
     rejections: list[RejectedLine] = []
     first_record = True
     saw_content = False
@@ -296,16 +320,16 @@ def ingest(
             except ValueError:
                 continue  # header line
         try:
-            events.append(_parse_line(text))
+            fields.extend(_parse_line(text))
         except ValueError as exc:
             if mode == "strict":
                 raise IngestError(f"line {line_no}: {exc}") from exc
             rejections.append(RejectedLine(line_no, str(exc), text))
     if not saw_content:
         raise IngestError("empty input: no records found")
-    log = EventLog(events)
+    log = EventLog._from_columns(np.array(fields, dtype=np.int64).reshape(-1, 4).T)
     report = IngestReport(
-        events_kept=len(events),
+        events_kept=len(log),
         events_rejected=len(rejections),
         n_users=len(log.users),
         rejections=tuple(rejections),
@@ -342,37 +366,31 @@ def split_layers(
     return views[0], views[1]
 
 
+def _incoming(codes: np.ndarray, magnitudes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user count and exact int64 sum of magnitudes in [1, 10]."""
+    table = np.bincount(codes * MAX_SCORE + magnitudes - 1, minlength=n * MAX_SCORE)
+    table = table.reshape(n, MAX_SCORE)
+    return table.sum(axis=1), table @ np.arange(1, MAX_SCORE + 1)
+
+
 def node_metrics(
     log: EventLog, cutoff: int | None = None
 ) -> dict[int, NodeMetrics]:
     """Degrees and reputations for every user seen at or before the cutoff."""
     sub = log.truncated(cutoff)
-    index = log.dense_index()
-    n = len(index)
-    cols = {
-        name: np.zeros(n, dtype=np.int64)
-        for name in ("kin_p", "kin_m", "kout_p", "kout_m", "rho_p", "rho_m")
-    }
-    rater_idx = np.fromiter((index[u] for u in sub.raters.tolist()), np.int64, len(sub))
-    ratee_idx = np.fromiter((index[u] for u in sub.ratees.tolist()), np.int64, len(sub))
-    pos = sub.scores > 0
-    np.add.at(cols["kin_p"], ratee_idx[pos], 1)
-    np.add.at(cols["kin_m"], ratee_idx[~pos], 1)
-    np.add.at(cols["kout_p"], rater_idx[pos], 1)
-    np.add.at(cols["kout_m"], rater_idx[~pos], 1)
-    np.add.at(cols["rho_p"], ratee_idx[pos], sub.scores[pos])
-    np.add.at(cols["rho_m"], ratee_idx[~pos], -sub.scores[~pos])
-    return {
-        user: NodeMetrics(
-            k_in_plus=int(cols["kin_p"][index[user]]),
-            k_in_minus=int(cols["kin_m"][index[user]]),
-            k_out_plus=int(cols["kout_p"][index[user]]),
-            k_out_minus=int(cols["kout_m"][index[user]]),
-            rho_plus=int(cols["rho_p"][index[user]]),
-            rho_minus=int(cols["rho_m"][index[user]]),
-        )
-        for user in sub.users
-    }
+    n = len(sub._universe)
+    raters, ratees = sub._codes
+    pos, neg = sub.scores > 0, sub.scores < 0
+    k_in_plus, rho_plus = _incoming(ratees[pos], sub.scores[pos], n)
+    k_in_minus, rho_minus = _incoming(ratees[neg], -sub.scores[neg], n)
+    k_out_plus = np.bincount(raters[pos], minlength=n)
+    k_out_minus = np.bincount(raters[neg], minlength=n)
+    seen = np.flatnonzero(k_in_plus + k_in_minus + k_out_plus + k_out_minus)
+    columns = (
+        c[seen].tolist()
+        for c in (k_in_plus, k_in_minus, k_out_plus, k_out_minus, rho_plus, rho_minus)
+    )
+    return dict(zip(sub._universe[seen].tolist(), map(NodeMetrics, *columns)))
 
 
 def latest_ratings(
@@ -380,10 +398,8 @@ def latest_ratings(
 ) -> dict[tuple[int, int], int]:
     """Latest score for each ordered (rater, ratee) pair at the cutoff."""
     sub = log.truncated(cutoff)
-    last: dict[tuple[int, int], int] = {}
-    for e in sub:
-        last[(e.rater, e.ratee)] = e.score
-    return last
+    pairs = zip(sub.raters.tolist(), sub.ratees.tolist())
+    return dict(zip(pairs, sub.scores.tolist()))
 
 
 def gettrust(
@@ -401,12 +417,18 @@ def gettrust(
     if viewer not in log.users or target not in log.users:
         missing = viewer if viewer not in log.users else target
         raise ValueError(f"unknown user {missing}")
-    last = latest_ratings(log, cutoff)
-    total = last.get((viewer, target), 0)
-    for (a, j), r_vj in last.items():
-        if a != viewer or j == target or r_vj <= 0:
+    sub = log.truncated(cutoff)
+    raters, ratees, scores = sub.raters, sub.ratees, sub.scores
+    by_viewer = raters == viewer
+    by_target = ratees == target
+    # latest rating wins: later events overwrite earlier keys
+    of_viewer = dict(zip(ratees[by_viewer].tolist(), scores[by_viewer].tolist()))
+    of_target = dict(zip(raters[by_target].tolist(), scores[by_target].tolist()))
+    total = of_viewer.get(target, 0)
+    for j, r_vj in of_viewer.items():
+        if j == target or r_vj <= 0:
             continue
-        r_jt = last.get((j, target))
+        r_jt = of_target.get(j)
         if not r_jt:
             continue
         capped = min(r_vj, abs(r_jt))
@@ -478,15 +500,12 @@ def synth_log(config: SynthConfig) -> EventLog:
     else:
         gaps = rng.exponential(1.0 / config.rate, n)
         times = (config.t_start + np.floor(np.cumsum(gaps))).astype(np.int64)
-    return EventLog(
-        RatingEvent(int(r), int(e), int(s), int(t))
-        for r, e, s, t in zip(raters, ratees, scores, times)
-    )
+    return EventLog._from_columns(np.array([raters, ratees, scores, times], dtype=np.int64))
 
 
 def write_log_csv(log: EventLog, path: str | Path) -> None:
     """Write a log back out in the ingestible CSV format (headered)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rater,ratee,score,timestamp\n")
-        for e in log:
-            fh.write(f"{e.rater},{e.ratee},{e.score},{e.timestamp}\n")
+        for r, e, s, t in zip(*log._columns.tolist()):
+            fh.write(f"{r},{e},{s},{t}\n")

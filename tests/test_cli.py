@@ -77,6 +77,29 @@ def test_strict_mode_rejects_bad_rows(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "99999999999999999999,2,5,400",
+        "4,-99999999999999999999,5,400",
+        "4,2,5,1e30",
+    ],
+)
+def test_values_outside_int64_are_rejected_lines(capsys, tmp_path, line):
+    path = tmp_path / "huge.csv"
+    path.write_text(GOOD_ROWS + line + "\n")
+    code, out, err = _run(capsys, "ingest-check", "--input", str(path))
+    assert code == 0
+    assert "events=3" in out and "rejected=1" in out
+    assert "line 4" in err and "outside the int64 range" in err
+    code, out, _ = _run(capsys, "summary", "--input", str(path))
+    assert code == 0
+    assert "events=3" in out
+    code, _, err = _run(capsys, "summary", "--input", str(path), "--mode", "strict")
+    assert code == 2
+    assert "line 4" in err and "outside the int64 range" in err
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -282,6 +305,22 @@ def test_no_temp_files_left_behind(synth_csv, tmp_path):
     out = tmp_path / "dyn"
     assert main(["dynamics", "--input", str(synth_csv), "--out", str(out)]) == 0
     assert not list(out.glob("*.tmp"))
+
+
+def test_leftover_temp_file_is_neither_read_nor_listed(input_csv, tmp_path):
+    out = tmp_path / "sum"
+    out.mkdir()
+    stale = out / "summary.csv.tmp"  # left behind by a crashed run
+    stale.write_text("left,over\n")
+    assert main(["summary", "--input", str(input_csv), "--out", str(out)]) == 0
+    assert (out / "summary.csv").read_text() == "users,events,e_plus,e_minus\n3,3,2,1\n"
+    assert stale.read_text() == "left,over\n"
+    assert _manifest_of(out)["outputs"] == ["summary.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json",
+        "summary.csv",
+        "summary.csv.tmp",
+    ]
 
 
 def test_reruns_are_byte_identical_except_manifest_timestamp(synth_csv, tmp_path):

@@ -48,7 +48,19 @@ def test_rejects_self_rating_line():
     assert "self-rating" in report.rejections[0].reason
 
 
-@pytest.mark.parametrize("bad", ["1,2,0,10", "1,2,11,10", "1,2,-11,10", "1,2,x,10", "1,2,3"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1,2,0,10",
+        "1,2,11,10",
+        "1,2,-11,10",
+        "1,2,x,10",
+        "1,2,3",
+        "9223372036854775808,2,3,10",
+        "1,-9223372036854775809,3,10",
+        "1,2,3,1e30",
+    ],
+)
 def test_invalid_records_skipped_lenient_fatal_strict(bad):
     text = f"{bad}\n1,2,1,50\n"
     log, report = ingest(_stream(text))
@@ -114,6 +126,13 @@ def test_event_score_bounds(score):
 def test_event_self_rating_rejected():
     with pytest.raises(ValueError):
         RatingEvent(7, 7, 3, 10)
+
+
+def test_event_fields_must_fit_int64():
+    RatingEvent(2**63 - 1, -(2**63), 3, 2**63 - 1)
+    for fields in [(2**63, 1, 3, 10), (1, -(2**63) - 1, 3, 10), (1, 2, 3, 2**63)]:
+        with pytest.raises(ValueError, match="int64"):
+            RatingEvent(*fields)
 
 
 def test_log_columns_read_only():
@@ -353,6 +372,121 @@ def test_trust_never_rises_when_contributing_edge_removed():
             if viewer not in pruned.users or target not in pruned.users:
                 continue
             assert gettrust(pruned, viewer, target) <= baseline
+
+
+# ---------------------------------------------------------------------------
+# columnar store against the event-object implementation it replaced
+
+
+class _ObjectLog:
+    """The event-object log used before the columnar store: a sorted tuple
+    of events, with its users and dense index built from that tuple."""
+
+    def __init__(self, events):
+        self.events = tuple(sorted(events, key=lambda e: e.timestamp))
+        self.users = frozenset(e.rater for e in self.events) | frozenset(
+            e.ratee for e in self.events
+        )
+
+    def dense_index(self):
+        return {u: i for i, u in enumerate(sorted(self.users))}
+
+    def truncated(self, cutoff):
+        if cutoff is None:
+            return self
+        timestamps = np.array([e.timestamp for e in self.events], dtype=np.int64)
+        hi = int(np.searchsorted(timestamps, cutoff, side="right"))
+        return _ObjectLog(self.events[:hi])
+
+
+def _node_metrics_by_dict_lookup(log, cutoff=None):
+    sub = log.truncated(cutoff)
+    index = log.dense_index()
+    names = ("kin_p", "kin_m", "kout_p", "kout_m", "rho_p", "rho_m")
+    cols = {name: np.zeros(len(index), dtype=np.int64) for name in names}
+    rater_idx = np.array([index[e.rater] for e in sub.events], dtype=np.int64)
+    ratee_idx = np.array([index[e.ratee] for e in sub.events], dtype=np.int64)
+    scores = np.array([e.score for e in sub.events], dtype=np.int64)
+    pos = scores > 0
+    np.add.at(cols["kin_p"], ratee_idx[pos], 1)
+    np.add.at(cols["kin_m"], ratee_idx[~pos], 1)
+    np.add.at(cols["kout_p"], rater_idx[pos], 1)
+    np.add.at(cols["kout_m"], rater_idx[~pos], 1)
+    np.add.at(cols["rho_p"], ratee_idx[pos], scores[pos])
+    np.add.at(cols["rho_m"], ratee_idx[~pos], -scores[~pos])
+    return {
+        user: NodeMetrics(*(int(cols[name][index[user]]) for name in names))
+        for user in sub.users
+    }
+
+
+def _latest_ratings_by_loop(log, cutoff=None):
+    last = {}
+    for e in log.truncated(cutoff).events:
+        last[(e.rater, e.ratee)] = e.score
+    return last
+
+
+def _trust_from_all_pairs(log, viewer, target, cutoff=None):
+    last = _latest_ratings_by_loop(log, cutoff)
+    total = last.get((viewer, target), 0)
+    for (a, j), r_vj in last.items():
+        if a != viewer or j == target or r_vj <= 0:
+            continue
+        r_jt = last.get((j, target))
+        if not r_jt:
+            continue
+        capped = min(r_vj, abs(r_jt))
+        total += capped if r_jt > 0 else -capped
+    return total
+
+
+@st.composite
+def _small_logs(draw):
+    """Small logs with tied timestamps (multiples of 10, some before 1970),
+    sparse and negative user ids, and one of four shapes: mixed signs, the
+    rewarding or the punitive layer only, or a single pair of users."""
+    shape = draw(st.sampled_from(["mixed", "rewarding", "punitive", "pair"]))
+    pool = [3, 17] if shape == "pair" else [-5, 0, 3, 17, 2**40]
+    scores = {
+        "rewarding": st.integers(1, 10),
+        "punitive": st.integers(-10, -1),
+    }.get(shape, st.integers(-10, 10).filter(bool))
+    events = []
+    for _ in range(draw(st.integers(1, 25))):
+        rater = draw(st.sampled_from(pool))
+        ratee = draw(st.sampled_from([u for u in pool if u != rater]))
+        timestamp = 10 * draw(st.integers(-2, 5))
+        events.append(RatingEvent(rater, ratee, draw(scores), timestamp))
+    return events
+
+
+@given(_small_logs())
+@settings(max_examples=150, deadline=None)
+def test_columnar_queries_match_event_object_oracles(events):
+    log, oracle = EventLog(events), _ObjectLog(events)
+    times = sorted({e.timestamp for e in events})
+    # before the first event, on every (possibly tied) timestamp, between
+    # events, and the whole log
+    cutoffs = [times[0] - 1, *times, *(t + 5 for t in times), None]
+    for cutoff in cutoffs:
+        sub, expected = log.truncated(cutoff), oracle.truncated(cutoff)
+        assert len(sub) == len(expected.events)
+        assert sub.events == expected.events
+        assert sub.users == expected.users
+        assert sub.dense_index() == expected.dense_index()
+        ids, codes = sub.user_codes()
+        assert ids.tolist() == sorted(expected.users)
+        assert ids[codes[0]].tolist() == [e.rater for e in expected.events]
+        assert ids[codes[1]].tolist() == [e.ratee for e in expected.events]
+        assert node_metrics(log, cutoff) == _node_metrics_by_dict_lookup(oracle, cutoff)
+        latest = latest_ratings(log, cutoff)
+        assert list(latest.items()) == list(_latest_ratings_by_loop(oracle, cutoff).items())
+        for viewer in oracle.users:
+            for target in oracle.users - {viewer}:
+                assert gettrust(log, viewer, target, cutoff) == _trust_from_all_pairs(
+                    oracle, viewer, target, cutoff
+                ), (viewer, target, cutoff)
 
 
 # ---------------------------------------------------------------------------
