@@ -1,10 +1,13 @@
 """Command-line front end: reproducible analysis runs with CSV outputs.
 
-Every run that writes files also writes a `manifest.json` recording the
-resolved configuration, the input checksum, the tool version and the list
-of produced files.  Outputs are written atomically (temp file + rename)
-and floats are formatted with %.12g, so identical (input, config, seed)
-runs produce byte-identical files except for the manifest timestamp.
+Every subcommand that reads a log runs its entry of `STAGES` (`all` runs
+every analysis stage) over one `RunContext`, which computes what several
+stages share once.  Every run that writes files also writes a
+`manifest.json` recording the resolved configuration, the input checksum,
+the ingest counts, the tool version and the list of produced files.
+Outputs are written atomically (temp file + rename) and floats are
+formatted with %.12g, so identical (input, config, seed) runs produce
+byte-identical files except for the manifest timestamp.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 analysis error.
 """
@@ -18,8 +21,9 @@ import os
 import secrets
 import sys
 from datetime import date, datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .categories import (
@@ -31,21 +35,14 @@ from .categories import (
     reputation_vs_indegree_scatter,
 )
 from .distributions import Distribution, from_values, log_binned_ccdf
-from .dynamics import (
-    Snapshot,
-    TrajectorySelection,
-    gini_point,
-    plain_jaccard,
-    snapshot_series,
-    stability_step,
-    top_k_lists,
-    trajectories,
-)
+from .dynamics import DailyFold, TrajectorySelection, daily_fold, follow
 from .model import (
     EventLog,
     IngestError,
     IngestReport,
     Layer,
+    LayerView,
+    NodeMetrics,
     SynthConfig,
     ingest,
     node_metrics,
@@ -55,6 +52,7 @@ from .model import (
 )
 from .static import (
     RANKING_KEYS,
+    DegreeSpectrum,
     avg_neighbor_degree_spectrum,
     clustering_spectrum,
     configuration_null,
@@ -113,18 +111,21 @@ def _fmt(value) -> str:
         return "%.12g" % value
     if isinstance(value, date):
         return value.isoformat()
-    if isinstance(value, Layer):
-        return value.value
-    if isinstance(value, CategoryLabel):
+    if isinstance(value, (Layer, CategoryLabel)):
         return value.value
     return str(value)
 
 
+def _temp_path(path: Path) -> Path:
+    # a fresh name per write, so that runs sharing a directory never write
+    # into each other's temporary files
+    return path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+
+
 def _atomic_write(path: Path, text: str) -> None:
-    # a fresh name per write, created exclusively, so that runs sharing a
-    # directory never write into each other's temporary files; unlike
-    # mkstemp's 0600 files, this one gets the umask's permissions
-    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    # created exclusively; unlike mkstemp's 0600 files, this one gets the
+    # umask's permissions
+    tmp = _temp_path(path)
     with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
@@ -137,6 +138,8 @@ class RunWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.out_dir = out_dir
         self.outputs: list[str] = []
+        # ingest counts of a log-reading run, recorded in the manifest
+        self.ingest: IngestReport | None = None
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         lines = [",".join(header)]
@@ -154,6 +157,12 @@ class RunWriter:
             "tool": "wotnet",
             "version": __version__,
         }
+        if self.ingest is not None:
+            manifest["ingest"] = {
+                "kept": self.ingest.events_kept,
+                "rejected": self.ingest.events_rejected,
+                "users": self.ingest.n_users,
+            }
         _atomic_write(
             self.out_dir / "manifest.json",
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -282,16 +291,46 @@ def _load_log(config: dict) -> tuple[EventLog, IngestReport]:
         raise InputError(f"cannot read input: {exc}") from exc
 
 
-def _thresholds(config: dict) -> CategoryThresholds:
-    low, high = config["thresholds"]
-    try:
-        return CategoryThresholds(low, high)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+_SELECTIONS = {s.value: s for s in TrajectorySelection}
+
+
+class RunContext:
+    """The log of one run and what the stages derive from it.
+
+    Each derived value is computed on first use and then shared by every
+    stage, so `all` splits the layers, computes the node metrics and the
+    labels, and folds the daily snapshots once.
+    """
+
+    def __init__(self, config: dict, selection: str | None):
+        self.config = config
+        self.log, self.report = _load_log(config)
+        # `all` follows both top-entrant selections
+        self.selections = (
+            [_SELECTIONS[selection]]
+            if selection
+            else [TrajectorySelection.TOP_ENTRANTS_POSITIVE, TrajectorySelection.TOP_ENTRANTS_NEGATIVE]
+        )
+
+    @cached_property
+    def layers(self) -> tuple[LayerView, LayerView]:
+        return split_layers(self.log)
+
+    @cached_property
+    def metrics(self) -> dict[int, NodeMetrics]:
+        return node_metrics(self.log)
+
+    @cached_property
+    def labels(self) -> dict[int, CategoryLabel]:
+        return categorize(self.metrics, CategoryThresholds(*self.config["thresholds"]))
+
+    @cached_property
+    def fold(self) -> DailyFold:
+        return daily_fold(self.log, self.config["topk"])
 
 
 # ---------------------------------------------------------------------------
-# per-analysis output builders (shared between the subcommands and `all`)
+# stages: each writes its outputs from the shared run context
 
 
 def _distribution_rows(dist: Distribution, *prefix) -> Iterable[tuple]:
@@ -299,13 +338,48 @@ def _distribution_rows(dist: Distribution, *prefix) -> Iterable[tuple]:
         yield (*prefix, int(v), float(p), float(c))
 
 
-def _write_static(writer: RunWriter, log: EventLog, config: dict) -> None:
-    seed = _require(config, "seed", "for the configuration-model null")
-    n_samples = config["null_samples"]
-    if n_samples < 1:
-        raise UsageError("--null-samples must be >= 1")
-    metrics = node_metrics(log)
-    layer_plus, layer_minus = split_layers(log)
+def _spectrum_rows(spectrum: DegreeSpectrum, *prefix) -> Iterable[tuple]:
+    for d, m, s, n in zip(spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes):
+        yield (*prefix, int(d), float(m), float(s), int(n))
+
+
+def _binned_rows(spectrum: DegreeSpectrum, *prefix) -> list[tuple]:
+    centers, means = log_binned_means(spectrum)
+    return [(*prefix, float(c), float(m)) for c, m in zip(centers, means)]
+
+
+def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
+    report = ctx.report
+    print(f"events={report.events_kept}")
+    print(f"users={report.n_users}")
+    print(f"rejected={report.events_rejected}")
+    for rej in report.rejections[:20]:
+        print(f"line {rej.line_no}: {rej.reason}: {rej.text}", file=sys.stderr)
+    if len(report.rejections) > 20:
+        print(f"... {len(report.rejections) - 20} more", file=sys.stderr)
+    if writer is not None:
+        writer.write_csv(
+            "rejected_lines.csv",
+            ["line_no", "reason", "text"],
+            ((r.line_no, r.reason, r.text.replace(",", ";")) for r in report.rejections),
+        )
+
+
+def _write_summary(writer: RunWriter | None, ctx: RunContext) -> None:
+    log = ctx.log
+    plus, minus = ctx.layers
+    names = ("users", "events", "e_plus", "e_minus")
+    counts = (len(log.users), len(log), plus.n_edges, minus.n_edges)
+    print("\n".join(f"{name}={count}" for name, count in zip(names, counts)))
+    if writer is not None:
+        writer.write_csv("summary.csv", names, [counts])
+
+
+def _write_static(writer: RunWriter, ctx: RunContext) -> None:
+    seed = _require(ctx.config, "seed", "for the configuration-model null")
+    n_samples = ctx.config["null_samples"]
+    metrics = ctx.metrics
+    layer_plus, layer_minus = ctx.layers
     pair = ((Layer.REWARDING, layer_plus), (Layer.PUNITIVE, layer_minus))
 
     writer.write_csv(
@@ -348,20 +422,15 @@ def _write_static(writer: RunWriter, log: EventLog, config: dict) -> None:
     null_summary_rows = []
     for layer, view in pair:
         spectrum = clustering_spectrum(view)
-        centers, means = log_binned_means(spectrum)
-        clustering_binned_rows.extend(
-            (layer, float(c), float(m)) for c, m in zip(centers, means)
-        )
+        clustering_binned_rows.extend(_binned_rows(spectrum, layer))
         null = configuration_null(view, n_samples, seed)
         null_by_degree = {
             int(d): (float(m), float(s))
             for d, m, s in zip(null.degree, null.null_mean, null.null_std)
         }
-        for d, m, s, n in zip(
-            spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes
-        ):
-            nm, ns = null_by_degree.get(int(d), (None, None))
-            clustering_rows.append((layer, int(d), float(m), float(s), int(n), nm, ns))
+        clustering_rows.extend(
+            row + null_by_degree.get(row[1], (None, None)) for row in _spectrum_rows(spectrum, layer)
+        )
         null_summary_rows.append(
             (
                 layer,
@@ -417,14 +486,8 @@ def _write_static(writer: RunWriter, log: EventLog, config: dict) -> None:
     trend_rows = []
     for layer, view in pair:
         spectrum = avg_neighbor_degree_spectrum(view)
-        for d, m, s, n in zip(
-            spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes
-        ):
-            annd_rows.append((layer, int(d), float(m), float(s), int(n)))
-        centers, means = log_binned_means(spectrum)
-        binned_rows.extend(
-            (layer, float(c), float(m)) for c, m in zip(centers, means)
-        )
+        annd_rows.extend(_spectrum_rows(spectrum, layer))
+        binned_rows.extend(_binned_rows(spectrum, layer))
         trend_rows.append((layer, spectrum_trend(spectrum)))
     writer.write_csv(
         "neighbor_degree_spectrum.csv",
@@ -455,26 +518,15 @@ def _write_static(writer: RunWriter, log: EventLog, config: dict) -> None:
         report.by_inplus_rank,
     )
 
-    rep_rows = []
-    for layer in LAYERS:
-        spectrum = reputation_by_indegree(metrics, layer)
-        rep_rows.extend(
-            (layer, int(d), float(m), float(s), int(n))
-            for d, m, s, n in zip(
-                spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes
-            )
-        )
     writer.write_csv(
         "reputation_by_indegree.csv",
         ["layer", "in_degree", "mean_rho", "std_rho", "n_users"],
-        rep_rows,
+        (row for layer in LAYERS for row in _spectrum_rows(reputation_by_indegree(metrics, layer), layer)),
     )
 
 
-def _write_categories(writer: RunWriter, log: EventLog, config: dict) -> None:
-    thresholds = _thresholds(config)
-    metrics = node_metrics(log)
-    labels = categorize(metrics, thresholds)
+def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
+    metrics, labels = ctx.metrics, ctx.labels
 
     writer.write_csv(
         "categories.csv",
@@ -532,7 +584,8 @@ def _write_categories(writer: RunWriter, log: EventLog, config: dict) -> None:
     )
 
 
-def _write_temporal(writer: RunWriter, log: EventLog, config: dict) -> None:
+def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
+    log, config = ctx.log, ctx.config
     shift = config["tz_shift"]
     windows = []
     if config["annotations"]:
@@ -586,170 +639,106 @@ def _write_temporal(writer: RunWriter, log: EventLog, config: dict) -> None:
         "burstiness.csv", ["year", "layer", "B", "n_samples"], burst_rows
     )
 
-    circ_rows = []
-    week_rows = []
-    for s in shifts:
-        hourly = circadian_profile(log, s)
-        circ_rows.extend(
-            (s, hour, float(hourly[Layer.REWARDING][hour]), float(hourly[Layer.PUNITIVE][hour]))
-            for hour in range(24)
-        )
-        weekly = weekly_profile(log, s)
-        week_rows.extend(
-            (s, weekday, float(weekly[Layer.REWARDING][weekday]), float(weekly[Layer.PUNITIVE][weekday]))
-            for weekday in range(7)
-        )
+    def profile_rows(profile):
+        for s in shifts:
+            fractions = profile(log, s)
+            for slot, pair in enumerate(zip(fractions[Layer.REWARDING], fractions[Layer.PUNITIVE])):
+                yield (s, slot, *map(float, pair))
+
     writer.write_csv(
         "circadian_profile.csv",
         ["tz_shift_hours", "hour", "frac_plus", "frac_minus"],
-        circ_rows,
+        profile_rows(circadian_profile),
     )
     writer.write_csv(
         "weekly_profile.csv",
         ["tz_shift_hours", "weekday", "frac_plus", "frac_minus"],
-        week_rows,
+        profile_rows(weekly_profile),
     )
 
 
-def _final_state_check(last: Snapshot, log: EventLog) -> None:
-    if last.metrics != node_metrics(log):
+def _final_state_check(ctx: RunContext) -> None:
+    if ctx.fold.last.metrics != ctx.metrics:
         raise RuntimeError(
             "internal consistency check failed: final snapshot does not match "
             "aggregate per-user metrics"
         )
 
 
-def _write_dynamics(writer: RunWriter, log: EventLog, config: dict) -> None:
-    k = config["topk"]
-    if k < 1:
-        raise UsageError("--topk must be >= 1")
-    gini_rows = []
-    stability_rows = []
-    prev_day = prev_lists = None
-    last = None
-    for snap in snapshot_series(log):
-        point = gini_point(snap)
-        if point is not None:
-            gini_rows.append((point.day, point.gini_plus, point.gini_minus))
-        lists = top_k_lists(snap, k)
-        if prev_lists is not None:
-            p = stability_step(prev_day, prev_lists, lists, k)
-            # plain set overlap next to the order-sensitive index
-            sj = {
-                key: None
-                if not prev_lists[key] and not lists[key]
-                else plain_jaccard(prev_lists[key], lists[key])
-                for key in ("rho_plus", "rho_minus", "rho")
-            }
-            stability_rows.append(
-                (
-                    p.day,
-                    p.j_plus,
-                    p.j_minus,
-                    p.j_global,
-                    sj["rho_plus"],
-                    sj["rho_minus"],
-                    sj["rho"],
-                    p.truncated,
-                )
-            )
-        prev_day, prev_lists = snap.day, lists
-        last = snap
-    _final_state_check(last, log)
+def _write_dynamics(writer: RunWriter, ctx: RunContext) -> None:
+    fold = ctx.fold
+    _final_state_check(ctx)
     writer.write_csv(
-        "gini_series.csv", ["date", "gini_plus", "gini_minus"], gini_rows
+        "gini_series.csv",
+        ["date", "gini_plus", "gini_minus"],
+        ((p.day, p.gini_plus, p.gini_minus) for p in fold.gini),
     )
+    # plain set overlap next to the order-sensitive index
     writer.write_csv(
         "topk_stability.csv",
         ["date", "J_plus", "J_minus", "J_global", "SJ_plus", "SJ_minus", "SJ_global", "truncated"],
-        stability_rows,
-    )
-
-
-_SELECTIONS = {s.value: s for s in TrajectorySelection}
-
-
-def _write_trajectories(
-    writer: RunWriter, log: EventLog, config: dict, selection: TrajectorySelection
-) -> None:
-    rows = trajectories(log, selection, k=config["topk"], thresholds=_thresholds(config))
-    name = f"trajectories_{selection.value.replace('-', '_')}.csv"
-    writer.write_csv(
-        name,
-        ["user", "seq_index", "rho", "category"],
         (
-            (t.user, step, value, t.category)
-            for t in rows
-            for step, value in enumerate(t.values, start=1)
+            (p.day, p.j_plus, p.j_minus, p.j_global, sj["rho_plus"], sj["rho_minus"], sj["rho"], p.truncated)
+            for p, sj in zip(fold.stability, fold.overlap)
         ),
     )
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_ingest_check(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    log, report = _load_log(config)
-    print(f"events={report.events_kept}")
-    print(f"users={report.n_users}")
-    print(f"rejected={report.events_rejected}")
-    for rej in report.rejections[:20]:
-        print(f"line {rej.line_no}: {rej.reason}: {rej.text}", file=sys.stderr)
-    if len(report.rejections) > 20:
-        print(f"... {len(report.rejections) - 20} more", file=sys.stderr)
-    if config["out"]:
-        writer = RunWriter(Path(config["out"]))
-        writer.write_csv(
-            "rejected_lines.csv",
-            ["line_no", "reason", "text"],
-            ((r.line_no, r.reason, r.text.replace(",", ";")) for r in report.rejections),
+def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
+    for selection in ctx.selections:
+        # None follows every rated user; an empty log has none, and no
+        # snapshot series to fold
+        users = (
+            None
+            if selection is TrajectorySelection.BY_CATEGORY or len(ctx.log) == 0
+            else ctx.fold.entrants[selection]
         )
-        writer.write_manifest("ingest-check", _config_for_manifest(config), _sha256(config["input"]))
-    return EXIT_OK
-
-
-def _cmd_summary(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    log, _report = _load_log(config)
-    plus, minus = split_layers(log)
-    lines = [
-        f"users={len(log.users)}",
-        f"events={len(log)}",
-        f"e_plus={plus.n_edges}",
-        f"e_minus={minus.n_edges}",
-    ]
-    print("\n".join(lines))
-    if config["out"]:
-        writer = RunWriter(Path(config["out"]))
         writer.write_csv(
-            "summary.csv",
-            ["users", "events", "e_plus", "e_minus"],
-            [(len(log.users), len(log), plus.n_edges, minus.n_edges)],
+            f"trajectories_{selection.value.replace('-', '_')}.csv",
+            ["user", "seq_index", "rho", "category"],
+            (
+                (t.user, step, value, t.category)
+                for t in follow(ctx.log, users, ctx.labels)
+                for step, value in enumerate(t.values, start=1)
+            ),
         )
-        writer.write_manifest("summary", _config_for_manifest(config), _sha256(config["input"]))
-    return EXIT_OK
 
 
-def _analysis_command(name: str, build) -> "callable":
-    def run(args: argparse.Namespace) -> int:
-        config = _resolve_config(args)
-        log, _report = _load_log(config)
-        writer = RunWriter(Path(_require(config, "out", "to write analysis outputs")))
-        build(writer, log, config, args)
-        writer.write_manifest(name, _config_for_manifest(config), _sha256(config["input"]))
-        return EXIT_OK
-
-    return run
+class Stage(NamedTuple):
+    help: str
+    build: Callable[[RunWriter | None, RunContext], None]
+    analysis: bool = True  # needs --out and is part of `all`
 
 
-def _cmd_trajectories(args: argparse.Namespace) -> int:
+# every subcommand that reads a log; `all` runs the analyses in this order
+STAGES = {
+    "ingest-check": Stage("parse the input and report per-line diagnostics", _write_ingest_check, False),
+    "summary": Stage("print user/event/layer counts", _write_summary, False),
+    "static": Stage("distributions, clustering vs. null, neighbor degrees, rankings", _write_static),
+    "categories": Stage("user categories and their summaries", _write_categories),
+    "temporal": Stage("daily series, interevent statistics, activity profiles", _write_temporal),
+    "dynamics": Stage("daily snapshots: Gini series and top-k stability", _write_dynamics),
+    "trajectories": Stage("per-user reputation trajectories", _write_trajectories),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Load the log once, run the command's stages over one shared context,
+    then write the manifest."""
     config = _resolve_config(args)
-    log, _report = _load_log(config)
-    writer = RunWriter(Path(_require(config, "out", "to write analysis outputs")))
-    _write_trajectories(writer, log, config, _SELECTIONS[args.selection])
-    writer.write_manifest("trajectories", _config_for_manifest(config), _sha256(config["input"]))
+    ctx = RunContext(config, getattr(args, "selection", None))
+    if args.command == "all":
+        stages = [stage for stage in STAGES.values() if stage.analysis]
+    else:
+        stages = [STAGES[args.command]]
+    if stages[0].analysis:
+        _require(config, "out", "to write analysis outputs")
+    writer = RunWriter(Path(config["out"])) if config["out"] else None
+    for stage in stages:
+        stage.build(writer, ctx)
+    if writer is not None:
+        writer.ingest = ctx.report
+        writer.write_manifest(args.command, _config_for_manifest(config), _sha256(config["input"]))
     return EXIT_OK
 
 
@@ -773,36 +762,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     log = synth_log(synth_config)
     writer = RunWriter(Path(_require(config, "out", "to write the synthetic log")))
     target = writer.out_dir / "synthetic.csv"
-    tmp = writer.out_dir / "synthetic.csv.tmp"
+    tmp = _temp_path(target)
     write_log_csv(log, tmp)
     os.replace(tmp, target)
     writer.outputs.append("synthetic.csv")
     manifest_config = _config_for_manifest(config)
-    manifest_config.update(
-        users=args.users,
-        events=args.events,
-        positive_fraction=args.positive_fraction,
-        scores=args.scores,
-        times=args.times,
-        t_start=args.t_start,
-        t_span=args.t_span,
-        rate=args.rate,
-    )
+    synth_keys = ("users", "events", "positive_fraction", "scores", "times", "t_start", "t_span", "rate")
+    manifest_config.update((key, getattr(args, key)) for key in synth_keys)
     writer.write_manifest("synth", manifest_config, None)
-    return EXIT_OK
-
-
-def _cmd_all(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    log, _report = _load_log(config)
-    writer = RunWriter(Path(_require(config, "out", "to write analysis outputs")))
-    _write_static(writer, log, config)
-    _write_categories(writer, log, config)
-    _write_temporal(writer, log, config)
-    _write_dynamics(writer, log, config)
-    _write_trajectories(writer, log, config, TrajectorySelection.TOP_ENTRANTS_POSITIVE)
-    _write_trajectories(writer, log, config, TrajectorySelection.TOP_ENTRANTS_NEGATIVE)
-    writer.write_manifest("all", _config_for_manifest(config), _sha256(config["input"]))
     return EXIT_OK
 
 
@@ -834,15 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     specs = [
-        ("ingest-check", _cmd_ingest_check, "parse the input and report per-line diagnostics"),
-        ("summary", _cmd_summary, "print user/event/layer counts"),
-        ("static", _analysis_command("static", lambda w, l, c, a: _write_static(w, l, c)), "distributions, clustering vs. null, neighbor degrees, rankings"),
-        ("categories", _analysis_command("categories", lambda w, l, c, a: _write_categories(w, l, c)), "user categories and their summaries"),
-        ("temporal", _analysis_command("temporal", lambda w, l, c, a: _write_temporal(w, l, c)), "daily series, interevent statistics, activity profiles"),
-        ("dynamics", _analysis_command("dynamics", lambda w, l, c, a: _write_dynamics(w, l, c)), "daily snapshots: Gini series and top-k stability"),
-        ("trajectories", _cmd_trajectories, "per-user reputation trajectories"),
+        *((name, _run, stage.help) for name, stage in STAGES.items()),
         ("synth", _cmd_synth, "generate a synthetic event log"),
-        ("all", _cmd_all, "run every analysis into one output directory"),
+        ("all", _run, "run every analysis into one output directory"),
     ]
     for name, func, help_text in specs:
         sub = commands.add_parser(name, help=help_text)

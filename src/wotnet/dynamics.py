@@ -281,24 +281,69 @@ class Trajectory:
     category: CategoryLabel
 
 
-def _flattened_values(log: EventLog) -> dict[int, list[int]]:
+_ENTRANT_KEYS = {
+    TrajectorySelection.TOP_ENTRANTS_POSITIVE: "rho_plus",
+    TrajectorySelection.TOP_ENTRANTS_NEGATIVE: "rho_minus",
+}
+
+
+@dataclass(frozen=True)
+class DailyFold:
+    """The daily measures of one pass over the snapshot series.
+
+    `overlap[i]` holds the plain set overlap of each top-k list for the
+    day pair of `stability[i]`, None where both lists were empty.
+    `entrants` maps each top-entrant selection to the users that were in
+    its day-level top-k on at least one day; `last` is the final snapshot.
+    """
+
+    gini: list[GiniPoint]
+    stability: list[StabilityPoint]
+    overlap: list[dict[str, float | None]]
+    entrants: dict[TrajectorySelection, set[int]]
+    last: Snapshot
+
+
+def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
+    """Gini series, top-k stability and top-k entrants from one pass over
+    `snapshot_series`; only the previous day's lists are kept."""
+    gini_points, stability, overlap = [], [], []
+    entrants: dict[TrajectorySelection, set[int]] = {s: set() for s in _ENTRANT_KEYS}
+    prev = prev_lists = None
+    for snap in snapshot_series(log):
+        point = gini_point(snap)
+        if point is not None:
+            gini_points.append(point)
+        lists = top_k_lists(snap, k)
+        if prev is not None:
+            stability.append(stability_step(prev.day, prev_lists, lists, k))
+            overlap.append(
+                {
+                    key: None
+                    if not prev_lists[key] and not lists[key]
+                    else plain_jaccard(prev_lists[key], lists[key])
+                    for key in lists
+                }
+            )
+        for selection, key in _ENTRANT_KEYS.items():
+            entrants[selection].update(lists[key])
+        prev, prev_lists = snap, lists
+    return DailyFold(gini_points, stability, overlap, entrants, prev)
+
+
+def follow(
+    log: EventLog, users: Iterable[int] | None, labels: Mapping[int, CategoryLabel]
+) -> list[Trajectory]:
+    """Trajectories of `users` (every rated user when None) that received
+    at least one rating, in ascending id order, labelled from `labels`."""
     values: dict[int, list[int]] = {}
     running: dict[int, int] = {}
     for ratee, score in zip(log.ratees.tolist(), log.scores.tolist()):
         new = running.get(ratee, 0) + score
         running[ratee] = new
         values.setdefault(ratee, []).append(new)
-    return values
-
-
-def top_entrants(log: EventLog, key: str, k: int = 10) -> set[int]:
-    """Users that appear in the day-level top-k of `key` on at least one day."""
-    if key not in ("rho_plus", "rho_minus"):
-        raise ValueError("key must be 'rho_plus' or 'rho_minus'")
-    entrants: set[int] = set()
-    for snap in snapshot_series(log):
-        entrants.update(top_k_lists(snap, k)[key])
-    return entrants
+    chosen = values if users is None else (u for u in users if u in values)
+    return [Trajectory(u, tuple(values[u]), labels[u]) for u in sorted(chosen)]
 
 
 def trajectories(
@@ -315,16 +360,7 @@ def trajectories(
     """
     if len(log) == 0:
         return []
-    flattened = _flattened_values(log)
     labels = categorize(node_metrics(log), thresholds)
-    if selection is TrajectorySelection.TOP_ENTRANTS_POSITIVE:
-        chosen = top_entrants(log, "rho_plus", k)
-    elif selection is TrajectorySelection.TOP_ENTRANTS_NEGATIVE:
-        chosen = top_entrants(log, "rho_minus", k)
-    else:
-        chosen = set(flattened)
-    return [
-        Trajectory(user, tuple(flattened[user]), labels[user])
-        for user in sorted(chosen)
-        if user in flattened
-    ]
+    if selection is TrajectorySelection.BY_CATEGORY:
+        return follow(log, None, labels)
+    return follow(log, daily_fold(log, k).entrants[selection], labels)

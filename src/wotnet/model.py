@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -255,15 +256,17 @@ class IngestReport:
     rejections: tuple[RejectedLine, ...] = field(default=(), repr=False)
 
 
-def _open_source(source: str | Path | IO[bytes]) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        raw: IO[bytes] = open(source, "rb")
-    else:
-        raw = source
-    buffered = io.BufferedReader(raw) if not isinstance(raw, io.BufferedReader) else raw
-    if buffered.peek(2)[:2] == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=buffered), encoding="utf-8")
-    return io.TextIOWrapper(buffered, encoding="utf-8")
+@contextmanager
+def _open_source(source: str | Path | IO[bytes]) -> Iterator[IO[str]]:
+    # closing `buffered` closes the file opened here or the caller's stream;
+    # a GzipFile leaves its fileobj open, hence the outer `with`
+    raw: IO[bytes] = open(source, "rb") if isinstance(source, (str, Path)) else source
+    buffered = raw if isinstance(raw, io.BufferedReader) else io.BufferedReader(raw)
+    with buffered:
+        gzipped = buffered.peek(2)[:2] == b"\x1f\x8b"
+        binary = gzip.GzipFile(fileobj=buffered) if gzipped else buffered
+        with io.TextIOWrapper(binary, encoding="utf-8") as text:
+            yield text
 
 
 def _parse_timestamp(text: str) -> int:
@@ -306,25 +309,25 @@ def ingest(
     rejections: list[RejectedLine] = []
     first_record = True
     saw_content = False
-    stream = _open_source(source)
-    for line_no, line in enumerate(stream, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        saw_content = True
-        if first_record:
-            first_record = False
-            head = text.split(",")[0]
+    with _open_source(source) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            saw_content = True
+            if first_record:
+                first_record = False
+                head = text.split(",")[0]
+                try:
+                    float(head)
+                except ValueError:
+                    continue  # header line
             try:
-                float(head)
-            except ValueError:
-                continue  # header line
-        try:
-            fields.extend(_parse_line(text))
-        except ValueError as exc:
-            if mode == "strict":
-                raise IngestError(f"line {line_no}: {exc}") from exc
-            rejections.append(RejectedLine(line_no, str(exc), text))
+                fields.extend(_parse_line(text))
+            except ValueError as exc:
+                if mode == "strict":
+                    raise IngestError(f"line {line_no}: {exc}") from exc
+                rejections.append(RejectedLine(line_no, str(exc), text))
     if not saw_content:
         raise IngestError("empty input: no records found")
     log = EventLog._from_columns(np.array(fields, dtype=np.int64).reshape(-1, 4).T)

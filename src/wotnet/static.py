@@ -259,16 +259,6 @@ def configuration_null(
     )
 
 
-def degree_sequences(layer: LayerView) -> tuple[dict[int, int], dict[int, int]]:
-    """(out-degree, in-degree) of the layer's directed simple graph."""
-    out_deg: dict[int, int] = {}
-    in_deg: dict[int, int] = {}
-    for u, v in _directed_simple_edges(layer):
-        out_deg[u] = out_deg.get(u, 0) + 1
-        in_deg[v] = in_deg.get(v, 0) + 1
-    return out_deg, in_deg
-
-
 def weight_distribution(layer: LayerView) -> Distribution:
     """Distribution of the layer's edge weights (absolute scores)."""
     if layer.n_edges == 0:

@@ -61,19 +61,6 @@ def daily_series(log: EventLog, tz_shift_hours: int = 0) -> list[DailyCount]:
     ]
 
 
-def activity_calendar(log: EventLog) -> dict[Layer, list[date]]:
-    """Sorted list of UTC days with at least one event, per layer."""
-    days = log.timestamps // SECONDS_PER_DAY
-    out: dict[Layer, list[date]] = {}
-    for layer, mask in (
-        (Layer.REWARDING, log.scores > 0),
-        (Layer.PUNITIVE, log.scores < 0),
-    ):
-        active = np.unique(days[mask])
-        out[layer] = [_EPOCH + timedelta(days=int(d)) for d in active]
-    return out
-
-
 def interevent_times(log: EventLog, layer: Layer) -> np.ndarray:
     """Pooled gaps between consecutive events received by the same user.
 
@@ -90,25 +77,6 @@ def interevent_times(log: EventLog, layer: Layer) -> np.ndarray:
     ts = ts[order]
     same_user = ratees[1:] == ratees[:-1]
     return np.diff(ts)[same_user]
-
-
-def interevent_times_by_user(
-    log: EventLog, layer: Layer
-) -> dict[int, np.ndarray]:
-    """Per-user interevent gaps instead of the pooled sample.
-
-    Only users with at least two incoming events on the layer appear.
-    """
-    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
-    ratees = log.ratees[mask]
-    ts = log.timestamps[mask]
-    out: dict[int, list[int]] = {}
-    last: dict[int, int] = {}
-    for user, t in zip(ratees.tolist(), ts.tolist()):
-        if user in last:
-            out.setdefault(user, []).append(t - last[user])
-        last[user] = t
-    return {u: np.array(gaps, dtype=np.int64) for u, gaps in out.items()}
 
 
 def interevent_distribution(log: EventLog, layer: Layer) -> Distribution:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from wotnet import EventLog, RatingEvent, SynthConfig, ingest, synth_log
+from wotnet import EventLog, LayerView, RatingEvent, SynthConfig, ingest, synth_log
+from wotnet.static import _directed_simple_edges
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,6 +70,16 @@ def small_log() -> EventLog:
 def make_log(rows) -> EventLog:
     """Build a log from (rater, ratee, score, timestamp) tuples."""
     return EventLog(RatingEvent(*row) for row in rows)
+
+
+def degree_sequences(layer: LayerView) -> tuple[dict[int, int], dict[int, int]]:
+    """(out-degree, in-degree) of the layer's directed simple graph."""
+    out_deg: dict[int, int] = {}
+    in_deg: dict[int, int] = {}
+    for u, v in _directed_simple_edges(layer):
+        out_deg[u] = out_deg.get(u, 0) + 1
+        in_deg[v] = in_deg.get(v, 0) + 1
+    return out_deg, in_deg
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, dataset_path, make_log
+from conftest import ACCEPTANCE_LINES, dataset_path, degree_sequences, make_log
 from wotnet import (
     CategoryLabel,
     Layer,
@@ -45,7 +45,6 @@ from wotnet.static import (
     _rewire,
     avg_neighbor_degree_spectrum,
     configuration_null,
-    degree_sequences,
     spectrum_trend,
 )
 from wotnet.temporal import interevent_times

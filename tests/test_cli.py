@@ -299,6 +299,14 @@ def test_manifest_records_run(synth_csv, tmp_path):
     produced = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     assert manifest["outputs"] == produced
     assert "categories.csv" in produced
+    assert manifest["ingest"] == {"kept": 400, "rejected": 0, "users": 25}
+
+    messy = tmp_path / "messy.csv"
+    messy.write_text(GOOD_ROWS + "4,4,5,400\n5,6,99,500\n")
+    for command in ("ingest-check", "summary", "categories"):
+        out = tmp_path / command
+        assert main([command, "--input", str(messy), "--out", str(out)]) == 0
+        assert _manifest_of(out)["ingest"] == {"kept": 3, "rejected": 2, "users": 3}
 
 
 def test_no_temp_files_left_behind(synth_csv, tmp_path):
@@ -321,6 +329,13 @@ def test_leftover_temp_file_is_neither_read_nor_listed(input_csv, tmp_path):
         "summary.csv",
         "summary.csv.tmp",
     ]
+    stale = out / "synthetic.csv.tmp"
+    stale.write_text("left,over\n")
+    assert main(["synth", "--users", "5", "--events", "10", "--seed", "1", "--out", str(out)]) == 0
+    assert stale.read_text() == "left,over\n"
+    assert _manifest_of(out)["outputs"] == ["synthetic.csv"]
+    assert "left" not in (out / "synthetic.csv").read_text()
+    assert not [p for p in out.glob("*.tmp") if p.name not in ("summary.csv.tmp", "synthetic.csv.tmp")]
 
 
 def test_reruns_are_byte_identical_except_manifest_timestamp(synth_csv, tmp_path):
@@ -441,6 +456,29 @@ def test_all_runs_every_analysis(synth_csv, tmp_path):
     manifest = _manifest_of(out)
     assert manifest["command"] == "all"
     assert sorted(manifest["outputs"]) == sorted(produced - {"manifest.json"})
+
+
+def test_all_writes_the_bytes_of_the_separate_subcommands(synth_csv, tmp_path):
+    common = ["--input", str(synth_csv), "--seed", "5", "--null-samples", "2", "--topk", "3"]
+    assert main(["all", *common, "--out", str(tmp_path / "all")]) == 0
+    separate = {}
+    for command in (
+        ["static"],
+        ["categories"],
+        ["temporal"],
+        ["dynamics"],
+        ["trajectories", "--selection", "top-positive"],
+        ["trajectories", "--selection", "top-negative"],
+    ):
+        out = tmp_path / "-".join(command)
+        assert main([*command, *common, "--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            assert path.name not in separate
+            separate[path.name] = path.read_bytes()
+    together = {p.name: p.read_bytes() for p in (tmp_path / "all").glob("*.csv")}
+    assert together.keys() == separate.keys()
+    for name, data in together.items():
+        assert data == separate[name], name
 
 
 def test_categories_csv_contents(tmp_path, capsys):

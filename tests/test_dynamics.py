@@ -10,6 +10,7 @@ from conftest import make_log
 from wotnet import (
     CategoryLabel,
     EventLog,
+    RatingEvent,
     TrajectorySelection,
     extended_jaccard,
     gini,
@@ -23,7 +24,7 @@ from wotnet import (
     topk_stability_series,
     trajectories,
 )
-from wotnet.dynamics import top_entrants
+from wotnet.dynamics import daily_fold
 
 DAY = 86_400
 
@@ -330,6 +331,87 @@ def test_stability_full_lists_not_truncated():
     point = stability_step(date(1970, 1, 2), lists, lists, k=2)
     assert not point.truncated
     assert point.j_global == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# one fold against the earlier multi-pass code
+
+
+def top_entrants(log: EventLog, key: str, k: int = 10) -> set[int]:
+    """Users in the day-level top-k of `key` on at least one day, from a
+    pass of their own over the snapshots."""
+    if key not in ("rho_plus", "rho_minus"):
+        raise ValueError("key must be 'rho_plus' or 'rho_minus'")
+    entrants: set[int] = set()
+    for snap in snapshot_series(log):
+        entrants.update(top_k_lists(snap, k)[key])
+    return entrants
+
+
+def _dynamics_rows_by_loop(log: EventLog, k: int):
+    """The Gini and top-k stability CSV rows as `wotnet dynamics` built
+    them in a pass of its own."""
+    gini_rows = []
+    stability_rows = []
+    prev_day = prev_lists = None
+    for snap in snapshot_series(log):
+        point = gini_point(snap)
+        if point is not None:
+            gini_rows.append((point.day, point.gini_plus, point.gini_minus))
+        lists = top_k_lists(snap, k)
+        if prev_lists is not None:
+            p = stability_step(prev_day, prev_lists, lists, k)
+            sj = {
+                key: None
+                if not prev_lists[key] and not lists[key]
+                else plain_jaccard(prev_lists[key], lists[key])
+                for key in ("rho_plus", "rho_minus", "rho")
+            }
+            stability_rows.append(
+                (p.day, p.j_plus, p.j_minus, p.j_global, sj["rho_plus"], sj["rho_minus"], sj["rho"], p.truncated)
+            )
+        prev_day, prev_lists = snap.day, lists
+    return gini_rows, stability_rows
+
+
+@st.composite
+def _multi_day_logs(draw):
+    """Small logs over a few days, some before 1970, with tied timestamps,
+    in one of four shapes: mixed signs, the rewarding or the punitive layer
+    only, or a single pair of users."""
+    shape = draw(st.sampled_from(["mixed", "rewarding", "punitive", "pair"]))
+    pool = [3, 17] if shape == "pair" else [-5, 0, 3, 17, 2**40, 8, 9]
+    scores = {
+        "rewarding": st.integers(1, 10),
+        "punitive": st.integers(-10, -1),
+    }.get(shape, st.integers(-10, 10).filter(bool))
+    events = []
+    for _ in range(draw(st.integers(1, 30))):
+        rater = draw(st.sampled_from(pool))
+        ratee = draw(st.sampled_from([u for u in pool if u != rater]))
+        timestamp = DAY // 3 * draw(st.integers(-7, 12))
+        events.append(RatingEvent(rater, ratee, draw(scores), timestamp))
+    return EventLog(events)
+
+
+@given(_multi_day_logs(), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_daily_fold_matches_separate_passes(log, k):
+    fold = daily_fold(log, k)
+    gini_rows, stability_rows = _dynamics_rows_by_loop(log, k)
+    assert [(p.day, p.gini_plus, p.gini_minus) for p in fold.gini] == gini_rows
+    assert [
+        (p.day, p.j_plus, p.j_minus, p.j_global, sj["rho_plus"], sj["rho_minus"], sj["rho"], p.truncated)
+        for p, sj in zip(fold.stability, fold.overlap)
+    ] == stability_rows
+    assert len(fold.overlap) == len(fold.stability)
+    assert fold.entrants == {
+        TrajectorySelection.TOP_ENTRANTS_POSITIVE: top_entrants(log, "rho_plus", k),
+        TrajectorySelection.TOP_ENTRANTS_NEGATIVE: top_entrants(log, "rho_minus", k),
+    }
+    *_, last = snapshot_series(log)
+    assert fold.last.day == last.day
+    assert fold.last.metrics == node_metrics(log)
 
 
 # ---------------------------------------------------------------------------

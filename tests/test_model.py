@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_log
+from wotnet import model
 from wotnet import (
     EventLog,
     IngestError,
@@ -94,6 +95,27 @@ def test_gzip_input(tmp_path):
         fh.write("1,2,3,10\n2,1,-4,20\n")
     log, _ = ingest(path)
     assert [e.score for e in log] == [3, -4]
+
+
+@pytest.mark.parametrize("gzipped", [False, True])
+@pytest.mark.parametrize("mode", ["lenient", "strict"])
+def test_ingest_closes_the_file_it_opens(tmp_path, monkeypatch, gzipped, mode):
+    data = b"1,2,3,10\n4,4,5,20\n"
+    path = tmp_path / "log.csv"
+    path.write_bytes(gzip.compress(data) if gzipped else data)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(model, "open", recording_open, raising=False)
+    if mode == "strict":
+        with pytest.raises(IngestError, match="line 2"):
+            ingest(path, mode=mode)
+    else:
+        assert ingest(path, mode=mode)[1].events_rejected == 1
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_fractional_timestamps_floored():

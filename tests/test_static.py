@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log
+from conftest import degree_sequences, make_log
 from wotnet import (
     Layer,
     NodeMetrics,
@@ -32,7 +32,6 @@ from wotnet.static import (
     avg_neighbor_degree_spectrum,
     clustering_spectrum,
     configuration_null,
-    degree_sequences,
     log_binned_means,
     spectrum_trend,
 )

@@ -1,5 +1,5 @@
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from scipy import stats as sps
 from conftest import make_log
 from wotnet import (
     Layer,
+    EventLog,
     SynthConfig,
-    activity_calendar,
     annotations_for,
     burstiness,
     circadian_profile,
@@ -17,7 +17,6 @@ from wotnet import (
     day_of,
     interevent_distribution,
     interevent_times,
-    interevent_times_by_user,
     load_annotations,
     synth_log,
     weekly_profile,
@@ -27,6 +26,36 @@ from wotnet.temporal import AnnotationWindow
 
 DAY = 86_400
 YEAR_2012 = 1_325_376_000  # 2012-01-01T00:00:00Z
+
+
+def activity_calendar(log: EventLog) -> dict[Layer, list[date]]:
+    """Sorted list of UTC days with at least one event, per layer."""
+    days = log.timestamps // DAY
+    out: dict[Layer, list[date]] = {}
+    for layer, mask in (
+        (Layer.REWARDING, log.scores > 0),
+        (Layer.PUNITIVE, log.scores < 0),
+    ):
+        active = np.unique(days[mask])
+        out[layer] = [date(1970, 1, 1) + timedelta(days=int(d)) for d in active]
+    return out
+
+
+def interevent_times_by_user(log: EventLog, layer: Layer) -> dict[int, np.ndarray]:
+    """Per-user interevent gaps instead of the pooled sample.
+
+    Only users with at least two incoming events on the layer appear.
+    """
+    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
+    ratees = log.ratees[mask]
+    ts = log.timestamps[mask]
+    out: dict[int, list[int]] = {}
+    last: dict[int, int] = {}
+    for user, t in zip(ratees.tolist(), ts.tolist()):
+        if user in last:
+            out.setdefault(user, []).append(t - last[user])
+        last[user] = t
+    return {u: np.array(gaps, dtype=np.int64) for u, gaps in out.items()}
 
 
 # ---------------------------------------------------------------------------
