@@ -62,6 +62,7 @@ from .static import (
     reputation_by_indegree,
     reputation_distributions,
     spectrum_trend,
+    undirected_projection,
     weight_distribution,
 )
 from .temporal import (
@@ -71,7 +72,6 @@ from .temporal import (
     burstiness,
     circadian_profile,
     daily_series,
-    interevent_distribution,
     interevent_times,
     load_annotations,
     weekly_profile,
@@ -393,8 +393,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
             for direction in ("in", "out"):
                 attr = f"k_{direction}_{layer.short}"
                 dist = from_values([getattr(m, attr) for m in metrics.values()])
-                for row in _distribution_rows(dist, layer, direction):
-                    yield row
+                yield from _distribution_rows(dist, layer, direction)
 
     writer.write_csv(
         "degree_distributions.csv",
@@ -402,26 +401,19 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
         degree_rows(),
     )
 
-    rho_p, rho_m, rho = reputation_distributions(metrics)
+    measures = zip(("rho_plus", "rho_minus", "rho"), reputation_distributions(metrics))
     writer.write_csv(
         "reputation_distributions.csv",
         ["measure", "value", "pmf", "ccdf"],
-        (
-            row
-            for measure, dist in (
-                ("rho_plus", rho_p),
-                ("rho_minus", rho_m),
-                ("rho", rho),
-            )
-            for row in _distribution_rows(dist, measure)
-        ),
+        (row for measure, dist in measures for row in _distribution_rows(dist, measure)),
     )
 
     clustering_rows = []
     clustering_binned_rows = []
     null_summary_rows = []
-    for layer, view in pair:
-        spectrum = clustering_spectrum(view)
+    projections = [undirected_projection(view.raters, view.ratees) for _, view in pair]
+    for (layer, view), projection in zip(pair, projections):
+        spectrum = clustering_spectrum(projection)
         clustering_binned_rows.extend(_binned_rows(spectrum, layer))
         null = configuration_null(view, n_samples, seed)
         null_by_degree = {
@@ -470,11 +462,12 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
 
     # single-rating vs. repeated/strong-rating sub-layers of L+, under both
     # degree conventions (all nodes vs. degree >= 2 only)
+    by_weight = [("w_eq_1", layer_plus.restrict_weights(1, 1)), ("w_gt_1", layer_plus.restrict_weights(2, 10))]
+    sublayers = [(name, undirected_projection(view.raters, view.ratees)) for name, view in by_weight]
     norm_rows = []
     for convention, include_low in (("all_nodes", True), ("degree_ge_2", False)):
-        for sublayer, lo, hi in (("w_eq_1", 1, 1), ("w_gt_1", 2, 10)):
-            view = layer_plus.restrict_weights(lo, hi)
-            norm_rows.append((convention, sublayer, mean_clustering(view, include_low)))
+        for sublayer, projection in sublayers:
+            norm_rows.append((convention, sublayer, mean_clustering(projection, include_low)))
     writer.write_csv(
         "norm_breaking_clustering.csv",
         ["convention", "sublayer", "mean_clustering"],
@@ -484,8 +477,8 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     annd_rows = []
     binned_rows = []
     trend_rows = []
-    for layer, view in pair:
-        spectrum = avg_neighbor_degree_spectrum(view)
+    for (layer, _), projection in zip(pair, projections):
+        spectrum = avg_neighbor_degree_spectrum(projection)
         annd_rows.extend(_spectrum_rows(spectrum, layer))
         binned_rows.extend(_binned_rows(spectrum, layer))
         trend_rows.append((layer, spectrum_trend(spectrum)))
@@ -615,7 +608,7 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
         # layers without enough repeat ratings simply contribute no rows
         deltas = interevent_times(log, layer)
         if deltas.size > 0:
-            dist = interevent_distribution(log, layer)
+            dist = from_values(deltas)
             interevent_rows.extend(_distribution_rows(dist, layer))
             binned_rows.extend(
                 (layer, float(v), float(c)) for v, c in log_binned_ccdf(dist)

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy import stats as sps
 
 from .distributions import Distribution, from_values
 from .model import Layer, LayerView, NodeMetrics
 
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
+# rows of the two-step path product held at once by `local_clustering`
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,73 +57,87 @@ def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeS
     return DegreeSpectrum(levels, means, stds, counts)
 
 
-def undirected_projection(layer: LayerView) -> dict[int, set[int]]:
-    """Adjacency sets of the simple undirected graph underlying a layer."""
-    adj: dict[int, set[int]] = {}
-    for u, v in zip(layer.raters.tolist(), layer.ratees.tolist()):
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """The simple undirected graph underlying a directed edge list.
+
+    Parallel edges and directions collapse into single edges.  `degree[i]`,
+    `clustering[i]` and row `i` of the symmetric 0/1 `adjacency` belong to
+    `nodes[i]`; nodes are in order of first appearance in the edge list
+    (rater, then ratee, edge by edge), so reductions sum in that order.
+    """
+
+    nodes: np.ndarray
+    adjacency: sparse.csr_array
+    degree: np.ndarray
+    clustering: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.nodes, self.degree, self.clustering):
+            a.setflags(write=False)
 
 
-def local_clustering(adj: Mapping[int, set[int]]) -> dict[int, float]:
-    """Fraction of closed neighbor pairs per node; 0 for degree < 2."""
-    out: dict[int, float] = {}
-    for node, neigh in adj.items():
-        d = len(neigh)
-        if d < 2:
-            out[node] = 0.0
-            continue
-        links = sum(len(neigh & adj[u]) for u in neigh) // 2
-        out[node] = links / (d * (d - 1) / 2)
+def undirected_projection(raters: np.ndarray, ratees: np.ndarray) -> Projection:
+    """Project the directed edges `raters[i] -> ratees[i]` (no self-loops)."""
+    ids, first, inverse = np.unique(
+        np.column_stack((raters, ratees)).ravel(), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    u, v = np.argsort(order)[inverse].reshape(-1, 2).T
+    n = len(ids)
+    pairs = np.unique(np.concatenate((u * n + v, v * n + u)))
+    adjacency = sparse.csr_array((np.ones(len(pairs), np.int64), np.divmod(pairs, n)), shape=(n, n))
+    degree = np.diff(adjacency.indptr).astype(np.int64)
+    return Projection(ids[order], adjacency, degree, local_clustering(adjacency))
+
+
+def local_clustering(adjacency: sparse.csr_array) -> np.ndarray:
+    """Fraction of closed neighbor pairs per node; 0 for degree < 2.
+
+    Row sums of `(A @ A) * A` count each link among a node's neighbors
+    twice (Latapy, TCS 407, 2008).  The product is formed `_BLOCK_ROWS`
+    rows at a time: whole, it holds an order of magnitude more entries than `A`.
+    """
+    degree = np.diff(adjacency.indptr).astype(np.int64)
+    closed = np.zeros(len(degree), dtype=np.int64)
+    for lo in range(0, len(degree), _BLOCK_ROWS):
+        rows = adjacency[lo : lo + _BLOCK_ROWS]
+        paths = (rows @ adjacency).multiply(rows)
+        closed[lo : lo + _BLOCK_ROWS] = np.asarray(paths.sum(axis=1)).ravel()
+    out = np.zeros(len(degree))
+    np.divide(closed // 2, degree * (degree - 1) / 2, out=out, where=degree >= 2)
     return out
 
 
 def clustering_spectrum(
-    layer: LayerView, include_low_degree: bool = True
+    projection: Projection, include_low_degree: bool = True
 ) -> DegreeSpectrum:
     """Mean/std of local clustering per total-degree bucket.
 
     `include_low_degree=False` drops the degree<2 nodes (whose clustering is
     0 by convention) instead of averaging them in.
     """
-    adj = undirected_projection(layer)
-    cc = local_clustering(adj)
-    degrees, values = [], []
-    for node, c in cc.items():
-        d = len(adj[node])
-        if d < 2 and not include_low_degree:
-            continue
-        degrees.append(d)
-        values.append(c)
-    return _bucket_spectrum(degrees, values)
+    keep = projection.degree >= (0 if include_low_degree else 2)
+    return _bucket_spectrum(projection.degree[keep], projection.clustering[keep])
 
 
-def mean_clustering(layer: LayerView, include_low_degree: bool = True) -> float:
+def mean_clustering(projection: Projection, include_low_degree: bool = True) -> float:
     """Average local clustering over the projected nodes.
 
-    Only nodes incident to at least one edge of the layer exist in the
-    projection; with `include_low_degree=False` the average is restricted
-    to nodes of degree >= 2.
+    Only nodes incident to at least one edge exist in the projection; with
+    `include_low_degree=False` the average is restricted to nodes of
+    degree >= 2.
     """
-    adj = undirected_projection(layer)
-    cc = local_clustering(adj)
-    values = [
-        c for node, c in cc.items() if include_low_degree or len(adj[node]) >= 2
-    ]
-    if not values:
+    values = projection.clustering[projection.degree >= (0 if include_low_degree else 2)]
+    if values.size == 0:
         raise ValueError("no nodes satisfy the requested clustering convention")
     return float(np.mean(values))
 
 
-def avg_neighbor_degree_spectrum(layer: LayerView) -> DegreeSpectrum:
+def avg_neighbor_degree_spectrum(projection: Projection) -> DegreeSpectrum:
     """Mean neighbor degree averaged within each total-degree bucket."""
-    adj = undirected_projection(layer)
-    degrees, values = [], []
-    for node, neigh in adj.items():
-        degrees.append(len(neigh))
-        values.append(float(np.mean([len(adj[u]) for u in neigh])))
-    return _bucket_spectrum(degrees, values)
+    neighbor_sums = projection.adjacency @ projection.degree
+    return _bucket_spectrum(projection.degree, neighbor_sums / projection.degree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,13 +217,6 @@ def _rewire(
     return edges, done
 
 
-def _edges_to_layer(edges: list[tuple[int, int]], template: LayerView) -> LayerView:
-    r = np.array([e[0] for e in edges], dtype=np.int64)
-    t = np.array([e[1] for e in edges], dtype=np.int64)
-    ones = np.ones(len(edges), dtype=np.int64)
-    return LayerView(template.layer, template.cutoff, r, t, ones, ones * 0)
-
-
 def configuration_null(
     layer: LayerView,
     n_samples: int,
@@ -226,29 +236,29 @@ def configuration_null(
     base = _directed_simple_edges(layer)
     n_swaps = swaps_per_edge * len(base)
     streams = np.random.SeedSequence(seed).spawn(n_samples)
-    bucket_samples: dict[int, list[float]] = {}
+    spectra: list[DegreeSpectrum] = []
     sample_means: list[float] = []
     swaps_done: list[int] = []
     for stream in streams:
         rng = np.random.default_rng(stream)
         rewired, done = _rewire(base, n_swaps, rng)
         swaps_done.append(done)
-        replica = _edges_to_layer(rewired, layer)
-        spectrum = clustering_spectrum(replica, include_low_degree)
-        for d, m in zip(spectrum.degree, spectrum.mean_value):
-            bucket_samples.setdefault(int(d), []).append(float(m))
+        replica = undirected_projection(*np.array(rewired, dtype=np.int64).reshape(-1, 2).T)
+        spectra.append(clustering_spectrum(replica, include_low_degree))
         sample_means.append(mean_clustering(replica, include_low_degree))
-    degrees = np.array(sorted(bucket_samples), dtype=np.int64)
-    null_mean = np.array([np.mean(bucket_samples[d]) for d in degrees])
-    null_std = np.array([np.std(bucket_samples[d]) for d in degrees])
-    per_bucket = np.array([len(bucket_samples[d]) for d in degrees], dtype=np.int64)
+    # the replicas' bucket means, pooled per degree
+    null = _bucket_spectrum(
+        np.concatenate([s.degree for s in spectra]), np.concatenate([s.mean_value for s in spectra])
+    )
     means = np.array(sample_means)
     return NullModelResult(
-        degree=degrees,
-        null_mean=null_mean,
-        null_std=null_std,
-        n_samples_per_bucket=per_bucket,
-        empirical_mean_clustering=mean_clustering(layer, include_low_degree),
+        degree=null.degree,
+        null_mean=null.mean_value,
+        null_std=null.std_value,
+        n_samples_per_bucket=null.n_nodes,
+        empirical_mean_clustering=mean_clustering(
+            undirected_projection(layer.raters, layer.ratees), include_low_degree
+        ),
         null_mean_clustering=float(means.mean()),
         null_std_clustering=float(means.std()),
         sample_means=tuple(means.tolist()),

@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -61,22 +61,26 @@ def daily_series(log: EventLog, tz_shift_hours: int = 0) -> list[DailyCount]:
     ]
 
 
+def _user_gaps(log: EventLog, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps between consecutive events received by the same user on a layer,
+    and the timestamp of each gap's later event."""
+    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
+    ratees = log.ratees[mask]
+    ts = log.timestamps[mask]
+    order = np.argsort(ratees, kind="stable")  # events already time-sorted
+    ratees = ratees[order]
+    ts = ts[order]
+    same_user = ratees[1:] == ratees[:-1]
+    return np.diff(ts)[same_user], ts[1:][same_user]
+
+
 def interevent_times(log: EventLog, layer: Layer) -> np.ndarray:
     """Pooled gaps between consecutive events received by the same user.
 
     Each user's incoming events on the layer are taken in time order; users
     with fewer than two incoming events contribute nothing.
     """
-    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
-    ratees = log.ratees[mask]
-    ts = log.timestamps[mask]
-    if ts.size < 2:
-        return np.array([], dtype=np.int64)
-    order = np.argsort(ratees, kind="stable")  # events already time-sorted
-    ratees = ratees[order]
-    ts = ts[order]
-    same_user = ratees[1:] == ratees[:-1]
-    return np.diff(ts)[same_user]
+    return _user_gaps(log, layer)[0]
 
 
 def interevent_distribution(log: EventLog, layer: Layer) -> Distribution:
@@ -124,18 +128,11 @@ def yearly_burstiness(log: EventLog) -> list[YearlyBurstiness]:
     """
     rows: list[YearlyBurstiness] = []
     for layer in (Layer.REWARDING, Layer.PUNITIVE):
-        mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
-        ratees = log.ratees[mask]
-        ts = log.timestamps[mask]
-        if ts.size < 2:
-            continue
-        order = np.argsort(ratees, kind="stable")
-        ratees = ratees[order]
-        ts = ts[order]
-        years = _utc_years(ts)
-        valid = (ratees[1:] == ratees[:-1]) & (years[1:] == years[:-1])
-        deltas = np.diff(ts)[valid]
-        delta_years = years[1:][valid]
+        gaps, later = _user_gaps(log, layer)
+        years = _utc_years(later)
+        same_year = years == _utc_years(later - gaps)
+        deltas = gaps[same_year]
+        delta_years = years[same_year]
         for year in np.unique(delta_years):
             sample = deltas[delta_years == year]
             if sample.size < 2:

@@ -13,7 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from wotnet import EventLog, LayerView, RatingEvent, SynthConfig, ingest, synth_log
+from wotnet import (
+    EventLog,
+    LayerView,
+    Projection,
+    RatingEvent,
+    SynthConfig,
+    ingest,
+    synth_log,
+    undirected_projection,
+)
 from wotnet.static import _directed_simple_edges
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +79,20 @@ def small_log() -> EventLog:
 def make_log(rows) -> EventLog:
     """Build a log from (rater, ratee, score, timestamp) tuples."""
     return EventLog(RatingEvent(*row) for row in rows)
+
+
+def project(layer: LayerView) -> Projection:
+    """The undirected projection of a layer's edges."""
+    return undirected_projection(layer.raters, layer.ratees)
+
+
+def adjacency_sets(projection: Projection) -> dict[int, set[int]]:
+    """Neighbor id sets of a projection's nodes, in the projection's order."""
+    a, ids = projection.adjacency, projection.nodes.tolist()
+    return {
+        ids[i]: {ids[j] for j in a.indices[a.indptr[i] : a.indptr[i + 1]].tolist()}
+        for i in range(len(ids))
+    }
 
 
 def degree_sequences(layer: LayerView) -> tuple[dict[int, int], dict[int, int]]:

@@ -14,7 +14,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, dataset_path, degree_sequences, make_log
+from conftest import (
+    ACCEPTANCE_LINES,
+    adjacency_sets,
+    dataset_path,
+    degree_sequences,
+    make_log,
+    project,
+)
 from wotnet import (
     CategoryLabel,
     Layer,
@@ -27,7 +34,6 @@ from wotnet import (
     gini_series,
     ingest,
     kendall_tau,
-    local_clustering,
     mean_clustering,
     node_metrics,
     ranking_report,
@@ -35,7 +41,6 @@ from wotnet import (
     split_layers,
     synth_log,
     SynthConfig,
-    undirected_projection,
     weekly_profile,
     weight_distribution,
     yearly_burstiness,
@@ -163,8 +168,8 @@ def test_c4_clustering_null_ordering():
 def test_c5_norm_breaking_clustering():
     _dataset_or_skip("C5", "norm-breaking-clustering")
     plus, _ = _layers()
-    strong = plus.restrict_weights(2, 10)
-    single = plus.restrict_weights(1, 1)
+    strong = project(plus.restrict_weights(2, 10))
+    single = project(plus.restrict_weights(1, 1))
     results = {}
     for convention, include_low in (("all_nodes", True), ("degree_ge_2", False)):
         c_gt = mean_clustering(strong, include_low_degree=include_low)
@@ -186,8 +191,8 @@ def test_c5_norm_breaking_clustering():
 def test_c6_disassortativity():
     _dataset_or_skip("C6", "disassortativity")
     plus, minus = _layers()
-    trend_plus = spectrum_trend(avg_neighbor_degree_spectrum(plus))
-    trend_minus = spectrum_trend(avg_neighbor_degree_spectrum(minus))
+    trend_plus = spectrum_trend(avg_neighbor_degree_spectrum(project(plus)))
+    trend_minus = spectrum_trend(avg_neighbor_degree_spectrum(project(minus)))
     _verdict(
         "C6",
         "disassortativity",
@@ -322,11 +327,12 @@ def test_c10_property_suites():
     for _ in range(10):
         log = _random_small_log(rng, n_users=7, n_events=20)
         plus, _ = split_layers(log)
-        adj = undirected_projection(plus)
-        cc = local_clustering(adj)
+        projection = project(plus)
+        adj = adjacency_sets(projection)
+        cc = dict(zip(projection.nodes.tolist(), projection.clustering.tolist()))
         check("clustering in [0,1]", all(0.0 <= c <= 1.0 for c in cc.values()))
         check("clustering oracle", cc == pytest.approx(_clustering_oracle(adj)))
-        annd = avg_neighbor_degree_spectrum(plus).as_dict()
+        annd = avg_neighbor_degree_spectrum(projection).as_dict()
         oracle_vals: dict[int, list[float]] = {}
         for node, neigh in adj.items():
             mean_nd = sum(len(adj[v]) for v in neigh) / len(neigh)

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from wotnet import write_log_csv
 from wotnet.cli import main
 
 GOOD_ROWS = "1,2,5,100\n3,2,1,200\n2,1,-10,300\n"

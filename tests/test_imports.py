@@ -1,0 +1,43 @@
+"""Every name imported by the package and by its tests is used."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*REPO_ROOT.glob("src/wotnet/*.py"), *REPO_ROOT.glob("tests/*.py")])
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never read; `__future__` imports are
+    skipped and the strings listed in `__all__` count as reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_reported():
+    source = "from __future__ import annotations\nimport os, sys\nfrom typing import Any\n__all__ = ['Any']\nsys.exit()\n"
+    assert _unused_imports(source) == ["os (line 2)"]

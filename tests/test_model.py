@@ -12,7 +12,6 @@ from wotnet import model
 from wotnet import (
     EventLog,
     IngestError,
-    Layer,
     NodeMetrics,
     RatingEvent,
     SynthConfig,

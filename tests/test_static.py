@@ -4,16 +4,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import degree_sequences, make_log
+from conftest import adjacency_sets, degree_sequences, make_log, project
 from wotnet import (
     Layer,
     NodeMetrics,
     from_values,
     kendall_tau,
-    local_clustering,
     log_binned_ccdf,
     mean_clustering,
     node_metrics,
@@ -22,11 +21,12 @@ from wotnet import (
     reputation_by_indegree,
     reputation_distributions,
     split_layers,
-    undirected_projection,
     weight_distribution,
 )
+from wotnet import static
 from wotnet.static import (
     RANKING_KEYS,
+    _bucket_spectrum,
     _directed_simple_edges,
     _rewire,
     avg_neighbor_degree_spectrum,
@@ -111,28 +111,59 @@ def test_log_binned_ccdf_anchors_to_support():
 # clustering
 
 
+def _adjacency_sets(layer):
+    """Oracle: adjacency sets of the simple undirected graph underlying a
+    layer, keyed in order of first appearance."""
+    adj = {}
+    for u, v in zip(layer.raters.tolist(), layer.ratees.tolist()):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+def _clustering_by_set_intersection(adj):
+    """Oracle: fraction of closed neighbor pairs per node; 0 for degree < 2."""
+    out = {}
+    for node, neigh in adj.items():
+        d = len(neigh)
+        if d < 2:
+            out[node] = 0.0
+            continue
+        links = sum(len(neigh & adj[u]) for u in neigh) // 2
+        out[node] = links / (d * (d - 1) / 2)
+    return out
+
+
+def _clustering_by_node(projection):
+    return dict(zip(projection.nodes.tolist(), projection.clustering.tolist()))
+
+
 def test_triangle_clustering_is_one():
     layer = _layer_from_edges([(1, 2), (2, 3), (3, 1)])
-    c = local_clustering(undirected_projection(layer))
+    c = _clustering_by_node(project(layer))
     assert c == {1: 1.0, 2: 1.0, 3: 1.0}
+    assert c == _clustering_by_set_intersection(_adjacency_sets(layer))
 
 
 def test_star_center_clustering_is_zero():
     layer = _layer_from_edges([(0, i) for i in range(1, 6)])
-    c = local_clustering(undirected_projection(layer))
+    c = _clustering_by_node(project(layer))
     assert c[0] == 0.0
     assert all(c[i] == 0.0 for i in range(1, 6))
 
 
 def test_projection_collapses_directions_and_parallels():
     layer = _layer_from_edges([(1, 2), (2, 1), (1, 2), (2, 3), (3, 1)])
-    adj = undirected_projection(layer)
-    assert adj == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+    projection = project(layer)
+    assert adjacency_sets(projection) == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+    assert adjacency_sets(projection) == _adjacency_sets(layer)
+    assert projection.nodes.tolist() == [1, 2, 3]
+    assert projection.degree.tolist() == [2, 2, 2]
 
 
 def test_clustering_values_in_unit_interval(small_log):
     plus, _ = split_layers(small_log)
-    for value in local_clustering(undirected_projection(plus)).values():
+    for value in project(plus).clustering:
         assert 0.0 <= value <= 1.0
 
 
@@ -165,18 +196,30 @@ def test_clustering_matches_enumeration_oracle_on_small_graphs():
         if not arcs:
             continue
         layer = _layer_from_edges(arcs)
-        adj = undirected_projection(layer)
-        assert local_clustering(adj) == pytest.approx(
-            _clustering_by_triple_enumeration(adj)
-        )
+        adj = _adjacency_sets(layer)
+        expected = _clustering_by_triple_enumeration(adj)
+        assert _clustering_by_node(project(layer)) == pytest.approx(expected)
+        assert _clustering_by_set_intersection(adj) == pytest.approx(expected)
+
+
+def test_clustering_in_row_blocks_matches_oracle(small_log, monkeypatch):
+    plus, _ = split_layers(small_log)
+    whole = project(plus)
+    monkeypatch.setattr(static, "_BLOCK_ROWS", 3)
+    blocked = project(plus)
+    assert len(blocked.nodes) > 3 * static._BLOCK_ROWS
+    assert blocked.clustering.tolist() == whole.clustering.tolist()
+    oracle = _clustering_by_set_intersection(_adjacency_sets(plus))
+    assert blocked.clustering.tolist() == list(oracle.values())
 
 
 def test_mean_clustering_conventions():
     # triangle plus one pendant node: pendant has c=0 by convention
     layer = _layer_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
-    with_all = mean_clustering(layer, include_low_degree=True)
-    core_only = mean_clustering(layer, include_low_degree=False)
-    c = local_clustering(undirected_projection(layer))
+    projection = project(layer)
+    with_all = mean_clustering(projection, include_low_degree=True)
+    core_only = mean_clustering(projection, include_low_degree=False)
+    c = _clustering_by_node(projection)
     assert with_all == pytest.approx(np.mean(list(c.values())))
     assert core_only == pytest.approx(np.mean([c[1], c[2], c[3]]))
     assert core_only > with_all
@@ -185,16 +228,68 @@ def test_mean_clustering_conventions():
 def test_mean_clustering_no_eligible_nodes_errors():
     layer = _layer_from_edges([(1, 2)])
     with pytest.raises(ValueError):
-        mean_clustering(layer, include_low_degree=False)
+        mean_clustering(project(layer), include_low_degree=False)
 
 
 def test_clustering_spectrum_buckets_by_degree():
     layer = _layer_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
-    spectrum = clustering_spectrum(layer)
+    spectrum = clustering_spectrum(project(layer))
     by_degree = dict(zip(spectrum.degree.tolist(), spectrum.mean_value.tolist()))
     assert by_degree[1] == 0.0  # the pendant
     assert by_degree[2] == pytest.approx(1.0)  # two triangle corners
     assert by_degree[3] == pytest.approx(1 / 3)  # the shared corner
+
+
+def _spectrum_by_sets(adj, values, include_low_degree=True):
+    """Oracle: the pre-sparse bucketing of per-node values over adjacency sets."""
+    degrees, kept = [], []
+    for node, value in values.items():
+        if len(adj[node]) >= 2 or include_low_degree:
+            degrees.append(len(adj[node]))
+            kept.append(value)
+    return _bucket_spectrum(degrees, kept), kept
+
+
+def _spectrum_tuple(spectrum):
+    return tuple(a.tolist() for a in (spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes))
+
+
+_arcs = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1]),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(_arcs)
+@example([(0, 1)])  # a single edge
+@example([(0, 1), (1, 0), (0, 1)])  # reciprocal and parallel arcs
+@example([(0, i) for i in range(1, 7)])  # a star
+@example([(0, 1), (2, 3), (5, 4)])  # disjoint pairs
+@example([(a, b) for a in range(5) for b in range(5) if a != b])  # complete graph
+@settings(max_examples=150, deadline=None)
+def test_projection_matches_set_oracle(arcs):
+    layer = _layer_from_edges(arcs)
+    adj = _adjacency_sets(layer)
+    projection = project(layer)
+    assert projection.nodes.tolist() == list(adj)
+    assert projection.degree.tolist() == [len(n) for n in adj.values()]
+    assert adjacency_sets(projection) == adj
+    oracle_clustering = _clustering_by_set_intersection(adj)
+    assert projection.clustering.tolist() == list(oracle_clustering.values())
+    for include_low in (True, False):
+        spectrum, kept = _spectrum_by_sets(adj, oracle_clustering, include_low)
+        assert _spectrum_tuple(clustering_spectrum(projection, include_low)) == _spectrum_tuple(spectrum)
+        if kept:
+            assert mean_clustering(projection, include_low) == float(np.mean(kept))
+        else:
+            with pytest.raises(ValueError, match="no nodes satisfy"):
+                mean_clustering(projection, include_low)
+    neighbor_means = {
+        u: float(np.mean([len(adj[w]) for w in neigh])) for u, neigh in adj.items()
+    }
+    spectrum, _ = _spectrum_by_sets(adj, neighbor_means)
+    assert _spectrum_tuple(avg_neighbor_degree_spectrum(projection)) == _spectrum_tuple(spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +298,14 @@ def test_clustering_spectrum_buckets_by_degree():
 
 def test_star_neighbor_degree_spectrum():
     layer = _layer_from_edges([(0, i) for i in range(1, 6)])
-    spectrum = avg_neighbor_degree_spectrum(layer)
+    spectrum = avg_neighbor_degree_spectrum(project(layer))
     as_map = dict(zip(spectrum.degree.tolist(), spectrum.mean_value.tolist()))
     assert as_map == {1: 5.0, 5: 1.0}
 
 
 def test_complete_graph_neighbor_degree():
     arcs = [(a, b) for a in range(4) for b in range(4) if a != b]
-    spectrum = avg_neighbor_degree_spectrum(_layer_from_edges(arcs))
+    spectrum = avg_neighbor_degree_spectrum(project(_layer_from_edges(arcs)))
     assert spectrum.degree.tolist() == [3]
     assert spectrum.mean_value.tolist() == [3.0]
 
@@ -239,15 +334,15 @@ def test_neighbor_degree_matches_enumeration_oracle():
         if not arcs:
             continue
         layer = _layer_from_edges(arcs)
-        spectrum = avg_neighbor_degree_spectrum(layer)
-        oracle = _neighbor_means_by_enumeration(undirected_projection(layer))
+        spectrum = avg_neighbor_degree_spectrum(project(layer))
+        oracle = _neighbor_means_by_enumeration(_adjacency_sets(layer))
         got = dict(zip(spectrum.degree.tolist(), spectrum.mean_value.tolist()))
         assert got == pytest.approx(oracle)
 
 
 def test_log_binned_means_collapse():
     layer = _layer_from_edges([(0, i) for i in range(1, 6)])
-    spectrum = avg_neighbor_degree_spectrum(layer)
+    spectrum = avg_neighbor_degree_spectrum(project(layer))
     centers, means = log_binned_means(spectrum)
     assert len(centers) == 2
     assert means[0] == pytest.approx(5.0)  # leaves dominate the low bin
@@ -256,13 +351,13 @@ def test_log_binned_means_collapse():
 
 def test_spectrum_trend_sign():
     layer = _layer_from_edges([(0, i) for i in range(1, 6)])
-    assert spectrum_trend(avg_neighbor_degree_spectrum(layer)) < 0
+    assert spectrum_trend(avg_neighbor_degree_spectrum(project(layer))) < 0
 
 
 def test_spectrum_trend_needs_two_bins():
     arcs = [(a, b) for a in range(4) for b in range(4) if a != b]
     with pytest.raises(ValueError):
-        spectrum_trend(avg_neighbor_degree_spectrum(_layer_from_edges(arcs)))
+        spectrum_trend(avg_neighbor_degree_spectrum(project(_layer_from_edges(arcs))))
 
 
 # ---------------------------------------------------------------------------
