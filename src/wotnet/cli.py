@@ -426,7 +426,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
         null_summary_rows.append(
             (
                 layer,
-                null.empirical_mean_clustering,
+                mean_clustering(projection),
                 null.null_mean_clustering,
                 null.null_std_clustering,
                 null.n_samples,
@@ -651,7 +651,7 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _final_state_check(ctx: RunContext) -> None:
-    if ctx.fold.last.metrics != ctx.metrics:
+    if ctx.fold.metrics != ctx.metrics:
         raise RuntimeError(
             "internal consistency check failed: final snapshot does not match "
             "aggregate per-user metrics"
@@ -671,21 +671,16 @@ def _write_dynamics(writer: RunWriter, ctx: RunContext) -> None:
         "topk_stability.csv",
         ["date", "J_plus", "J_minus", "J_global", "SJ_plus", "SJ_minus", "SJ_global", "truncated"],
         (
-            (p.day, p.j_plus, p.j_minus, p.j_global, sj["rho_plus"], sj["rho_minus"], sj["rho"], p.truncated)
-            for p, sj in zip(fold.stability, fold.overlap)
+            (p.day, p.j_plus, p.j_minus, p.j_global, p.sj_plus, p.sj_minus, p.sj_global, p.truncated)
+            for p in fold.stability
         ),
     )
 
 
 def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
     for selection in ctx.selections:
-        # None follows every rated user; an empty log has none, and no
-        # snapshot series to fold
-        users = (
-            None
-            if selection is TrajectorySelection.BY_CATEGORY or len(ctx.log) == 0
-            else ctx.fold.entrants[selection]
-        )
+        # None follows every rated user
+        users = None if selection is TrajectorySelection.BY_CATEGORY else ctx.fold.entrants[selection]
         writer.write_csv(
             f"trajectories_{selection.value.replace('-', '_')}.csv",
             ["user", "seq_index", "rho", "category"],

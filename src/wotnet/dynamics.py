@@ -16,30 +16,40 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .categories import CategoryLabel, CategoryThresholds, categorize
-from .model import EventLog, NodeMetrics, node_metrics
+from .model import EventLog, NodeMetrics, _by_user, _fold, node_metrics
 
 _EPOCH = date(1970, 1, 1)
 SECONDS_PER_DAY = 86_400
-_FIELDS = tuple(f.name for f in fields(NodeMetrics))
 
 
 class Snapshot:
     """Cumulative per-user state at the end of one day.
 
-    Field arrays are aligned with `user_ids`; `seen` marks the users that
-    have appeared (as rater or ratee) by this day.  `metrics` materializes
-    the mapping lazily for the seen users.
+    `state` is a 6 x n int64 array with one row per `NodeMetrics` field, in
+    field order, and one column per entry of `user_ids`.  `seen` marks the
+    users that have appeared (as rater or ratee) by this day.  `metrics`
+    materializes the mapping lazily for the seen users.
     """
 
-    __slots__ = ("day", "user_ids", "seen", *_FIELDS, "_metrics")
+    __slots__ = ("day", "user_ids", "state", "_metrics")
 
-    def __init__(self, day: date, user_ids: np.ndarray, seen: np.ndarray, **cols):
+    def __init__(self, day: date, user_ids: np.ndarray, state: np.ndarray):
         self.day = day
         self.user_ids = user_ids
-        self.seen = seen
-        for name in _FIELDS:
-            setattr(self, name, cols[name])
+        self.state = state
         self._metrics: dict[int, NodeMetrics] | None = None
+
+    @property
+    def seen(self) -> np.ndarray:
+        return self.state[:4].any(axis=0)
+
+    @property
+    def rho_plus(self) -> np.ndarray:
+        return self.state[4]
+
+    @property
+    def rho_minus(self) -> np.ndarray:
+        return self.state[5]
 
     @property
     def rho(self) -> np.ndarray:
@@ -48,49 +58,30 @@ class Snapshot:
     @property
     def metrics(self) -> dict[int, NodeMetrics]:
         if self._metrics is None:
-            idx = np.flatnonzero(self.seen)
-            columns = (getattr(self, name)[idx].tolist() for name in _FIELDS)
-            self._metrics = dict(zip(self.user_ids[idx].tolist(), map(NodeMetrics, *columns)))
+            self._metrics = _by_user(self.state, self.user_ids)
         return self._metrics
 
 
 def snapshot_series(log: EventLog) -> Iterator[Snapshot]:
-    """Yield one cumulative snapshot per day, first to last event day.
+    """Yield one cumulative snapshot per day, first to last event day, and
+    none for an empty log.
 
-    Days without events repeat the previous state.  The engine folds events
-    forward and never recomputes from scratch.
+    Days without events repeat the previous state.  Each day's events are
+    folded onto the day before; one `searchsorted` finds where every day
+    ends.
     """
     if len(log) == 0:
-        raise ValueError("snapshot series of an empty log is undefined")
-    user_ids, (rater_idx, ratee_idx) = log.user_codes()
-    n = len(user_ids)
-    cols = {name: np.zeros(n, dtype=np.int64) for name in _FIELDS}
-    seen = np.zeros(n, dtype=bool)
+        return
+    user_ids, (raters, ratees) = log.user_codes()
+    state = np.zeros((len(fields(NodeMetrics)), len(user_ids)), dtype=np.int64)
     days = log.timestamps // SECONDS_PER_DAY
-    first_day, last_day = int(days[0]), int(days[-1])
-    pos = 0
-    n_events = len(log)
-    scores = log.scores
-    for day_no in range(first_day, last_day + 1):
-        while pos < n_events and days[pos] == day_no:
-            r, e, s = rater_idx[pos], ratee_idx[pos], int(scores[pos])
-            seen[r] = True
-            seen[e] = True
-            if s > 0:
-                cols["k_in_plus"][e] += 1
-                cols["k_out_plus"][r] += 1
-                cols["rho_plus"][e] += s
-            else:
-                cols["k_in_minus"][e] += 1
-                cols["k_out_minus"][r] += 1
-                cols["rho_minus"][e] += -s
-            pos += 1
-        yield Snapshot(
-            _EPOCH + timedelta(days=day_no),
-            user_ids,
-            seen.copy(),
-            **{name: col.copy() for name, col in cols.items()},
-        )
+    day_numbers = np.arange(days[0], days[-1] + 1)
+    ends = np.searchsorted(days, day_numbers, side="right")
+    start = 0
+    for day_no, end in zip(day_numbers.tolist(), ends.tolist()):
+        _fold(state, raters[start:end], ratees[start:end], log.scores[start:end])
+        start = end
+        yield Snapshot(_EPOCH + timedelta(days=day_no), user_ids, state.copy())
 
 
 def gini(values) -> float:
@@ -140,14 +131,6 @@ def gini_point(snap: Snapshot, positive_only: bool = True) -> GiniPoint | None:
     if g_plus is None and g_minus is None:
         return None
     return GiniPoint(snap.day, g_plus, g_minus)
-
-
-def gini_series(
-    snapshots: Iterable[Snapshot], positive_only: bool = True
-) -> list[GiniPoint]:
-    """Daily Gini of positive and negative reputation; empty days omitted."""
-    points = (gini_point(snap, positive_only) for snap in snapshots)
-    return [p for p in points if p is not None]
 
 
 def extended_jaccard(list_a, list_b, k: int | None = None) -> float:
@@ -220,15 +203,19 @@ def top_k_lists(snap: Snapshot, k: int) -> dict[str, list[int]]:
 class StabilityPoint:
     """Similarity of the top-k lists between one day and the next.
 
-    `day` is the earlier day of the pair; a side is None when both days
-    had empty lists.  `truncated` marks pairs where some list was shorter
-    than k.
+    `day` is the earlier day of the pair.  `j_*` are the extended Jaccard
+    indices of the positive, negative and global lists, `sj_*` their plain
+    set overlaps; a side is None when both days had empty lists.
+    `truncated` marks pairs where some list was shorter than k.
     """
 
     day: date
     j_plus: float | None
     j_minus: float | None
     j_global: float | None
+    sj_plus: float | None
+    sj_minus: float | None
+    sj_global: float | None
     truncated: bool
 
 
@@ -236,34 +223,12 @@ def stability_step(
     day: date, prev: Mapping[str, list[int]], current: Mapping[str, list[int]], k: int
 ) -> StabilityPoint:
     """Stability point comparing one day's top-k lists to the next day's."""
-    values: dict[str, float | None] = {}
-    truncated = False
-    for key in ("rho_plus", "rho_minus", "rho"):
-        a, b = prev[key], current[key]
-        if len(a) < k or len(b) < k:
-            truncated = True
-        values[key] = None if not a and not b else extended_jaccard(a, b, k)
-    return StabilityPoint(
-        day, values["rho_plus"], values["rho_minus"], values["rho"], truncated
-    )
-
-
-def topk_stability_series(
-    snapshots: Iterable[Snapshot], k: int = 10
-) -> list[StabilityPoint]:
-    """Day-over-day extended-Jaccard similarity of the three top-k lists."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    points: list[StabilityPoint] = []
-    prev_day: date | None = None
-    prev: dict[str, list[int]] | None = None
-    for snap in snapshots:
-        current = top_k_lists(snap, k)
-        if prev is not None:
-            points.append(stability_step(prev_day, prev, current, k))
-        prev = current
-        prev_day = snap.day
-    return points
+    pairs = [(prev[key], current[key]) for key in ("rho_plus", "rho_minus", "rho")]
+    values: list[float | None] = []
+    for similarity in (lambda a, b: extended_jaccard(a, b, k), plain_jaccard):
+        values.extend(None if not a and not b else similarity(a, b) for a, b in pairs)
+    truncated = any(len(a) < k or len(b) < k for a, b in pairs)
+    return StabilityPoint(day, *values, truncated)
 
 
 class TrajectorySelection(Enum):
@@ -291,23 +256,23 @@ _ENTRANT_KEYS = {
 class DailyFold:
     """The daily measures of one pass over the snapshot series.
 
-    `overlap[i]` holds the plain set overlap of each top-k list for the
-    day pair of `stability[i]`, None where both lists were empty.
     `entrants` maps each top-entrant selection to the users that were in
-    its day-level top-k on at least one day; `last` is the final snapshot.
+    its day-level top-k on at least one day; `metrics` are the per-user
+    metrics of the final snapshot.  Everything is empty for an empty log.
     """
 
     gini: list[GiniPoint]
     stability: list[StabilityPoint]
-    overlap: list[dict[str, float | None]]
     entrants: dict[TrajectorySelection, set[int]]
-    last: Snapshot
+    metrics: dict[int, NodeMetrics]
 
 
 def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
     """Gini series, top-k stability and top-k entrants from one pass over
     `snapshot_series`; only the previous day's lists are kept."""
-    gini_points, stability, overlap = [], [], []
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    gini_points, stability = [], []
     entrants: dict[TrajectorySelection, set[int]] = {s: set() for s in _ENTRANT_KEYS}
     prev = prev_lists = None
     for snap in snapshot_series(log):
@@ -317,18 +282,10 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
         lists = top_k_lists(snap, k)
         if prev is not None:
             stability.append(stability_step(prev.day, prev_lists, lists, k))
-            overlap.append(
-                {
-                    key: None
-                    if not prev_lists[key] and not lists[key]
-                    else plain_jaccard(prev_lists[key], lists[key])
-                    for key in lists
-                }
-            )
         for selection, key in _ENTRANT_KEYS.items():
             entrants[selection].update(lists[key])
         prev, prev_lists = snap, lists
-    return DailyFold(gini_points, stability, overlap, entrants, prev)
+    return DailyFold(gini_points, stability, entrants, prev.metrics if prev else {})
 
 
 def follow(
@@ -358,8 +315,6 @@ def trajectories(
     (negative) reputation, or all users with at least one incoming rating.
     The category label is taken at the end of the log.
     """
-    if len(log) == 0:
-        return []
     labels = categorize(node_metrics(log), thresholds)
     if selection is TrajectorySelection.BY_CATEGORY:
         return follow(log, None, labels)

@@ -12,7 +12,7 @@ import gzip
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -185,21 +185,15 @@ class LayerView:
 
     def __init__(
         self,
-        layer: Layer,
-        cutoff: int | None,
         raters: np.ndarray,
         ratees: np.ndarray,
         weights: np.ndarray,
-        timestamps: np.ndarray,
     ):
-        self.layer = layer
-        self.cutoff = cutoff
-        for a in (raters, ratees, weights, timestamps):
+        for a in (raters, ratees, weights):
             a.setflags(write=False)
         self.raters = raters
         self.ratees = ratees
         self.weights = weights
-        self.timestamps = timestamps
 
     @property
     def n_edges(self) -> int:
@@ -209,12 +203,9 @@ class LayerView:
         """Sub-layer keeping only edges with min_weight <= w <= max_weight."""
         keep = (self.weights >= min_weight) & (self.weights <= max_weight)
         return LayerView(
-            self.layer,
-            self.cutoff,
             self.raters[keep].copy(),
             self.ratees[keep].copy(),
             self.weights[keep].copy(),
-            self.timestamps[keep].copy(),
         )
 
 
@@ -351,29 +342,40 @@ def split_layers(
     t = log.timestamps
     in_time = np.ones(len(t), dtype=bool) if cutoff is None else t <= cutoff
     views = []
-    for layer, sign_mask in (
-        (Layer.REWARDING, log.scores > 0),
-        (Layer.PUNITIVE, log.scores < 0),
-    ):
+    for sign_mask in (log.scores > 0, log.scores < 0):
         keep = in_time & sign_mask
         views.append(
             LayerView(
-                layer,
-                cutoff,
                 log.raters[keep].copy(),
                 log.ratees[keep].copy(),
                 np.abs(log.scores[keep]),
-                log.timestamps[keep].copy(),
             )
         )
     return views[0], views[1]
 
 
-def _incoming(codes: np.ndarray, magnitudes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user count and exact int64 sum of magnitudes in [1, 10]."""
-    table = np.bincount(codes * MAX_SCORE + magnitudes - 1, minlength=n * MAX_SCORE)
-    table = table.reshape(n, MAX_SCORE)
-    return table.sum(axis=1), table @ np.arange(1, MAX_SCORE + 1)
+def _fold(state: np.ndarray, raters: np.ndarray, ratees: np.ndarray, scores: np.ndarray) -> None:
+    """Add a slice of events to `state`, the 6 x n int64 counters of n user
+    codes with one row per `NodeMetrics` field, in field order.
+
+    Each event adds one to its ratee's in-degree and its rater's out-degree
+    on the layer of its sign, and its absolute score to the ratee's
+    reputation there.  `state` must be C-contiguous, as `np.zeros` makes it,
+    so that the flat view below writes through.
+    """
+    n = state.shape[1]
+    flat = state.reshape(-1)
+    row = (scores < 0) * n  # each minus row follows its plus row
+    np.add.at(flat, row + ratees, 1)
+    np.add.at(flat, row + 2 * n + raters, 1)
+    np.add.at(flat, row + 4 * n + ratees, np.abs(scores))
+
+
+def _by_user(state: np.ndarray, ids: np.ndarray) -> dict[int, NodeMetrics]:
+    """`NodeMetrics` of the users with an event in `state` (any degree > 0),
+    keyed by id in ascending code order; `ids` maps codes to user ids."""
+    seen = np.flatnonzero(state[:4].any(axis=0))
+    return dict(zip(ids[seen].tolist(), map(NodeMetrics, *state[:, seen].tolist())))
 
 
 def node_metrics(
@@ -381,19 +383,9 @@ def node_metrics(
 ) -> dict[int, NodeMetrics]:
     """Degrees and reputations for every user seen at or before the cutoff."""
     sub = log.truncated(cutoff)
-    n = len(sub._universe)
-    raters, ratees = sub._codes
-    pos, neg = sub.scores > 0, sub.scores < 0
-    k_in_plus, rho_plus = _incoming(ratees[pos], sub.scores[pos], n)
-    k_in_minus, rho_minus = _incoming(ratees[neg], -sub.scores[neg], n)
-    k_out_plus = np.bincount(raters[pos], minlength=n)
-    k_out_minus = np.bincount(raters[neg], minlength=n)
-    seen = np.flatnonzero(k_in_plus + k_in_minus + k_out_plus + k_out_minus)
-    columns = (
-        c[seen].tolist()
-        for c in (k_in_plus, k_in_minus, k_out_plus, k_out_minus, rho_plus, rho_minus)
-    )
-    return dict(zip(sub._universe[seen].tolist(), map(NodeMetrics, *columns)))
+    state = np.zeros((len(fields(NodeMetrics)), len(sub._universe)), dtype=np.int64)
+    _fold(state, *sub._codes, sub.scores)
+    return _by_user(state, sub._universe)
 
 
 def latest_ratings(

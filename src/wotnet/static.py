@@ -145,15 +145,13 @@ class NullModelResult:
     """Clustering statistics of degree-preserving rewired replicas.
 
     Per-degree rows aggregate the bucket means across replicas; the overall
-    fields summarize the replica-level mean clustering, next to the
-    empirical value of the input layer under the same convention.
+    fields summarize the replica-level mean clustering.
     """
 
     degree: np.ndarray
     null_mean: np.ndarray
     null_std: np.ndarray
     n_samples_per_bucket: np.ndarray
-    empirical_mean_clustering: float
     null_mean_clustering: float
     null_std_clustering: float
     sample_means: tuple[float, ...]
@@ -229,7 +227,8 @@ def configuration_null(
     The layer's directed simple graph is rewired by `swaps_per_edge * |E|`
     endpoint swaps per replica; every replica keeps the exact in/out degree
     sequences.  Clustering is then measured on the undirected projection of
-    each replica, with the same degree-<2 convention as the empirical value.
+    each replica, under the degree-<2 convention `include_low_degree` of
+    `mean_clustering`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -256,9 +255,6 @@ def configuration_null(
         null_mean=null.mean_value,
         null_std=null.std_value,
         n_samples_per_bucket=null.n_nodes,
-        empirical_mean_clustering=mean_clustering(
-            undirected_projection(layer.raters, layer.ratees), include_low_degree
-        ),
         null_mean_clustering=float(means.mean()),
         null_std_clustering=float(means.std()),
         sample_means=tuple(means.tolist()),

@@ -367,6 +367,21 @@ def test_dynamics_outputs(synth_csv, tmp_path):
     )
 
 
+def test_dynamics_of_header_only_log_writes_empty_series(capsys, tmp_path):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("rater,ratee,score,timestamp\n")
+    out = tmp_path / "dyn"
+    code, _, err = _run(capsys, "dynamics", "--input", str(header_only), "--out", str(out))
+    assert (code, err) == (0, "")
+    assert (out / "gini_series.csv").read_text() == "date,gini_plus,gini_minus\n"
+    assert (out / "topk_stability.csv").read_text() == (
+        "date,J_plus,J_minus,J_global,SJ_plus,SJ_minus,SJ_global,truncated\n"
+    )
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["gini_series.csv", "topk_stability.csv"]
+    assert manifest["ingest"] == {"kept": 0, "rejected": 0, "users": 0}
+
+
 def test_trajectories_selection_flag(synth_csv, tmp_path):
     out = tmp_path / "traj"
     assert (

@@ -3,28 +3,27 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_log
 from wotnet import (
     CategoryLabel,
     EventLog,
+    NodeMetrics,
     RatingEvent,
     TrajectorySelection,
+    daily_fold,
     extended_jaccard,
     gini,
     gini_point,
-    gini_series,
     node_metrics,
     plain_jaccard,
     snapshot_series,
     stability_step,
     top_k_lists,
-    topk_stability_series,
     trajectories,
 )
-from wotnet.dynamics import daily_fold
 
 DAY = 86_400
 
@@ -48,9 +47,15 @@ def test_single_event_log_yields_one_snapshot():
     assert snap.metrics == node_metrics(log)
 
 
-def test_snapshot_series_errors_on_empty_log():
-    with pytest.raises(ValueError):
-        next(snapshot_series(make_log([])))
+def test_empty_log_has_no_snapshots_and_an_empty_fold():
+    log = make_log([])
+    assert list(snapshot_series(log)) == []
+    fold = daily_fold(log)
+    assert (fold.gini, fold.stability, fold.metrics) == ([], [], {})
+    assert fold.entrants == {
+        TrajectorySelection.TOP_ENTRANTS_POSITIVE: set(),
+        TrajectorySelection.TOP_ENTRANTS_NEGATIVE: set(),
+    }
 
 
 def test_snapshot_days_are_contiguous():
@@ -91,16 +96,11 @@ def test_snapshots_match_truncated_aggregates():
 def test_snapshot_columns_grow_monotonically(small_log):
     prev = None
     for snap in snapshot_series(small_log):
+        assert snap.state.shape == (6, len(snap.user_ids))
         if prev is not None:
-            for name in (
-                "k_in_plus",
-                "k_in_minus",
-                "k_out_plus",
-                "k_out_minus",
-                "rho_plus",
-                "rho_minus",
-            ):
-                assert (getattr(snap, name) >= getattr(prev, name)).all()
+            # every row: k_in_plus, k_in_minus, k_out_plus, k_out_minus,
+            # rho_plus, rho_minus
+            assert (snap.state >= prev.state).all()
             assert (snap.seen | prev.seen == snap.seen).all()
         prev = snap
 
@@ -144,7 +144,7 @@ def test_gini_bounds_and_scale_invariance(values):
 
 def test_gini_series_equal_reputations():
     log = make_log([(1, 3, 5, 0), (2, 4, 5, 10)])
-    points = gini_series(snapshot_series(log))
+    points = daily_fold(log).gini
     assert len(points) == 1
     assert points[0].gini_plus == pytest.approx(0.0)
     assert points[0].gini_minus is None
@@ -181,7 +181,7 @@ def test_gini_point_none_before_any_qualifying_day():
 
 def test_gini_series_skips_unmeasurable_days():
     log = make_log([(1, 2, 5, 0), (3, 4, 5, 2 * DAY)])
-    points = gini_series(snapshot_series(log))
+    points = daily_fold(log).gini
     assert [p.day for p in points] == [date(1970, 1, 3)]
 
 
@@ -295,7 +295,7 @@ def test_top_k_ties_break_by_ascending_id():
 def test_stability_identical_snapshots_give_unity():
     # two days, all events on day one: day two repeats the state
     log = make_log([(1, 5, 9, 0), (2, 6, 4, 50), (3, 7, -8, DAY + 10)])
-    points = topk_stability_series(snapshot_series(log), k=3)
+    points = daily_fold(log, k=3).stability
     assert len(points) == 1
     assert points[0].day == date(1970, 1, 1)  # labeled by the earlier day
     assert points[0].j_plus == pytest.approx(1.0)
@@ -304,25 +304,26 @@ def test_stability_identical_snapshots_give_unity():
 
 def test_stability_day_labels_cover_all_but_last(small_log):
     snaps = list(snapshot_series(small_log))
-    points = topk_stability_series(iter(snaps), k=5)
+    points = daily_fold(small_log, k=5).stability
     assert [p.day for p in points] == [s.day for s in snaps[:-1]]
     for p in points:
-        for value in (p.j_plus, p.j_minus, p.j_global):
+        for value in (p.j_plus, p.j_minus, p.j_global, p.sj_plus, p.sj_minus, p.sj_global):
             if value is not None:
                 assert 0.0 <= value <= 1.0
 
 
 def test_stability_k_validation(small_log):
     with pytest.raises(ValueError):
-        topk_stability_series(snapshot_series(small_log), k=0)
+        daily_fold(small_log, k=0)
 
 
 def test_stability_step_empty_sides_are_none():
     lists_a = {"rho_plus": [1], "rho_minus": [], "rho": [1]}
     lists_b = {"rho_plus": [1], "rho_minus": [], "rho": [1]}
     point = stability_step(date(1970, 1, 1), lists_a, lists_b, k=2)
-    assert point.j_minus is None
+    assert point.j_minus is None and point.sj_minus is None
     assert point.j_plus == pytest.approx(1.0)
+    assert point.sj_plus == 1.0
     assert point.truncated
 
 
@@ -376,9 +377,10 @@ def _dynamics_rows_by_loop(log: EventLog, k: int):
 
 @st.composite
 def _multi_day_logs(draw):
-    """Small logs over a few days, some before 1970, with tied timestamps,
-    in one of four shapes: mixed signs, the rewarding or the punitive layer
-    only, or a single pair of users."""
+    """Small logs over a few days, some before 1970, with tied timestamps
+    on a grid of thirds of a day (so some fall on midnight), in one of four
+    shapes: mixed signs, the rewarding or the punitive layer only, or a
+    single pair of users."""
     shape = draw(st.sampled_from(["mixed", "rewarding", "punitive", "pair"]))
     pool = [3, 17] if shape == "pair" else [-5, 0, 3, 17, 2**40, 8, 9]
     scores = {
@@ -401,17 +403,70 @@ def test_daily_fold_matches_separate_passes(log, k):
     gini_rows, stability_rows = _dynamics_rows_by_loop(log, k)
     assert [(p.day, p.gini_plus, p.gini_minus) for p in fold.gini] == gini_rows
     assert [
-        (p.day, p.j_plus, p.j_minus, p.j_global, sj["rho_plus"], sj["rho_minus"], sj["rho"], p.truncated)
-        for p, sj in zip(fold.stability, fold.overlap)
+        (p.day, p.j_plus, p.j_minus, p.j_global, p.sj_plus, p.sj_minus, p.sj_global, p.truncated)
+        for p in fold.stability
     ] == stability_rows
-    assert len(fold.overlap) == len(fold.stability)
     assert fold.entrants == {
         TrajectorySelection.TOP_ENTRANTS_POSITIVE: top_entrants(log, "rho_plus", k),
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: top_entrants(log, "rho_minus", k),
     }
-    *_, last = snapshot_series(log)
-    assert fold.last.day == last.day
-    assert fold.last.metrics == node_metrics(log)
+    assert fold.metrics == node_metrics(log)
+
+
+def _snapshots_by_event_loop(log: EventLog):
+    """(day, metrics, seen) of every day from the per-event loop that
+    `snapshot_series` ran before it folded whole days at once."""
+    user_ids, (rater_idx, ratee_idx) = log.user_codes()
+    names = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho_plus", "rho_minus")
+    cols = {name: np.zeros(len(user_ids), dtype=np.int64) for name in names}
+    seen = np.zeros(len(user_ids), dtype=bool)
+    days = log.timestamps // DAY
+    out = []
+    pos = 0
+    for day_no in range(int(days[0]), int(days[-1]) + 1) if len(log) else ():
+        while pos < len(log) and days[pos] == day_no:
+            r, e, s = rater_idx[pos], ratee_idx[pos], int(log.scores[pos])
+            seen[r] = True
+            seen[e] = True
+            if s > 0:
+                cols["k_in_plus"][e] += 1
+                cols["k_out_plus"][r] += 1
+                cols["rho_plus"][e] += s
+            else:
+                cols["k_in_minus"][e] += 1
+                cols["k_out_minus"][r] += 1
+                cols["rho_minus"][e] += -s
+            pos += 1
+        idx = np.flatnonzero(seen)
+        metrics = {
+            int(user_ids[i]): NodeMetrics(*(int(cols[name][i]) for name in names)) for i in idx
+        }
+        out.append((date(1970, 1, 1) + timedelta(days=day_no), metrics, seen.copy()))
+    return out
+
+
+@given(_multi_day_logs())
+@example(EventLog([]))
+# events on midnight boundaries on both sides of 1970 and two quiet days
+@example(
+    EventLog(
+        [
+            RatingEvent(3, 17, 4, -DAY),
+            RatingEvent(17, 3, -2, -1),
+            RatingEvent(3, 17, 1, 0),
+            RatingEvent(17, 8, 7, 0),
+            RatingEvent(8, 3, -9, 3 * DAY),
+        ]
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_snapshot_series_matches_event_loop(log):
+    expected = _snapshots_by_event_loop(log)
+    snaps = list(snapshot_series(log))
+    assert [snap.day for snap in snaps] == [day for day, _, _ in expected]
+    for snap, (_, metrics, seen) in zip(snaps, expected):
+        assert snap.metrics == metrics
+        assert snap.seen.tolist() == seen.tolist()
 
 
 # ---------------------------------------------------------------------------
