@@ -17,9 +17,7 @@ import numpy as np
 
 from .categories import CategoryLabel, CategoryThresholds, categorize
 from .model import EventLog, NodeMetrics, _by_user, _fold, node_metrics
-
-_EPOCH = date(1970, 1, 1)
-SECONDS_PER_DAY = 86_400
+from .temporal import _EPOCH, SECONDS_PER_DAY
 
 
 class Snapshot:
@@ -110,24 +108,15 @@ class GiniPoint:
     gini_minus: float | None
 
 
-def gini_point(snap: Snapshot, positive_only: bool = True) -> GiniPoint | None:
+def gini_point(snap: Snapshot) -> GiniPoint | None:
     """Gini of the day's positive and negative reputation, or None.
 
-    By default each side is measured over the users with a strictly
-    positive value there (a user never rated on a layer does not dilute
-    it); `positive_only=False` measures over every user seen so far.  A
-    side with fewer than two qualifying users (or a zero total) is left
-    empty; None when both sides are.
+    Each side is measured over the users with a strictly positive value
+    there, so a user never rated on a layer does not dilute it.  A side
+    with fewer than two such users is left empty; None when both sides are.
     """
-    g_plus = g_minus = None
-    for side in ("plus", "minus"):
-        values = getattr(snap, f"rho_{side}")
-        values = values[values > 0] if positive_only else values[snap.seen]
-        if values.size >= 2 and values.sum() > 0:
-            if side == "plus":
-                g_plus = gini(values)
-            else:
-                g_minus = gini(values)
+    sides = [values[values > 0] for values in (snap.rho_plus, snap.rho_minus)]
+    g_plus, g_minus = (gini(v) if v.size >= 2 else None for v in sides)
     if g_plus is None and g_minus is None:
         return None
     return GiniPoint(snap.day, g_plus, g_minus)
@@ -293,14 +282,20 @@ def follow(
 ) -> list[Trajectory]:
     """Trajectories of `users` (every rated user when None) that received
     at least one rating, in ascending id order, labelled from `labels`."""
-    values: dict[int, list[int]] = {}
-    running: dict[int, int] = {}
-    for ratee, score in zip(log.ratees.tolist(), log.scores.tolist()):
-        new = running.get(ratee, 0) + score
-        running[ratee] = new
-        values.setdefault(ratee, []).append(new)
-    chosen = values if users is None else (u for u in users if u in values)
-    return [Trajectory(u, tuple(values[u]), labels[u]) for u in sorted(chosen)]
+    order = np.argsort(log.ratees, kind="stable")  # time order within a ratee
+    ids, starts, counts = np.unique(log.ratees[order], return_index=True, return_counts=True)
+    scores = log.scores[order]
+    running = np.cumsum(scores)
+    running -= np.repeat(running[starts] - scores[starts], counts)  # rebase per ratee
+    if users is not None:
+        chosen = np.sort(np.fromiter(users, dtype=np.int64))
+        pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
+        ids, starts, counts = ids[pick], starts[pick], counts[pick]
+    values = running.tolist()
+    return [
+        Trajectory(u, tuple(values[s : s + c]), labels[u])
+        for u, s, c in zip(ids.tolist(), starts.tolist(), counts.tolist())
+    ]
 
 
 def trajectories(

@@ -51,33 +51,23 @@ def _check_event(rater: int, ratee: int, score: int, timestamp: int) -> None:
             raise ValueError(f"{name} {value} is outside the int64 range")
 
 
-@dataclass(frozen=True)
-class RatingEvent:
-    """One directed rating: `rater` scores `ratee` at `timestamp` (epoch seconds)."""
-
-    rater: int
-    ratee: int
-    score: int
-    timestamp: int
-
-    def __post_init__(self) -> None:
-        _check_event(self.rater, self.ratee, self.score, self.timestamp)
-
-
 class EventLog:
     """Immutable, time-ordered rating log, stored as int64 columns.
 
     The log keeps four read-only columns (`raters`, `ratees`, `scores`,
     `timestamps`) sorted by timestamp, ties in input order, plus dense user
     codes: each rater and ratee as its position in the sorted user ids.
-    `events` and iteration build `RatingEvent` objects on first use.
-    `truncated(cutoff)` is a prefix view sharing the columns and codes, so
-    a query at a cutoff costs a scan of the prefix, not a copy of the log.
+    `EventLog(rows)` checks each `(rater, ratee, score, timestamp)` row and
+    raises ValueError on the first illegal one.  `truncated(cutoff)` is a
+    prefix view sharing the columns and codes, so a query at a cutoff costs
+    a scan of the prefix, not a copy of the log.
     The log is the source of truth for every downstream measurement.
     """
 
-    def __init__(self, events: Iterable[RatingEvent]):
-        rows = [(e.rater, e.ratee, e.score, e.timestamp) for e in events]
+    def __init__(self, rows: Iterable[tuple[int, int, int, int]]):
+        rows = list(rows)
+        for row in rows:
+            _check_event(*row)
         self._build(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
     @classmethod
@@ -101,9 +91,7 @@ class EventLog:
             a.setflags(write=False)
         self._columns, self._universe, self._codes = columns, universe, codes
         self._own: tuple[np.ndarray, np.ndarray] | None = None
-        self._events: tuple[RatingEvent, ...] | None = None
         self._users: frozenset[int] | None = None
-        self._dense: dict[int, int] | None = None
 
     def user_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted ids of the users in the log, and a 2 x n array of each
@@ -118,12 +106,6 @@ class EventLog:
         return self._own
 
     @property
-    def events(self) -> tuple[RatingEvent, ...]:
-        if self._events is None:
-            self._events = tuple(map(RatingEvent, *(c.tolist() for c in self._columns)))
-        return self._events
-
-    @property
     def users(self) -> frozenset[int]:
         if self._users is None:
             self._users = frozenset(self.user_codes()[0].tolist())
@@ -131,9 +113,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return self._columns.shape[1]
-
-    def __iter__(self) -> Iterator[RatingEvent]:
-        return iter(self.events)
 
     @property
     def raters(self) -> np.ndarray:
@@ -158,13 +137,6 @@ class EventLog:
     @property
     def end_time(self) -> int | None:
         return int(self.timestamps[-1]) if len(self) else None
-
-    def dense_index(self) -> dict[int, int]:
-        """Map user id -> position in sorted(users).  Internal detail; the
-        ids themselves stay opaque everywhere in the public surface."""
-        if self._dense is None:
-            self._dense = {u: i for i, u in enumerate(self.user_codes()[0].tolist())}
-        return self._dense
 
     def truncated(self, cutoff: int | None) -> "EventLog":
         """Log of the events with timestamp <= cutoff: a prefix view."""
@@ -473,8 +445,6 @@ def synth_log(config: SynthConfig) -> EventLog:
     """Generate a random rating log; identical seeds give identical logs."""
     rng = np.random.default_rng(config.seed)
     n = config.n_events
-    if n == 0:
-        return EventLog([])
     raters = rng.integers(0, config.n_users, n)
     ratees = (raters + rng.integers(1, config.n_users, n)) % config.n_users
     positive = rng.random(n) < config.positive_fraction

@@ -21,6 +21,8 @@ from .distributions import Distribution, from_values
 from .model import Layer, LayerView, NodeMetrics
 
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
+# ratio between consecutive bin edges of `log_binned_means`
+BIN_FACTOR = 2.0
 # rows of the two-step path product held at once by `local_clustering`
 _BLOCK_ROWS = 1024
 
@@ -220,15 +222,13 @@ def configuration_null(
     n_samples: int,
     seed: int,
     swaps_per_edge: int = 10,
-    include_low_degree: bool = True,
 ) -> NullModelResult:
     """Clustering of the layer against degree-preserving rewired replicas.
 
     The layer's directed simple graph is rewired by `swaps_per_edge * |E|`
     endpoint swaps per replica; every replica keeps the exact in/out degree
     sequences.  Clustering is then measured on the undirected projection of
-    each replica, under the degree-<2 convention `include_low_degree` of
-    `mean_clustering`.
+    each replica, degree-<2 nodes included.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -243,8 +243,8 @@ def configuration_null(
         rewired, done = _rewire(base, n_swaps, rng)
         swaps_done.append(done)
         replica = undirected_projection(*np.array(rewired, dtype=np.int64).reshape(-1, 2).T)
-        spectra.append(clustering_spectrum(replica, include_low_degree))
-        sample_means.append(mean_clustering(replica, include_low_degree))
+        spectra.append(clustering_spectrum(replica))
+        sample_means.append(mean_clustering(replica))
     # the replicas' bucket means, pooled per degree
     null = _bucket_spectrum(
         np.concatenate([s.degree for s in spectra]), np.concatenate([s.mean_value for s in spectra])
@@ -370,39 +370,35 @@ def reputation_by_indegree(
     return _bucket_spectrum(degrees, values)
 
 
-def log_binned_means(
-    spectrum: DegreeSpectrum, factor: float = 2.0, weighted: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def log_binned_means(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Collapse a spectrum into multiplicative degree bins.
 
-    Bins are [1,f), [f,f^2), ...; degree-0 rows are ignored.  Bucket means
-    are combined weighted by their node counts unless `weighted=False`.
+    Bins are [1,f), [f,f^2), ... for f = `BIN_FACTOR`; degree-0 rows are
+    ignored.  Bucket means are combined weighted by their node counts.
     Returns (geometric bin centers, bin means).
     """
-    if factor <= 1.0:
-        raise ValueError("factor must be > 1")
     keep = spectrum.degree >= 1
     deg = spectrum.degree[keep].astype(float)
     val = spectrum.mean_value[keep]
-    wgt = spectrum.n_nodes[keep].astype(float) if weighted else np.ones(keep.sum())
+    wgt = spectrum.n_nodes[keep].astype(float)
     if deg.size == 0:
         return np.array([]), np.array([])
-    bins = np.floor(np.log(deg) / np.log(factor)).astype(int)
+    bins = np.floor(np.log(deg) / np.log(BIN_FACTOR)).astype(int)
     centers, means = [], []
     for b in np.unique(bins):
         sel = bins == b
-        centers.append(factor ** (b + 0.5))
+        centers.append(BIN_FACTOR ** (b + 0.5))
         means.append(float(np.average(val[sel], weights=wgt[sel])))
     return np.array(centers), np.array(means)
 
 
-def spectrum_trend(spectrum: DegreeSpectrum, factor: float = 2.0) -> float:
+def spectrum_trend(spectrum: DegreeSpectrum) -> float:
     """Spearman correlation between log-binned degree and bin mean value.
 
     Negative values indicate a decreasing spectrum (disassortative mixing
     when applied to neighbor degrees).
     """
-    centers, means = log_binned_means(spectrum, factor)
+    centers, means = log_binned_means(spectrum)
     if len(centers) < 2:
         raise ValueError("need at least two occupied bins for a trend")
     return float(sps.spearmanr(centers, means).statistic)

@@ -32,12 +32,6 @@ def _check_shift(tz_shift_hours: int) -> int:
     return tz_shift_hours * 3600
 
 
-def day_of(timestamp: int, tz_shift_hours: int = 0) -> date:
-    """Calendar day of an epoch timestamp after the timezone shift."""
-    shift = _check_shift(tz_shift_hours)
-    return _EPOCH + timedelta(days=(timestamp + shift) // SECONDS_PER_DAY)
-
-
 @dataclass(frozen=True)
 class DailyCount:
     day: date

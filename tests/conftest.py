@@ -17,7 +17,6 @@ from wotnet import (
     EventLog,
     LayerView,
     Projection,
-    RatingEvent,
     SynthConfig,
     ingest,
     synth_log,
@@ -76,9 +75,9 @@ def small_log() -> EventLog:
     return synth_log(SynthConfig(n_users=40, n_events=300, seed=20240817))
 
 
-def make_log(rows) -> EventLog:
-    """Build a log from (rater, ratee, score, timestamp) tuples."""
-    return EventLog(RatingEvent(*row) for row in rows)
+def rows(log: EventLog) -> list[tuple[int, int, int, int]]:
+    """The log's (rater, ratee, score, timestamp) tuples in time order."""
+    return list(zip(*(c.tolist() for c in (log.raters, log.ratees, log.scores, log.timestamps))))
 
 
 def project(layer: LayerView) -> Projection:
@@ -108,7 +107,7 @@ def degree_sequences(layer: LayerView) -> tuple[dict[int, int], dict[int, int]]:
 @pytest.fixture
 def tiny_log() -> EventLog:
     # two users trading ratings plus a bystander rated once
-    return make_log(
+    return EventLog(
         [
             (1, 2, 5, 100),
             (2, 1, 1, 200),

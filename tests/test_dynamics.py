@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log
+from conftest import rows
 from wotnet import (
     CategoryLabel,
     EventLog,
     NodeMetrics,
-    RatingEvent,
+    Trajectory,
     TrajectorySelection,
+    categorize,
     daily_fold,
     extended_jaccard,
+    follow,
     gini,
     gini_point,
     node_metrics,
@@ -29,9 +31,7 @@ DAY = 86_400
 
 
 def _truncated_log(log: EventLog, cutoff: int) -> EventLog:
-    return EventLog(
-        [e for e in log if e.timestamp <= cutoff]
-    )
+    return EventLog(row for row in rows(log) if row[3] <= cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def _truncated_log(log: EventLog, cutoff: int) -> EventLog:
 
 
 def test_single_event_log_yields_one_snapshot():
-    log = make_log([(1, 2, 5, 100)])
+    log = EventLog([(1, 2, 5, 100)])
     snaps = list(snapshot_series(log))
     assert len(snaps) == 1
     snap = snaps[0]
@@ -48,7 +48,7 @@ def test_single_event_log_yields_one_snapshot():
 
 
 def test_empty_log_has_no_snapshots_and_an_empty_fold():
-    log = make_log([])
+    log = EventLog([])
     assert list(snapshot_series(log)) == []
     fold = daily_fold(log)
     assert (fold.gini, fold.stability, fold.metrics) == ([], [], {})
@@ -59,7 +59,7 @@ def test_empty_log_has_no_snapshots_and_an_empty_fold():
 
 
 def test_snapshot_days_are_contiguous():
-    log = make_log([(1, 2, 5, 0), (2, 3, 5, 3 * DAY + 10)])
+    log = EventLog([(1, 2, 5, 0), (2, 3, 5, 3 * DAY + 10)])
     snaps = list(snapshot_series(log))
     assert [s.day for s in snaps] == [
         date(1970, 1, 1) + timedelta(days=i) for i in range(4)
@@ -78,13 +78,13 @@ def test_final_snapshot_matches_aggregate_metrics(small_log):
 
 def test_snapshots_match_truncated_aggregates():
     rng = random.Random(23)
-    rows = []
+    events = []
     t = 0
     for _ in range(50):
         t += rng.randint(1, DAY)
         a, b = rng.sample(range(1, 9), 2)
-        rows.append((a, b, rng.choice([-10, -2, 1, 3, 10]), t))
-    log = make_log(rows)
+        events.append((a, b, rng.choice([-10, -2, 1, 3, 10]), t))
+    log = EventLog(events)
     for snap in snapshot_series(log):
         cutoff = (
             (snap.day - date(1970, 1, 1)).days + 1
@@ -143,7 +143,7 @@ def test_gini_bounds_and_scale_invariance(values):
 
 
 def test_gini_series_equal_reputations():
-    log = make_log([(1, 3, 5, 0), (2, 4, 5, 10)])
+    log = EventLog([(1, 3, 5, 0), (2, 4, 5, 10)])
     points = daily_fold(log).gini
     assert len(points) == 1
     assert points[0].gini_plus == pytest.approx(0.0)
@@ -153,7 +153,7 @@ def test_gini_series_equal_reputations():
 def test_gini_series_single_owner_bound():
     # n users share the positive side, one holds everything... the limit
     # case is approximated by giving one user all the mass
-    log = make_log(
+    log = EventLog(
         [(1, 9, 10, 0), (2, 9, 10, 5), (3, 9, 10, 9), (4, 8, 1, 20), (5, 7, 1, 30)]
     )
     last = list(snapshot_series(log))[-1]
@@ -162,25 +162,22 @@ def test_gini_series_single_owner_bound():
     assert 0.5 < point.gini_plus < (3 - 1) / 3 + 1e-12
 
 
-def test_gini_point_positive_only_flag():
-    log = make_log([(1, 2, 5, 0), (3, 4, 5, 10)])
+def test_gini_point_counts_holders_only():
+    log = EventLog([(1, 2, 5, 0), (3, 4, 5, 10)])
     last = list(snapshot_series(log))[-1]
-    by_holders = gini_point(last)
-    over_seen = gini_point(last, positive_only=False)
-    # holders 2 and 4 are equal -> 0; over all four seen users the raters
-    # hold nothing, concentrating the mass
-    assert by_holders.gini_plus == pytest.approx(0.0)
-    assert over_seen.gini_plus == pytest.approx(0.5)
+    # holders 2 and 4 are equal -> 0; the raters 1 and 3 hold nothing and
+    # are left out
+    assert gini_point(last).gini_plus == pytest.approx(0.0)
 
 
 def test_gini_point_none_before_any_qualifying_day():
-    log = make_log([(1, 2, 5, 0)])
+    log = EventLog([(1, 2, 5, 0)])
     only = list(snapshot_series(log))[0]
     assert gini_point(only) is None  # one positive holder, no negative side
 
 
 def test_gini_series_skips_unmeasurable_days():
-    log = make_log([(1, 2, 5, 0), (3, 4, 5, 2 * DAY)])
+    log = EventLog([(1, 2, 5, 0), (3, 4, 5, 2 * DAY)])
     points = daily_fold(log).gini
     assert [p.day for p in points] == [date(1970, 1, 3)]
 
@@ -270,7 +267,7 @@ def test_plain_jaccard_cases():
 
 
 def test_top_k_lists_rank_and_eligibility():
-    log = make_log(
+    log = EventLog(
         [
             (1, 5, 10, 0),
             (2, 5, 10, 10),  # user 5: rho+ 20
@@ -287,14 +284,14 @@ def test_top_k_lists_rank_and_eligibility():
 
 
 def test_top_k_ties_break_by_ascending_id():
-    log = make_log([(1, 20, 5, 0), (2, 10, 5, 10), (3, 30, 5, 20)])
+    log = EventLog([(1, 20, 5, 0), (2, 10, 5, 10), (3, 30, 5, 20)])
     last = list(snapshot_series(log))[-1]
     assert top_k_lists(last, k=3)["rho_plus"] == [10, 20, 30]
 
 
 def test_stability_identical_snapshots_give_unity():
     # two days, all events on day one: day two repeats the state
-    log = make_log([(1, 5, 9, 0), (2, 6, 4, 50), (3, 7, -8, DAY + 10)])
+    log = EventLog([(1, 5, 9, 0), (2, 6, 4, 50), (3, 7, -8, DAY + 10)])
     points = daily_fold(log, k=3).stability
     assert len(points) == 1
     assert points[0].day == date(1970, 1, 1)  # labeled by the earlier day
@@ -392,7 +389,7 @@ def _multi_day_logs(draw):
         rater = draw(st.sampled_from(pool))
         ratee = draw(st.sampled_from([u for u in pool if u != rater]))
         timestamp = DAY // 3 * draw(st.integers(-7, 12))
-        events.append(RatingEvent(rater, ratee, draw(scores), timestamp))
+        events.append((rater, ratee, draw(scores), timestamp))
     return EventLog(events)
 
 
@@ -451,11 +448,11 @@ def _snapshots_by_event_loop(log: EventLog):
 @example(
     EventLog(
         [
-            RatingEvent(3, 17, 4, -DAY),
-            RatingEvent(17, 3, -2, -1),
-            RatingEvent(3, 17, 1, 0),
-            RatingEvent(17, 8, 7, 0),
-            RatingEvent(8, 3, -9, 3 * DAY),
+            (3, 17, 4, -DAY),
+            (17, 3, -2, -1),
+            (3, 17, 1, 0),
+            (17, 8, 7, 0),
+            (8, 3, -9, 3 * DAY),
         ]
     )
 )
@@ -474,14 +471,14 @@ def test_snapshot_series_matches_event_loop(log):
 
 
 def test_trajectory_accumulates_incoming_scores():
-    log = make_log([(1, 9, 1, 0), (2, 9, 5, 10)])
+    log = EventLog([(1, 9, 1, 0), (2, 9, 5, 10)])
     trajs = trajectories(log, TrajectorySelection.BY_CATEGORY)
     by_user = {t.user: t for t in trajs}
     assert by_user[9].values == (1, 6)
 
 
 def test_trajectory_negative_spiral():
-    log = make_log([(1, 9, -10, 0), (2, 9, -10, 10), (3, 9, -10, 20)])
+    log = EventLog([(1, 9, -10, 0), (2, 9, -10, 10), (3, 9, -10, 20)])
     trajs = trajectories(log, TrajectorySelection.TOP_ENTRANTS_NEGATIVE, k=3)
     assert [t.user for t in trajs] == [9]
     assert trajs[0].values == (-10, -20, -30)
@@ -502,9 +499,33 @@ def test_trajectory_final_value_matches_aggregate(small_log):
 
 def test_trajectories_by_category_cover_all_rated_users(small_log):
     trajs = trajectories(small_log, TrajectorySelection.BY_CATEGORY)
-    rated = {e.ratee for e in small_log}
+    rated = set(small_log.ratees.tolist())
     assert {t.user for t in trajs} == rated
     assert [t.user for t in trajs] == sorted(t.user for t in trajs)
+
+
+def _follow_by_event_loop(log, users, labels):
+    """`follow` as a per-event loop over running per-ratee sums."""
+    values: dict[int, list[int]] = {}
+    running: dict[int, int] = {}
+    for ratee, score in zip(log.ratees.tolist(), log.scores.tolist()):
+        new = running.get(ratee, 0) + score
+        running[ratee] = new
+        values.setdefault(ratee, []).append(new)
+    chosen = values if users is None else (u for u in users if u in values)
+    return [Trajectory(u, tuple(values[u]), labels[u]) for u in sorted(chosen)]
+
+
+@given(
+    _multi_day_logs(),
+    # rated users, raters never rated, and ids absent from every log
+    st.sets(st.sampled_from([-5, 0, 3, 17, 2**40, 8, 9, -6, 1, 2**41])),
+)
+@settings(max_examples=150, deadline=None)
+def test_follow_matches_event_loop(log, subset):
+    labels = categorize(node_metrics(log))
+    for users in (None, set(), subset):
+        assert follow(log, users, labels) == _follow_by_event_loop(log, users, labels)
 
 
 def test_top_entrants_selection_subsets_by_category(small_log):
@@ -522,12 +543,10 @@ def test_top_entrants_key_validation(small_log):
 
 
 def test_trajectories_empty_log():
-    assert trajectories(make_log([]), TrajectorySelection.BY_CATEGORY) == []
+    assert trajectories(EventLog([]), TrajectorySelection.BY_CATEGORY) == []
 
 
 def test_trajectory_categories_match_final_state(small_log):
-    from wotnet import categorize
-
     labels = categorize(node_metrics(small_log))
     for traj in trajectories(small_log, TrajectorySelection.BY_CATEGORY):
         assert traj.category is labels[traj.user]

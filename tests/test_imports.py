@@ -1,11 +1,15 @@
-"""Every name imported by the package and by its tests is used."""
+"""Every name imported by the package and by its tests is used, and the
+package exports exactly the names it binds."""
 
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import wotnet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*REPO_ROOT.glob("src/wotnet/*.py"), *REPO_ROOT.glob("tests/*.py")])
@@ -41,3 +45,14 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os, sys\nfrom typing import Any\n__all__ = ['Any']\nsys.exit()\n"
     assert _unused_imports(source) == ["os (line 2)"]
+
+
+def test_all_lists_exactly_the_exported_names():
+    bound = {
+        name
+        for name, value in vars(wotnet).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(wotnet.__all__) == len(set(wotnet.__all__))
+    assert set(wotnet.__all__) == bound
+    assert all(hasattr(wotnet, name) for name in wotnet.__all__)

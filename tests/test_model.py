@@ -1,19 +1,19 @@
 import gzip
 import io
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_log
+from conftest import rows
 from wotnet import model
 from wotnet import (
     EventLog,
     IngestError,
     NodeMetrics,
-    RatingEvent,
     SynthConfig,
     gettrust,
     ingest,
@@ -35,7 +35,7 @@ def _stream(text: str) -> io.BytesIO:
 
 def test_parses_basic_record():
     log, report = ingest(_stream("6,2,4,1289241911\n"))
-    assert log.events == (RatingEvent(6, 2, 4, 1289241911),)
+    assert rows(log) == [(6, 2, 4, 1289241911)]
     assert report.events_kept == 1
     assert report.n_users == 2
 
@@ -93,7 +93,7 @@ def test_gzip_input(tmp_path):
     with gzip.open(path, "wt") as fh:
         fh.write("1,2,3,10\n2,1,-4,20\n")
     log, _ = ingest(path)
-    assert [e.score for e in log] == [3, -4]
+    assert log.scores.tolist() == [3, -4]
 
 
 @pytest.mark.parametrize("gzipped", [False, True])
@@ -119,14 +119,14 @@ def test_ingest_closes_the_file_it_opens(tmp_path, monkeypatch, gzipped, mode):
 
 def test_fractional_timestamps_floored():
     log, _ = ingest(_stream("1,2,3,100.75\n"))
-    assert log.events[0].timestamp == 100
+    assert log.timestamps.tolist() == [100]
 
 
 def test_events_sorted_by_timestamp_stable():
     log, _ = ingest(_stream("1,2,3,300\n2,3,4,100\n3,1,5,100\n"))
-    assert [e.timestamp for e in log] == [100, 100, 300]
+    assert log.timestamps.tolist() == [100, 100, 300]
     # equal timestamps keep input order
-    assert [e.rater for e in log][:2] == [2, 3]
+    assert log.raters.tolist()[:2] == [2, 3]
 
 
 def test_bad_mode_rejected():
@@ -140,30 +140,66 @@ def test_bad_mode_rejected():
 
 @pytest.mark.parametrize("score", [0, 11, -11, 100])
 def test_event_score_bounds(score):
-    with pytest.raises(ValueError):
-        RatingEvent(1, 2, score, 10)
+    with pytest.raises(ValueError, match="score"):
+        EventLog([(3, 4, 5, 0), (1, 2, score, 10)])
 
 
 def test_event_self_rating_rejected():
-    with pytest.raises(ValueError):
-        RatingEvent(7, 7, 3, 10)
+    with pytest.raises(ValueError, match="self-rating"):
+        EventLog([(7, 7, 3, 10)])
 
 
 def test_event_fields_must_fit_int64():
-    RatingEvent(2**63 - 1, -(2**63), 3, 2**63 - 1)
+    extremes = (2**63 - 1, -(2**63), 3, 2**63 - 1)
+    assert rows(EventLog([extremes])) == [extremes]
     for fields in [(2**63, 1, 3, 10), (1, -(2**63) - 1, 3, 10), (1, 2, 3, 2**63)]:
         with pytest.raises(ValueError, match="int64"):
-            RatingEvent(*fields)
+            EventLog([fields])
+
+
+_INT64_EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 1, 2, *_INT64_EDGES]),
+            st.sampled_from([0, 1, 2, *_INT64_EDGES]),
+            st.integers(-12, 12),
+            st.one_of(st.integers(-50, 50), st.sampled_from(_INT64_EDGES)),
+        ),
+        max_size=6,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_constructor_and_strict_ingest_accept_the_same_rows(candidates):
+    text = "rater,ratee,score,timestamp\n" + "".join(
+        f"{a},{b},{s},{t}\n" for a, b, s, t in candidates
+    )
+    try:
+        built = EventLog(candidates)
+    except ValueError:
+        built = None
+    try:
+        ingested = ingest(_stream(text), mode="strict")[0]
+    except IngestError:
+        ingested = None
+    assert (built is None) == (ingested is None)
+    if built is not None:
+        assert rows(built) == rows(ingested)
+        assert [c.tolist() for c in built.user_codes()] == [
+            c.tolist() for c in ingested.user_codes()
+        ]
 
 
 def test_log_columns_read_only():
-    log = make_log([(1, 2, 3, 10)])
+    log = EventLog([(1, 2, 3, 10)])
     with pytest.raises(ValueError):
         log.scores[0] = 5
 
 
 def test_truncated_keeps_boundary_event():
-    log = make_log([(1, 2, 1, 10), (2, 1, 1, 20), (1, 3, 1, 30)])
+    log = EventLog([(1, 2, 1, 10), (2, 1, 1, 20), (1, 3, 1, 30)])
     assert len(log.truncated(20)) == 2
     assert len(log.truncated(5)) == 0
     assert log.truncated(None) is log
@@ -174,14 +210,14 @@ def test_truncated_keeps_boundary_event():
 
 
 def test_single_positive_event_split():
-    plus, minus = split_layers(make_log([(1, 2, 5, 10)]))
+    plus, minus = split_layers(EventLog([(1, 2, 5, 10)]))
     assert plus.n_edges == 1
     assert plus.weights[0] == 5
     assert minus.n_edges == 0
 
 
 def test_split_respects_cutoff():
-    log = make_log([(1, 2, 1, 10), (2, 1, -10, 20)])
+    log = EventLog([(1, 2, 1, 10), (2, 1, -10, 20)])
     plus, minus = split_layers(log, cutoff=15)
     assert (plus.n_edges, minus.n_edges) == (1, 0)
 
@@ -194,7 +230,7 @@ def test_split_partitions_events(small_log):
 
 
 def test_restrict_weights():
-    log = make_log([(1, 2, 1, 10), (1, 3, 5, 20), (2, 3, 10, 30)])
+    log = EventLog([(1, 2, 1, 10), (1, 3, 5, 20), (2, 3, 10, 30)])
     plus, _ = split_layers(log)
     assert plus.restrict_weights(1, 1).n_edges == 1
     assert plus.restrict_weights(2, 10).n_edges == 2
@@ -205,14 +241,14 @@ def test_restrict_weights():
 
 
 def test_metrics_mixed_incoming_scores():
-    log = make_log([(1, 9, 1, 10), (2, 9, 1, 20), (3, 9, -10, 30)])
+    log = EventLog([(1, 9, 1, 10), (2, 9, 1, 20), (3, 9, -10, 30)])
     m = node_metrics(log)[9]
     assert (m.k_in_plus, m.k_in_minus) == (2, 1)
     assert (m.rho_plus, m.rho_minus, m.rho) == (2, 10, -8)
 
 
 def test_metrics_user_with_no_incoming():
-    log = make_log([(5, 6, 3, 10)])
+    log = EventLog([(5, 6, 3, 10)])
     m = node_metrics(log)[5]
     assert (m.rho_plus, m.rho_minus, m.rho) == (0, 0, 0)
     assert m.k_out_plus == 1
@@ -226,16 +262,16 @@ def _accumulate_naively(events) -> dict[int, NodeMetrics]:
             user, dict(kip=0, kim=0, kop=0, kom=0, rp=0, rm=0)
         )
 
-    for e in events:
-        r, t = bucket(e.rater), bucket(e.ratee)
-        if e.score > 0:
+    for rater, ratee, score, _ in events:
+        r, t = bucket(rater), bucket(ratee)
+        if score > 0:
             r["kop"] += 1
             t["kip"] += 1
-            t["rp"] += e.score
+            t["rp"] += score
         else:
             r["kom"] += 1
             t["kim"] += 1
-            t["rm"] += -e.score
+            t["rm"] += -score
     return {
         u: NodeMetrics(c["kip"], c["kim"], c["kop"], c["kom"], c["rp"], c["rm"])
         for u, c in counters.items()
@@ -250,9 +286,9 @@ def test_metrics_match_naive_accumulation_oracle():
         a, b = rng.sample(range(6), 2)
         s = rng.choice([s for s in range(-10, 11) if s != 0])
         t += rng.randint(1, 50)
-        events.append(RatingEvent(a, b, s, t))
+        events.append((a, b, s, t))
     log = EventLog(events)
-    assert node_metrics(log) == _accumulate_naively(log)
+    assert node_metrics(log) == _accumulate_naively(rows(log))
 
 
 def test_metrics_degree_sums_equal_layer_edge_counts(small_log):
@@ -280,7 +316,7 @@ def test_metrics_reputation_bounds(small_log):
 
 
 def test_metrics_excludes_users_not_yet_seen():
-    log = make_log([(1, 2, 1, 10), (3, 4, 1, 100)])
+    log = EventLog([(1, 2, 1, 10), (3, 4, 1, 100)])
     assert set(node_metrics(log, cutoff=50)) == {1, 2}
 
 
@@ -289,39 +325,39 @@ def test_metrics_excludes_users_not_yet_seen():
 
 
 def test_trust_through_single_intermediary():
-    log = make_log([(1, 2, 5, 10), (2, 3, 3, 20)])
+    log = EventLog([(1, 2, 5, 10), (2, 3, 3, 20)])
     assert gettrust(log, 1, 3) == 3
 
 
 def test_trust_negative_intermediary_rating():
-    log = make_log([(1, 2, 5, 10), (2, 3, -10, 20)])
+    log = EventLog([(1, 2, 5, 10), (2, 3, -10, 20)])
     assert gettrust(log, 1, 3) == -5
 
 
 def test_trust_two_intermediaries_cancel_mostly():
-    log = make_log([(1, 2, 2, 10), (2, 4, 8, 20), (1, 3, 10, 30), (3, 4, -1, 40)])
+    log = EventLog([(1, 2, 2, 10), (2, 4, 8, 20), (1, 3, 10, 30), (3, 4, -1, 40)])
     assert gettrust(log, 1, 4) == min(2, 8) - min(10, 1)
 
 
 def test_trust_direct_plus_indirect():
-    log = make_log([(1, 3, 2, 10), (1, 2, 5, 20), (2, 3, 4, 30)])
+    log = EventLog([(1, 3, 2, 10), (1, 2, 5, 20), (2, 3, 4, 30)])
     assert gettrust(log, 1, 3) == 2 + 4
 
 
 def test_trust_uses_latest_rating_per_pair():
-    log = make_log([(1, 2, 10, 10), (2, 3, 5, 20), (1, 2, -1, 30)])
+    log = EventLog([(1, 2, 10, 10), (2, 3, 5, 20), (1, 2, -1, 30)])
     # viewer's trust in the intermediary flipped negative, so no flow-through
     assert gettrust(log, 1, 3) == 0
     assert gettrust(log, 1, 3, cutoff=25) == 5
 
 
 def test_trust_ignores_negatively_rated_intermediaries():
-    log = make_log([(1, 2, -5, 10), (2, 3, 10, 20)])
+    log = EventLog([(1, 2, -5, 10), (2, 3, 10, 20)])
     assert gettrust(log, 1, 3) == 0
 
 
 def test_trust_errors():
-    log = make_log([(1, 2, 5, 10)])
+    log = EventLog([(1, 2, 5, 10)])
     with pytest.raises(ValueError):
         gettrust(log, 1, 1)
     with pytest.raises(ValueError):
@@ -355,7 +391,7 @@ def test_trust_matches_path_enumeration_on_random_logs():
             a, b = rng.sample(range(7), 2)
             s = rng.choice([s for s in range(-10, 11) if s != 0])
             t += rng.randint(1, 9)
-            events.append(RatingEvent(a, b, s, t))
+            events.append((a, b, s, t))
         log = EventLog(events)
         users = sorted(log.users)
         for viewer in users:
@@ -376,7 +412,7 @@ def test_trust_never_rises_when_contributing_edge_removed():
             a, b = rng.sample(range(6), 2)
             s = rng.choice([s for s in range(1, 11)])  # all-positive world
             t += rng.randint(1, 9)
-            events.append(RatingEvent(a, b, s, t))
+            events.append((a, b, s, t))
         log = EventLog(events)
         users = sorted(log.users)
         viewer, target = users[0], users[-1]
@@ -387,9 +423,7 @@ def test_trust_never_rises_when_contributing_edge_removed():
                 continue
             if last.get((j, target), 0) == 0:
                 continue  # intermediary contributed nothing
-            pruned = EventLog(
-                e for e in log if not (e.rater == viewer and e.ratee == j)
-            )
+            pruned = EventLog(row for row in rows(log) if row[:2] != (viewer, j))
             if viewer not in pruned.users or target not in pruned.users:
                 continue
             assert gettrust(pruned, viewer, target) <= baseline
@@ -399,12 +433,19 @@ def test_trust_never_rises_when_contributing_edge_removed():
 # columnar store against the event-object implementation it replaced
 
 
+class _Event(NamedTuple):
+    rater: int
+    ratee: int
+    score: int
+    timestamp: int
+
+
 class _ObjectLog:
     """The event-object log used before the columnar store: a sorted tuple
     of events, with its users and dense index built from that tuple."""
 
     def __init__(self, events):
-        self.events = tuple(sorted(events, key=lambda e: e.timestamp))
+        self.events = tuple(sorted(map(_Event._make, events), key=lambda e: e.timestamp))
         self.users = frozenset(e.rater for e in self.events) | frozenset(
             e.ratee for e in self.events
         )
@@ -478,7 +519,7 @@ def _small_logs(draw):
         rater = draw(st.sampled_from(pool))
         ratee = draw(st.sampled_from([u for u in pool if u != rater]))
         timestamp = 10 * draw(st.integers(-2, 5))
-        events.append(RatingEvent(rater, ratee, draw(scores), timestamp))
+        events.append((rater, ratee, draw(scores), timestamp))
     return events
 
 
@@ -486,16 +527,15 @@ def _small_logs(draw):
 @settings(max_examples=150, deadline=None)
 def test_columnar_queries_match_event_object_oracles(events):
     log, oracle = EventLog(events), _ObjectLog(events)
-    times = sorted({e.timestamp for e in events})
+    times = sorted({e.timestamp for e in oracle.events})
     # before the first event, on every (possibly tied) timestamp, between
     # events, and the whole log
     cutoffs = [times[0] - 1, *times, *(t + 5 for t in times), None]
     for cutoff in cutoffs:
         sub, expected = log.truncated(cutoff), oracle.truncated(cutoff)
         assert len(sub) == len(expected.events)
-        assert sub.events == expected.events
+        assert rows(sub) == list(expected.events)
         assert sub.users == expected.users
-        assert sub.dense_index() == expected.dense_index()
         ids, codes = sub.user_codes()
         assert ids.tolist() == sorted(expected.users)
         assert ids[codes[0]].tolist() == [e.rater for e in expected.events]
@@ -532,7 +572,7 @@ def test_synth_same_seed_identical(tmp_path):
 def test_synth_different_seeds_differ():
     a = synth_log(SynthConfig(n_users=30, n_events=500, seed=1))
     b = synth_log(SynthConfig(n_users=30, n_events=500, seed=2))
-    assert [e.rater for e in a] != [e.rater for e in b]
+    assert a.raters.tolist() != b.raters.tolist()
 
 
 def test_synth_positive_fraction_within_three_sigma():
@@ -554,9 +594,9 @@ def test_synth_respects_event_invariants():
                 )
             )
             assert len(log) == 400
-            for e in log:
-                assert e.rater != e.ratee
-                assert 1 <= abs(e.score) <= 10
+            for rater, ratee, score, _ in rows(log):
+                assert rater != ratee
+                assert 1 <= abs(score) <= 10
             ts = log.timestamps
             assert (np.diff(ts) >= 0).all()
 
@@ -582,7 +622,7 @@ def test_synth_roundtrips_through_ingest(tmp_path):
     path = tmp_path / "round.csv"
     write_log_csv(log, path)
     back, report = ingest(path)
-    assert back.events == log.events
+    assert rows(back) == rows(log)
     assert report.events_rejected == 0
 
 
@@ -603,13 +643,11 @@ def test_synth_roundtrips_through_ingest(tmp_path):
     )
 )
 @settings(max_examples=60, deadline=None)
-def test_layer_split_partition_property(rows):
-    events = [
-        RatingEvent(a, b, s, t) for a, b, s, t in rows if a != b and s != 0
-    ]
-    if not events:
+def test_layer_split_partition_property(candidates):
+    legal = [(a, b, s, t) for a, b, s, t in candidates if a != b and s != 0]
+    if not legal:
         return
-    log = EventLog(events)
+    log = EventLog(legal)
     plus, minus = split_layers(log)
     assert plus.n_edges + minus.n_edges == len(log)
     metrics = node_metrics(log)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacency_sets, degree_sequences, make_log, project
+from conftest import adjacency_sets, degree_sequences, project
 from wotnet import (
+    EventLog,
     Layer,
     NodeMetrics,
     from_values,
@@ -43,7 +44,7 @@ def _layer_from_edges(edges, scores=None) -> "LayerView":
     for t, (a, b) in enumerate(edges, start=1):
         s = 1 if scores is None else scores[t - 1]
         rows.append((a, b, s, t * 10))
-    plus, _ = split_layers(make_log(rows))
+    plus, _ = split_layers(EventLog(rows))
     return plus
 
 
@@ -59,7 +60,7 @@ def test_weight_distribution_simple_counts():
 
 
 def test_weight_distribution_empty_layer_errors():
-    _, minus = split_layers(make_log([(1, 2, 5, 10)]))
+    _, minus = split_layers(EventLog([(1, 2, 5, 10)]))
     with pytest.raises(ValueError):
         weight_distribution(minus)
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import make_log
 from wotnet import (
     Layer,
     EventLog,
@@ -14,7 +13,6 @@ from wotnet import (
     burstiness,
     circadian_profile,
     daily_series,
-    day_of,
     interevent_distribution,
     interevent_times,
     load_annotations,
@@ -63,7 +61,7 @@ def interevent_times_by_user(log: EventLog, layer: Layer) -> dict[int, np.ndarra
 
 
 def test_daily_series_single_day_counts():
-    log = make_log(
+    log = EventLog(
         [(1, 2, 5, 100), (3, 2, 1, 200), (2, 1, -10, 300)]
     )
     series = daily_series(log)
@@ -75,20 +73,22 @@ def test_daily_series_single_day_counts():
 def test_daily_series_shift_moves_events_across_midnight():
     # 23:30 UTC lands on the previous calendar day at shift -6
     t = 3 * DAY + 23 * 3600 + 1800
-    log = make_log([(1, 2, 5, t)])
+    log = EventLog([(1, 2, 5, t)])
     assert daily_series(log)[0].day == date(1970, 1, 4)
     assert daily_series(log, tz_shift_hours=-6)[0].day == date(1970, 1, 4)
     # and 03:30 UTC moves back a day under the same shift
-    early = make_log([(1, 2, 5, 3 * DAY + 3 * 3600 + 1800)])
+    early = EventLog([(1, 2, 5, 3 * DAY + 3 * 3600 + 1800)])
     assert daily_series(early, tz_shift_hours=-6)[0].day == date(1970, 1, 3)
 
 
-def test_day_of_matches_series_bucketing():
-    t = 5 * DAY + 7 * 3600
-    assert day_of(t) == date(1970, 1, 6)
-    assert day_of(t, tz_shift_hours=-12) == date(1970, 1, 5)
-    with pytest.raises(ValueError):
-        day_of(t, tz_shift_hours=15)
+def test_daily_series_buckets_by_shifted_day():
+    log = EventLog([(1, 2, 5, 5 * DAY + 7 * 3600)])
+    assert daily_series(log)[0].day == date(1970, 1, 6)
+    assert daily_series(log, tz_shift_hours=-12)[0].day == date(1970, 1, 5)
+    assert daily_series(log, tz_shift_hours=14)[0].day == date(1970, 1, 6)
+    for shift in (-13, 15):
+        with pytest.raises(ValueError):
+            daily_series(log, tz_shift_hours=shift)
 
 
 def test_daily_series_zero_fills_gaps_and_reconciles(small_log):
@@ -101,11 +101,11 @@ def test_daily_series_zero_fills_gaps_and_reconciles(small_log):
 
 
 def test_daily_series_empty_log():
-    assert daily_series(make_log([])) == []
+    assert daily_series(EventLog([])) == []
 
 
 def test_activity_calendar_skips_quiet_days():
-    log = make_log(
+    log = EventLog(
         [(1, 2, 5, 0), (2, 3, 4, 2 * DAY + 50), (3, 1, -1, 2 * DAY + 90)]
     )
     calendar = activity_calendar(log)
@@ -118,7 +118,7 @@ def test_activity_calendar_skips_quiet_days():
 
 
 def test_interevent_times_single_receiver():
-    log = make_log(
+    log = EventLog(
         [(1, 9, 5, 0), (2, 9, 5, 10), (3, 9, 5, 25)]
     )
     assert interevent_times(log, Layer.REWARDING).tolist() == [10, 15]
@@ -126,7 +126,7 @@ def test_interevent_times_single_receiver():
 
 
 def test_interevent_times_do_not_mix_receivers():
-    log = make_log(
+    log = EventLog(
         [(1, 8, 5, 0), (1, 9, 5, 5), (2, 8, 5, 30), (2, 9, 5, 100)]
     )
     assert sorted(interevent_times(log, Layer.REWARDING).tolist()) == [30, 95]
@@ -157,7 +157,7 @@ def test_interevent_times_match_scanning_oracle():
             if a == b:
                 continue
             rows.append((a, b, rng.choice([-3, -1, 2, 5]), t))
-        log = make_log(rows)
+        log = EventLog(rows)
         for layer, positive in ((Layer.REWARDING, True), (Layer.PUNITIVE, False)):
             assert sorted(interevent_times(log, layer).tolist()) == _gaps_by_scanning(
                 rows, positive
@@ -178,7 +178,7 @@ def test_interevent_times_by_user_consistent_with_pooled(small_log):
 
 
 def test_interevent_distribution_requires_samples():
-    log = make_log([(1, 2, 5, 0), (3, 4, 5, 10)])
+    log = EventLog([(1, 2, 5, 0), (3, 4, 5, 10)])
     with pytest.raises(ValueError):
         interevent_distribution(log, Layer.REWARDING)
 
@@ -234,7 +234,7 @@ def test_burstiness_rejects_degenerate_samples(bad):
 
 
 def test_yearly_burstiness_single_year():
-    log = make_log(
+    log = EventLog(
         [
             (1, 9, 5, YEAR_2012),
             (2, 9, 5, YEAR_2012 + 100),
@@ -258,7 +258,7 @@ def test_yearly_burstiness_single_year():
 def test_yearly_burstiness_omits_sparse_years():
     # one gap in 2012, two in 2013: only 2013 has enough samples
     y2013 = YEAR_2012 + 366 * DAY
-    log = make_log(
+    log = EventLog(
         [
             (1, 9, 5, YEAR_2012),
             (2, 9, 5, YEAR_2012 + 100),
@@ -274,7 +274,7 @@ def test_yearly_burstiness_omits_sparse_years():
 def test_yearly_burstiness_excludes_cross_year_gaps():
     # the same user's events straddling the year boundary form no sample
     y2013 = YEAR_2012 + 366 * DAY
-    log = make_log(
+    log = EventLog(
         [
             (1, 9, 5, y2013 - 10_000),
             (2, 9, 5, y2013 - 5_000),
@@ -299,7 +299,7 @@ def test_yearly_burstiness_pools_users_within_year(small_log):
 
 
 def test_circadian_profile_indicator():
-    log = make_log(
+    log = EventLog(
         [(1, 2, 5, 13 * 3600), (3, 2, 5, 13 * 3600 + 30), (2, 1, -1, 2 * 3600)]
     )
     profile = circadian_profile(log)
@@ -309,7 +309,7 @@ def test_circadian_profile_indicator():
 
 
 def test_circadian_profile_shift_rotates_hours():
-    log = make_log([(1, 2, 5, 13 * 3600)])
+    log = EventLog([(1, 2, 5, 13 * 3600)])
     shifted = circadian_profile(log, tz_shift_hours=-6)
     assert shifted[Layer.REWARDING][7] == 1.0
 
@@ -326,11 +326,11 @@ def test_circadian_profile_sums(small_log):
 
 def test_weekly_profile_weekday_anchor():
     # day 0 of the epoch was a Thursday (weekday 3)
-    log = make_log([(1, 2, 5, 100)])
+    log = EventLog([(1, 2, 5, 100)])
     profile = weekly_profile(log)
     assert profile[Layer.REWARDING][3] == 1.0
     # four days later is Monday
-    monday = make_log([(1, 2, 5, 4 * DAY + 100)])
+    monday = EventLog([(1, 2, 5, 4 * DAY + 100)])
     assert weekly_profile(monday)[Layer.REWARDING][0] == 1.0
 
 
