@@ -20,6 +20,7 @@ import json
 import os
 import secrets
 import sys
+import warnings
 from datetime import date, datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -138,8 +139,9 @@ class RunWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.out_dir = out_dir
         self.outputs: list[str] = []
-        # ingest counts of a log-reading run, recorded in the manifest
+        # ingest counts and warnings of a log-reading run, recorded in the manifest
         self.ingest: IngestReport | None = None
+        self.warnings: list[str] | None = None
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         lines = [",".join(header)]
@@ -163,6 +165,8 @@ class RunWriter:
                 "rejected": self.ingest.events_rejected,
                 "users": self.ingest.n_users,
             }
+        if self.warnings is not None:
+            manifest["warnings"] = self.warnings
         _atomic_write(
             self.out_dir / "manifest.json",
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -412,10 +416,10 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     clustering_binned_rows = []
     null_summary_rows = []
     projections = [undirected_projection(view.raters, view.ratees) for _, view in pair]
-    for (layer, view), projection in zip(pair, projections):
+    for (layer, _), projection in zip(pair, projections):
         spectrum = clustering_spectrum(projection)
         clustering_binned_rows.extend(_binned_rows(spectrum, layer))
-        null = configuration_null(view, n_samples, seed)
+        null = configuration_null(projection, n_samples, seed)
         null_by_degree = {
             int(d): (float(m), float(s))
             for d, m, s in zip(null.degree, null.null_mean, null.null_std)
@@ -722,10 +726,18 @@ def _run(args: argparse.Namespace) -> int:
     if stages[0].analysis:
         _require(config, "out", "to write analysis outputs")
     writer = RunWriter(Path(config["out"])) if config["out"] else None
-    for stage in stages:
-        stage.build(writer, ctx)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for stage in stages:
+                stage.build(writer, ctx)
+    finally:
+        # recorded for the manifest, and passed on to the caller's filters
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     if writer is not None:
         writer.ingest = ctx.report
+        writer.warnings = [str(w.message) for w in caught]
         writer.write_manifest(args.command, _config_for_manifest(config), _sha256(config["input"]))
     return EXIT_OK
 

@@ -9,9 +9,12 @@ with a clear message when it is absent.  Everything else runs data-free.
 from __future__ import annotations
 
 import os
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from wotnet import (
     EventLog,
@@ -22,7 +25,6 @@ from wotnet import (
     synth_log,
     undirected_projection,
 )
-from wotnet.static import _directed_simple_edges
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,14 +96,37 @@ def adjacency_sets(projection: Projection) -> dict[int, set[int]]:
     }
 
 
-def degree_sequences(layer: LayerView) -> tuple[dict[int, int], dict[int, int]]:
-    """(out-degree, in-degree) of the layer's directed simple graph."""
-    out_deg: dict[int, int] = {}
-    in_deg: dict[int, int] = {}
-    for u, v in _directed_simple_edges(layer):
-        out_deg[u] = out_deg.get(u, 0) + 1
-        in_deg[v] = in_deg.get(v, 0) + 1
-    return out_deg, in_deg
+def projected_edges(projection: Projection) -> np.ndarray:
+    """The projection's undirected edges, a 2 x |E| array of positions in its nodes."""
+    upper = sparse.triu(projection.adjacency, k=1, format="coo")
+    return np.stack((upper.row, upper.col)).astype(np.int64)
+
+
+def keeps_projected_degrees(projection: Projection, ends: np.ndarray) -> bool:
+    """Whether the rewired edges `ends` (as from `projected_edges`) keep every
+    node's projected degree and the edge count, with no self-loop and no
+    repeated edge."""
+    n = len(projection.nodes)
+    keys = set(zip(np.minimum(*ends).tolist(), np.maximum(*ends).tolist()))
+    return (
+        ends.shape[1] == projection.adjacency.nnz // 2
+        and not (ends[0] == ends[1]).any()
+        and len(keys) == ends.shape[1]
+        and np.bincount(ends.ravel(), minlength=n).tolist() == projection.degree.tolist()
+    )
+
+
+def reciprocal_log(n_users: int, n_pairs: int, seed: int) -> EventLog:
+    """A log in which every rating is returned: `n_pairs` random user pairs
+    rate each other, positively or (one pair in five) negatively, so both
+    layers are fully reciprocal."""
+    rng = random.Random(seed)
+    pairs = rng.sample([(a, b) for a in range(n_users) for b in range(a + 1, n_users)], n_pairs)
+    out = []
+    for t, (a, b) in enumerate(pairs):
+        score = rng.choice((-2, 1, 1, 1, 3))
+        out += [(a, b, score, 100 * t), (b, a, score, 100 * t + 50)]
+    return EventLog(out)
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reciprocal_log
+from wotnet import EventLog, write_log_csv
 from wotnet.cli import main
 
 GOOD_ROWS = "1,2,5,100\n3,2,1,200\n2,1,-10,300\n"
@@ -299,6 +301,7 @@ def test_manifest_records_run(synth_csv, tmp_path):
     assert manifest["outputs"] == produced
     assert "categories.csv" in produced
     assert manifest["ingest"] == {"kept": 400, "rejected": 0, "users": 25}
+    assert manifest["warnings"] == []
 
     messy = tmp_path / "messy.csv"
     messy.write_text(GOOD_ROWS + "4,4,5,400\n5,6,99,500\n")
@@ -306,6 +309,40 @@ def test_manifest_records_run(synth_csv, tmp_path):
         out = tmp_path / command
         assert main([command, "--input", str(messy), "--out", str(out)]) == 0
         assert _manifest_of(out)["ingest"] == {"kept": 3, "rejected": 2, "users": 3}
+
+
+def test_stalled_rewiring_is_recorded_in_the_manifest(tmp_path):
+    # both layers are stars: no double-edge swap can ever apply
+    # (weights 1 and 3: each weight sub-layer of the rewarding star needs a degree-2 node)
+    stars = [(1, u, 1 + 2 * (u > 3), 10 * u) for u in (2, 3, 4, 5)]
+    stars += [(6, u, -2, 100 + u) for u in (2, 3, 4)]
+    log_csv = tmp_path / "stars.csv"
+    write_log_csv(EventLog(stars), log_csv)
+    out = tmp_path / "static"
+    argv = ["static", "--input", str(log_csv), "--out", str(out), "--seed", "1"]
+    argv += ["--null-samples", "2"]
+    # each warning is also passed on to the caller
+    with pytest.warns(RuntimeWarning, match="^rewiring stalled") as passed_on:
+        assert main(argv) == 0
+    plus = "rewiring stalled: 0/40 swaps after 800 attempts"
+    minus = "rewiring stalled: 0/30 swaps after 600 attempts"
+    assert _manifest_of(out)["warnings"] == [plus, plus, minus, minus]
+    assert [str(w.message) for w in passed_on] == [plus, plus, minus, minus]
+
+
+def test_null_of_a_reciprocal_log_covers_every_degree(tmp_path):
+    # the rewired replicas keep every projected degree, so every degree
+    # bucket of the spectrum gets a null value
+    log_csv = tmp_path / "reciprocal.csv"
+    write_log_csv(reciprocal_log(n_users=80, n_pairs=300, seed=8), log_csv)
+    out = tmp_path / "static"
+    argv = ["static", "--input", str(log_csv), "--out", str(out), "--seed", "4"]
+    argv += ["--null-samples", "3"]
+    assert main(argv) == 0
+    lines = (out / "clustering_spectrum.csv").read_text().splitlines()
+    assert lines[0].endswith(",null_mean,null_std")
+    assert len(lines) > 10
+    assert all(line.split(",")[-2] and line.split(",")[-1] for line in lines[1:])
 
 
 def test_no_temp_files_left_behind(synth_csv, tmp_path):

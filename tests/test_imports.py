@@ -4,6 +4,9 @@ package exports exactly the names it binds."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -56,3 +59,18 @@ def test_all_lists_exactly_the_exported_names():
     assert len(wotnet.__all__) == len(set(wotnet.__all__))
     assert set(wotnet.__all__) == bound
     assert all(hasattr(wotnet, name) for name in wotnet.__all__)
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only two rank
+    # correlations need it, and they import it when called
+    code = "import sys, wotnet, wotnet.cli; print('scipy.stats' in sys.modules)"
+    path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "False"

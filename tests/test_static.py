@@ -1,13 +1,22 @@
 import itertools
 import math
 import random
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
-from conftest import adjacency_sets, degree_sequences, project
+from conftest import (
+    adjacency_sets,
+    keeps_projected_degrees,
+    project,
+    projected_edges,
+    reciprocal_log,
+)
 from wotnet import (
     EventLog,
     Layer,
@@ -28,8 +37,8 @@ from wotnet import static
 from wotnet.static import (
     RANKING_KEYS,
     _bucket_spectrum,
-    _directed_simple_edges,
-    _rewire,
+    _double_edge_swaps,
+    _swap_round,
     avg_neighbor_degree_spectrum,
     clustering_spectrum,
     configuration_null,
@@ -365,60 +374,166 @@ def test_spectrum_trend_needs_two_bins():
 # configuration-model null
 
 
-def test_null_samples_preserve_degree_sequences(small_log):
-    plus, _ = split_layers(small_log)
-    out_deg, in_deg = degree_sequences(plus)
-    base = _directed_simple_edges(plus)
-    for sample_seed in range(5):
-        rewired, _ = _rewire(
-            base, 10 * len(base), np.random.default_rng(sample_seed)
+def _rewired(projection, seed, swaps_per_edge=10):
+    """Rewire the projection's edges as one null replica does; returns the
+    rewired edges and the number of swaps done."""
+    ends = projected_edges(projection)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # stalls are expected on some graphs
+        done = _double_edge_swaps(
+            ends, len(projection.nodes), swaps_per_edge * ends.shape[1], np.random.default_rng(seed)
         )
-        r_out, r_in = {}, {}
-        for a, b in rewired:
-            assert a != b, "self-loop leaked into a replica"
-            r_out[a] = r_out.get(a, 0) + 1
-            r_in[b] = r_in.get(b, 0) + 1
-        assert r_out == out_deg
-        assert r_in == in_deg
-        assert len(set(rewired)) == len(rewired), "duplicate edge in replica"
+    return ends, done
+
+
+def test_null_samples_preserve_degree_sequences(small_log):
+    for layer in split_layers(small_log):
+        projection = project(layer)
+        for sample_seed in range(5):
+            ends, done = _rewired(projection, sample_seed)
+            assert done == 10 * ends.shape[1]
+            assert keeps_projected_degrees(projection, ends)
+
+
+def _log_of(arcs, score=1):
+    return EventLog((a, b, score, 10 * t) for t, (a, b) in enumerate(arcs))
+
+
+@st.composite
+def _small_logs(draw):
+    n = draw(st.integers(2, 7))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    scores = st.sampled_from((-4, -1, 1, 2, 7))
+    events = draw(st.lists(st.tuples(arc, scores), min_size=1, max_size=30))
+    return EventLog((a, b, score, 10 * t) for t, ((a, b), score) in enumerate(events))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_logs())
+@example(_log_of([(0, i) for i in range(1, 6)]))  # star
+@example(_log_of([(4, 9)]))  # single edge
+@example(_log_of([(0, 1), (2, 3), (5, 4), (7, 6), (8, 9)]))  # disjoint pairs
+@example(_log_of([(a, b) for a in range(5) for b in range(5) if a < b]))  # complete graph
+@example(_log_of([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], score=-3))  # punitive layer only
+def test_replicas_keep_projected_degrees(log):
+    for layer in split_layers(log):
+        if layer.n_edges == 0:
+            continue
+        projection = project(layer)
+        # one swap per edge: a graph with no legal swap runs the whole budget
+        for seed in range(3):
+            ends, _ = _rewired(projection, seed, swaps_per_edge=1)
+            assert keeps_projected_degrees(projection, ends)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            null = configuration_null(projection, n_samples=2, seed=0, swaps_per_edge=1)
+        assert null.degree.tolist() == clustering_spectrum(projection).degree.tolist()
+
+
+def test_null_on_a_reciprocal_layer_keeps_the_empirical_degrees():
+    # every rating is returned, so rewiring the directed graph would break
+    # reciprocity and change the projected degrees
+    for layer in split_layers(reciprocal_log(n_users=80, n_pairs=300, seed=8)):
+        projection = project(layer)
+        for seed in range(5):
+            ends, done = _rewired(projection, seed)
+            assert done == 10 * ends.shape[1]
+            assert keeps_projected_degrees(projection, ends)
+        null = configuration_null(projection, n_samples=5, seed=11)
+        assert null.degree.tolist() == clustering_spectrum(projection).degree.tolist()
+        assert (null.n_samples_per_bucket == 5).all()
+
+
+def _simple_graphs(degrees):
+    """Every simple graph with the given degree sequence, as sorted edge-key tuples."""
+    n = len(degrees)
+    graphs = []
+    for edges in itertools.combinations(itertools.combinations(range(n), 2), sum(degrees) // 2):
+        if Counter(v for e in edges for v in e) == dict(enumerate(degrees)):
+            graphs.append(tuple(a * n + b for a, b in edges))
+    return graphs
+
+
+def _round_chain(graph, n, seed):
+    """One `_swap_round` per step, pairing every edge: the most conflicts a round can have."""
+    rng = np.random.default_rng(seed)
+    ends = np.array(np.divmod(graph, n), dtype=np.int64)
+    keys = ends[0] * n + ends[1]
+    while True:
+        _swap_round(ends, keys, n, len(keys) // 2, len(keys), rng)
+        yield tuple(sorted(keys.tolist()))
+
+
+def _one_swap_chain(graph, n, seed):
+    """The oracle: one double-edge swap proposal per step."""
+    rng = random.Random(seed)
+    edges = [divmod(k, n) for k in graph]
+    present = set(edges)
+    while True:
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+        if a != c and b != d and not present.intersection(new):
+            present.difference_update((edges[i], edges[j]))
+            present.update(new)
+            edges[i], edges[j] = new
+        yield tuple(sorted(a * n + b for a, b in present))
+
+
+@pytest.mark.parametrize(
+    "chain, thin, n_samples", [(_round_chain, 20, 1800), (_one_swap_chain, 60, 2400)]
+)
+def test_rewiring_chain_visits_every_graph_uniformly(chain, thin, n_samples):
+    # a state every `thin` steps: consecutive steps are correlated, and
+    # counting them as independent would fail the test even for a uniform chain
+    degrees = [3, 3, 2, 2, 1, 1]
+    graphs = _simple_graphs(degrees)
+    assert len(graphs) == 17
+    steps = chain(graphs[0], len(degrees), seed=2024)
+    visits = Counter(next(itertools.islice(steps, thin - 1, None)) for _ in range(n_samples))
+    assert set(visits) == set(graphs)
+    assert sps.chisquare([visits[g] for g in graphs]).pvalue > 1e-3
 
 
 def test_null_deterministic_for_fixed_seed():
-    layer = _layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-    a = configuration_null(layer, n_samples=1, seed=5)
-    b = configuration_null(layer, n_samples=1, seed=5)
+    projection = project(_layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]))
+    a = configuration_null(projection, n_samples=1, seed=5)
+    b = configuration_null(projection, n_samples=1, seed=5)
     assert a.null_mean_clustering == b.null_mean_clustering
     assert a.sample_means == b.sample_means
     assert a.swaps_done == b.swaps_done
 
 
 def test_null_different_seeds_can_differ(small_log):
-    plus, _ = split_layers(small_log)
+    plus = project(split_layers(small_log)[0])
     a = configuration_null(plus, n_samples=2, seed=1)
     b = configuration_null(plus, n_samples=2, seed=2)
     assert a.sample_means != b.sample_means
 
 
 def test_null_metadata_records_swap_budget():
-    layer = _layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-    result = configuration_null(layer, n_samples=2, seed=3, swaps_per_edge=10)
+    projection = project(_layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]))
+    result = configuration_null(projection, n_samples=2, seed=3, swaps_per_edge=10)
     assert result.swaps_target == 40
-    assert len(result.swaps_done) == 2
+    # a round of both edge pairs of a 4-cycle always conflicts; smaller rounds rewire it
+    assert result.swaps_done == (40, 40)
     assert result.n_samples == 2
     assert result.seed == 3
 
 
 def test_null_rewiring_star_is_best_effort_with_warning():
-    # a star's only directed edges share the hub: no swap can ever apply
-    layer = _layer_from_edges([(0, i) for i in range(1, 5)])
-    with pytest.warns(RuntimeWarning):
-        result = configuration_null(layer, n_samples=1, seed=1)
+    # a star's edges all share the hub: no swap can ever apply
+    projection = project(_layer_from_edges([(0, i) for i in range(1, 5)]))
+    with pytest.warns(RuntimeWarning, match="^rewiring stalled: 0/40 swaps after 800 attempts$"):
+        result = configuration_null(projection, n_samples=1, seed=1)
     assert result.swaps_done == (0,)
-    assert mean_clustering(project(layer)) == result.null_mean_clustering
+    assert mean_clustering(projection) == result.null_mean_clustering
 
 
 def test_null_sample_count_validation(small_log):
-    plus, _ = split_layers(small_log)
+    plus = project(split_layers(small_log)[0])
     with pytest.raises(ValueError):
         configuration_null(plus, n_samples=0, seed=1)
 
