@@ -42,7 +42,6 @@ from .model import (
     IngestError,
     IngestReport,
     Layer,
-    LayerView,
     NodeMetrics,
     SynthConfig,
     ingest,
@@ -137,6 +136,9 @@ class RunWriter:
 
     def __init__(self, out_dir: Path):
         out_dir.mkdir(parents=True, exist_ok=True)
+        # a run that fails must not leave an earlier run's manifest next to
+        # its own files; the manifest is written last
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         self.out_dir = out_dir
         self.outputs: list[str] = []
         # ingest counts and warnings of a log-reading run, recorded in the manifest
@@ -277,12 +279,6 @@ def _require(config: dict, key: str, why: str):
     return config[key]
 
 
-def _config_for_manifest(config: dict) -> dict:
-    out = dict(config)
-    out["thresholds"] = list(config["thresholds"])
-    return out
-
-
 def _load_log(config: dict) -> tuple[EventLog, IngestReport]:
     path = _require(config, "input", "to read an event log")
     if not os.path.exists(path):
@@ -293,9 +289,6 @@ def _load_log(config: dict) -> tuple[EventLog, IngestReport]:
         raise InputError(str(exc)) from exc
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
-
-
-_SELECTIONS = {s.value: s for s in TrajectorySelection}
 
 
 class RunContext:
@@ -311,13 +304,13 @@ class RunContext:
         self.log, self.report = _load_log(config)
         # `all` follows both top-entrant selections
         self.selections = (
-            [_SELECTIONS[selection]]
+            [TrajectorySelection(selection)]
             if selection
             else [TrajectorySelection.TOP_ENTRANTS_POSITIVE, TrajectorySelection.TOP_ENTRANTS_NEGATIVE]
         )
 
     @cached_property
-    def layers(self) -> tuple[LayerView, LayerView]:
+    def layers(self) -> tuple[EventLog, EventLog]:
         return split_layers(self.log)
 
     @cached_property
@@ -373,7 +366,7 @@ def _write_summary(writer: RunWriter | None, ctx: RunContext) -> None:
     log = ctx.log
     plus, minus = ctx.layers
     names = ("users", "events", "e_plus", "e_minus")
-    counts = (len(log.users), len(log), plus.n_edges, minus.n_edges)
+    counts = (len(log.users), len(log), len(plus), len(minus))
     print("\n".join(f"{name}={count}" for name, count in zip(names, counts)))
     if writer is not None:
         writer.write_csv("summary.csv", names, [counts])
@@ -466,7 +459,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
 
     # single-rating vs. repeated/strong-rating sub-layers of L+, under both
     # degree conventions (all nodes vs. degree >= 2 only)
-    by_weight = [("w_eq_1", layer_plus.restrict_weights(1, 1)), ("w_gt_1", layer_plus.restrict_weights(2, 10))]
+    by_weight = [("w_eq_1", layer_plus.where(layer_plus.scores == 1)), ("w_gt_1", layer_plus.where(layer_plus.scores >= 2))]
     sublayers = [(name, undirected_projection(view.raters, view.ratees)) for name, view in by_weight]
     norm_rows = []
     for convention, include_low in (("all_nodes", True), ("degree_ge_2", False)):
@@ -738,7 +731,7 @@ def _run(args: argparse.Namespace) -> int:
     if writer is not None:
         writer.ingest = ctx.report
         writer.warnings = [str(w.message) for w in caught]
-        writer.write_manifest(args.command, _config_for_manifest(config), _sha256(config["input"]))
+        writer.write_manifest(args.command, config, _sha256(config["input"]))
     return EXIT_OK
 
 
@@ -766,10 +759,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     write_log_csv(log, tmp)
     os.replace(tmp, target)
     writer.outputs.append("synthetic.csv")
-    manifest_config = _config_for_manifest(config)
     synth_keys = ("users", "events", "positive_fraction", "scores", "times", "t_start", "t_span", "rate")
-    manifest_config.update((key, getattr(args, key)) for key in synth_keys)
-    writer.write_manifest("synth", manifest_config, None)
+    config.update((key, getattr(args, key)) for key in synth_keys)
+    writer.write_manifest("synth", config, None)
     return EXIT_OK
 
 
@@ -812,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "trajectories":
             sub.add_argument(
                 "--selection",
-                choices=sorted(_SELECTIONS),
+                choices=sorted(s.value for s in TrajectorySelection),
                 default=TrajectorySelection.TOP_ENTRANTS_POSITIVE.value,
                 help="which users to follow (default top-positive)",
             )

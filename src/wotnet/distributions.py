@@ -23,10 +23,6 @@ class Distribution:
         for a in (self.support, self.pmf, self.ccdf):
             a.setflags(write=False)
 
-    @property
-    def n_values(self) -> int:
-        return len(self.support)
-
     def mode(self) -> int | float:
         """Support value with the highest probability (smallest wins ties)."""
         return self.support[int(np.argmax(self.pmf))].item()

@@ -1,9 +1,9 @@
 """Event/network data model for signed peer-rating logs.
 
 A rating log is a time-ordered sequence of directed integer scores between
-users.  Positive and negative scores are projected onto two separate layers
-(rewarding / punitive) of a weighted directed multigraph; every rating event
-is its own edge.
+users.  Positive and negative scores form two separate layers (rewarding /
+punitive) of a weighted directed multigraph, each a log of its own; every
+rating event is its own edge.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class EventLog:
     `EventLog(rows)` checks each `(rater, ratee, score, timestamp)` row and
     raises ValueError on the first illegal one.  `truncated(cutoff)` is a
     prefix view sharing the columns and codes, so a query at a cutoff costs
-    a scan of the prefix, not a copy of the log.
+    a scan of the prefix, not a copy of the log; `where(mask)` keeps the
+    masked events, and `split_layers` builds the two layers with it.
     The log is the source of truth for every downstream measurement.
     """
 
@@ -130,55 +131,26 @@ class EventLog:
     def timestamps(self) -> np.ndarray:
         return self._columns[3]
 
-    @property
-    def start_time(self) -> int | None:
-        return int(self.timestamps[0]) if len(self) else None
-
-    @property
-    def end_time(self) -> int | None:
-        return int(self.timestamps[-1]) if len(self) else None
-
     def truncated(self, cutoff: int | None) -> "EventLog":
         """Log of the events with timestamp <= cutoff: a prefix view."""
         if cutoff is None:
             return self
-        hi = int(np.searchsorted(self.timestamps, cutoff, side="right"))
+        return self._view(slice(int(np.searchsorted(self.timestamps, cutoff, side="right"))))
+
+    def where(self, keep: np.ndarray) -> "EventLog":
+        """Log of the events that the boolean mask `keep` selects, in time
+        order; it shares this log's user ids and codes and copies the kept
+        columns.  Raises ValueError unless `keep` is a boolean array of
+        length len(self): an index array could reorder the events."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self),):
+            raise ValueError(f"keep must be a boolean mask of length {len(self)}")
+        return self._view(keep)
+
+    def _view(self, index: slice | np.ndarray) -> "EventLog":
         view = EventLog.__new__(EventLog)
-        view._init_view(self._columns[:, :hi], self._universe, self._codes[:, :hi])
+        view._init_view(self._columns[:, index], self._universe, self._codes[:, index])
         return view
-
-
-class LayerView:
-    """One layer (rewarding or punitive) of a log up to a cutoff time.
-
-    Edges are the individual rating events of that sign; parallel edges are
-    kept and weights are absolute scores in [1, 10].
-    """
-
-    def __init__(
-        self,
-        raters: np.ndarray,
-        ratees: np.ndarray,
-        weights: np.ndarray,
-    ):
-        for a in (raters, ratees, weights):
-            a.setflags(write=False)
-        self.raters = raters
-        self.ratees = ratees
-        self.weights = weights
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.weights)
-
-    def restrict_weights(self, min_weight: int = 1, max_weight: int = MAX_SCORE) -> "LayerView":
-        """Sub-layer keeping only edges with min_weight <= w <= max_weight."""
-        keep = (self.weights >= min_weight) & (self.weights <= max_weight)
-        return LayerView(
-            self.raters[keep].copy(),
-            self.ratees[keep].copy(),
-            self.weights[keep].copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -305,25 +277,14 @@ def ingest(
 
 def split_layers(
     log: EventLog, cutoff: int | None = None
-) -> tuple[LayerView, LayerView]:
-    """Project the log onto its rewarding and punitive layers at a cutoff.
+) -> tuple[EventLog, EventLog]:
+    """The rewarding and punitive layers of the log at a cutoff: the logs of
+    its positive and of its negative events with timestamp <= cutoff.
 
-    Every event with timestamp <= cutoff lands on exactly one layer; weights
-    are absolute scores.  cutoff=None means the whole log.
+    Every event lands on exactly one layer.  cutoff=None means the whole log.
     """
-    t = log.timestamps
-    in_time = np.ones(len(t), dtype=bool) if cutoff is None else t <= cutoff
-    views = []
-    for sign_mask in (log.scores > 0, log.scores < 0):
-        keep = in_time & sign_mask
-        views.append(
-            LayerView(
-                log.raters[keep].copy(),
-                log.ratees[keep].copy(),
-                np.abs(log.scores[keep]),
-            )
-        )
-    return views[0], views[1]
+    sub = log.truncated(cutoff)
+    return sub.where(sub.scores > 0), sub.where(sub.scores < 0)
 
 
 def _fold(state: np.ndarray, raters: np.ndarray, ratees: np.ndarray, scores: np.ndarray) -> None:

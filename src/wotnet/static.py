@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .distributions import Distribution, from_values
-from .model import Layer, LayerView, NodeMetrics
+from .model import EventLog, Layer, NodeMetrics
 
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
 # ratio between consecutive bin edges of `log_binned_means`
@@ -265,11 +265,11 @@ def configuration_null(
     )
 
 
-def weight_distribution(layer: LayerView) -> Distribution:
+def weight_distribution(layer: EventLog) -> Distribution:
     """Distribution of the layer's edge weights (absolute scores)."""
-    if layer.n_edges == 0:
+    if len(layer) == 0:
         raise ValueError("weight distribution of an empty layer is undefined")
-    return from_values(layer.weights)
+    return from_values(np.abs(layer.scores))
 
 
 def reputation_distributions(

@@ -18,7 +18,6 @@ from scipy import sparse
 
 from wotnet import (
     EventLog,
-    LayerView,
     Projection,
     SynthConfig,
     ingest,
@@ -82,7 +81,7 @@ def rows(log: EventLog) -> list[tuple[int, int, int, int]]:
     return list(zip(*(c.tolist() for c in (log.raters, log.ratees, log.scores, log.timestamps))))
 
 
-def project(layer: LayerView) -> Projection:
+def project(layer: EventLog) -> Projection:
     """The undirected projection of a layer's edges."""
     return undirected_projection(layer.raters, layer.ratees)
 

@@ -103,7 +103,7 @@ def test_c1_dataset_counts():
     _dataset_or_skip("C1", "dataset-counts")
     _log, report = _ingested()
     plus, minus = _layers()
-    got = (report.n_users, report.events_kept, plus.n_edges, minus.n_edges)
+    got = (report.n_users, report.events_kept, len(plus), len(minus))
     want = (5_878, 35_795, 32_305, 3_490)
     deltas = ", ".join(
         f"{label}={g}({g - w:+d})"
@@ -172,8 +172,8 @@ def test_c4_clustering_null_ordering():
 def test_c5_norm_breaking_clustering():
     _dataset_or_skip("C5", "norm-breaking-clustering")
     plus, _ = _layers()
-    strong = project(plus.restrict_weights(2, 10))
-    single = project(plus.restrict_weights(1, 1))
+    strong = project(plus.where(plus.scores >= 2))
+    single = project(plus.where(plus.scores == 1))
     results = {}
     for convention, include_low in (("all_nodes", True), ("degree_ge_2", False)):
         c_gt = mean_clustering(strong, include_low_degree=include_low)

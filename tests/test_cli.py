@@ -311,6 +311,23 @@ def test_manifest_records_run(synth_csv, tmp_path):
         assert _manifest_of(out)["ingest"] == {"kept": 3, "rejected": 2, "users": 3}
 
 
+def test_failed_run_leaves_no_stale_manifest(capsys, input_csv, tmp_path):
+    out = tmp_path / "run"
+    assert main(["categories", "--input", str(input_csv), "--out", str(out)]) == 0
+    assert _manifest_of(out)["command"] == "categories"
+    # a positive-only log has no punitive weights, so `all` stops in `static`
+    positive = tmp_path / "positive.csv"
+    positive.write_text("1,2,5,100\n2,3,4,200\n3,1,2,300\n")
+    code, _, err = _run(capsys, "all", "--input", str(positive), "--out", str(out), "--seed", "1")
+    assert code == 3
+    assert "analysis error" in err
+    assert not (out / "manifest.json").exists()
+    assert main(["categories", "--input", str(positive), "--out", str(out)]) == 0
+    manifest = _manifest_of(out)
+    assert manifest["command"] == "categories"
+    assert manifest["input_sha256"] == hashlib.sha256(positive.read_bytes()).hexdigest()
+
+
 def test_stalled_rewiring_is_recorded_in_the_manifest(tmp_path):
     # both layers are stars: no double-edge swap can ever apply
     # (weights 1 and 3: each weight sub-layer of the rewarding star needs a degree-2 node)

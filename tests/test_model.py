@@ -211,29 +211,48 @@ def test_truncated_keeps_boundary_event():
 
 def test_single_positive_event_split():
     plus, minus = split_layers(EventLog([(1, 2, 5, 10)]))
-    assert plus.n_edges == 1
-    assert plus.weights[0] == 5
-    assert minus.n_edges == 0
+    assert len(plus) == 1
+    assert plus.scores[0] == 5
+    assert len(minus) == 0
 
 
 def test_split_respects_cutoff():
     log = EventLog([(1, 2, 1, 10), (2, 1, -10, 20)])
     plus, minus = split_layers(log, cutoff=15)
-    assert (plus.n_edges, minus.n_edges) == (1, 0)
+    assert (len(plus), len(minus)) == (1, 0)
 
 
 def test_split_partitions_events(small_log):
     plus, minus = split_layers(small_log)
-    assert plus.n_edges + minus.n_edges == len(small_log)
-    assert (plus.weights >= 1).all() and (plus.weights <= 10).all()
-    assert (minus.weights >= 1).all() and (minus.weights <= 10).all()
+    assert len(plus) + len(minus) == len(small_log)
+    assert (np.abs(plus.scores) >= 1).all() and (np.abs(plus.scores) <= 10).all()
+    assert (np.abs(minus.scores) >= 1).all() and (np.abs(minus.scores) <= 10).all()
 
 
-def test_restrict_weights():
+def test_where_selects_weight_sublayers():
     log = EventLog([(1, 2, 1, 10), (1, 3, 5, 20), (2, 3, 10, 30)])
     plus, _ = split_layers(log)
-    assert plus.restrict_weights(1, 1).n_edges == 1
-    assert plus.restrict_weights(2, 10).n_edges == 2
+    assert len(plus.where(plus.scores == 1)) == 1
+    assert len(plus.where(plus.scores >= 2)) == 2
+    with pytest.raises(ValueError):
+        plus.scores[0] = 5
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        np.array([2, 0, 1]),  # an index array would reorder the events
+        np.array([1, 0, 1]),
+        [0, 2],
+        np.array([True, False]),
+        np.array([True, False, True, False]),
+        np.ones((1, 3), dtype=bool),
+    ],
+)
+def test_where_takes_only_a_boolean_mask_over_every_event(keep):
+    log = EventLog([(1, 2, 1, 10), (1, 3, -5, 20), (2, 3, 10, 30)])
+    with pytest.raises(ValueError, match="boolean mask of length 3"):
+        log.where(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +314,10 @@ def test_metrics_degree_sums_equal_layer_edge_counts(small_log):
     for cutoff in (None, int(np.median(small_log.timestamps))):
         metrics = node_metrics(small_log, cutoff)
         plus, minus = split_layers(small_log, cutoff)
-        assert sum(m.k_in_plus for m in metrics.values()) == plus.n_edges
-        assert sum(m.k_out_plus for m in metrics.values()) == plus.n_edges
-        assert sum(m.k_in_minus for m in metrics.values()) == minus.n_edges
-        assert sum(m.k_out_minus for m in metrics.values()) == minus.n_edges
+        assert sum(m.k_in_plus for m in metrics.values()) == len(plus)
+        assert sum(m.k_out_plus for m in metrics.values()) == len(plus)
+        assert sum(m.k_in_minus for m in metrics.values()) == len(minus)
+        assert sum(m.k_out_minus for m in metrics.values()) == len(minus)
 
 
 def test_metrics_at_cutoff_equal_truncated_log(small_log):
@@ -550,6 +569,49 @@ def test_columnar_queries_match_event_object_oracles(events):
                 ), (viewer, target, cutoff)
 
 
+def _assert_log_of(sub: EventLog, expected: list[tuple[int, int, int, int]]) -> None:
+    """`sub` holds exactly the `expected` rows, in that order, and its user
+    codes name its own raters and ratees."""
+    assert rows(sub) == expected
+    ids, codes = sub.user_codes()
+    assert ids.tolist() == sorted({u for r in expected for u in r[:2]})
+    assert ids[codes[0]].tolist() == [r[0] for r in expected]
+    assert ids[codes[1]].tolist() == [r[1] for r in expected]
+    assert sub.users == set(ids.tolist())
+
+
+def _plus_fields(m: NodeMetrics) -> tuple[int, int, int]:
+    return m.k_in_plus, m.k_out_plus, m.rho_plus
+
+
+@given(_small_logs())
+@settings(max_examples=150, deadline=None)
+def test_layers_are_the_logs_of_each_sign(events):
+    log = EventLog(events)
+    times = sorted({e[3] for e in events})
+    for cutoff in [times[0] - 1, *times, None]:
+        sub = log.truncated(cutoff)
+        kept = rows(sub)
+        plus, minus = split_layers(log, cutoff)
+        _assert_log_of(plus, [r for r in kept if r[2] > 0])
+        _assert_log_of(minus, [r for r in kept if r[2] < 0])
+        assert len(plus) + len(minus) == len(sub)
+        assert (plus.scores > 0).all() and (minus.scores < 0).all()
+        assert plus.users | minus.users == sub.users
+        for layer, of_prefix in zip((plus, minus), split_layers(sub)):
+            assert rows(layer) == rows(of_prefix)
+        on_plus = node_metrics(plus)
+        assert all(m.k_in_minus == m.k_out_minus == m.rho_minus == 0 for m in on_plus.values())
+        assert {u: _plus_fields(m) for u, m in on_plus.items()} == {
+            u: _plus_fields(m)
+            for u, m in node_metrics(log, cutoff).items()
+            if m.k_in_plus or m.k_out_plus
+        }
+        # a mask over a prefix view, and over a layer
+        _assert_log_of(sub.where(sub.scores % 2 == 0), [r for r in kept if r[2] % 2 == 0])
+        _assert_log_of(plus.where(plus.scores >= 2), [r for r in kept if r[2] >= 2])
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 
@@ -649,9 +711,9 @@ def test_layer_split_partition_property(candidates):
         return
     log = EventLog(legal)
     plus, minus = split_layers(log)
-    assert plus.n_edges + minus.n_edges == len(log)
+    assert len(plus) + len(minus) == len(log)
     metrics = node_metrics(log)
-    assert sum(m.k_in_plus for m in metrics.values()) == plus.n_edges
-    assert sum(m.k_in_minus for m in metrics.values()) == minus.n_edges
+    assert sum(m.k_in_plus for m in metrics.values()) == len(plus)
+    assert sum(m.k_in_minus for m in metrics.values()) == len(minus)
     for m in metrics.values():
         assert m.rho == m.rho_plus - m.rho_minus

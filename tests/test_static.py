@@ -47,7 +47,7 @@ from wotnet.static import (
 )
 
 
-def _layer_from_edges(edges, scores=None) -> "LayerView":
+def _layer_from_edges(edges, scores=None) -> EventLog:
     """Build the rewarding layer of a log whose events are the given arcs."""
     rows = []
     for t, (a, b) in enumerate(edges, start=1):
@@ -417,7 +417,7 @@ def _small_logs(draw):
 @example(_log_of([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], score=-3))  # punitive layer only
 def test_replicas_keep_projected_degrees(log):
     for layer in split_layers(log):
-        if layer.n_edges == 0:
+        if len(layer) == 0:
             continue
         projection = project(layer)
         # one swap per edge: a graph with no legal swap runs the whole budget
