@@ -22,7 +22,8 @@ import secrets
 import sys
 import warnings
 from datetime import date, datetime, timezone
-from functools import cached_property
+from functools import cache, cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -102,18 +103,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache  # one formatter per cell type, decided on the type's first cell
+def _formatter(kind: type) -> Callable[[object], str]:
+    """How a CSV cell of type `kind` is written."""
+    if kind is type(None):
+        return lambda value: ""
+    if issubclass(kind, bool):
+        return lambda value: "true" if value else "false"
+    if issubclass(kind, float):
+        return "%.12g".__mod__
+    if issubclass(kind, date):
+        return kind.isoformat
+    if issubclass(kind, (Layer, CategoryLabel)):
+        return attrgetter("value")
+    return str
+
+
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.12g" % value
-    if isinstance(value, date):
-        return value.isoformat()
-    if isinstance(value, (Layer, CategoryLabel)):
-        return value.value
-    return str(value)
+    return _formatter(type(value))(value)
 
 
 def _temp_path(path: Path) -> Path:
@@ -147,7 +154,7 @@ class RunWriter:
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
         _atomic_write(self.out_dir / name, "\n".join(lines) + "\n")
         self.outputs.append(name)
 

@@ -256,25 +256,159 @@ class DailyFold:
     metrics: dict[int, NodeMetrics]
 
 
+# days x users cells of one block of `daily_fold`: bounds the fold's working
+# memory on any log
+_BLOCK_CELLS = 1 << 14
+_ABSENT = np.iinfo(np.int64).min  # the top-k key of a user no list may hold
+
+
 def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
-    """Gini series, top-k stability and top-k entrants from one pass over
-    `snapshot_series`; only the previous day's lists are kept."""
+    """Gini series, top-k stability and top-k entrants of every day, with
+    the values `gini_point`, `top_k_lists` and `stability_step` give on
+    each of `snapshot_series`.
+
+    The days are folded in blocks of at most `_BLOCK_CELLS` days x users;
+    only the state and the lists of a block's last day carry over.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    gini_points, stability = [], []
-    entrants: dict[TrajectorySelection, set[int]] = {s: set() for s in _ENTRANT_KEYS}
-    prev = prev_lists = None
-    for snap in snapshot_series(log):
-        point = gini_point(snap)
-        if point is not None:
-            gini_points.append(point)
-        lists = top_k_lists(snap, k)
-        if prev is not None:
-            stability.append(stability_step(prev.day, prev_lists, lists, k))
-        for selection, key in _ENTRANT_KEYS.items():
-            entrants[selection].update(lists[key])
-        prev, prev_lists = snap, lists
-    return DailyFold(gini_points, stability, entrants, prev.metrics if prev else {})
+    gini_points: list[GiniPoint] = []
+    stability: list[StabilityPoint] = []
+    if len(log) == 0:
+        return DailyFold(gini_points, stability, {s: set() for s in _ENTRANT_KEYS}, {})
+    user_ids, (raters, ratees) = log.user_codes()
+    n = len(user_ids)
+    # every counter up to the last folded day; rows 4 and 5 are rho+ and rho-
+    state = np.zeros((len(fields(NodeMetrics)), n), dtype=np.int64)
+    days = log.timestamps // SECONDS_PER_DAY
+    first_day = int(days[0])
+    days -= first_day
+    n_days = int(days[-1]) + 1
+    appears = np.full(n, n_days)  # the first day of each user's first event
+    np.minimum.at(appears, raters, days)
+    np.minimum.at(appears, ratees, days)
+    tie = np.arange(n - 1, -1, -1)
+    entrant = np.zeros((2, n), dtype=bool)
+    last_lists = None
+    block = max(1, _BLOCK_CELLS // max(n, k))
+    for lo in range(0, n_days, block):
+        hi = min(lo + block, n_days)
+        start, end = np.searchsorted(days, (lo, hi))
+        scores = log.scores[start:end]
+        rho = np.zeros((2, hi - lo, n), dtype=np.int64)
+        layer = (scores < 0).astype(np.intp)
+        np.add.at(rho, (layer, days[start:end] - lo, ratees[start:end]), np.abs(scores))
+        rho[:, 0] += state[4:]
+        for d in range(1, hi - lo):  # row by row: faster than cumsum over axis 1
+            rho[:, d] += rho[:, d - 1]
+        _fold(state, raters[start:end], ratees[start:end], scores)
+
+        day_list = [_EPOCH + timedelta(days=first_day + d) for d in range(lo, hi)]
+        # a side at a time, so that one side's rows are sorted at once
+        for day, g_plus, g_minus in zip(day_list, *map(_gini_rows, rho)):
+            if g_plus is not None or g_minus is not None:
+                gini_points.append(GiniPoint(day, g_plus, g_minus))
+
+        # the global keys first: the side keys are packed into rho itself
+        unseen = appears > np.arange(lo, hi)[:, None]
+        global_keys = _packed(rho[0] - rho[1], unseen, tie)[None]
+        side_keys = _packed(rho, rho == 0, tie)
+        lists = np.concatenate((_top_k_rows(side_keys, k), _top_k_rows(global_keys, k)))
+        del rho, side_keys, global_keys  # the stability below needs only the lists
+        for s in range(2):
+            entrant[s, lists[s][lists[s] >= 0]] = True
+
+        if last_lists is not None:
+            lists = np.concatenate((last_lists, lists), axis=1)
+            day_list.insert(0, day_list[0] - timedelta(days=1))
+        last_lists = lists[:, -1:]
+        stability.extend(_stability_points(day_list[:-1], lists[:, :-1], lists[:, 1:], n, k))
+
+    entrants = {s: set(user_ids[mask].tolist()) for s, mask in zip(_ENTRANT_KEYS, entrant)}
+    return DailyFold(gini_points, stability, entrants, _by_user(state, user_ids))
+
+
+def _gini_rows(rows: np.ndarray) -> list[float | None]:
+    """`gini` of the positive entries of each row of a non-negative integer
+    array, or None for a row with fewer than two.
+
+    The numerator sum((2i - n_s - 1) x_i) over the n_s holders is summed as
+    an exact integer: zeros sort first, so holder rank i sits at position
+    i - 1 + n - n_s of the sorted row of n.
+    """
+    n = rows.shape[-1]
+    holders = np.count_nonzero(rows, axis=-1)
+    total = rows.sum(axis=-1)
+    numerator = np.sort(rows, axis=-1) @ np.arange(1, 2 * n, 2) - (2 * n - holders) * total
+    measured = holders >= 2
+    g = np.divide(numerator, holders * total, out=np.zeros(len(rows)), where=measured)
+    return [value if ok else None for value, ok in zip(g.tolist(), measured.tolist())]
+
+
+def _packed(values: np.ndarray, absent: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """`values` turned in place into top-k keys, `_ABSENT` where `absent`.
+
+    The key of code c among n is value * n + n - 1 - c (`tie[c]`): user
+    codes follow id order, so the larger key holds the larger value or, on
+    a tie, the lower id.  The keys fit in int64 while 10 x events x users
+    stays below 2**63, as a reputation gains at most 10 per event.
+    """
+    values *= len(tie)
+    values += tie
+    values[absent] = _ABSENT
+    return values
+
+
+def _top_k_rows(keys: np.ndarray, k: int) -> np.ndarray:
+    """The codes of the (at most) k largest `_packed` keys of every row,
+    largest first, with -1 past the end of a row's present keys; `keys` is
+    partitioned in place."""
+    n = keys.shape[-1]
+    width = min(k, n)
+    keys.partition(n - width, axis=-1)
+    top = np.sort(keys[..., n - width :], axis=-1)[..., ::-1]
+    return np.where(top == _ABSENT, -1, n - 1 - top % n)
+
+
+def _stability_points(
+    days: list[date], before: np.ndarray, after: np.ndarray, n: int, k: int
+) -> list[StabilityPoint]:
+    """`stability_step` of every day pair: `before[s, p]` and `after[s, p]`
+    are the lists of side s on the two days of pair p, as codes below n in
+    rank order with -1 past each list's end."""
+    sides, pairs, width = before.shape
+    a, b = before.reshape(-1, width), after.reshape(-1, width)
+    rows = np.arange(len(a))[:, None]
+    # where each entry of a stands in the same row of b: one sorted search
+    # over all rows, each offset into a range of its own
+    b_keys = rows * (n + 1) + np.where(b < 0, n, b)
+    b_order = np.argsort(b_keys, axis=-1)
+    b_sorted = np.take_along_axis(b_keys, b_order, axis=-1).ravel()
+    a_keys = (rows * (n + 1) + a).ravel()
+    at = np.minimum(np.searchsorted(b_sorted, a_keys), b_sorted.size - 1)
+    shared = (b_sorted[at] == a_keys) & (a.ravel() >= 0)
+    # an entry at position i of a and j of b is in both prefixes from depth
+    # max(i, j) + 1 on; depth index k stands for never
+    since = np.where(shared, np.maximum(np.arange(a.size) % width, b_order.ravel()[at]), k)
+    inter = np.bincount(
+        (rows * (k + 1)).repeat(width) + since, minlength=len(a) * (k + 1)
+    ).reshape(-1, k + 1)[:, :k]
+    np.cumsum(inter, axis=1, out=inter)
+    len_a, len_b = (a >= 0).sum(axis=1), (b >= 0).sum(axis=1)
+    depth = np.arange(1, k + 1)
+    union = np.minimum(depth, len_a[:, None]) + np.minimum(depth, len_b[:, None]) - inter
+    # a running sum adds the depths in order, as `extended_jaccard` does;
+    # a union of 0 means two empty lists, which read None
+    extended = np.cumsum(inter / np.maximum(union, 1), axis=1)[:, -1] / k
+    overlap = inter[:, -1] / np.maximum(len_a + len_b - inter[:, -1], 1)
+    empty = ((len_a == 0) & (len_b == 0)).reshape(sides, pairs)
+    truncated = ((len_a < k) | (len_b < k)).reshape(sides, pairs).any(axis=0)
+    values = [
+        [None if e else v for v, e in zip(side.tolist(), side_empty.tolist())]
+        for measure in (extended, overlap)
+        for side, side_empty in zip(measure.reshape(sides, pairs), empty)
+    ]
+    return [StabilityPoint(*point) for point in zip(days, *values, truncated.tolist())]
 
 
 def follow(

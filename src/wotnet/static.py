@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .distributions import Distribution, from_values
 from .model import EventLog, Layer, NodeMetrics
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
 # ratio between consecutive bin edges of `log_binned_means`
@@ -91,6 +93,8 @@ def undirected_projection(raters: np.ndarray, ratees: np.ndarray) -> Projection:
 
 def _project(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> Projection:
     """The projection of the edges `u[i] -- v[i]` between positions in `nodes`."""
+    from scipy import sparse  # deferred: only the static stage needs it
+
     n = len(nodes)
     pairs = np.unique(np.concatenate((u * n + v, v * n + u)))
     adjacency = sparse.csr_array((np.ones(len(pairs), np.int64), np.divmod(pairs, n)), shape=(n, n))
@@ -231,6 +235,8 @@ def configuration_null(
     node's projected degree and stays simple.  Clustering is measured on
     each replica, degree-<2 nodes included.
     """
+    from scipy import sparse
+
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n, upper = len(projection.nodes), sparse.triu(projection.adjacency, k=1, format="coo")

@@ -1,13 +1,15 @@
 import gzip
 import hashlib
 import json
+from datetime import date, datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import reciprocal_log
-from wotnet import EventLog, write_log_csv
-from wotnet.cli import main
+from wotnet import CategoryLabel, EventLog, Layer, SynthConfig, synth_log, write_log_csv
+from wotnet.cli import _fmt, main
 
 GOOD_ROWS = "1,2,5,100\n3,2,1,200\n2,1,-10,300\n"
 
@@ -419,6 +421,55 @@ def test_dynamics_outputs(synth_csv, tmp_path):
     assert stability[0] == (
         "date,J_plus,J_minus,J_global,SJ_plus,SJ_minus,SJ_global,truncated"
     )
+
+
+# SHA-256 of the daily-fold outputs of `all` on a seeded synthetic log,
+# recorded from the per-day loop over `snapshot_series`.  The files hold
+# integer sums and ratios of small integers only, so they do not depend on
+# the numpy version.
+FOLD_SHA256 = {
+    "gini_series.csv": "e113a2a62bcd2c08189faa36032e274edb22e9e856fac09de578632b0abd5754",
+    "topk_stability.csv": "3bc2262ce074973270995e87d048c7ff9c4dd2a0f9209b9df50ffa3abf03034a",
+    "trajectories_top_positive.csv": "02d35cbf021b27fad090d05071556943d0905f8bbde927e49121bbe52d7ddba3",
+    "trajectories_top_negative.csv": "04876dcb95ff6d0eac243e22f3ccf9c3b06c33f3daf18f03343618ff38aedaf6",
+}
+
+
+def test_fold_outputs_match_recorded_digests(tmp_path):
+    log = synth_log(SynthConfig(n_users=300, n_events=2000, seed=11, t_span=150 * 86_400))
+    write_log_csv(log, tmp_path / "log.csv")
+    out = tmp_path / "out"
+    argv = ["all", "--input", str(tmp_path / "log.csv"), "--out", str(out)]
+    assert main(argv + ["--seed", "1", "--null-samples", "1", "--topk", "5"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FOLD_SHA256}
+    assert digests == FOLD_SHA256
+
+
+def _fmt_by_isinstance_chain(value) -> str:
+    """The CSV cell text as one chain of type tests per cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.12g" % value
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, (Layer, CategoryLabel)):
+        return value.value
+    return str(value)
+
+
+def test_cell_formatting_matches_the_isinstance_chain():
+    cells = [
+        None, True, False, 0, 1, -7, 2**70, np.int64(0), np.int64(-3), np.True_,
+        0.1, -2.5, 1 / 3, 1e-20, float("inf"), float("nan"), np.float64(2 / 3), np.float64(5),
+        date(1969, 12, 31), date(2011, 3, 13), datetime(2011, 3, 13, 4, 5),
+        *Layer, *CategoryLabel, "", "text",
+    ]
+    # twice: the second pass reads the formatters the first one cached
+    for cell in cells + cells:
+        assert _fmt(cell) == _fmt_by_isinstance_chain(cell), repr(cell)
 
 
 def test_dynamics_of_header_only_log_writes_empty_series(capsys, tmp_path):

@@ -1,11 +1,13 @@
 import random
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wotnet.dynamics as dynamics
 from conftest import rows
 from wotnet import (
     CategoryLabel,
@@ -25,7 +27,9 @@ from wotnet import (
     stability_step,
     top_k_lists,
     trajectories,
+    write_log_csv,
 )
+from wotnet.cli import _fmt, main
 
 DAY = 86_400
 
@@ -393,9 +397,7 @@ def _multi_day_logs(draw):
     return EventLog(events)
 
 
-@given(_multi_day_logs(), st.integers(1, 4))
-@settings(max_examples=150, deadline=None)
-def test_daily_fold_matches_separate_passes(log, k):
+def _assert_fold_matches_separate_passes(log: EventLog, k: int) -> None:
     fold = daily_fold(log, k)
     gini_rows, stability_rows = _dynamics_rows_by_loop(log, k)
     assert [(p.day, p.gini_plus, p.gini_minus) for p in fold.gini] == gini_rows
@@ -408,6 +410,50 @@ def test_daily_fold_matches_separate_passes(log, k):
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: top_entrants(log, "rho_minus", k),
     }
     assert fold.metrics == node_metrics(log)
+
+
+def _fold_examples(test):
+    """Logs that the fold's packed keys and day blocks must get right."""
+    cases = [
+        # -5, 17 and 2**40 tie on day one; 3 ties the k-th value on day two
+        (EventLog([(9, -5, 5, 0), (9, 17, 5, 0), (9, 2**40, 5, 0), (0, 3, 5, DAY)]), 2),
+        # the global leader 17 falls below 9 and then below the raters at 0
+        (EventLog([(3, 17, 10, -DAY), (8, 9, 4, -DAY), (3, 17, -10, 0), (8, 17, -10, DAY)]), 1),
+        # three quiet days on both sides of 1970, more ranks than users
+        (EventLog([(3, 17, 4, -2 * DAY), (17, 3, -2, -1), (8, 9, 1, 2 * DAY)]), 12),
+    ]
+    for log, k in reversed(cases):
+        test = example(log, k)(test)
+    return test
+
+
+@_fold_examples
+@given(_multi_day_logs(), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_daily_fold_matches_separate_passes(log, k):
+    _assert_fold_matches_separate_passes(log, k)
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+@_fold_examples
+@given(log=_multi_day_logs(), k=st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_daily_fold_matches_separate_passes_in_small_blocks(cells, log, k):
+    # a budget of 1 cell folds one day per block; 7 cells fold one or a
+    # few days, so the reputations and lists carry between blocks
+    with mock.patch.object(dynamics, "_BLOCK_CELLS", cells):
+        _assert_fold_matches_separate_passes(log, k)
+
+
+def test_dynamics_with_k_above_the_user_count_gives_the_oracle_rows(small_log, tmp_path):
+    k = len(small_log.users) + 5
+    write_log_csv(small_log, tmp_path / "log.csv")
+    out = tmp_path / "out"
+    argv = ["dynamics", "--input", str(tmp_path / "log.csv"), "--out", str(out), "--topk", str(k)]
+    assert main(argv) == 0
+    for name, rows in zip(("gini_series.csv", "topk_stability.csv"), _dynamics_rows_by_loop(small_log, k)):
+        lines = (out / name).read_text().splitlines()[1:]
+        assert lines == [",".join(map(_fmt, row)) for row in rows]
 
 
 def _snapshots_by_event_loop(log: EventLog):

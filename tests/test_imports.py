@@ -61,10 +61,9 @@ def test_all_lists_exactly_the_exported_names():
     assert all(hasattr(wotnet, name) for name in wotnet.__all__)
 
 
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only two rank
-    # correlations need it, and they import it when called
-    code = "import sys, wotnet, wotnet.cli; print('scipy.stats' in sys.modules)"
+def _loaded_after_import(module: str) -> bool:
+    """Whether importing the package and its CLI loads `module`."""
+    code = f"import sys, wotnet, wotnet.cli; print({module!r} in sys.modules)"
     path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -73,4 +72,17 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
         text=True,
         check=True,
     )
-    assert run.stdout.strip() == "False"
+    return run.stdout.strip() == "True"
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only two rank
+    # correlations need it, and they import it when called
+    assert not _loaded_after_import("scipy.stats")
+
+
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    # only the projection and the null model of the static stage use
+    # sparse matrices; every other subcommand and library call starts
+    # without them
+    assert not _loaded_after_import("scipy.sparse")
