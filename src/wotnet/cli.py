@@ -17,15 +17,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import secrets
 import sys
 import warnings
+from dataclasses import MISSING, astuple, fields
 from datetime import date, datetime, timezone
 from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, get_type_hints
 
 from . import __version__
 from .categories import (
@@ -49,7 +51,6 @@ from .model import (
     node_metrics,
     split_layers,
     synth_log,
-    write_log_csv,
 )
 from .static import (
     RANKING_KEYS,
@@ -123,16 +124,10 @@ def _fmt(value) -> str:
     return _formatter(type(value))(value)
 
 
-def _temp_path(path: Path) -> Path:
-    # a fresh name per write, so that runs sharing a directory never write
-    # into each other's temporary files
-    return path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
-
-
 def _atomic_write(path: Path, text: str) -> None:
-    # created exclusively; unlike mkstemp's 0600 files, this one gets the
-    # umask's permissions
-    tmp = _temp_path(path)
+    # a fresh name per write, so that runs sharing a directory never write into each
+    # other's temporary files; created exclusively, with the umask's permissions
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
     with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
@@ -194,43 +189,70 @@ def _sha256(path: str) -> str:
 # configuration
 
 
-DEFAULTS: dict = {
-    "input": None,
-    "out": None,
-    "tz_shift": -6,
-    "thresholds": (0.25, 0.75),
-    "topk": 10,
-    "null_samples": 20,
-    "seed": None,
-    "mode": "lenient",
-    "annotations": None,
-}
+def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise ValueError(f"must be in [{low}, {high}], got {value}")
+        return value
 
-_CONFIG_PARSERS = {
-    "input": str,
-    "out": str,
-    "tz_shift": int,
-    "thresholds": lambda s: _parse_thresholds(s),
-    "topk": int,
-    "null_samples": int,
-    "seed": int,
-    "mode": str,
-    "annotations": str,
-}
+    return parse
 
 
-def _parse_thresholds(text: str) -> tuple[float, float]:
+def _mode(text: str) -> str:
+    if text not in ("strict", "lenient"):
+        raise ValueError(f"must be 'strict' or 'lenient', got {text!r}")
+    return text
+
+
+def _thresholds(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError("thresholds must be LOW,HIGH")
-    return float(parts[0]), float(parts[1])
+        raise ValueError("must be LOW,HIGH")
+    return astuple(CategoryThresholds(*map(float, parts)))
 
 
-def _thresholds_arg(text: str) -> tuple[float, float]:
+class Option(NamedTuple):
+    parse: Callable[[str], object]  # converts a flag or config-file text; ValueError if invalid
+    default: object
+    help: str
+
+
+# every setting of a run, each settable as a flag or a config-file entry
+OPTIONS = {
+    "input": Option(str, None, "event log CSV (plain or gzip)"),
+    "mode": Option(_mode, "lenient", "ingest mode, strict or lenient"),
+    "out": Option(str, None, "output directory"),
+    "seed": Option(int, None, "master seed for randomized steps"),
+    "tz_shift": Option(_int_in(MIN_TZ_SHIFT, MAX_TZ_SHIFT), -6, "timezone shift in hours for calendar bucketing"),
+    "thresholds": Option(_thresholds, astuple(CategoryThresholds()), "category cut points LOW,HIGH"),
+    "topk": Option(_int_in(1), 10, "ranking depth for stability and trajectories"),
+    "null_samples": Option(_int_in(1), 20, "configuration-model replicas"),
+    "annotations": Option(str, None, "label,start,end CSV of date windows joined onto daily output"),
+}
+
+# `wotnet synth` flag -> the SynthConfig field it sets; its type and default are the field's
+SYNTH_FLAGS = {
+    "users": "n_users",
+    "events": "n_events",
+    "positive_fraction": "positive_fraction",
+    "scores": "score_distribution",
+    "times": "time_model",
+    "t_start": "t_start",
+    "t_span": "t_span",
+    "rate": "rate",
+}
+
+
+def _flag(key: str) -> str:
+    return key.replace("_", "-")
+
+
+def _parse(key: str, text: str, where: str = "") -> object:
     try:
-        return _parse_thresholds(text)
+        return OPTIONS[key].parse(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise UsageError(f"{where}{_flag(key)}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -245,44 +267,28 @@ def _read_config_file(path: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if not sep or key not in _CONFIG_PARSERS:
+        if not sep or key not in OPTIONS:
             raise UsageError(f"{path}: line {i}: unknown config entry {line!r}")
-        try:
-            values[key] = _CONFIG_PARSERS[key](value.strip())
-        except ValueError as exc:
-            raise UsageError(f"{path}: line {i}: {exc}") from None
+        values[key] = _parse(key, value.strip(), f"{path}: line {i}: ")
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """DEFAULTS, overlaid by the config file, overlaid by explicit flags."""
-    config = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """The defaults of OPTIONS, overlaid by the config file, overlaid by
+    explicit flags; each value is checked as it is parsed."""
+    config = {key: option.default for key, option in OPTIONS.items()}
+    if args.config:
         config.update(_read_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    if config["mode"] not in ("strict", "lenient"):
-        raise UsageError(f"mode must be 'strict' or 'lenient', got {config['mode']!r}")
-    if not MIN_TZ_SHIFT <= config["tz_shift"] <= MAX_TZ_SHIFT:
-        raise UsageError(
-            f"tz-shift must be in [{MIN_TZ_SHIFT}, {MAX_TZ_SHIFT}], got {config['tz_shift']}"
-        )
-    if config["topk"] < 1:
-        raise UsageError(f"topk must be >= 1, got {config['topk']}")
-    if config["null_samples"] < 1:
-        raise UsageError(f"null-samples must be >= 1, got {config['null_samples']}")
-    try:
-        CategoryThresholds(*config["thresholds"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    for key in OPTIONS:
+        text = getattr(args, key, None)
+        if text is not None:
+            config[key] = _parse(key, text)
     return config
 
 
 def _require(config: dict, key: str, why: str):
     if config[key] is None:
-        raise UsageError(f"--{key.replace('_', '-')} is required {why}")
+        raise UsageError(f"--{_flag(key)} is required {why}")
     return config[key]
 
 
@@ -745,29 +751,16 @@ def _run(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     seed = _require(config, "seed", "to generate a synthetic log")
+    given = {field: getattr(args, flag) for flag, field in SYNTH_FLAGS.items()}
     try:
-        synth_config = SynthConfig(
-            n_users=args.users,
-            n_events=args.events,
-            seed=seed,
-            positive_fraction=args.positive_fraction,
-            score_distribution=args.scores,
-            time_model=args.times,
-            t_start=args.t_start,
-            t_span=args.t_span,
-            rate=args.rate,
-        )
+        synth_config = SynthConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     log = synth_log(synth_config)
     writer = RunWriter(Path(_require(config, "out", "to write the synthetic log")))
-    target = writer.out_dir / "synthetic.csv"
-    tmp = _temp_path(target)
-    write_log_csv(log, tmp)
-    os.replace(tmp, target)
-    writer.outputs.append("synthetic.csv")
-    synth_keys = ("users", "events", "positive_fraction", "scores", "times", "t_start", "t_span", "rate")
-    config.update((key, getattr(args, key)) for key in synth_keys)
+    columns = (log.raters, log.ratees, log.scores, log.timestamps)
+    writer.write_csv("synthetic.csv", ["rater", "ratee", "score", "timestamp"], zip(*(c.tolist() for c in columns)))
+    config.update((flag, getattr(synth_config, field)) for flag, field in SYNTH_FLAGS.items())
     writer.write_manifest("synth", config, None)
     return EXIT_OK
 
@@ -776,18 +769,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # parser
 
 
+def _default_help(help_text: str, default: object) -> str:
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    return help_text if default in (None, MISSING) else f"{help_text} (default {default})"
+
+
 def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True) -> None:
-    if needs_input:
-        sub.add_argument("--input", help="event log CSV (plain or gzip)")
-        sub.add_argument("--mode", choices=("strict", "lenient"), help="ingest mode (default lenient)")
-    sub.add_argument("--out", help="output directory")
     sub.add_argument("--config", help="flat key=value config file (flags win)")
-    sub.add_argument("--seed", type=int, help="master seed for randomized steps")
-    sub.add_argument("--tz-shift", type=int, dest="tz_shift", help="timezone shift in hours for calendar bucketing (default -6)")
-    sub.add_argument("--thresholds", type=_thresholds_arg, help="category cut points LOW,HIGH (default 0.25,0.75)")
-    sub.add_argument("--topk", type=int, help="ranking depth for stability and trajectories (default 10)")
-    sub.add_argument("--null-samples", type=int, dest="null_samples", help="configuration-model replicas (default 20)")
-    sub.add_argument("--annotations", help="label,start,end CSV of date windows joined onto daily output")
+    for key, option in OPTIONS.items():
+        if needs_input or key not in ("input", "mode"):
+            sub.add_argument(f"--{_flag(key)}", dest=key, help=_default_help(option.help, option.default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -809,21 +801,16 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub, needs_input=name != "synth")
         sub.set_defaults(func=func)
         if name == "trajectories":
-            sub.add_argument(
-                "--selection",
-                choices=sorted(s.value for s in TrajectorySelection),
-                default=TrajectorySelection.TOP_ENTRANTS_POSITIVE.value,
-                help="which users to follow (default top-positive)",
-            )
+            default, choices = TrajectorySelection.TOP_ENTRANTS_POSITIVE.value, sorted(s.value for s in TrajectorySelection)
+            help_text = _default_help("which users to follow", default)
+            sub.add_argument("--selection", choices=choices, default=default, help=help_text)
         if name == "synth":
-            sub.add_argument("--users", type=int, required=True, help="number of users")
-            sub.add_argument("--events", type=int, required=True, help="number of events")
-            sub.add_argument("--positive-fraction", type=float, default=0.9, dest="positive_fraction")
-            sub.add_argument("--scores", choices=("flat", "skewed"), default="flat")
-            sub.add_argument("--times", choices=("uniform", "poisson"), default="uniform")
-            sub.add_argument("--t-start", type=int, default=1_300_000_000, dest="t_start")
-            sub.add_argument("--t-span", type=int, default=4 * 365 * 86_400, dest="t_span")
-            sub.add_argument("--rate", type=float, default=0.01)
+            types = get_type_hints(SynthConfig)
+            defaults = {field.name: field.default for field in fields(SynthConfig)}
+            for flag, field in SYNTH_FLAGS.items():
+                default = defaults[field]
+                help_text = _default_help(f"SynthConfig.{field}", default)
+                sub.add_argument(f"--{_flag(flag)}", dest=flag, type=types[field], required=default is MISSING, help=help_text)
     return parser
 
 

@@ -120,16 +120,10 @@ def local_clustering(adjacency: sparse.csr_array) -> np.ndarray:
     return out
 
 
-def clustering_spectrum(
-    projection: Projection, include_low_degree: bool = True
-) -> DegreeSpectrum:
-    """Mean/std of local clustering per total-degree bucket.
-
-    `include_low_degree=False` drops the degree<2 nodes (whose clustering is
-    0 by convention) instead of averaging them in.
-    """
-    keep = projection.degree >= (0 if include_low_degree else 2)
-    return _bucket_spectrum(projection.degree[keep], projection.clustering[keep])
+def clustering_spectrum(projection: Projection) -> DegreeSpectrum:
+    """Mean/std of local clustering per total-degree bucket; degree<2 nodes
+    have clustering 0 by convention."""
+    return _bucket_spectrum(projection.degree, projection.clustering)
 
 
 def mean_clustering(projection: Projection, include_low_degree: bool = True) -> float:
@@ -219,7 +213,8 @@ def _double_edge_swaps(ends: np.ndarray, n: int, n_swaps: int, rng: np.random.Ge
         n_pairs = min(round_pairs, max_attempts - attempts)
         done += _swap_round(ends, keys, n, n_pairs, n_swaps - done, rng)
         attempts += n_pairs
-    if done < n_swaps:
+    # a graph with no pair of edges to propose, such as a single edge, has no swap to stall on
+    if attempts and done < n_swaps:
         message = f"rewiring stalled: {done}/{n_swaps} swaps after {attempts} attempts"
         warnings.warn(message, RuntimeWarning)
     return done

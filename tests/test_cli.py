@@ -9,7 +9,7 @@ import pytest
 
 from conftest import reciprocal_log
 from wotnet import CategoryLabel, EventLog, Layer, SynthConfig, synth_log, write_log_csv
-from wotnet.cli import _fmt, main
+from wotnet.cli import OPTIONS, _fmt, main
 
 GOOD_ROWS = "1,2,5,100\n3,2,1,200\n2,1,-10,300\n"
 
@@ -152,6 +152,46 @@ def test_synth_invalid_config_is_usage_error(capsys, tmp_path):
     assert "n_users" in err
 
 
+@pytest.mark.parametrize("flag, field", [("--scores", "score_distribution"), ("--times", "time_model")])
+def test_synth_choices_are_checked_by_synth_config(capsys, tmp_path, flag, field):
+    out = tmp_path / "x"
+    code, _, err = _run(
+        capsys, "synth", "--users", "5", "--events", "10", "--seed", "1", flag, "bogus", "--out", str(out)
+    )
+    assert code == 1
+    assert f"wotnet: error: unknown {field} 'bogus'" in err
+    assert not out.exists()
+
+
+# SHA-256 of synthetic.csv and of the manifest's config (without `out`, as
+# sorted JSON), recorded when the synth flags declared their own defaults
+SYNTH_SHA256 = {
+    ("--users", "25", "--events", "400", "--seed", "7"): (
+        "356f4072ef3e90619d95cc452425e4dabcbe274ed2b405705ff8a241ffb0aa51",
+        "f4d909f7bd4a3a61a36ae9330561b920ac4720b6ab07d810bf74d28c656305cd",
+    ),
+    (
+        "--users", "40", "--events", "300", "--seed", "2", "--positive-fraction", "0.6",
+        "--scores", "skewed", "--times", "poisson", "--t-start", "1400000000",
+        "--t-span", "86400", "--rate", "0.02",
+    ): (
+        "ce403d98135e943a2beb9cd1a6b0bd29702f8bf5cd844507931d22141b537a11",
+        "8acbbb122cacd440ef8c118a49fdf13f3ceaac30438a5049e6b6ac0b6499d2bd",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("flags", SYNTH_SHA256, ids=["defaults", "every-flag"])
+def test_synth_outputs_match_recorded_digests(tmp_path, flags):
+    out = tmp_path / "synth"
+    assert main(["synth", *flags, "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    del config["out"]
+    csv_digest = hashlib.sha256((out / "synthetic.csv").read_bytes()).hexdigest()
+    config_digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+    assert (csv_digest, config_digest) == SYNTH_SHA256[flags]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -282,6 +322,62 @@ def test_config_file_missing_is_input_error(capsys, input_csv, tmp_path):
     )
     assert code == 2
     assert "config file" in err
+
+
+# a text that each setting accepts (input and out are added per test), and
+# one that it rejects where the setting has a check
+VALID_TEXT = {
+    "mode": "strict",
+    "seed": "12",
+    "tz_shift": "3",
+    "thresholds": "0.2,0.8",
+    "topk": "4",
+    "null_samples": "5",
+    "annotations": "windows.csv",
+}
+INVALID_TEXT = {
+    "mode": "bogus",
+    "seed": "x",
+    "tz_shift": "15",
+    "thresholds": "0.25",
+    "topk": "0",
+    "null_samples": "1.5",
+}
+
+
+def _summary_run(capsys, tmp_path, flags: dict, entries: dict):
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{key} = {text}\n" for key, text in entries.items()))
+    argv = [arg for key, text in flags.items() for arg in (f"--{key.replace('_', '-')}", text)]
+    return _run(capsys, "summary", "--config", str(config), *argv)
+
+
+def test_every_option_parses_alike_as_flag_or_config_entry(capsys, input_csv, tmp_path):
+    out = tmp_path / "out"
+    base = {"input": str(input_csv), "out": str(out)}
+    valid = {**base, **VALID_TEXT}
+    assert valid.keys() == OPTIONS.keys()
+    for key, text in valid.items():
+        configs = []
+        for entries in ({}, {key: text}):
+            flags = {k: v for k, v in {**base, key: text}.items() if k not in entries}
+            assert _summary_run(capsys, tmp_path, flags, entries)[0] == 0
+            configs.append(_manifest_of(out)["config"])
+        assert configs[0] == configs[1], key
+        assert configs[0][key] != OPTIONS[key].default, key
+
+
+def test_every_invalid_option_text_exits_one_before_writing(capsys, input_csv, tmp_path):
+    for key, text in INVALID_TEXT.items():
+        out = tmp_path / key
+        base = {"input": str(input_csv), "out": str(out)}
+        # as a flag, and as a config entry that a valid flag would override
+        for flags, entries in (({**base, key: text}, {}), ({**base, key: VALID_TEXT[key]}, {key: text})):
+            code, _, err = _summary_run(capsys, tmp_path, flags, entries)
+            assert code == 1, key
+            where = f"{tmp_path / 'run.conf'}: line 1: " if entries else ""
+            assert err.startswith(f"wotnet: error: {where}{key.replace('_', '-')}: "), err
+            assert not out.exists(), key
 
 
 # ---------------------------------------------------------------------------

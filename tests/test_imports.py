@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,12 @@ def test_importing_the_package_leaves_scipy_sparse_unloaded():
     # sparse matrices; every other subcommand and library call starts
     # without them
     assert not _loaded_after_import("scipy.sparse")
+
+
+def test_the_build_reads_the_version_of_the_package():
+    # pyproject.toml declares the version dynamic, read from wotnet.__version__
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some setuptools versions call [tool.setuptools] beta
+        config = pyprojecttoml.read_configuration(REPO_ROOT / "pyproject.toml")
+    assert config["project"]["version"] == wotnet.__version__

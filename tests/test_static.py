@@ -287,9 +287,10 @@ def test_projection_matches_set_oracle(arcs):
     assert adjacency_sets(projection) == adj
     oracle_clustering = _clustering_by_set_intersection(adj)
     assert projection.clustering.tolist() == list(oracle_clustering.values())
+    spectrum, _ = _spectrum_by_sets(adj, oracle_clustering)
+    assert _spectrum_tuple(clustering_spectrum(projection)) == _spectrum_tuple(spectrum)
     for include_low in (True, False):
-        spectrum, kept = _spectrum_by_sets(adj, oracle_clustering, include_low)
-        assert _spectrum_tuple(clustering_spectrum(projection, include_low)) == _spectrum_tuple(spectrum)
+        _, kept = _spectrum_by_sets(adj, oracle_clustering, include_low)
         if kept:
             assert mean_clustering(projection, include_low) == float(np.mean(kept))
         else:
@@ -530,6 +531,15 @@ def test_null_rewiring_star_is_best_effort_with_warning():
         result = configuration_null(projection, n_samples=1, seed=1)
     assert result.swaps_done == (0,)
     assert mean_clustering(projection) == result.null_mean_clustering
+
+
+def test_null_of_a_single_edge_does_not_warn():
+    # with one edge there is no pair to propose, so the rewiring has nothing to stall on
+    projection = project(_layer_from_edges([(0, 1)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = configuration_null(projection, n_samples=2, seed=1)
+    assert (result.swaps_target, result.swaps_done) == (10, (0, 0))
 
 
 def test_null_sample_count_validation(small_log):
