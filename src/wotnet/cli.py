@@ -223,7 +223,7 @@ OPTIONS = {
     "input": Option(str, None, "event log CSV (plain or gzip)"),
     "mode": Option(_mode, "lenient", "ingest mode, strict or lenient"),
     "out": Option(str, None, "output directory"),
-    "seed": Option(int, None, "master seed for randomized steps"),
+    "seed": Option(_int_in(0), None, "master seed for randomized steps"),
     "tz_shift": Option(_int_in(MIN_TZ_SHIFT, MAX_TZ_SHIFT), -6, "timezone shift in hours for calendar bucketing"),
     "thresholds": Option(_thresholds, astuple(CategoryThresholds()), "category cut points LOW,HIGH"),
     "topk": Option(_int_in(1), 10, "ranking depth for stability and trajectories"),

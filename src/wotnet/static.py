@@ -12,21 +12,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .distributions import Distribution, from_values
 from .model import EventLog, Layer, NodeMetrics
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
 # ratio between consecutive bin edges of `log_binned_means`
 BIN_FACTOR = 2.0
-# rows of the two-step path product held at once by `local_clustering`
-_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,19 +60,20 @@ def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeS
 class Projection:
     """The simple undirected graph underlying a directed edge list.
 
-    Parallel edges and directions collapse into single edges.  `degree[i]`,
-    `clustering[i]` and row `i` of the symmetric 0/1 `adjacency` belong to
-    `nodes[i]`; nodes are in order of first appearance in the edge list
-    (rater, then ratee, edge by edge), so reductions sum in that order.
+    Parallel edges and directions collapse into single edges.  `degree[i]`
+    and `clustering[i]` belong to `nodes[i]`; nodes are in order of first
+    appearance in the edge list (rater, then ratee, edge by edge), so
+    reductions sum in that order.  `edges` holds each edge's positions in
+    `nodes`, lower end first, in a 2 x |E| array sorted by `lo * n + hi`.
     """
 
     nodes: np.ndarray
-    adjacency: sparse.csr_array
+    edges: np.ndarray
     degree: np.ndarray
     clustering: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.nodes, self.degree, self.clustering):
+        for a in (self.nodes, self.edges, self.degree, self.clustering):
             a.setflags(write=False)
 
 
@@ -93,30 +89,35 @@ def undirected_projection(raters: np.ndarray, ratees: np.ndarray) -> Projection:
 
 def _project(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> Projection:
     """The projection of the edges `u[i] -- v[i]` between positions in `nodes`."""
-    from scipy import sparse  # deferred: only the static stage needs it
-
     n = len(nodes)
-    pairs = np.unique(np.concatenate((u * n + v, v * n + u)))
-    adjacency = sparse.csr_array((np.ones(len(pairs), np.int64), np.divmod(pairs, n)), shape=(n, n))
-    degree = np.diff(adjacency.indptr).astype(np.int64)
-    return Projection(nodes, adjacency, degree, local_clustering(adjacency))
+    edges = np.stack(np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n))
+    degree = np.bincount(edges.ravel(), minlength=n)
+    return Projection(nodes, edges, degree, local_clustering(edges, degree))
 
 
-def local_clustering(adjacency: sparse.csr_array) -> np.ndarray:
+def local_clustering(edges: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """Fraction of closed neighbor pairs per node; 0 for degree < 2.
 
-    Row sums of `(A @ A) * A` count each link among a node's neighbors
-    twice (Latapy, TCS 407, 2008).  The product is formed `_BLOCK_ROWS`
-    rows at a time: whole, it holds an order of magnitude more entries than `A`.
+    Compact-forward (Latapy, TCS 407, 2008): number the nodes by (degree,
+    position) and point each edge to its higher-numbered end; each pair of
+    a node's at most sqrt(2|E|) out-neighbors is looked up among the edges,
+    so every triangle is found once, from its lowest-numbered corner.
     """
-    degree = np.diff(adjacency.indptr).astype(np.int64)
-    closed = np.zeros(len(degree), dtype=np.int64)
-    for lo in range(0, len(degree), _BLOCK_ROWS):
-        rows = adjacency[lo : lo + _BLOCK_ROWS]
-        paths = (rows @ adjacency).multiply(rows)
-        closed[lo : lo + _BLOCK_ROWS] = np.asarray(paths.sum(axis=1)).ravel()
-    out = np.zeros(len(degree))
-    np.divide(closed // 2, degree * (degree - 1) / 2, out=out, where=degree >= 2)
+    n = len(degree)
+    rank = np.argsort(np.argsort(degree, kind="stable"))
+    lo, hi = np.sort(rank[edges], axis=0)
+    keys = np.sort(lo * n + hi)
+    src, dst = np.divmod(keys, n)
+    # arc i pairs with the arcs after it in its source's out-list
+    later = np.cumsum(np.bincount(src, minlength=n))[src] - 1 - np.arange(len(src))
+    first = np.repeat(np.arange(len(src)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    wedges = dst[first] * n + dst[second]
+    hit = keys[np.minimum(np.searchsorted(keys, wedges), len(keys) - 1)] == wedges
+    corners = np.concatenate((src[first[hit]], dst[first[hit]], dst[second[hit]]))
+    closed = np.bincount(corners, minlength=n)[rank]
+    out = np.zeros(n)
+    np.divide(closed, degree * (degree - 1) / 2, out=out, where=degree >= 2)
     return out
 
 
@@ -141,8 +142,10 @@ def mean_clustering(projection: Projection, include_low_degree: bool = True) -> 
 
 def avg_neighbor_degree_spectrum(projection: Projection) -> DegreeSpectrum:
     """Mean neighbor degree averaged within each total-degree bucket."""
-    neighbor_sums = projection.adjacency @ projection.degree
-    return _bucket_spectrum(projection.degree, neighbor_sums / projection.degree)
+    ends, degree = projection.edges, projection.degree
+    # each end adds the other's degree: exact integer sums, held in float64
+    neighbor_sums = np.bincount(ends.ravel(), degree[ends[::-1]].ravel(), len(degree))
+    return _bucket_spectrum(degree, neighbor_sums / degree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,18 +233,14 @@ def configuration_null(
     node's projected degree and stays simple.  Clustering is measured on
     each replica, degree-<2 nodes included.
     """
-    from scipy import sparse
-
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n, upper = len(projection.nodes), sparse.triu(projection.adjacency, k=1, format="coo")
-    base = np.stack((upper.row, upper.col)).astype(np.int64)
-    n_swaps = swaps_per_edge * base.shape[1]
+    n, n_swaps = len(projection.nodes), swaps_per_edge * projection.edges.shape[1]
     spectra: list[DegreeSpectrum] = []
     sample_means: list[float] = []
     swaps_done: list[int] = []
     for stream in np.random.SeedSequence(seed).spawn(n_samples):
-        ends = base.copy()
+        ends = projection.edges.copy()
         swaps_done.append(_double_edge_swaps(ends, n, n_swaps, np.random.default_rng(stream)))
         replica = _project(projection.nodes, *ends)
         spectra.append(clustering_spectrum(replica))
@@ -302,12 +301,49 @@ def kendall_tau(
         raise ValueError("rankings must cover the same user set")
     if not values_a:
         raise ValueError("empty rankings")
-    users = sorted(values_a)
-    x = np.array([values_a[u] for u in users], dtype=float)
-    y = np.array([values_b[u] for u in users], dtype=float)
-    from scipy import stats  # deferred: importing it costs about 1 s of start-up
+    x = np.array(list(values_a.values()), dtype=float)
+    y = np.array([values_b[u] for u in values_a], dtype=float)
+    return _tau_b(x, y)
 
-    return float(stats.kendalltau(x, y, variant="b").statistic)
+
+def _tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b of the pairs (x[i], y[i]): `(C - D) / sqrt(n0 - n1) / sqrt(n0 - n2)`
+    of exact pair counts, clamped to [-1, 1]; NaN if a side holds a NaN or only ties."""
+    n = len(x)
+    total = n * (n - 1) // 2
+    (x_ranks, x_ties), (y_ranks, y_ties) = _ties(x), _ties(y)
+    if x_ties == total or y_ties == total or np.isnan([x, y]).any():
+        return float("nan")
+    joint = x_ranks * n + y_ranks
+    # y's ranks in order of (x, y): a later smaller rank is a discordant pair
+    c_less_d = total - x_ties - y_ties + _ties(joint)[1] - 2 * _discordant_pairs(np.sort(joint) % n)
+    tau = c_less_d / np.sqrt(total - x_ties) / np.sqrt(total - y_ties)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
+def _ties(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of `values`, from 0, and the number of pairs of equal values."""
+    _, ranks, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return ranks, int((counts * (counts - 1) // 2).sum())
+
+
+def _discordant_pairs(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for dense ranks from 0, in one
+    pass per bit: a pair counts at the highest bit where its ranks differ, as
+    a 1 before a 0 among the positions whose ranks agree above that bit."""
+    n, discordant = len(ranks), 0
+    shift, positions = n.bit_length(), np.arange(n)
+    counts = np.bincount(ranks)
+    below = np.cumsum(counts) - counts
+    for bit in reversed(range(int(ranks.max()).bit_length())):
+        # the ranks grouped by their bits above `bit`, each group in position order
+        z = ranks[np.sort(((ranks >> (bit + 1)) << shift) | positions) & ((1 << shift) - 1)]
+        high = (z >> bit) & 1
+        ones = np.cumsum(high) - high
+        # a group starts after the `below` ranks smaller than its own
+        ones_in_group = ones - ones[below[z & -(2 << bit)]]
+        discordant += int(np.dot(ones_in_group, 1 - high))
+    return discordant
 
 
 def ranked_users(values: Mapping[int, float]) -> list[int]:
@@ -344,12 +380,12 @@ def ranking_report(metrics: Mapping[int, NodeMetrics]) -> RankingReport:
         raise ValueError("empty metrics map")
     values = _attribute_values(metrics)
     table = {key: ranked_users(values[key]) for key in RANKING_KEYS}
+    columns = [np.array(list(values[key].values()), dtype=float) for key in RANKING_KEYS]
     n = len(RANKING_KEYS)
     tau = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            t = kendall_tau(values[RANKING_KEYS[i]], values[RANKING_KEYS[j]])
-            tau[i, j] = tau[j, i] = t
+            tau[i, j] = tau[j, i] = _tau_b(columns[i], columns[j])
     rows = []
     for rank, user in enumerate(table["k_in_plus"], start=1):
         m = metrics[user]
@@ -404,6 +440,18 @@ def spectrum_trend(spectrum: DegreeSpectrum) -> float:
     centers, means = log_binned_means(spectrum)
     if len(centers) < 2:
         raise ValueError("need at least two occupied bins for a trend")
-    from scipy import stats
+    # the bin centers are distinct, so only the means can be constant
+    if (means == means[0]).all():
+        message = "An input array is constant; the correlation coefficient is not defined."
+        warnings.warn(message, RuntimeWarning)
+        return float("nan")
+    if np.isnan(means).any():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(centers), _average_ranks(means)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
-    return float(stats.spearmanr(centers, means).statistic)
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks of `values` from 1, equal values sharing their mean rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]

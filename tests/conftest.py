@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from wotnet import (
     EventLog,
@@ -88,27 +87,22 @@ def project(layer: EventLog) -> Projection:
 
 def adjacency_sets(projection: Projection) -> dict[int, set[int]]:
     """Neighbor id sets of a projection's nodes, in the projection's order."""
-    a, ids = projection.adjacency, projection.nodes.tolist()
-    return {
-        ids[i]: {ids[j] for j in a.indices[a.indptr[i] : a.indptr[i + 1]].tolist()}
-        for i in range(len(ids))
-    }
-
-
-def projected_edges(projection: Projection) -> np.ndarray:
-    """The projection's undirected edges, a 2 x |E| array of positions in its nodes."""
-    upper = sparse.triu(projection.adjacency, k=1, format="coo")
-    return np.stack((upper.row, upper.col)).astype(np.int64)
+    ids = projection.nodes.tolist()
+    out: dict[int, set[int]] = {node: set() for node in ids}
+    for a, b in projection.edges.T.tolist():
+        out[ids[a]].add(ids[b])
+        out[ids[b]].add(ids[a])
+    return out
 
 
 def keeps_projected_degrees(projection: Projection, ends: np.ndarray) -> bool:
-    """Whether the rewired edges `ends` (as from `projected_edges`) keep every
-    node's projected degree and the edge count, with no self-loop and no
-    repeated edge."""
+    """Whether the rewired edges `ends` (a copy of `projection.edges`) keep
+    every node's projected degree and the edge count, with no self-loop and
+    no repeated edge."""
     n = len(projection.nodes)
     keys = set(zip(np.minimum(*ends).tolist(), np.maximum(*ends).tolist()))
     return (
-        ends.shape[1] == projection.adjacency.nnz // 2
+        ends.shape[1] == projection.edges.shape[1]
         and not (ends[0] == ends[1]).any()
         and len(keys) == ends.shape[1]
         and np.bincount(ends.ravel(), minlength=n).tolist() == projection.degree.tolist()

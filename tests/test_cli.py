@@ -270,6 +270,7 @@ def test_analysis_error_on_degenerate_log(capsys, tmp_path):
         ("--topk", "0"),
         ("--null-samples", "0"),
         ("--thresholds", "0.9,0.95"),
+        ("--seed", "-1"),
     ],
 )
 def test_invalid_configuration_values_exit_one(capsys, input_csv, tmp_path, flags):
@@ -279,6 +280,17 @@ def test_invalid_configuration_values_exit_one(capsys, input_csv, tmp_path, flag
     )
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["static", "synth"])
+def test_negative_seed_exits_one_before_writing(capsys, input_csv, tmp_path, command):
+    # the seed is checked with the other settings, not by the null model or the generator
+    out = tmp_path / "out"
+    given = ("--input", str(input_csv)) if command == "static" else ("--users", "5", "--events", "10")
+    code, _, err = _run(capsys, command, *given, "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert err.startswith("wotnet: error: seed: "), err
+    assert not list(out.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Every name imported by the package and by its tests is used, and the
-package exports exactly the names it binds."""
+"""Every name imported by the package and by its tests is used, the package
+exports exactly the names it binds, and a run loads no scipy module."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import wotnet
+from wotnet.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*REPO_ROOT.glob("src/wotnet/*.py"), *REPO_ROOT.glob("tests/*.py")])
@@ -62,31 +63,24 @@ def test_all_lists_exactly_the_exported_names():
     assert all(hasattr(wotnet, name) for name in wotnet.__all__)
 
 
-def _loaded_after_import(module: str) -> bool:
-    """Whether importing the package and its CLI loads `module`."""
-    code = f"import sys, wotnet, wotnet.cli; print({module!r} in sys.modules)"
+def test_a_whole_run_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    log = tmp_path / "gen" / "synthetic.csv"
+    assert main(["synth", "--users", "25", "--events", "400", "--seed", "7", "--out", str(log.parent)]) == 0
+    code = (
+        "import sys; from wotnet.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    argv = ["all", "--input", str(log), "--out", str(tmp_path / "all"), "--seed", "1", "--null-samples", "2"]
     path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    return run.stdout.strip() == "True"
-
-
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only two rank
-    # correlations need it, and they import it when called
-    assert not _loaded_after_import("scipy.stats")
-
-
-def test_importing_the_package_leaves_scipy_sparse_unloaded():
-    # only the projection and the null model of the static stage use
-    # sparse matrices; every other subcommand and library call starts
-    # without them
-    assert not _loaded_after_import("scipy.sparse")
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_the_build_reads_the_version_of_the_package():

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -14,7 +14,6 @@ from conftest import (
     adjacency_sets,
     keeps_projected_degrees,
     project,
-    projected_edges,
     reciprocal_log,
 )
 from wotnet import (
@@ -23,6 +22,7 @@ from wotnet import (
     NodeMetrics,
     from_values,
     kendall_tau,
+    local_clustering,
     log_binned_ccdf,
     mean_clustering,
     node_metrics,
@@ -33,9 +33,9 @@ from wotnet import (
     split_layers,
     weight_distribution,
 )
-from wotnet import static
 from wotnet.static import (
     RANKING_KEYS,
+    DegreeSpectrum,
     _bucket_spectrum,
     _double_edge_swaps,
     _swap_round,
@@ -212,15 +212,15 @@ def test_clustering_matches_enumeration_oracle_on_small_graphs():
         assert _clustering_by_set_intersection(adj) == pytest.approx(expected)
 
 
-def test_clustering_in_row_blocks_matches_oracle(small_log, monkeypatch):
-    plus, _ = split_layers(small_log)
-    whole = project(plus)
-    monkeypatch.setattr(static, "_BLOCK_ROWS", 3)
-    blocked = project(plus)
-    assert len(blocked.nodes) > 3 * static._BLOCK_ROWS
-    assert blocked.clustering.tolist() == whole.clustering.tolist()
-    oracle = _clustering_by_set_intersection(_adjacency_sets(plus))
-    assert blocked.clustering.tolist() == list(oracle.values())
+def test_compact_forward_clustering_matches_oracle(small_log):
+    # a sparse layer, a dense one, and a reciprocal log's denser layer with hubs
+    layers = [*split_layers(small_log), split_layers(reciprocal_log(14, 60, seed=5))[0]]
+    for layer in layers:
+        projection = project(layer)
+        clustering = local_clustering(projection.edges, projection.degree)
+        oracle = _clustering_by_set_intersection(_adjacency_sets(layer))
+        assert clustering.tolist() == list(oracle.values())
+        assert projection.clustering.tolist() == clustering.tolist()
 
 
 def test_mean_clustering_conventions():
@@ -365,6 +365,37 @@ def test_spectrum_trend_sign():
     assert spectrum_trend(avg_neighbor_degree_spectrum(project(layer))) < 0
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 300),
+            st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0, 50),
+            st.integers(1, 4),
+        ),
+        min_size=2,
+        max_size=30,
+        unique_by=lambda row: row[0],
+    )
+)
+@example([(1, 0.5, 1), (2, 0.5, 3), (9, 0.5, 1)])  # constant means: NaN and a warning
+@example([(1, 1.0, 1), (2, 2.0, 1)])
+@example([(1, math.nan, 1), (2, 2.0, 1), (5, 1.0, 2)])  # a NaN mean: NaN, no warning
+@settings(max_examples=300, deadline=None)
+def test_spectrum_trend_is_bitwise_scipy_spearmanr(rows):
+    degree, mean, count = (np.array(column) for column in zip(*sorted(rows)))
+    spectrum = DegreeSpectrum(degree, mean.astype(float), np.zeros(len(rows)), count)
+    centers, means = log_binned_means(spectrum)
+    assume(len(centers) >= 2)
+    caught = []
+    for trend in (lambda: sps.spearmanr(centers, means).statistic, lambda: spectrum_trend(spectrum)):
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            caught.append((trend(), [str(w.message) for w in warned]))
+    (expected, expected_warnings), (got, got_warnings) = caught
+    assert _bitwise_equal(got, expected)
+    assert got_warnings == expected_warnings
+
+
 def test_spectrum_trend_needs_two_bins():
     arcs = [(a, b) for a in range(4) for b in range(4) if a != b]
     with pytest.raises(ValueError):
@@ -378,7 +409,7 @@ def test_spectrum_trend_needs_two_bins():
 def _rewired(projection, seed, swaps_per_edge=10):
     """Rewire the projection's edges as one null replica does; returns the
     rewired edges and the number of swaps done."""
-    ends = projected_edges(projection)
+    ends = projection.edges.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # stalls are expected on some graphs
         done = _double_edge_swaps(
@@ -567,6 +598,35 @@ def test_tau_one_discordant_pair_of_three():
     a = {"x": 3, "y": 2, "z": 1}
     b = {"x": 3, "y": 1, "z": 2}
     assert kendall_tau(a, b) == pytest.approx(1 / 3)
+
+
+def _bitwise_equal(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(-3, 3) | st.floats(-1e3, 1e3)),
+        min_size=2,
+        max_size=60,
+    )
+)
+@example([(1, 2), (2, 1)])  # two users
+@example([(1, 0), (2, 0), (3, 0)])  # a constant side: NaN
+@example([(4, 1.5), (4, 2.5), (4, 0.5)])  # the other side constant
+@example([(1, math.nan), (2, 1), (3, 2)])  # a NaN: NaN
+@settings(max_examples=300, deadline=None)
+def test_tau_is_bitwise_scipy_kendalltau(pairs):
+    a = {u: x for u, (x, _) in enumerate(pairs)}
+    b = {u: y for u, (_, y) in enumerate(pairs)}
+    expected = sps.kendalltau(list(a.values()), list(b.values()), variant="b").statistic
+    assert _bitwise_equal(kendall_tau(a, b), expected)
+
+
+def test_tau_of_one_user_is_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(kendall_tau({7: 1.0}, {7: 2.0}))
 
 
 def test_tau_mismatched_user_sets_error():
