@@ -63,6 +63,30 @@ def test_all_lists_exactly_the_exported_names():
     assert all(hasattr(wotnet, name) for name in wotnet.__all__)
 
 
+def _loaded_after_import(module: str) -> bool:
+    """Whether importing the package and its CLI loads `module`."""
+    code = f"import sys, wotnet, wotnet.cli; print({module!r} in sys.modules)"
+    path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return run.stdout.strip() == "True"
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # the rank correlations are computed in numpy; scipy.stats is the tests' oracle only
+    assert not _loaded_after_import("scipy.stats")
+
+
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    # the projection is a sorted edge list; no sparse matrix is built
+    assert not _loaded_after_import("scipy.sparse")
+
+
 def test_a_whole_run_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy serves the tests as an oracle
     log = tmp_path / "gen" / "synthetic.csv"
