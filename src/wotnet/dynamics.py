@@ -8,7 +8,7 @@ per-user metrics of the whole log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -71,7 +71,7 @@ def snapshot_series(log: EventLog) -> Iterator[Snapshot]:
     if len(log) == 0:
         return
     user_ids, (raters, ratees) = log.user_codes()
-    state = np.zeros((len(fields(NodeMetrics)), len(user_ids)), dtype=np.int64)
+    state = np.zeros((len(NodeMetrics._fields), len(user_ids)), dtype=np.int64)
     days = log.timestamps // SECONDS_PER_DAY
     day_numbers = np.arange(days[0], days[-1] + 1)
     ends = np.searchsorted(days, day_numbers, side="right")
@@ -279,7 +279,7 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
     user_ids, (raters, ratees) = log.user_codes()
     n = len(user_ids)
     # every counter up to the last folded day; rows 4 and 5 are rho+ and rho-
-    state = np.zeros((len(fields(NodeMetrics)), n), dtype=np.int64)
+    state = np.zeros((len(NodeMetrics._fields), n), dtype=np.int64)
     days = log.timestamps // SECONDS_PER_DAY
     first_day = int(days[0])
     days -= first_day

@@ -12,10 +12,11 @@ import gzip
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -153,8 +154,7 @@ class EventLog:
         return view
 
 
-@dataclass(frozen=True)
-class NodeMetrics:
+class NodeMetrics(NamedTuple):
     """Per-user counters at some cutoff: event-count degrees and reputations.
 
     Degrees count rating events (multigraph semantics), reputations sum
@@ -304,11 +304,16 @@ def _fold(state: np.ndarray, raters: np.ndarray, ratees: np.ndarray, scores: np.
     np.add.at(flat, row + 4 * n + ratees, np.abs(scores))
 
 
+# a record from the tuple of its six fields, by `tuple.__new__` itself: no
+# Python frame per record, as `NodeMetrics(...)` or `_make` would run
+_new_metrics = partial(tuple.__new__, NodeMetrics)
+
+
 def _by_user(state: np.ndarray, ids: np.ndarray) -> dict[int, NodeMetrics]:
     """`NodeMetrics` of the users with an event in `state` (any degree > 0),
     keyed by id in ascending code order; `ids` maps codes to user ids."""
     seen = np.flatnonzero(state[:4].any(axis=0))
-    return dict(zip(ids[seen].tolist(), map(NodeMetrics, *state[:, seen].tolist())))
+    return dict(zip(ids[seen].tolist(), map(_new_metrics, zip(*state[:, seen].tolist()))))
 
 
 def node_metrics(
@@ -316,7 +321,7 @@ def node_metrics(
 ) -> dict[int, NodeMetrics]:
     """Degrees and reputations for every user seen at or before the cutoff."""
     sub = log.truncated(cutoff)
-    state = np.zeros((len(fields(NodeMetrics)), len(sub._universe)), dtype=np.int64)
+    state = np.zeros((len(NodeMetrics._fields), len(sub._universe)), dtype=np.int64)
     _fold(state, *sub._codes, sub.scores)
     return _by_user(state, sub._universe)
 

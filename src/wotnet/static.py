@@ -365,35 +365,29 @@ class RankingReport:
         return float(self.tau_matrix[self.keys.index(key_a), self.keys.index(key_b)])
 
 
-def _attribute_values(
-    metrics: Mapping[int, NodeMetrics],
-) -> dict[str, dict[int, int]]:
-    return {
-        key: {u: getattr(m, key) for u, m in metrics.items()} for key in RANKING_KEYS
-    }
-
-
 def ranking_report(metrics: Mapping[int, NodeMetrics]) -> RankingReport:
     """Per-attribute rankings, the 5x5 tau-b matrix, and the attribute table
     sorted by the rewarding in-degree ranking."""
     if not metrics:
         raise ValueError("empty metrics map")
-    values = _attribute_values(metrics)
-    table = {key: ranked_users(values[key]) for key in RANKING_KEYS}
-    columns = [np.array(list(values[key].values()), dtype=float) for key in RANKING_KEYS]
+    users = np.array(list(metrics), dtype=np.int64)
+    fields = np.array(list(zip(*metrics.values())), dtype=np.int64)
+    # one row per RANKING_KEYS entry: the four degrees, then rho
+    attributes = np.vstack((fields[:4], fields[4] - fields[5]))
+    # each ranking is `ranked_users` of its row: descending, ties by ascending id
+    orders = [np.lexsort((users, -attribute)) for attribute in attributes]
+    table = {key: users[order].tolist() for key, order in zip(RANKING_KEYS, orders)}
+    values = attributes.astype(float)
     n = len(RANKING_KEYS)
     tau = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            tau[i, j] = tau[j, i] = _tau_b(columns[i], columns[j])
-    rows = []
-    for rank, user in enumerate(table["k_in_plus"], start=1):
-        m = metrics[user]
-        rows.append(
-            (rank, user, m.k_in_plus, m.k_in_minus, m.k_out_plus, m.k_out_minus, m.rho)
-        )
+            tau[i, j] = tau[j, i] = _tau_b(values[i], values[j])
+    by_inplus = orders[0]
+    rows = np.column_stack((np.arange(1, len(users) + 1), users[by_inplus], attributes[:, by_inplus].T))
+    by_inplus_rank = list(map(tuple, rows.tolist()))
     return RankingReport(
-        keys=RANKING_KEYS, table=table, tau_matrix=tau, by_inplus_rank=rows
+        keys=RANKING_KEYS, table=table, tau_matrix=tau, by_inplus_rank=by_inplus_rank
     )
 
 

@@ -80,6 +80,20 @@ def test_final_snapshot_matches_aggregate_metrics(small_log):
     assert last.metrics == node_metrics(small_log)
 
 
+def test_every_query_returns_node_metrics_records(small_log):
+    # a NamedTuple equals the plain tuple of its values, so `==` alone would
+    # not tell records from bare tuples
+    snapshots = list(snapshot_series(small_log))
+    for metrics in (
+        node_metrics(small_log),
+        node_metrics(small_log, int(np.median(small_log.timestamps))),
+        daily_fold(small_log).metrics,
+        snapshots[0].metrics,
+        snapshots[-1].metrics,
+    ):
+        assert metrics and all(type(m) is NodeMetrics for m in metrics.values())
+
+
 def test_snapshots_match_truncated_aggregates():
     rng = random.Random(23)
     events = []

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rows
@@ -310,6 +310,29 @@ def test_metrics_match_naive_accumulation_oracle():
     assert node_metrics(log) == _accumulate_naively(rows(log))
 
 
+@st.composite
+def _log_and_cutoff(draw):
+    """A small log and a cutoff from before its first event to after its last
+    one; the timestamps are multiples of 10, so cutoffs land on tied times."""
+    events = draw(_small_logs())
+    times = [e[3] for e in events]
+    return events, draw(st.integers(min(times) - 15, max(times) + 15))
+
+
+@given(_log_and_cutoff())
+@example(([(1, 2, 3, 0), (2, 1, -4, 0), (3, 1, 1, 10)], -1))  # before the first event
+@example(([(1, 2, 3, 0), (2, 1, -4, 0), (3, 1, 1, 10)], 0))  # on a tied timestamp
+@example(([(1, 2, 3, 0), (2, 1, -4, 0), (3, 1, 1, 10)], 11))  # after the last event
+@settings(max_examples=200, deadline=None)
+def test_metrics_at_cutoff_match_naive_accumulation_of_the_prefix(case):
+    events, cutoff = case
+    metrics = node_metrics(EventLog(events), cutoff)
+    assert metrics == _accumulate_naively([e for e in events if e[3] <= cutoff])
+    assert all(type(m) is NodeMetrics for m in metrics.values())
+    if cutoff < min(e[3] for e in events):
+        assert metrics == {}
+
+
 def test_metrics_degree_sums_equal_layer_edge_counts(small_log):
     for cutoff in (None, int(np.median(small_log.timestamps))):
         metrics = node_metrics(small_log, cutoff)
@@ -332,6 +355,36 @@ def test_metrics_reputation_bounds(small_log):
         assert m.k_in_plus <= m.rho_plus <= 10 * m.k_in_plus
         assert m.k_in_minus <= m.rho_minus <= 10 * m.k_in_minus
         assert m.rho == m.rho_plus - m.rho_minus
+
+
+def test_node_metrics_is_an_immutable_named_tuple():
+    m = node_metrics(EventLog([(1, 2, 3, 10), (3, 2, -4, 20), (2, 1, 5, 30)]))[2]
+    assert type(m) is NodeMetrics
+    assert repr(m) == (
+        "NodeMetrics(k_in_plus=1, k_in_minus=1, k_out_plus=1, k_out_minus=0, "
+        "rho_plus=3, rho_minus=4)"
+    )
+    assert m == (1, 1, 1, 0, 3, 4) and hash(m) == hash(tuple(m))
+    assert m.rho == -1
+    with pytest.raises(AttributeError):
+        m.rho_plus = 0
+    with pytest.raises(AttributeError):
+        m.other = 0
+
+
+@pytest.mark.parametrize(
+    "score, rows_by_field",
+    [
+        (3, {"k_in_plus": [0, 1], "k_out_plus": [1, 0], "rho_plus": [0, 3]}),
+        (-4, {"k_in_minus": [0, 1], "k_out_minus": [1, 0], "rho_minus": [0, 4]}),
+    ],
+)
+def test_fields_follow_the_rows_of_the_fold(score, rows_by_field):
+    # one event, user code 0 rating user code 1: each row is named by its field
+    state = np.zeros((len(NodeMetrics._fields), 2), dtype=np.int64)
+    model._fold(state, np.array([0]), np.array([1]), np.array([score]))
+    expected = {name: rows_by_field.get(name, [0, 0]) for name in NodeMetrics._fields}
+    assert dict(zip(NodeMetrics._fields, state.tolist())) == expected
 
 
 def test_metrics_excludes_users_not_yet_seen():

@@ -725,6 +725,37 @@ def test_ranking_report_shape(small_log):
     assert ranks == list(range(1, len(users) + 1))
 
 
+@st.composite
+def _metrics_maps(draw):
+    """One to twelve users, in any order, with few distinct counter values so
+    that every ranking holds ties."""
+    users = draw(st.lists(st.integers(-5, 2**40), min_size=1, max_size=12, unique=True))
+    counters = st.tuples(*[st.integers(0, 3)] * len(NodeMetrics._fields))
+    return {u: NodeMetrics(*draw(counters)) for u in users}
+
+
+@given(_metrics_maps())
+@example({7: NodeMetrics(1, 0, 2, 0, 3, 1)})
+@settings(max_examples=150, deadline=None)
+def test_ranking_report_matches_ranked_users(metrics):
+    report = ranking_report(metrics)
+    values = {key: {u: getattr(m, key) for u, m in metrics.items()} for key in RANKING_KEYS}
+    for key in RANKING_KEYS:
+        assert report.table[key] == ranked_users(values[key])
+    expected_rows = [
+        (rank, u, *metrics[u][:4], metrics[u].rho)
+        for rank, u in enumerate(ranked_users(values["k_in_plus"]), start=1)
+    ]
+    assert report.by_inplus_rank == expected_rows
+    # plain ints, as the CSV writer formats them
+    assert all(type(x) is int for row in report.by_inplus_rank for x in row)
+    assert all(type(u) is int for ranking in report.table.values() for u in ranking)
+    tau = np.eye(len(RANKING_KEYS))
+    for (i, a), (j, b) in itertools.combinations(enumerate(RANKING_KEYS), 2):
+        tau[i, j] = tau[j, i] = kendall_tau(values[a], values[b])
+    np.testing.assert_array_equal(report.tau_matrix, tau)  # NaN where a side is all ties
+
+
 def test_ranking_report_empty_errors():
     with pytest.raises(ValueError):
         ranking_report({})
