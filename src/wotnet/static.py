@@ -170,7 +170,7 @@ class NullModelResult:
 
 
 def _swap_round(
-    ends: np.ndarray, keys: np.ndarray, n: int, n_pairs: int, limit: int, rng: np.random.Generator
+    ends: np.ndarray, keys: np.ndarray, n: int, n_pairs: int, rng: np.random.Generator
 ) -> int:
     """One round of double-edge swaps on the simple graph of edges `ends[:, i]`
     (lower end first, with key `lo * n + hi` in `keys`).
@@ -180,7 +180,7 @@ def _swap_round(
     it makes no self-loop and each of its new and old keys occurs once among
     the edges' and all proposals' keys, so the round is its own reverse and
     the chain samples simple graphs uniformly (Maslov & Sneppen, Science
-    296:910, 2002).  Applies at most `limit` accepted swaps in place.
+    296:910, 2002).  Applies the accepted swaps in place and returns their number.
     """
     slots = rng.permutation(len(keys))[: 2 * n_pairs]
     (a, c), (b, d) = ends[:, slots].reshape(2, 2, n_pairs)
@@ -194,33 +194,30 @@ def _swap_round(
     once = np.empty(len(order), dtype=bool)
     once[order] = ~(same[1:] | same[:-1])
     ok = (new[0] != new[1]) & once[len(keys) :] & once[slots]
-    done = np.flatnonzero(ok.reshape(2, n_pairs).all(axis=0))[:limit]
+    done = np.flatnonzero(ok.reshape(2, n_pairs).all(axis=0))
     done = np.concatenate((done, done + n_pairs))
     ends[:, slots[done]] = new[:, done]
     keys[slots[done]] = new_keys[done]
     return len(done) // 2
 
 
-def _double_edge_swaps(ends: np.ndarray, n: int, n_swaps: int, rng: np.random.Generator) -> int:
-    """Rewire the simple graph `ends` (lower ends first) in place by `n_swaps`
-    double-edge swaps, in rounds of `_swap_round`, until the target is met or
-    `20 * n_swaps` pairs have been proposed; returns the swaps done."""
+def _double_edge_swaps(ends: np.ndarray, n: int, n_proposals: int, rng: np.random.Generator) -> int:
+    """Rewire the simple graph `ends` (lower ends first) in place by `n_proposals`
+    double-edge swap proposals, in rounds of `_swap_round`; a rejected proposal is a
+    step that stays on the current graph (Fosdick et al., SIAM Review 60:315, 2018).
+    Returns the swaps accepted."""
     keys = ends[0] * n + ends[1]
     m, degree = len(keys), np.bincount(ends.ravel())
+    if m < 2:  # no pair of edges to propose
+        return 0
     # A proposed edge exists already with probability about q = (sum k^2)^2 / (2m)^3
     # and then blocks the pair whose old edge it is; at most m / (32 q) pairs a round
     # keep that near 1/16 of them.  Fixed by the degrees, the bound keeps the chain symmetric.
-    round_pairs = min(m // 2, max(1, int((m * m / (2 * degree @ degree)) ** 2))) if m else 0
-    done, attempts, max_attempts = 0, 0, 20 * n_swaps
-    while round_pairs and done < n_swaps and attempts < max_attempts:
-        n_pairs = min(round_pairs, max_attempts - attempts)
-        done += _swap_round(ends, keys, n, n_pairs, n_swaps - done, rng)
-        attempts += n_pairs
-    # a graph with no pair of edges to propose, such as a single edge, has no swap to stall on
-    if attempts and done < n_swaps:
-        message = f"rewiring stalled: {done}/{n_swaps} swaps after {attempts} attempts"
-        warnings.warn(message, RuntimeWarning)
-    return done
+    round_pairs = min(m // 2, max(1, int((m * m / (2 * degree @ degree)) ** 2)))
+    return sum(
+        _swap_round(ends, keys, n, min(round_pairs, n_proposals - start), rng)
+        for start in range(0, n_proposals, round_pairs)
+    )
 
 
 def configuration_null(
@@ -228,20 +225,20 @@ def configuration_null(
 ) -> NullModelResult:
     """Clustering of a projected layer against degree-preserving replicas.
 
-    Each replica makes `swaps_target = swaps_per_edge * |E|` double-edge
-    swaps on the projection's |E| undirected edges, so it keeps every
-    node's projected degree and stays simple.  Clustering is measured on
-    each replica, degree-<2 nodes included.
+    Each replica makes `swaps_target = swaps_per_edge * |E|` double-edge swap
+    proposals on the projection's |E| undirected edges (`swaps_done` counts the
+    accepted ones), so it keeps every node's projected degree and stays simple.
+    Clustering is measured on each replica, degree-<2 nodes included.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n, n_swaps = len(projection.nodes), swaps_per_edge * projection.edges.shape[1]
+    n, n_proposals = len(projection.nodes), swaps_per_edge * projection.edges.shape[1]
     spectra: list[DegreeSpectrum] = []
     sample_means: list[float] = []
     swaps_done: list[int] = []
     for stream in np.random.SeedSequence(seed).spawn(n_samples):
         ends = projection.edges.copy()
-        swaps_done.append(_double_edge_swaps(ends, n, n_swaps, np.random.default_rng(stream)))
+        swaps_done.append(_double_edge_swaps(ends, n, n_proposals, np.random.default_rng(stream)))
         replica = _project(projection.nodes, *ends)
         spectra.append(clustering_spectrum(replica))
         sample_means.append(mean_clustering(replica))
@@ -259,7 +256,7 @@ def configuration_null(
         null_std_clustering=float(means.std()),
         sample_means=tuple(means.tolist()),
         n_samples=n_samples,
-        swaps_target=n_swaps,
+        swaps_target=n_proposals,
         swaps_done=tuple(swaps_done),
         seed=seed,
     )

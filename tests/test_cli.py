@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import warnings
 from datetime import date, datetime
 from pathlib import Path
 
@@ -438,8 +439,8 @@ def test_failed_run_leaves_no_stale_manifest(capsys, input_csv, tmp_path):
     assert manifest["input_sha256"] == hashlib.sha256(positive.read_bytes()).hexdigest()
 
 
-def test_stalled_rewiring_is_recorded_in_the_manifest(tmp_path):
-    # both layers are stars: no double-edge swap can ever apply
+def test_rewiring_star_layers_accepts_no_swap_and_warns_nothing(tmp_path):
+    # both layers are stars: every double-edge swap proposal is rejected
     # (weights 1 and 3: each weight sub-layer of the rewarding star needs a degree-2 node)
     stars = [(1, u, 1 + 2 * (u > 3), 10 * u) for u in (2, 3, 4, 5)]
     stars += [(6, u, -2, 100 + u) for u in (2, 3, 4)]
@@ -448,13 +449,31 @@ def test_stalled_rewiring_is_recorded_in_the_manifest(tmp_path):
     out = tmp_path / "static"
     argv = ["static", "--input", str(log_csv), "--out", str(out), "--seed", "1"]
     argv += ["--null-samples", "2"]
-    # each warning is also passed on to the caller
-    with pytest.warns(RuntimeWarning, match="^rewiring stalled") as passed_on:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(argv) == 0
-    plus = "rewiring stalled: 0/40 swaps after 800 attempts"
-    minus = "rewiring stalled: 0/30 swaps after 600 attempts"
-    assert _manifest_of(out)["warnings"] == [plus, plus, minus, minus]
-    assert [str(w.message) for w in passed_on] == [plus, plus, minus, minus]
+    assert _manifest_of(out)["warnings"] == []
+    rows = [line.split(",") for line in (out / "clustering_null.csv").read_text().splitlines()]
+    assert [row[5:7] for row in rows] == [["swaps_target", "min_swaps_done"], ["40", "0"], ["30", "0"]]
+
+
+def test_stage_warning_is_recorded_in_the_manifest(tmp_path):
+    # on this log the clustering spectrum of a layer bins to constant means,
+    # so its trend is undefined and `spectrum_trend` warns
+    events = [(3, 7, -1, 10), (4, 5, 1, 20), (3, 2, 2, 30), (6, 7, 2, 40), (1, 7, -1, 50)]
+    events += [(7, 8, -1, 60), (6, 5, 2, 70), (8, 5, 2, 80), (8, 1, 1, 90), (1, 8, 1, 100)]
+    events += [(8, 2, -1, 110), (4, 2, 1, 120), (1, 7, -1, 130)]
+    log_csv = tmp_path / "constant.csv"
+    write_log_csv(EventLog(events), log_csv)
+    out = tmp_path / "static"
+    argv = ["static", "--input", str(log_csv), "--out", str(out), "--seed", "1"]
+    argv += ["--null-samples", "1"]
+    # each warning is also passed on to the caller
+    with pytest.warns(RuntimeWarning) as passed_on:
+        assert main(argv) == 0
+    constant = "An input array is constant; the correlation coefficient is not defined."
+    assert _manifest_of(out)["warnings"] == [constant]
+    assert [str(w.message) for w in passed_on] == [constant]
 
 
 def test_null_of_a_reciprocal_log_covers_every_degree(tmp_path):

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,22 +409,22 @@ def test_spectrum_trend_needs_two_bins():
 
 def _rewired(projection, seed, swaps_per_edge=10):
     """Rewire the projection's edges as one null replica does; returns the
-    rewired edges and the number of swaps done."""
+    rewired edges, the swaps accepted and the pairs `_swap_round` was given."""
     ends = projection.edges.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # stalls are expected on some graphs
+    with mock.patch("wotnet.static._swap_round", wraps=_swap_round) as spy:
         done = _double_edge_swaps(
             ends, len(projection.nodes), swaps_per_edge * ends.shape[1], np.random.default_rng(seed)
         )
-    return ends, done
+    return ends, done, sum(call.args[3] for call in spy.call_args_list)
 
 
 def test_null_samples_preserve_degree_sequences(small_log):
     for layer in split_layers(small_log):
         projection = project(layer)
         for sample_seed in range(5):
-            ends, done = _rewired(projection, sample_seed)
-            assert done == 10 * ends.shape[1]
+            ends, done, proposed = _rewired(projection, sample_seed)
+            assert proposed == 10 * ends.shape[1]
+            assert 0 < done < proposed
             assert keeps_projected_degrees(projection, ends)
 
 
@@ -452,13 +453,10 @@ def test_replicas_keep_projected_degrees(log):
         if len(layer) == 0:
             continue
         projection = project(layer)
-        # one swap per edge: a graph with no legal swap runs the whole budget
         for seed in range(3):
-            ends, _ = _rewired(projection, seed, swaps_per_edge=1)
+            ends, _, _ = _rewired(projection, seed, swaps_per_edge=1)
             assert keeps_projected_degrees(projection, ends)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            null = configuration_null(projection, n_samples=2, seed=0, swaps_per_edge=1)
+        null = configuration_null(projection, n_samples=2, seed=0, swaps_per_edge=1)
         assert null.degree.tolist() == clustering_spectrum(projection).degree.tolist()
 
 
@@ -468,8 +466,9 @@ def test_null_on_a_reciprocal_layer_keeps_the_empirical_degrees():
     for layer in split_layers(reciprocal_log(n_users=80, n_pairs=300, seed=8)):
         projection = project(layer)
         for seed in range(5):
-            ends, done = _rewired(projection, seed)
-            assert done == 10 * ends.shape[1]
+            ends, done, proposed = _rewired(projection, seed)
+            assert proposed == 10 * ends.shape[1]
+            assert 0 < done < proposed
             assert keeps_projected_degrees(projection, ends)
         null = configuration_null(projection, n_samples=5, seed=11)
         assert null.degree.tolist() == clustering_spectrum(projection).degree.tolist()
@@ -492,7 +491,7 @@ def _round_chain(graph, n, seed):
     ends = np.array(np.divmod(graph, n), dtype=np.int64)
     keys = ends[0] * n + ends[1]
     while True:
-        _swap_round(ends, keys, n, len(keys) // 2, len(keys), rng)
+        _swap_round(ends, keys, n, len(keys) // 2, rng)
         yield tuple(sorted(keys.tolist()))
 
 
@@ -529,6 +528,23 @@ def test_rewiring_chain_visits_every_graph_uniformly(chain, thin, n_samples):
     assert sps.chisquare([visits[g] for g in graphs]).pvalue > 1e-3
 
 
+def test_rewiring_from_a_uniform_start_stays_uniform():
+    # A rejected proposal is a step that stays put, so each step is symmetric and
+    # keeps the uniform distribution: one proposal per edge from a uniform start
+    # must end uniform.  Counting only accepted swaps would favour the graphs
+    # with more legal swaps.
+    degrees = [3, 3, 2, 2, 1, 1]
+    n, graphs = len(degrees), _simple_graphs(degrees)
+    rng = np.random.default_rng(1)
+    visits = Counter()
+    for start in rng.integers(len(graphs), size=3400):
+        ends = np.array(np.divmod(graphs[start], n), dtype=np.int64)
+        _double_edge_swaps(ends, n, ends.shape[1], rng)
+        visits[tuple(sorted((ends[0] * n + ends[1]).tolist()))] += 1
+    assert set(visits) == set(graphs)
+    assert sps.chisquare([visits[g] for g in graphs]).pvalue > 1e-3
+
+
 def test_null_deterministic_for_fixed_seed():
     projection = project(_layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]))
     a = configuration_null(projection, n_samples=1, seed=5)
@@ -547,25 +563,28 @@ def test_null_different_seeds_can_differ(small_log):
 
 def test_null_metadata_records_swap_budget():
     projection = project(_layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]))
-    result = configuration_null(projection, n_samples=2, seed=3, swaps_per_edge=10)
+    with mock.patch("wotnet.static._swap_round", wraps=_swap_round) as spy:
+        result = configuration_null(projection, n_samples=2, seed=3, swaps_per_edge=10)
     assert result.swaps_target == 40
-    # a round of both edge pairs of a 4-cycle always conflicts; smaller rounds rewire it
-    assert result.swaps_done == (40, 40)
+    assert sum(call.args[3] for call in spy.call_args_list) == 2 * 40
+    # only the swap of two opposite edges to the two diagonals is legal on a 4-cycle
+    assert all(0 < done < 40 for done in result.swaps_done)
     assert result.n_samples == 2
     assert result.seed == 3
 
 
-def test_null_rewiring_star_is_best_effort_with_warning():
-    # a star's edges all share the hub: no swap can ever apply
+def test_null_rewiring_star_accepts_no_swap_and_does_not_warn():
+    # a star's edges all share the hub: every proposal is rejected
     projection = project(_layer_from_edges([(0, i) for i in range(1, 5)]))
-    with pytest.warns(RuntimeWarning, match="^rewiring stalled: 0/40 swaps after 800 attempts$"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = configuration_null(projection, n_samples=1, seed=1)
-    assert result.swaps_done == (0,)
+    assert (result.swaps_target, result.swaps_done) == (40, (0,))
     assert mean_clustering(projection) == result.null_mean_clustering
 
 
 def test_null_of_a_single_edge_does_not_warn():
-    # with one edge there is no pair to propose, so the rewiring has nothing to stall on
+    # with one edge there is no pair to propose
     projection = project(_layer_from_edges([(0, 1)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
