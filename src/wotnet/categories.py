@@ -66,18 +66,17 @@ def categorize(
     in exact rational arithmetic, so labels are invariant under scaling all
     reputations by a common positive factor.
     """
-    low = Fraction(thresholds.low)
-    high = Fraction(thresholds.high)
+    # r < p / q exactly when rho- * q < p * (rho+ + rho-), on Python ints
+    low_p, low_q = Fraction(thresholds.low).as_integer_ratio()
+    high_p, high_q = Fraction(thresholds.high).as_integer_ratio()
     labels: dict[int, CategoryLabel] = {}
     for user, m in metrics.items():
         total = m.rho_plus + m.rho_minus
         if total == 0:
             labels[user] = CategoryLabel.UNCATEGORIZED
-            continue
-        r = Fraction(m.rho_minus, total)
-        if r < low:
+        elif m.rho_minus * low_q < low_p * total:
             labels[user] = CategoryLabel.TRUSTWORTHY
-        elif r > high:
+        elif m.rho_minus * high_q > high_p * total:
             labels[user] = CategoryLabel.UNTRUSTED
         else:
             labels[user] = CategoryLabel.CONTROVERSIAL

@@ -25,9 +25,12 @@ import warnings
 from dataclasses import MISSING, astuple, fields
 from datetime import date, datetime, timezone
 from functools import cache, cached_property
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence, get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .categories import (
@@ -116,12 +119,26 @@ def _formatter(kind: type) -> Callable[[object], str]:
     if issubclass(kind, date):
         return kind.isoformat
     if issubclass(kind, (Layer, CategoryLabel)):
-        return attrgetter("value")
+        return attrgetter("_value_")  # the member's value, without the `value` property's call
     return str
 
 
 def _fmt(value) -> str:
     return _formatter(type(value))(value)
+
+
+# rows formatted at a time: only one slice's cell texts are held at once, so
+# a table of 10^5 rows costs no more memory than its finished lines
+_SLICE_ROWS = 1 << 10
+
+
+def _column_text(column) -> list[str]:
+    """The cells of one CSV column as text, each as `_fmt` writes it, with
+    one formatter for a column whose cells share a type."""
+    if isinstance(column, np.ndarray) and (column.dtype.kind in "iu" or column.dtype == np.float64):
+        column = column.tolist()  # Python ints and floats, which print as numpy's own
+    kinds = set(map(type, column))
+    return list(map(_formatter(kinds.pop()) if len(kinds) == 1 else _fmt, column))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -147,9 +164,16 @@ class RunWriter:
         self.ingest: IngestReport | None = None
         self.warnings: list[str] | None = None
 
-    def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    def write_csv(self, name: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+        """Write the table of `columns`, numpy arrays or sequences of equal
+        length; no columns at all make a header-only file."""
+        lengths = set(map(len, columns))
+        if len(lengths) > 1:
+            raise ValueError(f"{name}: columns of unequal length")
         lines = [",".join(header)]
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
+        for start in range(0, max(lengths, default=0), _SLICE_ROWS):
+            texts = [_column_text(column[start : start + _SLICE_ROWS]) for column in columns]
+            lines.extend(map(",".join, zip(*texts)))
         _atomic_write(self.out_dir / name, "\n".join(lines) + "\n")
         self.outputs.append(name)
 
@@ -343,19 +367,37 @@ class RunContext:
 # stages: each writes its outputs from the shared run context
 
 
-def _distribution_rows(dist: Distribution, *prefix) -> Iterable[tuple]:
-    for v, p, c in zip(dist.support, dist.pmf, dist.ccdf):
-        yield (*prefix, int(v), float(p), float(c))
+def _block(prefix: tuple, *columns) -> list:
+    """The columns of rows that start with the cells `prefix` and go on with
+    `columns`, all of one length."""
+    n = len(columns[0])
+    return [*([cell] * n for cell in prefix), *columns]
 
 
-def _spectrum_rows(spectrum: DegreeSpectrum, *prefix) -> Iterable[tuple]:
-    for d, m, s, n in zip(spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes):
-        yield (*prefix, int(d), float(m), float(s), int(n))
+def _stack(blocks: Iterable[Sequence]) -> list[list]:
+    """The columns of one table made of `blocks`, tables of equally many
+    columns, one below the other; no blocks make no columns."""
+    return [
+        list(chain.from_iterable(c.tolist() if isinstance(c, np.ndarray) else c for c in column))
+        for column in zip(*blocks)
+    ]
 
 
-def _binned_rows(spectrum: DegreeSpectrum, *prefix) -> list[tuple]:
-    centers, means = log_binned_means(spectrum)
-    return [(*prefix, float(c), float(m)) for c, m in zip(centers, means)]
+def _attributes(items: Sequence, names: Sequence[str]) -> list[list]:
+    """One column per attribute name: its value on each item."""
+    return [list(map(attrgetter(name), items)) for name in names]
+
+
+def _distribution(dist: Distribution, *prefix) -> list:
+    return _block(prefix, dist.support, dist.pmf, dist.ccdf)
+
+
+def _spectrum(spectrum: DegreeSpectrum, *prefix) -> list:
+    return _block(prefix, spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes)
+
+
+def _binned(spectrum: DegreeSpectrum, *prefix) -> list:
+    return _block(prefix, *log_binned_means(spectrum))
 
 
 def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
@@ -368,10 +410,11 @@ def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
     if len(report.rejections) > 20:
         print(f"... {len(report.rejections) - 20} more", file=sys.stderr)
     if writer is not None:
+        rejections = report.rejections
         writer.write_csv(
             "rejected_lines.csv",
             ["line_no", "reason", "text"],
-            ((r.line_no, r.reason, r.text.replace(",", ";")) for r in report.rejections),
+            [*_attributes(rejections, ("line_no", "reason")), [r.text.replace(",", ";") for r in rejections]],
         )
 
 
@@ -382,7 +425,7 @@ def _write_summary(writer: RunWriter | None, ctx: RunContext) -> None:
     counts = (len(log.users), len(log), len(plus), len(minus))
     print("\n".join(f"{name}={count}" for name, count in zip(names, counts)))
     if writer is not None:
-        writer.write_csv("summary.csv", names, [counts])
+        writer.write_csv("summary.csv", names, [[count] for count in counts])
 
 
 def _write_static(writer: RunWriter, ctx: RunContext) -> None:
@@ -395,65 +438,49 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     writer.write_csv(
         "weight_distribution.csv",
         ["layer", "weight", "pmf", "ccdf"],
-        (row for layer, view in pair for row in _distribution_rows(weight_distribution(view), layer)),
+        _stack(_distribution(weight_distribution(view), layer) for layer, view in pair),
     )
 
-    def degree_rows():
+    def degree_blocks():
         for layer in LAYERS:
             for direction in ("in", "out"):
                 attr = f"k_{direction}_{layer.short}"
                 dist = from_values([getattr(m, attr) for m in metrics.values()])
-                yield from _distribution_rows(dist, layer, direction)
+                yield _distribution(dist, layer, direction)
 
     writer.write_csv(
         "degree_distributions.csv",
         ["layer", "direction", "degree", "pmf", "ccdf"],
-        degree_rows(),
+        _stack(degree_blocks()),
     )
 
     measures = zip(("rho_plus", "rho_minus", "rho"), reputation_distributions(metrics))
     writer.write_csv(
         "reputation_distributions.csv",
         ["measure", "value", "pmf", "ccdf"],
-        (row for measure, dist in measures for row in _distribution_rows(dist, measure)),
+        _stack(_distribution(dist, measure) for measure, dist in measures),
     )
 
-    clustering_rows = []
-    clustering_binned_rows = []
-    null_summary_rows = []
     projections = [undirected_projection(view.raters, view.ratees) for _, view in pair]
-    for (layer, _), projection in zip(pair, projections):
+    spectrum_blocks, binned_blocks, nulls = [], [], []
+    for layer, projection in zip(LAYERS, projections):
         spectrum = clustering_spectrum(projection)
-        clustering_binned_rows.extend(_binned_rows(spectrum, layer))
+        binned_blocks.append(_binned(spectrum, layer))
         null = configuration_null(projection, n_samples, seed)
-        null_by_degree = {
-            int(d): (float(m), float(s))
-            for d, m, s in zip(null.degree, null.null_mean, null.null_std)
-        }
-        clustering_rows.extend(
-            row + null_by_degree.get(row[1], (None, None)) for row in _spectrum_rows(spectrum, layer)
-        )
-        null_summary_rows.append(
-            (
-                layer,
-                mean_clustering(projection),
-                null.null_mean_clustering,
-                null.null_std_clustering,
-                null.n_samples,
-                null.swaps_target,
-                min(null.swaps_done),
-                null.seed,
-            )
-        )
+        nulls.append(null)
+        # the null's mean and std at each degree of the spectrum, empty where it has none
+        null_by_degree = dict(zip(null.degree.tolist(), zip(null.null_mean.tolist(), null.null_std.tolist())))
+        matched = [null_by_degree.get(d, (None, None)) for d in spectrum.degree.tolist()]
+        spectrum_blocks.append(_spectrum(spectrum, layer) + [[m for m, _ in matched], [s for _, s in matched]])
     writer.write_csv(
         "clustering_spectrum.csv",
         ["layer", "degree", "mean_clustering", "std_clustering", "n_nodes", "null_mean", "null_std"],
-        clustering_rows,
+        _stack(spectrum_blocks),
     )
     writer.write_csv(
         "clustering_binned.csv",
         ["layer", "bin_center", "mean_clustering"],
-        clustering_binned_rows,
+        _stack(binned_blocks),
     )
     writer.write_csv(
         "clustering_null.csv",
@@ -467,123 +494,101 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
             "min_swaps_done",
             "seed",
         ],
-        null_summary_rows,
+        [
+            list(LAYERS),
+            [mean_clustering(projection) for projection in projections],
+            *_attributes(nulls, ("null_mean_clustering", "null_std_clustering", "n_samples", "swaps_target")),
+            [min(null.swaps_done) for null in nulls],
+            [null.seed for null in nulls],
+        ],
     )
 
     # single-rating vs. repeated/strong-rating sub-layers of L+, under both
     # degree conventions (all nodes vs. degree >= 2 only)
     by_weight = [("w_eq_1", layer_plus.where(layer_plus.scores == 1)), ("w_gt_1", layer_plus.where(layer_plus.scores >= 2))]
-    sublayers = [(name, undirected_projection(view.raters, view.ratees)) for name, view in by_weight]
-    norm_rows = []
-    for convention, include_low in (("all_nodes", True), ("degree_ge_2", False)):
-        for sublayer, projection in sublayers:
-            norm_rows.append((convention, sublayer, mean_clustering(projection, include_low)))
+    sublayers = [undirected_projection(view.raters, view.ratees) for _, view in by_weight]
+    conventions = (("all_nodes", True), ("degree_ge_2", False))
     writer.write_csv(
         "norm_breaking_clustering.csv",
         ["convention", "sublayer", "mean_clustering"],
-        norm_rows,
+        [
+            [convention for convention, _ in conventions for _ in sublayers],
+            [name for _ in conventions for name, _ in by_weight],
+            [mean_clustering(projection, low) for _, low in conventions for projection in sublayers],
+        ],
     )
 
-    annd_rows = []
-    binned_rows = []
-    trend_rows = []
-    for (layer, _), projection in zip(pair, projections):
-        spectrum = avg_neighbor_degree_spectrum(projection)
-        annd_rows.extend(_spectrum_rows(spectrum, layer))
-        binned_rows.extend(_binned_rows(spectrum, layer))
-        trend_rows.append((layer, spectrum_trend(spectrum)))
+    spectra = [avg_neighbor_degree_spectrum(projection) for projection in projections]
+    trends = [spectrum_trend(spectrum) for spectrum in spectra]
     writer.write_csv(
         "neighbor_degree_spectrum.csv",
         ["layer", "degree", "mean_neighbor_degree", "std_neighbor_degree", "n_nodes"],
-        annd_rows,
+        _stack(map(_spectrum, spectra, LAYERS)),
     )
     writer.write_csv(
         "neighbor_degree_binned.csv",
         ["layer", "bin_center", "mean_neighbor_degree"],
-        binned_rows,
+        _stack(map(_binned, spectra, LAYERS)),
     )
-    writer.write_csv(
-        "neighbor_degree_trend.csv", ["layer", "spearman"], trend_rows
-    )
+    writer.write_csv("neighbor_degree_trend.csv", ["layer", "spearman"], [list(LAYERS), trends])
 
     report = ranking_report(metrics)
-    writer.write_csv(
-        "tau_matrix.csv",
-        ["key", *RANKING_KEYS],
-        (
-            (key, *(float(report.tau_matrix[i, j]) for j in range(len(RANKING_KEYS))))
-            for i, key in enumerate(RANKING_KEYS)
-        ),
-    )
+    writer.write_csv("tau_matrix.csv", ["key", *RANKING_KEYS], [list(RANKING_KEYS), *report.tau_matrix.T])
     writer.write_csv(
         "ranking.csv",
         ["rank", "user", "k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho"],
-        report.by_inplus_rank,
+        list(zip(*report.by_inplus_rank)),
     )
 
     writer.write_csv(
         "reputation_by_indegree.csv",
         ["layer", "in_degree", "mean_rho", "std_rho", "n_users"],
-        (row for layer in LAYERS for row in _spectrum_rows(reputation_by_indegree(metrics, layer), layer)),
+        _stack(_spectrum(reputation_by_indegree(metrics, layer), layer) for layer in LAYERS),
     )
 
 
 def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
     metrics, labels = ctx.metrics, ctx.labels
 
+    users = sorted(metrics)
+    ms = [metrics[u] for u in users]
     writer.write_csv(
         "categories.csv",
         ["user", "rho_plus", "rho_minus", "rho", "r", "label"],
-        (
-            (
-                u,
-                m.rho_plus,
-                m.rho_minus,
-                m.rho,
-                negative_fraction(m),
-                labels[u],
-            )
-            for u, m in sorted(metrics.items())
-        ),
+        [
+            users,
+            *_attributes(ms, ("rho_plus", "rho_minus", "rho")),
+            list(map(negative_fraction, ms)),
+            [labels[u] for u in users],
+        ],
     )
 
-    stats = category_summary(metrics, labels)
-    summary_rows = []
-    for label, cs in stats.items():
-        for quantity, summary in (
-            ("rho", cs.rho),
-            ("activity_plus", cs.activity_plus),
-            ("activity_minus", cs.activity_minus),
-            ("activity_total", cs.activity_total),
-        ):
-            summary_rows.append(
-                (
-                    label,
-                    quantity,
-                    cs.count,
-                    summary.minimum,
-                    summary.q1,
-                    summary.median,
-                    summary.q3,
-                    summary.maximum,
-                )
-            )
+    stats = list(category_summary(metrics, labels).values())
+    quantities = ("rho", "activity_plus", "activity_minus", "activity_total")
     writer.write_csv(
         "category_summary.csv",
         ["category", "quantity", "count", "min", "q1", "median", "q3", "max"],
-        summary_rows,
+        [
+            [cs.label for cs in stats for _ in quantities],
+            list(quantities) * len(stats),
+            [cs.count for cs in stats for _ in quantities],
+            *_attributes(
+                [getattr(cs, quantity) for cs in stats for quantity in quantities],
+                ("minimum", "q1", "median", "q3", "maximum"),
+            ),
+        ],
     )
 
     scatter = reputation_vs_indegree_scatter(metrics, labels)
     writer.write_csv(
         "reputation_scatter.csv",
         ["user", "k_in_total", "rho", "category"],
-        ((p.user, p.k_in_total, p.rho, p.label) for p in scatter.points),
+        _attributes(scatter.points, ("user", "k_in_total", "rho", "label")),
     )
     writer.write_csv(
         "reputation_scatter_slopes.csv",
         ["slope_per_rating"],
-        ((s,) for s in scatter.limit_slopes),
+        [scatter.limit_slopes],
     )
 
 
@@ -601,63 +606,58 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
 
     shifts = [0] if shift == 0 else [0, shift]
 
+    series = [daily_series(log, s) for s in shifts]
     writer.write_csv(
         "daily_activity.csv",
         ["tz_shift_hours", "date", "count_plus", "count_minus", "annotations"],
-        (
-            (s, row.day, row.count_plus, row.count_minus, annotations_for(row.day, windows))
-            for s in shifts
-            for row in daily_series(log, s)
+        _stack(
+            _block(
+                (s,),
+                *_attributes(days, ("day", "count_plus", "count_minus")),
+                [annotations_for(row.day, windows) for row in days],
+            )
+            for s, days in zip(shifts, series)
         ),
     )
 
-    interevent_rows = []
-    binned_rows = []
-    burst_rows = []
+    interevent_blocks = []
+    binned_blocks = []
+    burst_blocks = []
     for layer in LAYERS:
         # layers without enough repeat ratings simply contribute no rows
         deltas = interevent_times(log, layer)
         if deltas.size > 0:
             dist = from_values(deltas)
-            interevent_rows.extend(_distribution_rows(dist, layer))
-            binned_rows.extend(
-                (layer, float(v), float(c)) for v, c in log_binned_ccdf(dist)
-            )
+            interevent_blocks.append(_distribution(dist, layer))
+            points = log_binned_ccdf(dist)
+            binned_blocks.append(_block((layer,), [v for v, _ in points], [c for _, c in points]))
         if deltas.size >= 2:
-            burst_rows.append((None, layer, burstiness(deltas), len(deltas)))
-    for row in yearly_burstiness(log):
-        burst_rows.append((row.year, row.layer, row.value, row.n_samples))
+            # empty year marks the whole-log rows
+            burst_blocks.append(_block((None, layer), [burstiness(deltas)], [len(deltas)]))
+    burst_blocks.append(_attributes(yearly_burstiness(log), ("year", "layer", "value", "n_samples")))
     writer.write_csv(
         "interevent_distribution.csv",
         ["layer", "dt_seconds", "pmf", "ccdf"],
-        interevent_rows,
+        _stack(interevent_blocks),
     )
     writer.write_csv(
         "interevent_binned_ccdf.csv",
         ["layer", "dt_seconds", "ccdf"],
-        binned_rows,
+        _stack(binned_blocks),
     )
-    # empty year marks the whole-log rows
-    writer.write_csv(
-        "burstiness.csv", ["year", "layer", "B", "n_samples"], burst_rows
-    )
+    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], _stack(burst_blocks))
 
-    def profile_rows(profile):
-        for s in shifts:
-            fractions = profile(log, s)
-            for slot, pair in enumerate(zip(fractions[Layer.REWARDING], fractions[Layer.PUNITIVE])):
-                yield (s, slot, *map(float, pair))
-
-    writer.write_csv(
-        "circadian_profile.csv",
-        ["tz_shift_hours", "hour", "frac_plus", "frac_minus"],
-        profile_rows(circadian_profile),
-    )
-    writer.write_csv(
-        "weekly_profile.csv",
-        ["tz_shift_hours", "weekday", "frac_plus", "frac_minus"],
-        profile_rows(weekly_profile),
-    )
+    profiles = (("circadian", "hour", circadian_profile), ("weekly", "weekday", weekly_profile))
+    for name, slot, profile in profiles:
+        fractions = [profile(log, s) for s in shifts]
+        writer.write_csv(
+            f"{name}_profile.csv",
+            ["tz_shift_hours", slot, "frac_plus", "frac_minus"],
+            _stack(
+                _block((s,), np.arange(len(f[Layer.REWARDING])), f[Layer.REWARDING], f[Layer.PUNITIVE])
+                for s, f in zip(shifts, fractions)
+            ),
+        )
 
 
 def _final_state_check(ctx: RunContext) -> None:
@@ -674,15 +674,14 @@ def _write_dynamics(writer: RunWriter, ctx: RunContext) -> None:
     writer.write_csv(
         "gini_series.csv",
         ["date", "gini_plus", "gini_minus"],
-        ((p.day, p.gini_plus, p.gini_minus) for p in fold.gini),
+        _attributes(fold.gini, ("day", "gini_plus", "gini_minus")),
     )
     # plain set overlap next to the order-sensitive index
     writer.write_csv(
         "topk_stability.csv",
         ["date", "J_plus", "J_minus", "J_global", "SJ_plus", "SJ_minus", "SJ_global", "truncated"],
-        (
-            (p.day, p.j_plus, p.j_minus, p.j_global, p.sj_plus, p.sj_minus, p.sj_global, p.truncated)
-            for p in fold.stability
+        _attributes(
+            fold.stability, ("day", "j_plus", "j_minus", "j_global", "sj_plus", "sj_minus", "sj_global", "truncated")
         ),
     )
 
@@ -694,10 +693,9 @@ def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
         writer.write_csv(
             f"trajectories_{selection.value.replace('-', '_')}.csv",
             ["user", "seq_index", "rho", "category"],
-            (
-                (t.user, step, value, t.category)
+            _stack(
+                _block((t.user,), range(1, len(t.values) + 1), t.values, [t.category] * len(t.values))
                 for t in follow(ctx.log, users, ctx.labels)
-                for step, value in enumerate(t.values, start=1)
             ),
         )
 
@@ -758,8 +756,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     log = synth_log(synth_config)
     writer = RunWriter(Path(_require(config, "out", "to write the synthetic log")))
-    columns = (log.raters, log.ratees, log.scores, log.timestamps)
-    writer.write_csv("synthetic.csv", ["rater", "ratee", "score", "timestamp"], zip(*(c.tolist() for c in columns)))
+    writer.write_csv("synthetic.csv", ["rater", "ratee", "score", "timestamp"], [log.raters, log.ratees, log.scores, log.timestamps])
     config.update((flag, getattr(synth_config, field)) for flag, field in SYNTH_FLAGS.items())
     writer.write_manifest("synth", config, None)
     return EXIT_OK

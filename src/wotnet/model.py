@@ -11,12 +11,13 @@ from __future__ import annotations
 import gzip
 import io
 import math
-from contextlib import contextmanager
+import warnings
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -191,17 +192,19 @@ class IngestReport:
     rejections: tuple[RejectedLine, ...] = field(default=(), repr=False)
 
 
-@contextmanager
-def _open_source(source: str | Path | IO[bytes]) -> Iterator[IO[str]]:
-    # closing `buffered` closes the file opened here or the caller's stream;
-    # a GzipFile leaves its fileobj open, hence the outer `with`
-    raw: IO[bytes] = open(source, "rb") if isinstance(source, (str, Path)) else source
-    buffered = raw if isinstance(raw, io.BufferedReader) else io.BufferedReader(raw)
-    with buffered:
-        gzipped = buffered.peek(2)[:2] == b"\x1f\x8b"
-        binary = gzip.GzipFile(fileobj=buffered) if gzipped else buffered
-        with io.TextIOWrapper(binary, encoding="utf-8") as text:
-            yield text
+def _read_bytes(source: str | Path | IO[bytes]) -> bytes:
+    """All bytes of a path, or of a binary stream, which is closed after."""
+    with (open(source, "rb") if isinstance(source, (str, Path)) else source) as fh:
+        return fh.read()
+
+
+def _text_stream(data: bytes) -> IO[str]:
+    """The UTF-8 text of `data`, gunzipped when it starts with the gzip magic,
+    read line by line with universal newlines."""
+    binary: IO[bytes] = io.BytesIO(data)
+    if data[:2] == b"\x1f\x8b":
+        binary = gzip.GzipFile(fileobj=binary)
+    return io.TextIOWrapper(binary, encoding="utf-8")
 
 
 def _parse_timestamp(text: str) -> int:
@@ -227,6 +230,95 @@ def _parse_line(text: str) -> tuple[int, int, int, int]:
     return rater, ratee, score, timestamp
 
 
+def _is_header(text: str) -> bool:
+    """Whether the first non-blank line, stripped, is a header: its first
+    field is not a number."""
+    try:
+        float(text.split(",")[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _ingest_lines(data: bytes, mode: str) -> tuple[np.ndarray, list[RejectedLine]]:
+    """Parse the log one line at a time: the 4 x n int64 columns of the legal
+    records in input order, and the rejected lines (strict mode raises
+    IngestError on the first)."""
+    fields: list[int] = []  # four per kept record
+    rejections: list[RejectedLine] = []
+    first_record = True
+    saw_content = False
+    with _text_stream(data) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            saw_content = True
+            if first_record:
+                first_record = False
+                if _is_header(text):
+                    continue
+            try:
+                fields.extend(_parse_line(text))
+            except ValueError as exc:
+                if mode == "strict":
+                    raise IngestError(f"line {line_no}: {exc}") from exc
+                rejections.append(RejectedLine(line_no, str(exc), text))
+    if not saw_content:
+        raise IngestError("empty input: no records found")
+    return np.array(fields, dtype=np.int64).reshape(-1, 4).T, rejections
+
+
+# the only bytes the `np.loadtxt` path reads, which it parses as `_parse_line`
+# does; whitespace, letters (nan, inf, 1_0), quotes and comment marks are left
+# to the line loop
+_PLAIN_BODY = b"0123456789,+-.eE\n"
+_RECORD = np.dtype([("rater", np.int64), ("ratee", np.int64), ("score", np.int64), ("timestamp", np.float64)])
+
+
+def _ingest_columns(data: bytes) -> np.ndarray | None:
+    """The 4 x n int64 columns of a log whose every line `_ingest_lines`
+    keeps, parsed at once by `np.loadtxt`; None when some line may not be
+    kept, or may need the line loop's reading, so that the caller falls
+    back to it.  Timestamps are read as float64 and floored, which is exact
+    while every |t| < 2**53."""
+    try:
+        if data[:2] == b"\x1f\x8b":
+            with gzip.GzipFile(fileobj=io.BytesIO(data)) as unzipped:
+                data = unzipped.read()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+            if b"\r" in data:
+                return None
+        # the first non-blank line, as the line loop finds it
+        start = 0
+        while True:
+            end = data.find(b"\n", start)
+            end = len(data) if end < 0 else end
+            text = data[start:end].decode("utf-8").strip()
+            if text or end == len(data):
+                break
+            start = end + 1
+        if not text:
+            return None
+        body = data[end + 1 :] if _is_header(text) else data[start:]
+        if body.translate(None, _PLAIN_BODY):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning, such as no data, means fall back
+            stream = io.StringIO(body.decode("ascii"))
+            table = np.loadtxt(stream, dtype=_RECORD, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OSError, EOFError, zlib.error, Warning):
+        return None  # the line loop reads the same bytes and reports what it finds
+    raters, ratees, scores, times = (table[name] for name in _RECORD.names)
+    legal = (
+        (np.abs(times) < 2.0**53).all()  # false for nan and inf too
+        and ((MIN_SCORE <= scores) & (scores <= MAX_SCORE) & (scores != 0)).all()
+        and (raters != ratees).all()
+    )
+    return np.stack((raters, ratees, scores, np.floor(times).astype(np.int64))) if legal else None
+
+
 def ingest(
     source: str | Path | IO[bytes], mode: str = "lenient"
 ) -> tuple[EventLog, IngestReport]:
@@ -237,35 +329,19 @@ def ingest(
     diagnostics and skipped; in strict mode the first invalid record raises
     IngestError.  Input with no content at all is an error in both modes;
     a header with zero data rows is a valid empty log.
+
+    The bytes are read once.  A log of plain comma-separated numbers with
+    only legal records is parsed at once by `np.loadtxt`; any other log,
+    or one that `np.loadtxt` cannot read or warns about, is parsed line by
+    line, with the same result.
     """
     if mode not in ("lenient", "strict"):
         raise ValueError(f"mode must be 'lenient' or 'strict', got {mode!r}")
-    fields: list[int] = []  # four per kept record
-    rejections: list[RejectedLine] = []
-    first_record = True
-    saw_content = False
-    with _open_source(source) as stream:
-        for line_no, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            saw_content = True
-            if first_record:
-                first_record = False
-                head = text.split(",")[0]
-                try:
-                    float(head)
-                except ValueError:
-                    continue  # header line
-            try:
-                fields.extend(_parse_line(text))
-            except ValueError as exc:
-                if mode == "strict":
-                    raise IngestError(f"line {line_no}: {exc}") from exc
-                rejections.append(RejectedLine(line_no, str(exc), text))
-    if not saw_content:
-        raise IngestError("empty input: no records found")
-    log = EventLog._from_columns(np.array(fields, dtype=np.int64).reshape(-1, 4).T)
+    data = _read_bytes(source)
+    columns, rejections = _ingest_columns(data), []
+    if columns is None:
+        columns, rejections = _ingest_lines(data, mode)
+    log = EventLog._from_columns(columns)
     report = IngestReport(
         events_kept=len(log),
         events_rejected=len(rejections),

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wotnet import (
@@ -108,6 +109,41 @@ def test_boundary_ratio_exact_at_large_magnitudes():
     big = 10**14
     labels = categorize({1: _received(3 * big, big)})
     assert labels[1] is CategoryLabel.CONTROVERSIAL
+
+
+def _categorize_by_fraction(metrics, thresholds):
+    """The labels from a `Fraction` per user, as `categorize` found them
+    before it compared integer products: the oracle."""
+    low, high = Fraction(thresholds.low), Fraction(thresholds.high)
+    labels = {}
+    for user, m in metrics.items():
+        total = m.rho_plus + m.rho_minus
+        if total == 0:
+            labels[user] = CategoryLabel.UNCATEGORIZED
+        elif Fraction(m.rho_minus, total) < low:
+            labels[user] = CategoryLabel.TRUSTWORTHY
+        elif Fraction(m.rho_minus, total) > high:
+            labels[user] = CategoryLabel.UNTRUSTED
+        else:
+            labels[user] = CategoryLabel.CONTROVERSIAL
+    return labels
+
+
+_reputations = st.one_of(st.integers(0, 1000), st.integers(2**62 - 1000, 2**62 + 1000))
+
+
+@given(
+    st.lists(st.tuples(_reputations, _reputations), max_size=20),
+    st.sampled_from([(0.25, 0.75), (0.3, 0.7), (0.1, 0.9), (1 / 3, 2 / 3), (0.49, 0.51)]),
+)
+@example([(3, 1), (1, 3), (7, 3), (3, 7), (0, 0)], (0.25, 0.75))  # r on a threshold
+@example([(7, 3), (3, 7), (70, 30), (30, 70)], (0.3, 0.7))  # r = 0.3 lies just above the float 0.3
+@example([(3 * 2**60, 2**60), (2**60, 3 * 2**60), (2**62, 2**62)], (0.25, 0.75))
+@settings(max_examples=200, deadline=None)
+def test_labels_match_the_fraction_oracle(reputations, bounds):
+    metrics = {user: _received(*pair) for user, pair in enumerate(reputations)}
+    thresholds = CategoryThresholds(*bounds)
+    assert categorize(metrics, thresholds) == _categorize_by_fraction(metrics, thresholds)
 
 
 # ---------------------------------------------------------------------------

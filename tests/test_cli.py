@@ -1,16 +1,21 @@
 import gzip
 import hashlib
 import json
+import tempfile
 import warnings
 from datetime import date, datetime
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reciprocal_log
 from wotnet import CategoryLabel, EventLog, Layer, SynthConfig, synth_log, write_log_csv
-from wotnet.cli import OPTIONS, _fmt, main
+from wotnet import cli
+from wotnet.cli import OPTIONS, RunWriter, _fmt, main
 
 GOOD_ROWS = "1,2,5,100\n3,2,1,200\n2,1,-10,300\n"
 
@@ -550,15 +555,39 @@ def test_dynamics_outputs(synth_csv, tmp_path):
     )
 
 
-# SHA-256 of the daily-fold outputs of `all` on a seeded synthetic log,
-# recorded from the per-day loop over `snapshot_series`.  The files hold
-# integer sums and ratios of small integers only, so they do not depend on
-# the numpy version.
+# SHA-256 of every CSV that `all` writes on a seeded synthetic log.  The
+# four daily-fold files were recorded from the per-day loop over
+# `snapshot_series`, the rest from the row-by-row CSV writer and the
+# line-by-line ingest; the column writer and the array ingest must write the
+# same bytes.
 FOLD_SHA256 = {
+    "burstiness.csv": "f15d15805af79e17c40bead7f7a1a962d3d73eecc58b5f9c1d14fb7fcbd839b4",
+    "categories.csv": "a69e9dde1b14ff07c659dd8c55ebd925d4a3da382b79e43c49bfde293db1a8ae",
+    "category_summary.csv": "9757b4fd2e32da49d422e9926d2486c9a94721ca76dee5087cdfd27e595361a5",
+    "circadian_profile.csv": "fff49a56ea59a1747bdf44640affa8d890ba0d92049079fafbea249a47e51314",
+    "clustering_binned.csv": "30be3df0238fd941051cbfebb393c3f25a89ce208a4c74d5a3afa8db6c169bd0",
+    "clustering_null.csv": "cd8e8abf569d74b22950a62f6954d15c1eb278c6b811a2b979506a41bb33946c",
+    "clustering_spectrum.csv": "545962cf41c9fdfead59c69558fbcf0e758b85ab8868ae27dec442efa3d85ef4",
+    "daily_activity.csv": "4dde07f9695705f27d3f788797ab0ffa5e60c7affb7d60a8544ac44ae17f1664",
+    "degree_distributions.csv": "5b9dff3c442bdfc09746b3ddbdf819757e9dc238c469014f1f24534f3540eedb",
     "gini_series.csv": "e113a2a62bcd2c08189faa36032e274edb22e9e856fac09de578632b0abd5754",
+    "interevent_binned_ccdf.csv": "1f19a250c1c95c45b72ab03086bd04765ddb2bc17d93fbece7308663b54d2046",
+    "interevent_distribution.csv": "1c6bed9b1115fbd8dbe744b75366a6d7b9e9e3b9139297d37fa8a3058c033367",
+    "neighbor_degree_binned.csv": "34ac3c21628381666f3e5e8f44e5995ae448108bac7b6840cd6613ebd4aa0278",
+    "neighbor_degree_spectrum.csv": "c504cf1148d342eb2296acb2f5b19a5a5eb2a40749f6a195fba0177f9dddec74",
+    "neighbor_degree_trend.csv": "2faf6437c89a7c469538298175132c479d1380fb2b71c8d2c6de1e584c5405af",
+    "norm_breaking_clustering.csv": "a917afe1b00cf9c20b6127cdc03934fd2044c878e8a0ef332430e8e06a33e033",
+    "ranking.csv": "96615120c08d1707efd94aa81131e417e59920b818bcc3e6558ce97d4e6a1b1c",
+    "reputation_by_indegree.csv": "a80dad7aba0d8c5819d30c24bd51698339578014f9042b485233beb96c1e7a6c",
+    "reputation_distributions.csv": "5db15c82723d8384d1ee2c955d684f2163bb89f1f46aec5e6adbbd29843ce04d",
+    "reputation_scatter.csv": "7a9855f8ce3d56f1880968fd5b1a6e862321bccfa14fb948d4647cf7f3d3ed8b",
+    "reputation_scatter_slopes.csv": "d55de960398c90ff5a9f7f06bce406d737d74fab96c0771a4f6f0e87d678a225",
+    "tau_matrix.csv": "4711dc695142010ba5388202582610a6278456d4c39138d333b30c6429c79f23",
     "topk_stability.csv": "3bc2262ce074973270995e87d048c7ff9c4dd2a0f9209b9df50ffa3abf03034a",
-    "trajectories_top_positive.csv": "02d35cbf021b27fad090d05071556943d0905f8bbde927e49121bbe52d7ddba3",
     "trajectories_top_negative.csv": "04876dcb95ff6d0eac243e22f3ccf9c3b06c33f3daf18f03343618ff38aedaf6",
+    "trajectories_top_positive.csv": "02d35cbf021b27fad090d05071556943d0905f8bbde927e49121bbe52d7ddba3",
+    "weekly_profile.csv": "75eff27cd8da0ff86feb238ca14cbfbdca38e944a6387e927a4c18561a049a19",
+    "weight_distribution.csv": "f761dbe635e7e35d6f7c0daf0dccdf971351c5a350135c180828b64d7b5b99a5",
 }
 
 
@@ -568,7 +597,7 @@ def test_fold_outputs_match_recorded_digests(tmp_path):
     out = tmp_path / "out"
     argv = ["all", "--input", str(tmp_path / "log.csv"), "--out", str(out)]
     assert main(argv + ["--seed", "1", "--null-samples", "1", "--topk", "5"]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FOLD_SHA256}
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.glob("*.csv")}
     assert digests == FOLD_SHA256
 
 
@@ -597,6 +626,53 @@ def test_cell_formatting_matches_the_isinstance_chain():
     # twice: the second pass reads the formatters the first one cached
     for cell in cells + cells:
         assert _fmt(cell) == _fmt_by_isinstance_chain(cell), repr(cell)
+
+
+def _column_strategies(n):
+    """Columns of n cells, as the stages hand them to the writer."""
+    floats = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([-0.0, 1e-20, float("nan"), float("inf"), 1 / 3]),
+    )
+    lists = st.lists
+    return st.one_of(
+        lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n),
+        lists(st.integers(-(2**63), 2**63 - 1).map(np.int64), min_size=n, max_size=n),
+        lists(st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(np.int64)), min_size=n, max_size=n),
+        lists(floats, min_size=n, max_size=n),
+        lists(st.one_of(floats, st.none()), min_size=n, max_size=n),  # float holes
+        lists(st.booleans(), min_size=n, max_size=n),
+        lists(st.dates(), min_size=n, max_size=n),
+        lists(st.sampled_from([*Layer, *CategoryLabel]), min_size=n, max_size=n),
+        lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"), max_size=5), min_size=n, max_size=n),
+        lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.int64)),
+        lists(floats, min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.float64)),
+        lists(st.floats(width=32), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.float32)),
+        lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+    )
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 6))
+    return draw(st.lists(_column_strategies(n), min_size=1, max_size=5))
+
+
+@given(_tables(), st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_column_writer_equals_the_row_formatter(columns, slice_rows):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_SLICE_ROWS", slice_rows):
+        RunWriter(Path(tmp)).write_csv("t.csv", header, columns)
+        text = (Path(tmp) / "t.csv").read_text(encoding="utf-8")
+    rows = [",".join(map(_fmt, row)) for row in zip(*columns)]
+    assert text == "\n".join([",".join(header), *rows]) + "\n"
+
+
+def test_column_writer_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match="unequal"):
+        RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], [[1, 2], [3]])
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_dynamics_of_header_only_log_writes_empty_series(capsys, tmp_path):

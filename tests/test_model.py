@@ -13,6 +13,7 @@ from wotnet import model
 from wotnet import (
     EventLog,
     IngestError,
+    IngestReport,
     NodeMetrics,
     SynthConfig,
     gettrust,
@@ -132,6 +133,160 @@ def test_events_sorted_by_timestamp_stable():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         ingest(_stream("1,2,3,10\n"), mode="casual")
+
+
+# ---------------------------------------------------------------------------
+# the `np.loadtxt` ingest against the line loop
+
+
+def _by_line_loop(data: bytes, mode: str):
+    """What `ingest` gives when every line goes through `_parse_line`: the
+    log's rows and the report, or the type and text of the error."""
+    try:
+        columns, rejections = model._ingest_lines(data, mode)
+    except Exception as exc:
+        return type(exc), str(exc)
+    log = EventLog._from_columns(columns)
+    return rows(log), IngestReport(len(log), len(rejections), len(log.users), tuple(rejections))
+
+
+def _by_ingest(data: bytes, mode: str):
+    try:
+        log, report = ingest(io.BytesIO(data), mode)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return rows(log), report
+
+
+_ids = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["1_0", "5.0", "+4", "0012", "-0", str(2**63 - 1), str(2**63), str(-(2**63) - 1), "x", ""]),
+)
+_scores = st.one_of(st.integers(-12, 12).map(str), st.sampled_from(["5.0", "1e1", "+3", "#2", "1_0"]))
+_timestamps = st.one_of(
+    st.integers(-(10**10), 10**10).map(str),
+    st.tuples(st.integers(-(10**10), 10**10), st.integers(0, 999_999)).map(lambda p: f"{p[0]}.{p[1]:06d}"),
+    st.sampled_from(
+        ["1e3", "-1.5e2", "1E3", ".5", "5.", "-0.5", "nan", "inf", "-inf", "1_0", "1e20", "1e400",
+         str(2**53 - 1), str(2**53), "9007199254740993", str(-(2**53) - 1)]
+    ),
+)  # fmt: skip
+_records = st.tuples(_ids, _ids, _scores, _timestamps).map(",".join)
+# legal records in the plain form that `np.loadtxt` reads
+_plain_records = st.tuples(
+    st.one_of(st.integers(0, 30), st.sampled_from([2**63 - 1, -(2**63)])),
+    st.integers(1, 30),
+    st.sampled_from([s for s in range(-10, 11) if s]),
+    st.one_of(
+        st.integers(-(10**10), 10**10).map(str),
+        st.tuples(st.integers(-(10**10), 10**10), st.integers(0, 999_999)).map(lambda p: f"{p[0]}.{p[1]:06d}"),
+        st.sampled_from(["1e3", "-1.5e2", "1E3", ".5", "5.", "-0.5", str(2**53 - 1), str(1 - 2**53)]),
+    ),
+).map(lambda r: f"{r[0]},{r[0] + r[1]},{r[2]},{r[3]}")
+# not a record; "\udcff" stands for a byte that is not UTF-8
+_junk = st.sampled_from(["", "   ", "garbage", "1,2,3", "1,2,3,4,5", "1,2,3,4,", "#1,2,3,4", "\t", "\udcff"])
+
+
+@st.composite
+def _log_bytes(draw):
+    """A log of plain legal records with at most two flaws: a line that is
+    no plain legal record, or one with surrounding whitespace."""
+    lines = draw(st.lists(_plain_records, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()):
+            lines.insert(at, draw(st.one_of(_records, _junk)))
+        elif lines:
+            lines[at % len(lines)] = draw(st.sampled_from([" ", "\t"])) + lines[at % len(lines)]
+    if draw(st.booleans()):
+        lines.insert(0, "rater,ratee,score,timestamp")
+    lines[:0] = [""] * draw(st.integers(0, 2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode("utf-8", "surrogateescape")
+    return gzip.compress(data) if draw(st.booleans()) else data
+
+
+def _flipped(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
+
+
+_GZIPPED = gzip.compress(b"1,2,3,4\n" * 50, mtime=0)
+
+
+@given(_log_bytes(), st.sampled_from(["lenient", "strict"]))
+@example(b"rater,ratee,score,timestamp\n1,2,3,1.5\n2,1,-4,-20\n", "strict")
+@example(b"\n\nrater,ratee,score,timestamp\r\n1,2,3,1e3\r\n", "lenient")
+@example(b"1,2,3,4\n2,1,-4,nan\n", "lenient")
+@example(gzip.compress(b"1,2,3,4\n2,2,3,5\n"), "strict")
+@example(b"rater,ratee,score,timestamp\n", "strict")
+@example(_GZIPPED[:-9], "lenient")  # truncated
+@example(_flipped(_GZIPPED, 10), "lenient")  # corrupt deflate data
+@example(_flipped(_GZIPPED, 11), "strict")  # a bad checksum
+@settings(max_examples=300, deadline=None)
+def test_ingest_equals_the_line_loop(data, mode):
+    assert _by_ingest(data, mode) == _by_line_loop(data, mode)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        lambda member: member[:-9],  # truncated: EOFError
+        lambda member: _flipped(member, len(member) - 20),  # a bad checksum: OSError
+        lambda member: _flipped(member, 10),  # corrupt deflate data: zlib.error
+    ],
+)
+def test_a_corrupt_gzip_tail_does_not_hide_an_earlier_bad_line(tail):
+    # the line loop meets the self-rating on line 1 before it decompresses the
+    # corrupt second member; the loadtxt path, which reads all first, must too
+    data = gzip.compress(b"1,1,3,4\n" + b"1,2,3,4\n" * 5000, mtime=0) + tail(_GZIPPED)
+    assert _by_ingest(data, "strict") == (IngestError, "line 1: self-rating rejected (user 1)")
+    assert _by_ingest(data, "lenient") == _by_line_loop(data, "lenient")
+
+
+_HEADER = "rater,ratee,score,timestamp\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,2,3,10\n2,1,-4,20\n",
+        _HEADER + "1,2,3,10\n",
+        "\n\n" + _HEADER + "1,2,3,10\n\n2,3,1,11",
+        _HEADER.replace("\n", "\r\n") + "1,2,3,10\r\n2,1,1,11\r\n",
+        _HEADER + "1,2,3,1300000000.75\n2,1,-4,1e3\n3,1,10,-86400.5\n",
+        "rater;ratee #\n1,2,3,10\n",  # anything goes on the header line
+    ],
+)
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_plain_logs_take_the_loadtxt_path(text, gzipped):
+    data = gzip.compress(text.encode()) if gzipped else text.encode()
+    assert model._ingest_columns(data) is not None
+    assert _by_ingest(data, "strict") == _by_line_loop(data, "strict")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",  # header only
+        " 1,2,3,10\n",  # surrounding spaces
+        "1,2,3,nan\n",
+        "1_0,2,3,10\n",
+        "5.0,2,3,10\n",
+        f"{2**63},2,3,10\n",
+        "1,2,11,10\n",
+        "1,2,0,10\n",
+        "1,1,3,10\n",  # self-rating
+        "1,2,#3,10\n",
+        "1,2,3,4,5\n",
+        f"1,2,3,{2**53}\n",  # floors exactly only below 2**53
+        "1,2,3,10\r2,1,3,11\n",  # a lone carriage return ends a line
+    ],
+)
+def test_other_logs_fall_back_to_the_line_loop(body):
+    data = (_HEADER + body).encode()
+    assert model._ingest_columns(data) is None
+    for mode in ("lenient", "strict"):
+        assert _by_ingest(data, mode) == _by_line_loop(data, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,51 @@ def test_null_on_a_reciprocal_layer_keeps_the_empirical_degrees():
         assert (null.n_samples_per_bucket == 5).all()
 
 
+def _swap_round_by_sort(ends, keys, n, n_pairs, rng):
+    """`_swap_round` as it was before it ordered the proposed ends with
+    `np.minimum`/`np.maximum` and scattered the clash flags: the oracle."""
+    slots = rng.permutation(len(keys))[: 2 * n_pairs]
+    (a, c), (b, d) = ends[:, slots].reshape(2, 2, n_pairs)
+    flip = rng.random(n_pairs) < 0.5
+    swapped = np.concatenate((np.where(flip, d, c), np.where(flip, c, d)))
+    new = np.sort([np.concatenate((a, b)), swapped], axis=0)
+    new_keys = new[0] * n + new[1]
+    every_key = np.concatenate((keys, new_keys))
+    order = np.argsort(every_key)
+    same = np.concatenate(([False], np.diff(every_key[order]) == 0, [False]))
+    once = np.empty(len(order), dtype=bool)
+    once[order] = ~(same[1:] | same[:-1])
+    ok = (new[0] != new[1]) & once[len(keys) :] & once[slots]
+    done = np.flatnonzero(ok.reshape(2, n_pairs).all(axis=0))
+    done = np.concatenate((done, done + n_pairs))
+    ends[:, slots[done]] = new[:, done]
+    keys[slots[done]] = new_keys[done]
+    return len(done) // 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_logs(), st.integers(0, 2**32 - 1))
+@example(_log_of([(0, i) for i in range(1, 6)]), 1)  # star, odd m
+@example(_log_of([(0, 1), (2, 3)]), 2)  # m = 2
+@example(_log_of([(0, 1), (1, 2), (2, 3)]), 3)  # m = 3
+@example(reciprocal_log(n_users=12, n_pairs=30, seed=4), 4)  # reciprocal layers
+def test_swap_round_matches_the_sorting_round(log, seed):
+    for layer in split_layers(log):
+        projection = project(layer)
+        m, n = projection.edges.shape[1], len(projection.nodes)
+        if m < 2:
+            continue
+        states = []
+        for round_ in (_swap_round, _swap_round_by_sort):
+            ends = projection.edges.copy()
+            keys = ends[0] * n + ends[1]
+            rng = np.random.default_rng(seed)
+            pairs = random.Random(seed)  # the same round sizes for both
+            accepted = [round_(ends, keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
+            states.append((ends.tolist(), keys.tolist(), accepted))
+        assert states[0] == states[1]
+
+
 def _simple_graphs(degrees):
     """Every simple graph with the given degree sequence, as sorted edge-key tuples."""
     n = len(degrees)
