@@ -779,6 +779,7 @@ def _add_common(sub: argparse.ArgumentParser, *, needs_input: bool = True) -> No
             sub.add_argument(f"--{_flag(key)}", dest=key, help=_default_help(option.help, option.default))
 
 
+@cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wotnet",

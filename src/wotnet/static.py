@@ -41,19 +41,33 @@ class DegreeSpectrum:
         return {int(d): float(m) for d, m in zip(self.degree, self.mean_value)}
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each element of the sorted `ordered` differs from the one before it."""
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of `values`, as `np.unique(values)` gives
+    them, from one sort: numpy 2's hash-table `np.unique` is many times slower."""
+    ordered = np.sort(values)
+    return ordered[_run_starts(ordered)]
+
+
 def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeSpectrum:
     b = np.asarray(buckets)
-    v = np.asarray(values, dtype=float)
-    levels = np.unique(b)
-    means = np.empty(len(levels))
-    stds = np.empty(len(levels))
-    counts = np.empty(len(levels), dtype=np.int64)
-    for i, level in enumerate(levels):
-        sel = v[b == level]
-        means[i] = sel.mean()
-        stds[i] = sel.std()
-        counts[i] = sel.size
-    return DegreeSpectrum(levels, means, stds, counts)
+    order = np.argsort(b, kind="stable")
+    b, v = b[order], np.asarray(values, dtype=float)[order]
+    starts = np.flatnonzero(_run_starts(b))
+    counts = np.diff(np.append(starts, len(b)))
+    # each bucket's values are a contiguous run, summed by `np.add.reduce` as
+    # `ndarray.mean` and `.std` sum them, so the statistics are theirs bit for bit
+    runs = [slice(i, i + c) for i, c in zip(starts.tolist(), counts.tolist())]
+    means = np.array([np.add.reduce(v[run]) for run in runs]) / counts
+    squares = np.square(v - np.repeat(means, counts))
+    stds = np.sqrt(np.array([np.add.reduce(squares[run]) for run in runs]) / counts)
+    return DegreeSpectrum(b[starts], means, stds, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,18 +93,22 @@ class Projection:
 
 def undirected_projection(raters: np.ndarray, ratees: np.ndarray) -> Projection:
     """Project the directed edges `raters[i] -> ratees[i]` (no self-loops)."""
-    ids, first, inverse = np.unique(
-        np.column_stack((raters, ratees)).ravel(), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    u, v = np.argsort(order)[inverse].reshape(-1, 2).T
-    return _project(ids[order], u, v)
+    ends = np.column_stack((raters, ratees)).ravel()
+    order = np.argsort(ends)
+    starts = _run_starts(ends[order])
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))  # each id's first position
+    is_first = np.zeros(len(ends), dtype=bool)
+    is_first[first] = True
+    # an id's node number counts the ids that appear first before it
+    labels = np.empty(len(ends), dtype=np.intp)
+    labels[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(starts) - 1]
+    return _project(ends[is_first], *labels.reshape(-1, 2).T)
 
 
 def _project(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> Projection:
     """The projection of the edges `u[i] -- v[i]` between positions in `nodes`."""
     n = len(nodes)
-    edges = np.stack(np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n))
+    edges = np.stack(np.divmod(_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n))
     degree = np.bincount(edges.ravel(), minlength=n)
     return Projection(nodes, edges, degree, local_clustering(edges, degree))
 
@@ -104,16 +122,23 @@ def local_clustering(edges: np.ndarray, degree: np.ndarray) -> np.ndarray:
     so every triangle is found once, from its lowest-numbered corner.
     """
     n = len(degree)
-    rank = np.argsort(np.argsort(degree, kind="stable"))
-    lo, hi = np.sort(rank[edges], axis=0)
-    keys = np.sort(lo * n + hi)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n)
+    a, b = rank[edges]
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
     src, dst = np.divmod(keys, n)
     # arc i pairs with the arcs after it in its source's out-list
     later = np.cumsum(np.bincount(src, minlength=n))[src] - 1 - np.arange(len(src))
     first = np.repeat(np.arange(len(src)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     wedges = dst[first] * n + dst[second]
-    hit = keys[np.minimum(np.searchsorted(keys, wedges), len(keys) - 1)] == wedges
+    # few wedges close, so only those whose low bits match an edge key's are looked
+    # up among the sorted keys; 16 or more cells per edge let few others through
+    table = np.zeros(1 << (16 * len(keys)).bit_length(), dtype=bool)
+    table[keys & (len(table) - 1)] = True
+    maybe = np.flatnonzero(table[wedges & (len(table) - 1)])
+    found = wedges[maybe]
+    hit = maybe[keys[np.minimum(np.searchsorted(keys, found), len(keys) - 1)] == found]
     corners = np.concatenate((src[first[hit]], dst[first[hit]], dst[second[hit]]))
     closed = np.bincount(corners, minlength=n)[rank]
     out = np.zeros(n)
@@ -183,27 +208,35 @@ def _swap_round(
     296:910, 2002).  Applies the accepted swaps in place and returns their number.
     """
     slots = rng.permutation(len(keys))[: 2 * n_pairs]
-    (a, c), (b, d) = ends.take(slots, axis=1).reshape(2, 2, n_pairs)  # `take`: faster than ends[:, slots]
+    taken = ends.take(slots, axis=1)  # faster than ends[:, slots]
+    ab, cd = taken[:, :n_pairs], taken[:, n_pairs:]  # rows (a, b) and (c, d)
     flip = rng.random(n_pairs) < 0.5
-    kept, swapped = np.concatenate((a, b)), np.concatenate((np.where(flip, d, c), np.where(flip, c, d)))
+    kept, swapped = ab.ravel(), np.where(flip, cd[::-1], cd).ravel()
     lo, hi = np.minimum(kept, swapped), np.maximum(kept, swapped)
     new_keys = lo * n + hi
     every_key = np.concatenate((keys, new_keys))
-    order = np.argsort(every_key)
+    size = len(every_key)
+    # `order` lists every key's position (as its remainder mod `size`) in key order
+    if n * n * size < 2**63:  # keys are below n * n, so each can carry its position
+        order = np.sort(every_key * size + np.arange(size))
+        in_order = order // size
+    else:
+        order = np.argsort(every_key)
+        in_order = every_key[order]
     # a key equal to its neighbour in sorted order occurs more than once
-    in_order = every_key[order]
     same = np.flatnonzero(in_order[1:] == in_order[:-1])
-    clash = np.zeros(len(order), dtype=bool)
-    clash[order[same]] = True
-    clash[order[same + 1]] = True
+    clash = np.zeros(size, dtype=bool)
+    clash[order[same] % size] = True
+    clash[order[same + 1] % size] = True
     bad = (lo == hi) | clash[len(keys) :] | clash[slots]
-    done = np.flatnonzero(~(bad[:n_pairs] | bad[n_pairs:]))
-    done = np.concatenate((done, done + n_pairs))
-    at = slots[done]
-    ends[0, at] = lo[done]
-    ends[1, at] = hi[done]
-    keys[at] = new_keys[done]
-    return len(done) // 2
+    ok = ~(bad[:n_pairs] | bad[n_pairs:])
+    done = np.concatenate((ok, ok))
+    keys[slots[done]] = new_keys[done]
+    # the ends again from the keys: two passes in order, not two scattered writes
+    low, high = ends
+    np.floor_divide(keys, n, out=low)
+    np.subtract(keys, low * n, out=high)
+    return int(np.count_nonzero(ok))
 
 
 def _double_edge_swaps(ends: np.ndarray, n: int, n_proposals: int, rng: np.random.Generator) -> int:
@@ -431,7 +464,7 @@ def log_binned_means(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:
         return np.array([]), np.array([])
     bins = np.floor(np.log(deg) / np.log(BIN_FACTOR)).astype(int)
     centers, means = [], []
-    for b in np.unique(bins):
+    for b in _distinct(bins):
         sel = bins == b
         centers.append(BIN_FACTOR ** (b + 0.5))
         means.append(float(np.average(val[sel], weights=wgt[sel])))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .distributions import Distribution, from_values
 from .model import EventLog, Layer
+from .static import _distinct
 
 _EPOCH = date(1970, 1, 1)
 SECONDS_PER_DAY = 86_400
@@ -127,7 +128,7 @@ def yearly_burstiness(log: EventLog) -> list[YearlyBurstiness]:
         same_year = years == _utc_years(later - gaps)
         deltas = gaps[same_year]
         delta_years = years[same_year]
-        for year in np.unique(delta_years):
+        for year in _distinct(delta_years):
             sample = deltas[delta_years == year]
             if sample.size < 2:
                 continue

@@ -1,6 +1,9 @@
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from datetime import date, datetime
@@ -778,6 +781,36 @@ def test_all_runs_every_analysis(synth_csv, tmp_path):
     manifest = _manifest_of(out)
     assert manifest["command"] == "all"
     assert sorted(manifest["outputs"]) == sorted(produced - {"manifest.json"})
+
+
+def test_calls_in_one_process_write_what_a_fresh_process_writes(synth_csv, tmp_path):
+    # the parser is built once per process, so no value may pass from one call to the next
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["static", "--input", str(synth_csv), "--out", str(tmp_path / "static"), "--seed", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--input", str(synth_csv), "--out", str(tmp_path / "bad"), "--topk", "7", "--bogus"])
+    assert exc.value.code == 1
+    argv = ["all", "--input", str(synth_csv), "--seed", "2", "--topk", "3"]
+    assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+    code = "import sys; from wotnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join(p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "fresh")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+    )
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    names = sorted(p.name for p in here.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    manifests = [_manifest_of(here), _manifest_of(fresh)]
+    for m in manifests:
+        m.pop("created_utc")
+        m["config"].pop("out")
+    assert manifests[0] == manifests[1]
 
 
 def test_all_writes_the_bytes_of_the_separate_subcommands(synth_csv, tmp_path):

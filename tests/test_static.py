@@ -38,6 +38,7 @@ from wotnet.static import (
     RANKING_KEYS,
     DegreeSpectrum,
     _bucket_spectrum,
+    _distinct,
     _double_edge_swaps,
     _swap_round,
     avg_neighbor_degree_spectrum,
@@ -45,6 +46,7 @@ from wotnet.static import (
     configuration_null,
     log_binned_means,
     spectrum_trend,
+    undirected_projection,
 )
 
 
@@ -224,6 +226,19 @@ def test_compact_forward_clustering_matches_oracle(small_log):
         assert projection.clustering.tolist() == clustering.tolist()
 
 
+def test_clustering_of_sparse_graphs_matches_oracle():
+    # with many more node pairs than table cells per edge, wedges that close no
+    # triangle share low key bits with edges and must be rejected by the lookup
+    for seed in range(6):
+        rng = random.Random(seed)
+        arcs = {(rng.randrange(400), rng.randrange(400)) for _ in range(500)}
+        arcs |= {(b, c) for a, b in list(arcs)[:60] for x, c in arcs if x == a}  # some triangles
+        layer = _layer_from_edges(sorted((a, b) for a, b in arcs if a != b))
+        projection = project(layer)
+        oracle = _clustering_by_set_intersection(_adjacency_sets(layer))
+        assert projection.clustering.tolist() == list(oracle.values())
+
+
 def test_mean_clustering_conventions():
     # triangle plus one pendant node: pendant has c=0 by convention
     layer = _layer_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
@@ -302,6 +317,120 @@ def test_projection_matches_set_oracle(arcs):
     }
     spectrum, _ = _spectrum_by_sets(adj, neighbor_means)
     assert _spectrum_tuple(avg_neighbor_degree_spectrum(projection)) == _spectrum_tuple(spectrum)
+
+
+_int64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.lists(_int64 | st.integers(-3, 3), max_size=40))
+@example([])
+@example([5])
+@example([2, 2, 2])
+@example([2**63 - 1, -(2**63), 0, -1, 2**63 - 1, -(2**63)])
+@settings(max_examples=200, deadline=None)
+def test_distinct_equals_np_unique(values):
+    x = np.array(values, dtype=np.int64)
+    distinct = _distinct(x)
+    assert distinct.dtype == x.dtype
+    assert distinct.tolist() == np.unique(x).tolist()
+
+
+def _local_clustering_by_sort(edges, degree):
+    """`local_clustering` as it was before it ordered the ranks with
+    `np.minimum`/`np.maximum`: the oracle."""
+    n = len(degree)
+    rank = np.argsort(np.argsort(degree, kind="stable"))
+    lo, hi = np.sort(rank[edges], axis=0)
+    keys = np.sort(lo * n + hi)
+    src, dst = np.divmod(keys, n)
+    later = np.cumsum(np.bincount(src, minlength=n))[src] - 1 - np.arange(len(src))
+    first = np.repeat(np.arange(len(src)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    wedges = dst[first] * n + dst[second]
+    hit = keys[np.minimum(np.searchsorted(keys, wedges), len(keys) - 1)] == wedges
+    corners = np.concatenate((src[first[hit]], dst[first[hit]], dst[second[hit]]))
+    closed = np.bincount(corners, minlength=n)[rank]
+    out = np.zeros(n)
+    np.divide(closed, degree * (degree - 1) / 2, out=out, where=degree >= 2)
+    return out
+
+
+def _projection_by_unique(raters, ratees):
+    """`undirected_projection` as it was before it numbered the ids with one
+    sort: `np.unique` with first positions and inverse, then two argsorts; the
+    oracle.  Returns nodes, edges, degree and clustering."""
+    ids, first, inverse = np.unique(
+        np.column_stack((raters, ratees)).ravel(), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    u, v = np.argsort(order)[inverse].reshape(-1, 2).T
+    n = len(ids)
+    edges = np.stack(np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n))
+    degree = np.bincount(edges.ravel(), minlength=n)
+    return ids[order], edges, degree, _local_clustering_by_sort(edges, degree)
+
+
+_extreme_ids = st.sampled_from([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2, 3, 5, 2**62, 2**63 - 2, 2**63 - 1])
+
+
+@given(st.lists(st.tuples(_extreme_ids | st.integers(0, 6), _extreme_ids | st.integers(0, 6)).filter(lambda e: e[0] != e[1]), max_size=40))
+@example([])  # no edge
+@example([(2**63 - 1, -(2**63))])  # the int64 extremes
+@example([(0, 1), (1, 0), (0, 1), (1, 2), (2, 1)])  # repeated and reciprocal arcs
+@example([(-(2**63), 2**63 - 1), (2**63 - 1, -(2**63)), (-(2**63), 0), (0, 2**63 - 1)])  # a triangle of extremes
+@example([(a, b) for a in range(5) for b in range(5) if a != b])  # complete graph
+@settings(max_examples=200, deadline=None)
+def test_projection_equals_the_unique_oracle(arcs):
+    raters = np.array([a for a, _ in arcs], dtype=np.int64)
+    ratees = np.array([b for _, b in arcs], dtype=np.int64)
+    projection = undirected_projection(raters, ratees)
+    got = (projection.nodes, projection.edges, projection.degree, projection.clustering)
+    for mine, oracle in zip(got, _projection_by_unique(raters, ratees)):
+        assert mine.dtype == oracle.dtype
+        assert mine.shape == oracle.shape
+        assert mine.tolist() == oracle.tolist()
+
+
+def _bucket_spectrum_by_mask(buckets, values):
+    """`_bucket_spectrum` as it was before it grouped the values with one
+    sort: `ndarray.mean` and `.std` of each level's values; the oracle."""
+    b = np.asarray(buckets)
+    v = np.asarray(values, dtype=float)
+    levels = np.unique(b)
+    means = np.empty(len(levels))
+    stds = np.empty(len(levels))
+    counts = np.empty(len(levels), dtype=np.int64)
+    for i, level in enumerate(levels):
+        sel = v[b == level]
+        means[i] = sel.mean()
+        stds[i] = sel.std()
+        counts[i] = sel.size
+    return DegreeSpectrum(levels, means, stds, counts)
+
+
+_magnitudes = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300) | st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e300])
+
+
+@st.composite
+def _bucketed_values(draw):
+    pool = draw(st.lists(_magnitudes, min_size=1, max_size=6))  # a small pool repeats values
+    value = st.sampled_from(pool) | _magnitudes
+    return draw(st.lists(st.tuples(st.integers(-2, 5), value), max_size=60))
+
+
+@given(_bucketed_values())
+@example([])
+@example([(3, 1e-300)])  # one-element bucket
+@example([(1, 0.1)] * 9 + [(2, 0.1)] * 130)  # repeated values, past the pairwise-sum blocks
+@example([(0, 1e300), (0, -1e300), (0, 1e300), (1, 1e-300), (1, 3e-300)])
+@settings(max_examples=300, deadline=None)
+def test_bucket_spectrum_is_bitwise_the_mean_and_std_of_each_level(rows):
+    buckets, values = [b for b, _ in rows], [v for _, v in rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mine, oracle = _bucket_spectrum(buckets, values), _bucket_spectrum_by_mask(buckets, values)
+    for name in ("degree", "mean_value", "std_value", "n_nodes"):
+        a, b = getattr(mine, name), getattr(oracle, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +649,32 @@ def test_swap_round_matches_the_sorting_round(log, seed):
         assert states[0] == states[1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_small_logs(), st.integers(0, 2**32 - 1))
+@example(_log_of([(0, 1), (2, 3)]), 2)  # m = 2
+@example(reciprocal_log(n_users=12, n_pairs=30, seed=4), 4)  # reciprocal layers
+def test_swap_round_without_room_to_pack_matches_the_sorting_round(log, seed):
+    # with this many nodes `n * n * size` reaches 2**63, so keys cannot carry
+    # their positions and the round takes its argsort fallback
+    n = 3 * 10**9
+    for layer in split_layers(log):
+        edges = project(layer).edges
+        m = edges.shape[1]
+        if m < 2:
+            continue
+        states = []
+        for round_ in (_swap_round, _swap_round_by_sort):
+            ends = edges.copy()
+            keys = ends[0] * n + ends[1]
+            rng = np.random.default_rng(seed)
+            pairs = random.Random(seed)  # the same round sizes for both
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+                accepted = [round_(ends, keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
+            assert spy.call_count == 12
+            states.append((ends.tolist(), keys.tolist(), accepted))
+        assert states[0] == states[1]
+
+
 def _simple_graphs(degrees):
     """Every simple graph with the given degree sequence, as sorted edge-key tuples."""
     n = len(degrees)
@@ -614,6 +769,7 @@ def test_null_metadata_records_swap_budget():
     assert sum(call.args[3] for call in spy.call_args_list) == 2 * 40
     # only the swap of two opposite edges to the two diagonals is legal on a 4-cycle
     assert all(0 < done < 40 for done in result.swaps_done)
+    assert all(type(done) is int for done in result.swaps_done)  # plain ints, as JSON takes them
     assert result.n_samples == 2
     assert result.seed == 3
 
