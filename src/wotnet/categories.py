@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .model import NodeMetrics
+from .model import MetricColumns, NodeMetrics, metric_columns
 
 
 class CategoryLabel(Enum):
@@ -55,6 +54,14 @@ def negative_fraction(m: NodeMetrics) -> float | None:
     return m.rho_minus / total
 
 
+def negative_fractions(rho_plus: np.ndarray, rho_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`negative_fraction` of columns of received reputations: r, reading 0
+    where a user has none, and the mask of the users that have some."""
+    total = rho_plus + rho_minus
+    received = total > 0
+    return np.divide(rho_minus, total, out=np.zeros(len(total)), where=received), received
+
+
 def categorize(
     metrics: Mapping[int, NodeMetrics],
     thresholds: CategoryThresholds = CategoryThresholds(),
@@ -67,8 +74,8 @@ def categorize(
     reputations by a common positive factor.
     """
     # r < p / q exactly when rho- * q < p * (rho+ + rho-), on Python ints
-    low_p, low_q = Fraction(thresholds.low).as_integer_ratio()
-    high_p, high_q = Fraction(thresholds.high).as_integer_ratio()
+    low_p, low_q = thresholds.low.as_integer_ratio()
+    high_p, high_q = thresholds.high.as_integer_ratio()
     labels: dict[int, CategoryLabel] = {}
     for user, m in metrics.items():
         total = m.rho_plus + m.rho_minus
@@ -150,32 +157,27 @@ def category_summary(
 LIMIT_SLOPES = (10, 1, -10)
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    user: int
-    k_in_total: int
-    rho: int
-    label: CategoryLabel
-
-
 @dataclass(frozen=True, eq=False)
 class ScatterResult:
-    points: tuple[ScatterPoint, ...]
+    """Per-user columns in ascending user order: aggregate in-degree, global
+    reputation and category label."""
+
+    users: np.ndarray
+    k_in_total: np.ndarray
+    rho: np.ndarray
+    labels: tuple[CategoryLabel, ...]
     limit_slopes: tuple[int, ...] = LIMIT_SLOPES
 
 
 def reputation_vs_indegree_scatter(
-    metrics: Mapping[int, NodeMetrics], labels: Mapping[int, CategoryLabel]
+    metrics: Mapping[int, NodeMetrics] | MetricColumns, labels: Mapping[int, CategoryLabel]
 ) -> ScatterResult:
     """Per-user (aggregate in-degree, global reputation) points with category
     labels; reference slopes mark the +10/+1/-10-per-rating growth limits."""
-    points = tuple(
-        ScatterPoint(
-            user=u,
-            k_in_total=m.k_in_plus + m.k_in_minus,
-            rho=m.rho,
-            label=labels.get(u, CategoryLabel.UNCATEGORIZED),
-        )
-        for u, m in sorted(metrics.items())
+    users, (k_in_plus, k_in_minus, _, _, rho_plus, rho_minus) = metric_columns(metrics)
+    return ScatterResult(
+        users=users,
+        k_in_total=k_in_plus + k_in_minus,
+        rho=rho_plus - rho_minus,
+        labels=tuple(labels.get(u, CategoryLabel.UNCATEGORIZED) for u in users.tolist()),
     )
-    return ScatterResult(points=points)

@@ -19,16 +19,13 @@ import hashlib
 import json
 import math
 import os
-import secrets
 import sys
 import warnings
 from dataclasses import MISSING, astuple, fields
 from datetime import date, datetime, timezone
 from functools import cache, cached_property
-from itertools import chain
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -38,7 +35,7 @@ from .categories import (
     CategoryThresholds,
     categorize,
     category_summary,
-    negative_fraction,
+    negative_fractions,
     reputation_vs_indegree_scatter,
 )
 from .distributions import Distribution, from_values, log_binned_ccdf
@@ -50,7 +47,9 @@ from .model import (
     Layer,
     NodeMetrics,
     SynthConfig,
+    MetricColumns,
     ingest,
+    metric_columns,
     node_metrics,
     split_layers,
     synth_log,
@@ -107,24 +106,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@cache  # one formatter per cell type, decided on the type's first cell
-def _formatter(kind: type) -> Callable[[object], str]:
-    """How a CSV cell of type `kind` is written."""
-    if kind is type(None):
-        return lambda value: ""
-    if issubclass(kind, bool):
-        return lambda value: "true" if value else "false"
-    if issubclass(kind, float):
-        return "%.12g".__mod__
-    if issubclass(kind, date):
-        return kind.isoformat
-    if issubclass(kind, (Layer, CategoryLabel)):
-        return attrgetter("_value_")  # the member's value, without the `value` property's call
-    return str
-
-
 def _fmt(value) -> str:
-    return _formatter(type(value))(value)
+    """The CSV text of one cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.12g" % value
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, (Layer, CategoryLabel)):
+        return value._value_
+    return str(value)
 
 
 # rows formatted at a time: only one slice's cell texts are held at once, so
@@ -132,19 +126,54 @@ def _fmt(value) -> str:
 _SLICE_ROWS = 1 << 10
 
 
-def _column_text(column) -> list[str]:
-    """The cells of one CSV column as text, each as `_fmt` writes it, with
-    one formatter for a column whose cells share a type."""
-    if isinstance(column, np.ndarray) and (column.dtype.kind in "iu" or column.dtype == np.float64):
-        column = column.tolist()  # Python ints and floats, which print as numpy's own
-    kinds = set(map(type, column))
-    return list(map(_formatter(kinds.pop()) if len(kinds) == 1 else _fmt, column))
+def _texts(column: np.ndarray | list) -> list:
+    """The values of a column that its `%` format reads: Python floats for a
+    float64 array (`%.12g`), ints for an int array and else the cells' text
+    (`%s`), one `_fmt` per cell for any column but a list of texts or an
+    array of str, bools or days."""
+    if isinstance(column, list):
+        return column if set(map(type, column)) <= {str} else list(map(_fmt, column))
+    if column.dtype.kind in "iuU" or column.dtype == np.float64:
+        return column.tolist()
+    if column.dtype.kind == "b":
+        return np.where(column, "true", "false").tolist()
+    if column.dtype == "datetime64[D]":
+        return np.datetime_as_string(column).tolist()
+    return list(map(_fmt, column))
+
+
+def _masked(values: np.ndarray, present: np.ndarray) -> list[str]:
+    """The cells of a float column with an empty cell where not `present`."""
+    return ["%.12g" % v if ok else "" for v, ok in zip(values.tolist(), present.tolist())]
+
+
+def _block_lines(name: str, block: Sequence) -> list[str]:
+    """The lines of one block of a table: its columns, numpy arrays or lists
+    of one length, and constant cells, one format string for all."""
+    formats, columns = [], []
+    for cell in block:
+        if isinstance(cell, (np.ndarray, list)):
+            formats.append("%.12g" if isinstance(cell, np.ndarray) and cell.dtype == np.float64 else "%s")
+            columns.append(cell)
+        else:
+            formats.append(_fmt(cell).replace("%", "%%"))
+    row = ",".join(formats)
+    if not columns:
+        return [row % ()]
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"{name}: columns of unequal length")
+    lines: list[str] = []
+    for start in range(0, lengths.pop(), _SLICE_ROWS):
+        values = [_texts(column[start : start + _SLICE_ROWS]) for column in columns]
+        lines.extend(map(row.__mod__, zip(*values)))
+    return lines
 
 
 def _atomic_write(path: Path, text: str) -> None:
     # a fresh name per write, so that runs sharing a directory never write into each
     # other's temporary files; created exclusively, with the umask's permissions
-    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
@@ -164,16 +193,22 @@ class RunWriter:
         self.ingest: IngestReport | None = None
         self.warnings: list[str] | None = None
 
-    def write_csv(self, name: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-        """Write the table of `columns`, numpy arrays or sequences of equal
-        length; no columns at all make a header-only file."""
-        lengths = set(map(len, columns))
-        if len(lengths) > 1:
-            raise ValueError(f"{name}: columns of unequal length")
+    def write_csv(self, name: str, header: Sequence[str], *blocks: Sequence) -> None:
+        """Write the table of `blocks`, one below the other; no block makes a
+        header-only file.
+
+        A block is a sequence of cells.  A numpy array or a list is a
+        column; the columns of a block have one length.  Any other cell is a
+        constant of each of the block's rows, and a block of constants only
+        is one row.  Every cell is written as `_fmt` writes it: ints in
+        decimal, floats with %.12g, None as an empty cell, bools as true/false
+        and enum members as their values.  Arrays of ints, float64, bools,
+        datetime64[D] days or str and lists of texts are formatted whole,
+        any other column cell by cell.
+        """
         lines = [",".join(header)]
-        for start in range(0, max(lengths, default=0), _SLICE_ROWS):
-            texts = [_column_text(column[start : start + _SLICE_ROWS]) for column in columns]
-            lines.extend(map(",".join, zip(*texts)))
+        for block in blocks:
+            lines.extend(_block_lines(name, block))
         _atomic_write(self.out_dir / name, "\n".join(lines) + "\n")
         self.outputs.append(name)
 
@@ -355,6 +390,10 @@ class RunContext:
         return node_metrics(self.log)
 
     @cached_property
+    def columns(self) -> MetricColumns:
+        return metric_columns(self.metrics)
+
+    @cached_property
     def labels(self) -> dict[int, CategoryLabel]:
         return categorize(self.metrics, CategoryThresholds(*self.config["thresholds"]))
 
@@ -367,37 +406,16 @@ class RunContext:
 # stages: each writes its outputs from the shared run context
 
 
-def _block(prefix: tuple, *columns) -> list:
-    """The columns of rows that start with the cells `prefix` and go on with
-    `columns`, all of one length."""
-    n = len(columns[0])
-    return [*([cell] * n for cell in prefix), *columns]
+def _distribution(dist: Distribution, *prefix) -> tuple:
+    return (*prefix, dist.support, dist.pmf, dist.ccdf)
 
 
-def _stack(blocks: Iterable[Sequence]) -> list[list]:
-    """The columns of one table made of `blocks`, tables of equally many
-    columns, one below the other; no blocks make no columns."""
-    return [
-        list(chain.from_iterable(c.tolist() if isinstance(c, np.ndarray) else c for c in column))
-        for column in zip(*blocks)
-    ]
+def _spectrum(spectrum: DegreeSpectrum, *prefix) -> tuple:
+    return (*prefix, spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes)
 
 
-def _attributes(items: Sequence, names: Sequence[str]) -> list[list]:
-    """One column per attribute name: its value on each item."""
-    return [list(map(attrgetter(name), items)) for name in names]
-
-
-def _distribution(dist: Distribution, *prefix) -> list:
-    return _block(prefix, dist.support, dist.pmf, dist.ccdf)
-
-
-def _spectrum(spectrum: DegreeSpectrum, *prefix) -> list:
-    return _block(prefix, spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes)
-
-
-def _binned(spectrum: DegreeSpectrum, *prefix) -> list:
-    return _block(prefix, *log_binned_means(spectrum))
+def _binned(spectrum: DegreeSpectrum, *prefix) -> tuple:
+    return (*prefix, *log_binned_means(spectrum))
 
 
 def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
@@ -414,7 +432,11 @@ def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
         writer.write_csv(
             "rejected_lines.csv",
             ["line_no", "reason", "text"],
-            [*_attributes(rejections, ("line_no", "reason")), [r.text.replace(",", ";") for r in rejections]],
+            [
+                np.array([r.line_no for r in rejections], dtype=np.int64),
+                [r.reason for r in rejections],
+                [r.text.replace(",", ";") for r in rejections],
+            ],
         )
 
 
@@ -425,63 +447,56 @@ def _write_summary(writer: RunWriter | None, ctx: RunContext) -> None:
     counts = (len(log.users), len(log), len(plus), len(minus))
     print("\n".join(f"{name}={count}" for name, count in zip(names, counts)))
     if writer is not None:
-        writer.write_csv("summary.csv", names, [[count] for count in counts])
+        writer.write_csv("summary.csv", names, counts)
 
 
 def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     seed = _require(ctx.config, "seed", "for the configuration-model null")
     n_samples = ctx.config["null_samples"]
-    metrics = ctx.metrics
+    columns = ctx.columns
     layer_plus, layer_minus = ctx.layers
     pair = ((Layer.REWARDING, layer_plus), (Layer.PUNITIVE, layer_minus))
 
     writer.write_csv(
         "weight_distribution.csv",
         ["layer", "weight", "pmf", "ccdf"],
-        _stack(_distribution(weight_distribution(view), layer) for layer, view in pair),
+        *(_distribution(weight_distribution(view), layer) for layer, view in pair),
     )
 
-    def degree_blocks():
-        for layer in LAYERS:
-            for direction in ("in", "out"):
-                attr = f"k_{direction}_{layer.short}"
-                dist = from_values([getattr(m, attr) for m in metrics.values()])
-                yield _distribution(dist, layer, direction)
-
+    fields = columns.fields
     writer.write_csv(
         "degree_distributions.csv",
         ["layer", "direction", "degree", "pmf", "ccdf"],
-        _stack(degree_blocks()),
+        *(
+            _distribution(from_values(fields[row + offset]), layer, direction)
+            for row, layer in enumerate(LAYERS)
+            for offset, direction in ((0, "in"), (2, "out"))
+        ),
     )
 
-    measures = zip(("rho_plus", "rho_minus", "rho"), reputation_distributions(metrics))
+    measures = zip(("rho_plus", "rho_minus", "rho"), reputation_distributions(columns))
     writer.write_csv(
         "reputation_distributions.csv",
         ["measure", "value", "pmf", "ccdf"],
-        _stack(_distribution(dist, measure) for measure, dist in measures),
+        *(_distribution(dist, measure) for measure, dist in measures),
     )
 
     projections = [undirected_projection(view.raters, view.ratees) for _, view in pair]
-    spectrum_blocks, binned_blocks, nulls = [], [], []
+    spectrum_blocks, binned_blocks, null_rows = [], [], []
     for layer, projection in zip(LAYERS, projections):
         spectrum = clustering_spectrum(projection)
         binned_blocks.append(_binned(spectrum, layer))
         null = configuration_null(projection, n_samples, seed)
-        nulls.append(null)
-        # the null's mean and std at each degree of the spectrum, empty where it has none
-        null_by_degree = dict(zip(null.degree.tolist(), zip(null.null_mean.tolist(), null.null_std.tolist())))
-        matched = [null_by_degree.get(d, (None, None)) for d in spectrum.degree.tolist()]
-        spectrum_blocks.append(_spectrum(spectrum, layer) + [[m for m, _ in matched], [s for _, s in matched]])
+        stats = (null.null_mean_clustering, null.null_std_clustering, null.n_samples, null.swaps_target)
+        null_rows.append((layer, mean_clustering(projection), *stats, min(null.swaps_done), null.seed))
+        # the replicas keep every projected degree, so the null's degrees are the spectrum's
+        spectrum_blocks.append((*_spectrum(spectrum, layer), null.null_mean, null.null_std))
     writer.write_csv(
         "clustering_spectrum.csv",
         ["layer", "degree", "mean_clustering", "std_clustering", "n_nodes", "null_mean", "null_std"],
-        _stack(spectrum_blocks),
+        *spectrum_blocks,
     )
-    writer.write_csv(
-        "clustering_binned.csv",
-        ["layer", "bin_center", "mean_clustering"],
-        _stack(binned_blocks),
-    )
+    writer.write_csv("clustering_binned.csv", ["layer", "bin_center", "mean_clustering"], *binned_blocks)
     writer.write_csv(
         "clustering_null.csv",
         [
@@ -494,28 +509,22 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
             "min_swaps_done",
             "seed",
         ],
-        [
-            list(LAYERS),
-            [mean_clustering(projection) for projection in projections],
-            *_attributes(nulls, ("null_mean_clustering", "null_std_clustering", "n_samples", "swaps_target")),
-            [min(null.swaps_done) for null in nulls],
-            [null.seed for null in nulls],
-        ],
+        *null_rows,
     )
 
     # single-rating vs. repeated/strong-rating sub-layers of L+, under both
     # degree conventions (all nodes vs. degree >= 2 only)
     by_weight = [("w_eq_1", layer_plus.where(layer_plus.scores == 1)), ("w_gt_1", layer_plus.where(layer_plus.scores >= 2))]
-    sublayers = [undirected_projection(view.raters, view.ratees) for _, view in by_weight]
+    sublayers = [(name, undirected_projection(view.raters, view.ratees)) for name, view in by_weight]
     conventions = (("all_nodes", True), ("degree_ge_2", False))
     writer.write_csv(
         "norm_breaking_clustering.csv",
         ["convention", "sublayer", "mean_clustering"],
-        [
-            [convention for convention, _ in conventions for _ in sublayers],
-            [name for _ in conventions for name, _ in by_weight],
-            [mean_clustering(projection, low) for _, low in conventions for projection in sublayers],
-        ],
+        *(
+            (convention, name, mean_clustering(projection, low))
+            for convention, low in conventions
+            for name, projection in sublayers
+        ),
     )
 
     spectra = [avg_neighbor_degree_spectrum(projection) for projection in projections]
@@ -523,73 +532,62 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     writer.write_csv(
         "neighbor_degree_spectrum.csv",
         ["layer", "degree", "mean_neighbor_degree", "std_neighbor_degree", "n_nodes"],
-        _stack(map(_spectrum, spectra, LAYERS)),
+        *map(_spectrum, spectra, LAYERS),
     )
     writer.write_csv(
         "neighbor_degree_binned.csv",
         ["layer", "bin_center", "mean_neighbor_degree"],
-        _stack(map(_binned, spectra, LAYERS)),
+        *map(_binned, spectra, LAYERS),
     )
-    writer.write_csv("neighbor_degree_trend.csv", ["layer", "spearman"], [list(LAYERS), trends])
+    writer.write_csv("neighbor_degree_trend.csv", ["layer", "spearman"], *zip(LAYERS, trends))
 
-    report = ranking_report(metrics)
+    report = ranking_report(columns)
     writer.write_csv("tau_matrix.csv", ["key", *RANKING_KEYS], [list(RANKING_KEYS), *report.tau_matrix.T])
     writer.write_csv(
         "ranking.csv",
         ["rank", "user", "k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho"],
-        list(zip(*report.by_inplus_rank)),
+        list(report.by_inplus_rank.T),
     )
 
     writer.write_csv(
         "reputation_by_indegree.csv",
         ["layer", "in_degree", "mean_rho", "std_rho", "n_users"],
-        _stack(_spectrum(reputation_by_indegree(metrics, layer), layer) for layer in LAYERS),
+        *(_spectrum(reputation_by_indegree(columns, layer), layer) for layer in LAYERS),
     )
 
 
 def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
     metrics, labels = ctx.metrics, ctx.labels
 
-    users = sorted(metrics)
-    ms = [metrics[u] for u in users]
+    # the scatter's columns are in the ascending user order of `ctx.columns`
+    scatter = reputation_vs_indegree_scatter(ctx.columns, labels)
+    label_texts = [label._value_ for label in scatter.labels]
+    rho_plus, rho_minus = ctx.columns.fields[4:]
+    # the negative fraction r, empty for a user with no received reputation
+    r, received = negative_fractions(rho_plus, rho_minus)
     writer.write_csv(
         "categories.csv",
         ["user", "rho_plus", "rho_minus", "rho", "r", "label"],
-        [
-            users,
-            *_attributes(ms, ("rho_plus", "rho_minus", "rho")),
-            list(map(negative_fraction, ms)),
-            [labels[u] for u in users],
-        ],
+        [scatter.users, rho_plus, rho_minus, scatter.rho, _masked(r, received), label_texts],
     )
 
-    stats = list(category_summary(metrics, labels).values())
     quantities = ("rho", "activity_plus", "activity_minus", "activity_total")
     writer.write_csv(
         "category_summary.csv",
         ["category", "quantity", "count", "min", "q1", "median", "q3", "max"],
-        [
-            [cs.label for cs in stats for _ in quantities],
-            list(quantities) * len(stats),
-            [cs.count for cs in stats for _ in quantities],
-            *_attributes(
-                [getattr(cs, quantity) for cs in stats for quantity in quantities],
-                ("minimum", "q1", "median", "q3", "maximum"),
-            ),
-        ],
+        *(
+            (cs.label, quantity, cs.count, v.minimum, v.q1, v.median, v.q3, v.maximum)
+            for cs in category_summary(metrics, labels).values()
+            for quantity, v in zip(quantities, (cs.rho, cs.activity_plus, cs.activity_minus, cs.activity_total))
+        ),
     )
 
-    scatter = reputation_vs_indegree_scatter(metrics, labels)
     writer.write_csv(
         "reputation_scatter.csv",
         ["user", "k_in_total", "rho", "category"],
-        _attributes(scatter.points, ("user", "k_in_total", "rho", "label")),
+        [scatter.users, scatter.k_in_total, scatter.rho, label_texts],
     )
-    writer.write_csv(
-        "reputation_scatter_slopes.csv",
-        ["slope_per_rating"],
-        [scatter.limit_slopes],
-    )
+    writer.write_csv("reputation_scatter_slopes.csv", ["slope_per_rating"], [np.array(scatter.limit_slopes)])
 
 
 def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
@@ -606,46 +604,36 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
 
     shifts = [0] if shift == 0 else [0, shift]
 
-    series = [daily_series(log, s) for s in shifts]
+    def daily_blocks():
+        for s in shifts:
+            series = daily_series(log, s)
+            # no window makes every annotation empty
+            notes = [annotations_for(day, windows) for day in series.day.tolist()] if windows else ""
+            yield s, *series, notes
+
     writer.write_csv(
         "daily_activity.csv",
         ["tz_shift_hours", "date", "count_plus", "count_minus", "annotations"],
-        _stack(
-            _block(
-                (s,),
-                *_attributes(days, ("day", "count_plus", "count_minus")),
-                [annotations_for(row.day, windows) for row in days],
-            )
-            for s, days in zip(shifts, series)
-        ),
+        *daily_blocks(),
     )
 
     interevent_blocks = []
     binned_blocks = []
-    burst_blocks = []
+    burst_rows = []
     for layer in LAYERS:
         # layers without enough repeat ratings simply contribute no rows
         deltas = interevent_times(log, layer)
         if deltas.size > 0:
             dist = from_values(deltas)
             interevent_blocks.append(_distribution(dist, layer))
-            points = log_binned_ccdf(dist)
-            binned_blocks.append(_block((layer,), [v for v, _ in points], [c for _, c in points]))
+            binned_blocks.append((layer, *log_binned_ccdf(dist)))
         if deltas.size >= 2:
             # empty year marks the whole-log rows
-            burst_blocks.append(_block((None, layer), [burstiness(deltas)], [len(deltas)]))
-    burst_blocks.append(_attributes(yearly_burstiness(log), ("year", "layer", "value", "n_samples")))
-    writer.write_csv(
-        "interevent_distribution.csv",
-        ["layer", "dt_seconds", "pmf", "ccdf"],
-        _stack(interevent_blocks),
-    )
-    writer.write_csv(
-        "interevent_binned_ccdf.csv",
-        ["layer", "dt_seconds", "ccdf"],
-        _stack(binned_blocks),
-    )
-    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], _stack(burst_blocks))
+            burst_rows.append((None, layer, burstiness(deltas), len(deltas)))
+    burst_rows.extend((b.year, b.layer, b.value, b.n_samples) for b in yearly_burstiness(log))
+    writer.write_csv("interevent_distribution.csv", ["layer", "dt_seconds", "pmf", "ccdf"], *interevent_blocks)
+    writer.write_csv("interevent_binned_ccdf.csv", ["layer", "dt_seconds", "ccdf"], *binned_blocks)
+    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], *burst_rows)
 
     profiles = (("circadian", "hour", circadian_profile), ("weekly", "weekday", weekly_profile))
     for name, slot, profile in profiles:
@@ -653,8 +641,8 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
         writer.write_csv(
             f"{name}_profile.csv",
             ["tz_shift_hours", slot, "frac_plus", "frac_minus"],
-            _stack(
-                _block((s,), np.arange(len(f[Layer.REWARDING])), f[Layer.REWARDING], f[Layer.PUNITIVE])
+            *(
+                (s, np.arange(len(f[Layer.REWARDING])), f[Layer.REWARDING], f[Layer.PUNITIVE])
                 for s, f in zip(shifts, fractions)
             ),
         )
@@ -669,20 +657,18 @@ def _final_state_check(ctx: RunContext) -> None:
 
 
 def _write_dynamics(writer: RunWriter, ctx: RunContext) -> None:
-    fold = ctx.fold
+    gini, stability = ctx.fold.gini, ctx.fold.stability
     _final_state_check(ctx)
     writer.write_csv(
         "gini_series.csv",
         ["date", "gini_plus", "gini_minus"],
-        _attributes(fold.gini, ("day", "gini_plus", "gini_minus")),
+        [gini.day, *map(_masked, (gini.gini_plus, gini.gini_minus), gini.measured)],
     )
-    # plain set overlap next to the order-sensitive index
+    # plain set overlap next to the order-sensitive index; a side's mask serves both
     writer.write_csv(
         "topk_stability.csv",
         ["date", "J_plus", "J_minus", "J_global", "SJ_plus", "SJ_minus", "SJ_global", "truncated"],
-        _attributes(
-            fold.stability, ("day", "j_plus", "j_minus", "j_global", "sj_plus", "sj_minus", "sj_global", "truncated")
-        ),
+        [stability.day, *map(_masked, stability[1:7], [*stability.measured] * 2), stability.truncated],
     )
 
 
@@ -690,13 +676,17 @@ def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
     for selection in ctx.selections:
         # None follows every rated user
         users = None if selection is TrajectorySelection.BY_CATEGORY else ctx.fold.entrants[selection]
+        t = follow(ctx.log, users, ctx.labels)
+        starts = np.cumsum(t.counts) - t.counts
         writer.write_csv(
             f"trajectories_{selection.value.replace('-', '_')}.csv",
             ["user", "seq_index", "rho", "category"],
-            _stack(
-                _block((t.user,), range(1, len(t.values) + 1), t.values, [t.category] * len(t.values))
-                for t in follow(ctx.log, users, ctx.labels)
-            ),
+            [
+                np.repeat(t.users, t.counts),
+                np.arange(1, len(t.rho) + 1) - np.repeat(starts, t.counts),
+                t.rho,
+                np.repeat(np.array([label._value_ for label in t.categories], dtype=str), t.counts),
+            ],
         )
 
 

@@ -43,25 +43,17 @@ def from_values(values) -> Distribution:
     return Distribution(support=support, pmf=pmf, ccdf=ccdf)
 
 
-def log_binned_ccdf(dist: Distribution, n_points: int = 50) -> list[tuple[float, float]]:
+def log_binned_ccdf(dist: Distribution, n_points: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """CCDF sampled at log-spaced points over the positive support.
 
     Non-positive support values keep their probability mass (the ccdf is
-    still inclusive) but cannot appear as sample points.  Returns
-    (value, ccdf) pairs.
+    still inclusive) but cannot appear as sample points.  Returns the
+    points and the ccdf at each, empty when no support value is positive.
     """
     positive = dist.support[dist.support > 0]
     if positive.size == 0:
-        return []
+        return np.array([]), np.array([])
     lo, hi = float(positive[0]), float(positive[-1])
-    if lo == hi:
-        points = np.array([lo])
-    else:
-        points = np.geomspace(lo, hi, n_points)
-    # P(X >= x) = ccdf at the first support value >= x
-    idx = np.searchsorted(dist.support, points, side="left")
-    out = []
-    for x, i in zip(points, idx):
-        value = float(dist.ccdf[i]) if i < len(dist.support) else 0.0
-        out.append((float(x), value))
-    return out
+    points = np.array([lo]) if lo == hi else np.geomspace(lo, hi, n_points)
+    # P(X >= x) = ccdf at the first support value >= x, 0 past the last
+    return points, np.append(dist.ccdf, 0.0)[np.searchsorted(dist.support, points, side="left")]

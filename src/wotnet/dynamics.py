@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .categories import CategoryLabel, CategoryThresholds, categorize
 from .model import EventLog, NodeMetrics, _by_user, _fold, node_metrics
-from .temporal import _EPOCH, SECONDS_PER_DAY
+from .temporal import _EPOCH, SECONDS_PER_DAY, _days
 
 
 class Snapshot:
@@ -226,13 +226,15 @@ class TrajectorySelection(Enum):
     BY_CATEGORY = "by-category"
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Reputation of one user after each incoming rating, in event order."""
+class Trajectories(NamedTuple):
+    """Reputation trajectories as columns: the followed `users`, ascending,
+    their `categories` and the `counts` of ratings each received; `rho` holds
+    each user's reputation after each of them, in event order, run after run."""
 
-    user: int
-    values: tuple[int, ...]
-    category: CategoryLabel
+    users: np.ndarray
+    categories: tuple[CategoryLabel, ...]
+    counts: np.ndarray
+    rho: np.ndarray
 
 
 _ENTRANT_KEYS = {
@@ -241,7 +243,32 @@ _ENTRANT_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+class GiniSeries(NamedTuple):
+    """The `gini_point`s of the days that have one (datetime64[D]), as columns;
+    `measured[s]` is false, and side s (0: plus, 1: minus) reads 0, where it is None."""
+
+    day: np.ndarray
+    gini_plus: np.ndarray
+    gini_minus: np.ndarray
+    measured: np.ndarray
+
+
+class StabilitySeries(NamedTuple):
+    """The `stability_step`s of a series of day pairs, as columns; `measured[s]` is
+    false, and side s (0: plus, 1: minus, 2: global) reads 0, where it is None."""
+
+    day: np.ndarray
+    j_plus: np.ndarray
+    j_minus: np.ndarray
+    j_global: np.ndarray
+    sj_plus: np.ndarray
+    sj_minus: np.ndarray
+    sj_global: np.ndarray
+    measured: np.ndarray
+    truncated: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class DailyFold:
     """The daily measures of one pass over the snapshot series.
 
@@ -250,8 +277,8 @@ class DailyFold:
     metrics of the final snapshot.  Everything is empty for an empty log.
     """
 
-    gini: list[GiniPoint]
-    stability: list[StabilityPoint]
+    gini: GiniSeries
+    stability: StabilitySeries
     entrants: dict[TrajectorySelection, set[int]]
     metrics: dict[int, NodeMetrics]
 
@@ -272,18 +299,21 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    gini_points: list[GiniPoint] = []
-    stability: list[StabilityPoint] = []
-    if len(log) == 0:
-        return DailyFold(gini_points, stability, {s: set() for s in _ENTRANT_KEYS}, {})
     user_ids, (raters, ratees) = log.user_codes()
     n = len(user_ids)
     # every counter up to the last folded day; rows 4 and 5 are rho+ and rho-
     state = np.zeros((len(NodeMetrics._fields), n), dtype=np.int64)
     days = log.timestamps // SECONDS_PER_DAY
-    first_day = int(days[0])
+    first_day = int(days[0]) if len(days) else 0
     days -= first_day
-    n_days = int(days[-1]) + 1
+    n_days = int(days[-1]) + 1 if len(days) else 0
+    calendar = _days(first_day, n_days)
+    gini = np.zeros((2, n_days))
+    gini_measured = np.zeros((2, n_days), dtype=bool)
+    # day pair p compares day p with day p + 1
+    stability = np.zeros((6, max(n_days - 1, 0)))
+    stability_measured = np.zeros((3, max(n_days - 1, 0)), dtype=bool)
+    truncated = np.zeros(max(n_days - 1, 0), dtype=bool)
     appears = np.full(n, n_days)  # the first day of each user's first event
     np.minimum.at(appears, raters, days)
     np.minimum.at(appears, ratees, days)
@@ -303,11 +333,9 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
             rho[:, d] += rho[:, d - 1]
         _fold(state, raters[start:end], ratees[start:end], scores)
 
-        day_list = [_EPOCH + timedelta(days=first_day + d) for d in range(lo, hi)]
         # a side at a time, so that one side's rows are sorted at once
-        for day, g_plus, g_minus in zip(day_list, *map(_gini_rows, rho)):
-            if g_plus is not None or g_minus is not None:
-                gini_points.append(GiniPoint(day, g_plus, g_minus))
+        for side in range(2):
+            gini[side, lo:hi], gini_measured[side, lo:hi] = _gini_rows(rho[side])
 
         # the global keys first: the side keys are packed into rho itself
         unseen = appears > np.arange(lo, hi)[:, None]
@@ -320,17 +348,25 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
 
         if last_lists is not None:
             lists = np.concatenate((last_lists, lists), axis=1)
-            day_list.insert(0, day_list[0] - timedelta(days=1))
         last_lists = lists[:, -1:]
-        stability.extend(_stability_points(day_list[:-1], lists[:, :-1], lists[:, 1:], n, k))
+        pairs = slice(hi - lists.shape[1], hi - 1)
+        stability[:, pairs], stability_measured[:, pairs], truncated[pairs] = _stability_rows(
+            lists[:, :-1], lists[:, 1:], n, k
+        )
 
     entrants = {s: set(user_ids[mask].tolist()) for s, mask in zip(_ENTRANT_KEYS, entrant)}
-    return DailyFold(gini_points, stability, entrants, _by_user(state, user_ids))
+    on = gini_measured.any(axis=0)
+    return DailyFold(
+        GiniSeries(calendar[on], *gini[:, on], gini_measured[:, on]),
+        StabilitySeries(calendar[:-1], *stability, stability_measured, truncated),
+        entrants,
+        _by_user(state, user_ids),
+    )
 
 
-def _gini_rows(rows: np.ndarray) -> list[float | None]:
+def _gini_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`gini` of the positive entries of each row of a non-negative integer
-    array, or None for a row with fewer than two.
+    array, 0 for a row with fewer than two, and whether each row has two.
 
     The numerator sum((2i - n_s - 1) x_i) over the n_s holders is summed as
     an exact integer: zeros sort first, so holder rank i sits at position
@@ -341,8 +377,7 @@ def _gini_rows(rows: np.ndarray) -> list[float | None]:
     total = rows.sum(axis=-1)
     numerator = np.sort(rows, axis=-1) @ np.arange(1, 2 * n, 2) - (2 * n - holders) * total
     measured = holders >= 2
-    g = np.divide(numerator, holders * total, out=np.zeros(len(rows)), where=measured)
-    return [value if ok else None for value, ok in zip(g.tolist(), measured.tolist())]
+    return np.divide(numerator, holders * total, out=np.zeros(len(rows)), where=measured), measured
 
 
 def _packed(values: np.ndarray, absent: np.ndarray, tie: np.ndarray) -> np.ndarray:
@@ -370,12 +405,13 @@ def _top_k_rows(keys: np.ndarray, k: int) -> np.ndarray:
     return np.where(top == _ABSENT, -1, n - 1 - top % n)
 
 
-def _stability_points(
-    days: list[date], before: np.ndarray, after: np.ndarray, n: int, k: int
-) -> list[StabilityPoint]:
-    """`stability_step` of every day pair: `before[s, p]` and `after[s, p]`
-    are the lists of side s on the two days of pair p, as codes below n in
-    rank order with -1 past each list's end."""
+def _stability_rows(
+    before: np.ndarray, after: np.ndarray, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`stability_step` of every day pair, as the rows of `StabilitySeries`:
+    its six similarities, `measured` and `truncated`.  `before[s, p]` and
+    `after[s, p]` are the lists of side s on the two days of pair p, as codes
+    below n in rank order with -1 past each list's end."""
     sides, pairs, width = before.shape
     a, b = before.reshape(-1, width), after.reshape(-1, width)
     rows = np.arange(len(a))[:, None]
@@ -401,19 +437,14 @@ def _stability_points(
     # a union of 0 means two empty lists, which read None
     extended = np.cumsum(inter / np.maximum(union, 1), axis=1)[:, -1] / k
     overlap = inter[:, -1] / np.maximum(len_a + len_b - inter[:, -1], 1)
-    empty = ((len_a == 0) & (len_b == 0)).reshape(sides, pairs)
+    measured = ((len_a > 0) | (len_b > 0)).reshape(sides, pairs)
     truncated = ((len_a < k) | (len_b < k)).reshape(sides, pairs).any(axis=0)
-    values = [
-        [None if e else v for v, e in zip(side.tolist(), side_empty.tolist())]
-        for measure in (extended, overlap)
-        for side, side_empty in zip(measure.reshape(sides, pairs), empty)
-    ]
-    return [StabilityPoint(*point) for point in zip(days, *values, truncated.tolist())]
+    return np.concatenate((extended, overlap)).reshape(2 * sides, pairs), measured, truncated
 
 
 def follow(
     log: EventLog, users: Iterable[int] | None, labels: Mapping[int, CategoryLabel]
-) -> list[Trajectory]:
+) -> Trajectories:
     """Trajectories of `users` (every rated user when None) that received
     at least one rating, in ascending id order, labelled from `labels`."""
     order = np.argsort(log.ratees, kind="stable")  # time order within a ratee
@@ -425,11 +456,9 @@ def follow(
         chosen = np.sort(np.fromiter(users, dtype=np.int64))
         pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
         ids, starts, counts = ids[pick], starts[pick], counts[pick]
-    values = running.tolist()
-    return [
-        Trajectory(u, tuple(values[s : s + c]), labels[u])
-        for u, s, c in zip(ids.tolist(), starts.tolist(), counts.tolist())
-    ]
+        # each chosen run, moved up behind the runs before it
+        running = running[np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
+    return Trajectories(ids, tuple(map(labels.__getitem__, ids.tolist())), counts, running)
 
 
 def trajectories(
@@ -437,8 +466,8 @@ def trajectories(
     selection: TrajectorySelection,
     k: int = 10,
     thresholds: CategoryThresholds = CategoryThresholds(),
-) -> list[Trajectory]:
-    """Flattened reputation trajectories for a selection of users.
+) -> Trajectories:
+    """Reputation trajectories for a selection of users.
 
     Selections: users that ever entered the day-level top-k by positive
     (negative) reputation, or all users with at least one incoming rating.

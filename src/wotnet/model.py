@@ -16,8 +16,9 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,11 +33,6 @@ class IngestError(ValueError):
 class Layer(Enum):
     REWARDING = "rewarding"
     PUNITIVE = "punitive"
-
-    @property
-    def short(self) -> str:
-        """Suffix used in file names and CSV columns: 'plus' or 'minus'."""
-        return "plus" if self is Layer.REWARDING else "minus"
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -306,7 +302,8 @@ def _ingest_columns(data: bytes) -> np.ndarray | None:
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning, such as no data, means fall back
-            stream = io.StringIO(body.decode("ascii"))
+            # decoded as it is read: a str of the whole body would take 4 bytes a character
+            stream = io.TextIOWrapper(io.BytesIO(body), encoding="ascii", newline="\n")
             table = np.loadtxt(stream, dtype=_RECORD, delimiter=",", comments=None, ndmin=1)
     except (ValueError, OSError, EOFError, zlib.error, Warning):
         return None  # the line loop reads the same bytes and reports what it finds
@@ -390,6 +387,28 @@ def _by_user(state: np.ndarray, ids: np.ndarray) -> dict[int, NodeMetrics]:
     keyed by id in ascending code order; `ids` maps codes to user ids."""
     seen = np.flatnonzero(state[:4].any(axis=0))
     return dict(zip(ids[seen].tolist(), map(_new_metrics, zip(*state[:, seen].tolist()))))
+
+
+class MetricColumns(NamedTuple):
+    """Users in ascending id order and their 6 x n int64 counters, a column
+    per user, the rows in `NodeMetrics` field order."""
+
+    users: np.ndarray
+    fields: np.ndarray
+
+
+def metric_columns(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> MetricColumns:
+    """The columns of a metrics mapping, converted once and then passed in its
+    place to `reputation_distributions`, `reputation_by_indegree`,
+    `ranking_report` and `reputation_vs_indegree_scatter`; columns are
+    returned as they are."""
+    if isinstance(metrics, MetricColumns):
+        return metrics
+    n, width = len(metrics), len(NodeMetrics._fields)
+    users = np.fromiter(metrics, dtype=np.int64, count=n)
+    fields = np.fromiter(chain.from_iterable(metrics.values()), dtype=np.int64, count=n * width)
+    order = np.argsort(users, kind="stable")
+    return MetricColumns(users[order], fields.reshape(n, width)[order].T)
 
 
 def node_metrics(

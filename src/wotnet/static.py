@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import Distribution, from_values
-from .model import EventLog, Layer, NodeMetrics
+from .model import EventLog, Layer, MetricColumns, NodeMetrics, metric_columns
 
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
 # ratio between consecutive bin edges of `log_binned_means`
@@ -55,19 +55,30 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[_run_starts(ordered)]
 
 
-def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeSpectrum:
+def _buckets(buckets: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]:
+    """The permutation that sorts values by their level in `buckets`,
+    stably, the distinct levels, the count of each and its run of the
+    sorted values."""
     b = np.asarray(buckets)
     order = np.argsort(b, kind="stable")
-    b, v = b[order], np.asarray(values, dtype=float)[order]
+    b = b[order]
     starts = np.flatnonzero(_run_starts(b))
     counts = np.diff(np.append(starts, len(b)))
-    # each bucket's values are a contiguous run, summed by `np.add.reduce` as
-    # `ndarray.mean` and `.std` sum them, so the statistics are theirs bit for bit
-    runs = [slice(i, i + c) for i, c in zip(starts.tolist(), counts.tolist())]
-    means = np.array([np.add.reduce(v[run]) for run in runs]) / counts
-    squares = np.square(v - np.repeat(means, counts))
-    stds = np.sqrt(np.array([np.add.reduce(squares[run]) for run in runs]) / counts)
-    return DegreeSpectrum(b[starts], means, stds, counts)
+    return order, b[starts], counts, [slice(i, i + c) for i, c in zip(starts.tolist(), counts.tolist())]
+
+
+def _run_sums(ordered: np.ndarray, runs: list[slice]) -> np.ndarray:
+    # each run summed by `np.add.reduce`, as `ndarray.mean` and `.std` sum
+    # it, so the bucket statistics are theirs bit for bit
+    return np.array([np.add.reduce(ordered[run]) for run in runs])
+
+
+def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeSpectrum:
+    order, levels, counts, runs = _buckets(buckets)
+    v = np.asarray(values, dtype=float)[order]
+    means = _run_sums(v, runs) / counts
+    stds = np.sqrt(_run_sums(np.square(v - np.repeat(means, counts)), runs) / counts)
+    return DegreeSpectrum(levels, means, stds, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +113,8 @@ def undirected_projection(raters: np.ndarray, ratees: np.ndarray) -> Projection:
     # an id's node number counts the ids that appear first before it
     labels = np.empty(len(ends), dtype=np.intp)
     labels[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(starts) - 1]
-    return _project(ends[is_first], *labels.reshape(-1, 2).T)
-
-
-def _project(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> Projection:
-    """The projection of the edges `u[i] -- v[i]` between positions in `nodes`."""
+    u, v = labels.reshape(-1, 2).T
+    nodes = ends[is_first]
     n = len(nodes)
     edges = np.stack(np.divmod(_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n))
     degree = np.bincount(edges.ravel(), minlength=n)
@@ -115,6 +123,9 @@ def _project(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> Projection:
 
 def local_clustering(edges: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """Fraction of closed neighbor pairs per node; 0 for degree < 2.
+
+    `edges` is a 2 x |E| array of distinct simple edges, in any order, and
+    `degree` the number of edges at each node.
 
     Compact-forward (Latapy, TCS 407, 2008): number the nodes by (degree,
     position) and point each edge to its higher-numbered end; each pair of
@@ -271,19 +282,23 @@ def configuration_null(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n, n_proposals = len(projection.nodes), swaps_per_edge * projection.edges.shape[1]
-    spectra: list[DegreeSpectrum] = []
+    if n == 0:  # no node to measure, as `mean_clustering` reports it
+        raise ValueError("no nodes satisfy the requested clustering convention")
+    # the swaps keep every degree and the graph simple, so each replica's
+    # edges go to `local_clustering` as they are, and its degree buckets are
+    # the projection's
+    order, levels, counts, runs = _buckets(projection.degree)
+    bucket_means: list[np.ndarray] = []
     sample_means: list[float] = []
     swaps_done: list[int] = []
     for stream in np.random.SeedSequence(seed).spawn(n_samples):
         ends = projection.edges.copy()
         swaps_done.append(_double_edge_swaps(ends, n, n_proposals, np.random.default_rng(stream)))
-        replica = _project(projection.nodes, *ends)
-        spectra.append(clustering_spectrum(replica))
-        sample_means.append(mean_clustering(replica))
+        clustering = local_clustering(ends, projection.degree)
+        bucket_means.append(_run_sums(clustering[order], runs) / counts)
+        sample_means.append(float(np.mean(clustering)))
     # the replicas' bucket means, pooled per degree
-    null = _bucket_spectrum(
-        np.concatenate([s.degree for s in spectra]), np.concatenate([s.mean_value for s in spectra])
-    )
+    null = _bucket_spectrum(np.tile(levels, n_samples), np.concatenate(bucket_means))
     means = np.array(sample_means)
     return NullModelResult(
         degree=null.degree,
@@ -307,8 +322,15 @@ def weight_distribution(layer: EventLog) -> Distribution:
     return from_values(np.abs(layer.scores))
 
 
+def _nonempty(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> MetricColumns:
+    columns = metric_columns(metrics)
+    if columns.users.size == 0:
+        raise ValueError("empty metrics map")
+    return columns
+
+
 def reputation_distributions(
-    metrics: Mapping[int, NodeMetrics],
+    metrics: Mapping[int, NodeMetrics] | MetricColumns,
 ) -> tuple[Distribution, Distribution, Distribution]:
     """Distributions of positive, negative and global reputation.
 
@@ -316,12 +338,9 @@ def reputation_distributions(
     value on that side (a user never rated on a layer carries no mass
     there); the global distribution covers every user, signed support.
     """
-    if not metrics:
-        raise ValueError("empty metrics map")
-    rho_p = [m.rho_plus for m in metrics.values() if m.rho_plus > 0]
-    rho_m = [m.rho_minus for m in metrics.values() if m.rho_minus > 0]
-    rho = [m.rho for m in metrics.values()]
-    return from_values(rho_p), from_values(rho_m), from_values(rho)
+    rho_plus, rho_minus = _nonempty(metrics).fields[4:]
+    rho = rho_plus - rho_minus
+    return from_values(rho_plus[rho_plus > 0]), from_values(rho_minus[rho_minus > 0]), from_values(rho)
 
 
 def kendall_tau(
@@ -403,20 +422,18 @@ class RankingReport:
     keys: tuple[str, ...]
     table: dict[str, list[int]]
     tau_matrix: np.ndarray
-    by_inplus_rank: list[tuple[int, int, int, int, int, int, int]]
-    # rows: (rank, user, k_in_plus, k_in_minus, k_out_plus, k_out_minus, rho)
+    # n x 7 int64, by rewarding in-degree rank: the columns are rank, user,
+    # k_in_plus, k_in_minus, k_out_plus, k_out_minus and rho
+    by_inplus_rank: np.ndarray
 
     def tau(self, key_a: str, key_b: str) -> float:
         return float(self.tau_matrix[self.keys.index(key_a), self.keys.index(key_b)])
 
 
-def ranking_report(metrics: Mapping[int, NodeMetrics]) -> RankingReport:
+def ranking_report(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> RankingReport:
     """Per-attribute rankings, the 5x5 tau-b matrix, and the attribute table
     sorted by the rewarding in-degree ranking."""
-    if not metrics:
-        raise ValueError("empty metrics map")
-    users = np.array(list(metrics), dtype=np.int64)
-    fields = np.array(list(zip(*metrics.values())), dtype=np.int64)
+    users, fields = _nonempty(metrics)
     # one row per RANKING_KEYS entry: the four degrees, then rho
     attributes = np.vstack((fields[:4], fields[4] - fields[5]))
     # each ranking is `ranked_users` of its row: descending, ties by ascending id
@@ -431,22 +448,15 @@ def ranking_report(metrics: Mapping[int, NodeMetrics]) -> RankingReport:
             tau[i, j] = tau[j, i] = _tau_b_of_ranks(ranks[i], ranks[j])
     by_inplus = orders[0]
     rows = np.column_stack((np.arange(1, len(users) + 1), users[by_inplus], attributes[:, by_inplus].T))
-    by_inplus_rank = list(map(tuple, rows.tolist()))
-    return RankingReport(
-        keys=RANKING_KEYS, table=table, tau_matrix=tau, by_inplus_rank=by_inplus_rank
-    )
+    return RankingReport(keys=RANKING_KEYS, table=table, tau_matrix=tau, by_inplus_rank=rows)
 
 
 def reputation_by_indegree(
-    metrics: Mapping[int, NodeMetrics], layer: Layer
+    metrics: Mapping[int, NodeMetrics] | MetricColumns, layer: Layer
 ) -> DegreeSpectrum:
     """Mean/std of global reputation per in-degree level of one layer."""
-    if not metrics:
-        raise ValueError("empty metrics map")
-    attr = "k_in_plus" if layer is Layer.REWARDING else "k_in_minus"
-    degrees = [getattr(m, attr) for m in metrics.values()]
-    values = [float(m.rho) for m in metrics.values()]
-    return _bucket_spectrum(degrees, values)
+    fields = _nonempty(metrics).fields
+    return _bucket_spectrum(fields[0 if layer is Layer.REWARDING else 1], fields[4] - fields[5])
 
 
 def log_binned_means(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:

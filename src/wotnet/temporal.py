@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,27 +33,35 @@ def _check_shift(tz_shift_hours: int) -> int:
     return tz_shift_hours * 3600
 
 
-@dataclass(frozen=True)
-class DailyCount:
-    day: date
-    count_plus: int
-    count_minus: int
+# the epoch days of `datetime.date.min` and `datetime.date.max`
+_FIRST_DAY, _LAST_DAY = date.min.toordinal() - _EPOCH.toordinal(), date.max.toordinal() - _EPOCH.toordinal()
 
 
-def daily_series(log: EventLog, tz_shift_hours: int = 0) -> list[DailyCount]:
+def _days(first: int, n: int) -> np.ndarray:
+    """The `n` calendar days from epoch day `first` on, as datetime64[D]; an
+    OverflowError past the range of `datetime.date`, as date arithmetic raises."""
+    if n and not _FIRST_DAY <= first <= first + n - 1 <= _LAST_DAY:
+        raise OverflowError("date value out of range")
+    return np.arange(first, first + n).astype("datetime64[D]")
+
+
+class DailySeries(NamedTuple):
+    """Events per calendar day on each layer, a day per entry (datetime64[D])."""
+
+    day: np.ndarray
+    count_plus: np.ndarray
+    count_minus: np.ndarray
+
+
+def daily_series(log: EventLog, tz_shift_hours: int = 0) -> DailySeries:
     """Events per calendar day on each layer, zero-filled over the full range."""
     shift = _check_shift(tz_shift_hours)
-    if len(log) == 0:
-        return []
     days = (log.timestamps + shift) // SECONDS_PER_DAY
-    first, last = int(days[0]), int(days[-1])
-    n = last - first + 1
+    first = int(days[0]) if len(days) else 0
+    n = int(days[-1]) - first + 1 if len(days) else 0
     plus = np.bincount(days[log.scores > 0] - first, minlength=n)
     minus = np.bincount(days[log.scores < 0] - first, minlength=n)
-    return [
-        DailyCount(_EPOCH + timedelta(days=first + i), int(plus[i]), int(minus[i]))
-        for i in range(n)
-    ]
+    return DailySeries(_days(first, n), plus, minus)
 
 
 def _user_gaps(log: EventLog, layer: Layer) -> tuple[np.ndarray, np.ndarray]:

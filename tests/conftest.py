@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import os
 import random
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wotnet import (
+    CategoryLabel,
     EventLog,
-    Projection,
+    Layer,
     SynthConfig,
     ingest,
     synth_log,
     undirected_projection,
 )
+from wotnet.static import Projection
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,3 +137,19 @@ def tiny_log() -> EventLog:
             (1, 2, 3, 500),
         ]
     )
+
+
+def _fmt_by_isinstance_chain(value) -> str:
+    """The CSV cell text as one chain of type tests per cell: the reference
+    that every file the writer makes is checked against."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.12g" % value
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, (Layer, CategoryLabel)):
+        return value.value
+    return str(value)

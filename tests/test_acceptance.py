@@ -126,10 +126,13 @@ def test_c2_score_modes():
 
 def test_c3_gini_plateau():
     _dataset_or_skip("C3", "gini-plateau")
-    points = daily_fold(_ingested()[0]).gini[-365:]
-    # a day whose side has fewer than two holders has no Gini there
-    mean_plus = float(np.mean([p.gini_plus for p in points if p.gini_plus is not None]))
-    mean_minus = float(np.mean([p.gini_minus for p in points if p.gini_minus is not None]))
+    gini = daily_fold(_ingested()[0]).gini
+    # the last 365 days of the series; a day whose side has fewer than two
+    # holders has no Gini there
+    mean_plus, mean_minus = (
+        float(np.mean(values[-365:][measured[-365:]]))
+        for values, measured in zip((gini.gini_plus, gini.gini_minus), gini.measured)
+    )
     ok = (
         abs(mean_plus - 0.75) <= 0.05
         and abs(mean_minus - 0.60) <= 0.05

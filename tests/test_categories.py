@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from wotnet import (
     category_summary,
     categorize,
     negative_fraction,
+    negative_fractions,
     node_metrics,
     reputation_vs_indegree_scatter,
 )
@@ -73,6 +75,16 @@ def test_negative_fraction_values():
     assert negative_fraction(_received(3, 1)) == pytest.approx(0.25)
     assert negative_fraction(_received(0, 0)) is None
     assert negative_fraction(_received(0, 7)) == 1.0
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)) | st.just((0, 0)), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_negative_fractions_match_the_per_user_fraction(reputations):
+    rho_plus, rho_minus = np.array(reputations, dtype=np.int64).reshape(-1, 2).T
+    r, received = negative_fractions(rho_plus, rho_minus)
+    expected = [negative_fraction(_received(p, m)) for p, m in reputations]
+    assert received.tolist() == [value is not None for value in expected]
+    assert r.tolist() == [0.0 if value is None else value for value in expected]
 
 
 @given(
@@ -201,25 +213,22 @@ def test_scatter_points_and_limit_slopes():
         3: NodeMetrics(2, 0, 0, 0, 2, 0),  # 2 minimal positive ratings
     }
     result = reputation_vs_indegree_scatter(metrics, categorize(metrics))
-    by_user = {p.user: p for p in result.points}
-    assert by_user[1].k_in_total == 3 and by_user[1].rho == 30
-    assert by_user[2].k_in_total == 4 and by_user[2].rho == -40
-    assert by_user[3].k_in_total == 2 and by_user[3].rho == 2
+    assert result.users.tolist() == [1, 2, 3]
+    assert result.k_in_total.tolist() == [3, 4, 2]
+    assert result.rho.tolist() == [30, -40, 2]
     assert result.limit_slopes == (10, 1, -10)
     # every point lies on or between the outer growth limits
-    for p in result.points:
-        assert -10 * p.k_in_total <= p.rho <= 10 * p.k_in_total
+    assert (-10 * result.k_in_total <= result.rho).all() and (result.rho <= 10 * result.k_in_total).all()
     # the three constructed users sit exactly on the three reference lines
-    assert by_user[1].rho == 10 * by_user[1].k_in_total
-    assert by_user[2].rho == -10 * by_user[2].k_in_total
-    assert by_user[3].rho == 1 * by_user[3].k_in_total
+    assert (result.rho == np.array([10, -10, 1]) * result.k_in_total).all()
 
 
 def test_scatter_labels_follow_categorization(small_log):
     metrics = node_metrics(small_log)
     labels = categorize(metrics)
     result = reputation_vs_indegree_scatter(metrics, labels)
-    assert len(result.points) == len(metrics)
-    for p in result.points:
-        assert p.label is labels[p.user]
-        assert -10 * p.k_in_total <= p.rho <= 10 * p.k_in_total
+    assert result.users.tolist() == sorted(metrics)
+    assert result.labels == tuple(labels[u] for u in sorted(metrics))
+    assert result.k_in_total.tolist() == [m.k_in_plus + m.k_in_minus for _, m in sorted(metrics.items())]
+    assert result.rho.tolist() == [m.rho for _, m in sorted(metrics.items())]
+    assert (-10 * result.k_in_total <= result.rho).all() and (result.rho <= 10 * result.k_in_total).all()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reciprocal_log
+from conftest import _fmt_by_isinstance_chain, reciprocal_log
 from wotnet import CategoryLabel, EventLog, Layer, SynthConfig, synth_log, write_log_csv
 from wotnet import cli
 from wotnet.cli import OPTIONS, RunWriter, _fmt, main
@@ -594,29 +594,48 @@ FOLD_SHA256 = {
 }
 
 
-def test_fold_outputs_match_recorded_digests(tmp_path):
+# The files of a second seeded run that differ from FOLD_SHA256, recorded
+# before the stages handed the writer typed columns: one time zone, a top-k
+# deeper than the 300 users (every stability row truncated) and annotation
+# windows that overlap the log and each other.
+SECOND_RUN_SHA256 = {
+    **FOLD_SHA256,
+    "circadian_profile.csv": "c024bdf60ded6e0530441e95a5c59e51820606fc4faa19fee6edeeba6edd6997",
+    "daily_activity.csv": "6399d0413c72780dc32a54ff44d213b732e07dda7012a71fbfe475f38bc6ea05",
+    "topk_stability.csv": "fc8afa80f25f6958d5b0571a08ebf72cf0ad19225cae232aa6d572862f7997c1",
+    "trajectories_top_negative.csv": "f504afd02177d0f2b9dec34f3f95ae1671054d24522a3be1820437fd0cd08311",
+    "trajectories_top_positive.csv": "8870750d53d2d93c23c0463c4b5ff34d11aa77fcabb02d7b3b651dcb1328f48c",
+    "weekly_profile.csv": "ad2372937d343a03a8826e24780b5d8639de446f367963f4ea49d3e1713a1db4",
+}
+
+
+def _seeded_run_digests(tmp_path, *flags) -> dict[str, str]:
+    """SHA-256 of every CSV of `all --seed 1 --null-samples 1 FLAGS` on a
+    seeded 300-user, 2,000-event, 150-day log."""
     log = synth_log(SynthConfig(n_users=300, n_events=2000, seed=11, t_span=150 * 86_400))
     write_log_csv(log, tmp_path / "log.csv")
     out = tmp_path / "out"
     argv = ["all", "--input", str(tmp_path / "log.csv"), "--out", str(out)]
-    assert main(argv + ["--seed", "1", "--null-samples", "1", "--topk", "5"]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.glob("*.csv")}
-    assert digests == FOLD_SHA256
+    assert main(argv + ["--seed", "1", "--null-samples", "1", *flags]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.glob("*.csv")}
 
 
-def _fmt_by_isinstance_chain(value) -> str:
-    """The CSV cell text as one chain of type tests per cell."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.12g" % value
-    if isinstance(value, date):
-        return value.isoformat()
-    if isinstance(value, (Layer, CategoryLabel)):
-        return value.value
-    return str(value)
+def test_fold_outputs_match_recorded_digests(tmp_path):
+    assert _seeded_run_digests(tmp_path, "--topk", "5") == FOLD_SHA256
+
+
+def test_second_seeded_run_matches_recorded_digests(tmp_path):
+    windows = tmp_path / "windows.csv"
+    windows.write_text(
+        "label,start,end\n"
+        "spring,2011-03-01,2011-04-15\n"
+        "summer,2011-06-01,2011-07-31\n"
+        "late,2011-07-20,2011-12-31\n"
+    )
+    flags = ("--tz-shift", "0", "--topk", "1000", "--annotations", str(windows))
+    assert _seeded_run_digests(tmp_path, *flags) == SECOND_RUN_SHA256
+    daily = (tmp_path / "out" / "daily_activity.csv").read_text()
+    assert ",spring\n" in daily and ",summer;late\n" in daily
 
 
 def test_cell_formatting_matches_the_isinstance_chain():
@@ -626,55 +645,95 @@ def test_cell_formatting_matches_the_isinstance_chain():
         date(1969, 12, 31), date(2011, 3, 13), datetime(2011, 3, 13, 4, 5),
         *Layer, *CategoryLabel, "", "text",
     ]
-    # twice: the second pass reads the formatters the first one cached
-    for cell in cells + cells:
+    for cell in cells:
         assert _fmt(cell) == _fmt_by_isinstance_chain(cell), repr(cell)
 
 
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e16, -1e16, 5e-324, 1e-20, float("nan"), float("inf"), -float("inf"), 1 / 3]),
+)
+# no comma or line break, and some `%` to be kept as it is
+_TEXTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"), max_size=5) | st.sampled_from(
+    ["%", "%%", "%d", "%s%", "100%"]
+)
+_INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0, -1])
+
+
 def _column_strategies(n):
-    """Columns of n cells, as the stages hand them to the writer."""
-    floats = st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True),
-        st.sampled_from([-0.0, 1e-20, float("nan"), float("inf"), 1 / 3]),
-    )
-    lists = st.lists
+    """(column as a stage or a caller hands it to the writer, its cells as
+    the reference reads them) of n rows."""
+    cells = lambda elements: st.lists(elements, min_size=n, max_size=n)  # noqa: E731
+    enums = st.sampled_from([*Layer, *CategoryLabel])
+    as_is = lambda c: (c, c)  # noqa: E731
+    # the array's own numpy scalars, which the reference writes with str()
+    own_cells = lambda a: (a, list(a))  # noqa: E731
     return st.one_of(
-        lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n),
-        lists(st.integers(-(2**63), 2**63 - 1).map(np.int64), min_size=n, max_size=n),
-        lists(st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(np.int64)), min_size=n, max_size=n),
-        lists(floats, min_size=n, max_size=n),
-        lists(st.one_of(floats, st.none()), min_size=n, max_size=n),  # float holes
-        lists(st.booleans(), min_size=n, max_size=n),
-        lists(st.dates(), min_size=n, max_size=n),
-        lists(st.sampled_from([*Layer, *CategoryLabel]), min_size=n, max_size=n),
-        lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"), max_size=5), min_size=n, max_size=n),
-        lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.int64)),
-        lists(floats, min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.float64)),
-        lists(st.floats(width=32), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=np.float32)),
-        lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        cells(_INT64).map(lambda c: (np.array(c, dtype=np.int64), c)),
+        cells(_FLOATS).map(lambda c: (np.array(c, dtype=np.float64), c)),
+        cells(st.none() | _FLOATS).map(  # None-masked floats
+            lambda c: (cli._masked(np.array([0.0 if v is None else v for v in c]), np.array([v is not None for v in c], dtype=bool)), c)
+        ),
+        cells(st.booleans()).map(lambda c: (np.array(c, dtype=bool), c)),
+        cells(st.dates()).map(lambda c: (np.array(c, dtype="datetime64[D]"), c)),
+        cells(enums).map(lambda c: ([m.value for m in c], c)),  # enums, as the stages pass them
+        cells(enums).map(lambda c: (np.array([m.value for m in c], dtype=str), c)),
+        cells(_TEXTS).map(as_is),
+        # arrays of other dtypes and lists of raw values, written cell by cell
+        cells(st.floats(width=32)).map(lambda c: own_cells(np.array(c, dtype=np.float32))),
+        cells(st.integers(-(2**31), 2**31 - 1)).map(lambda c: own_cells(np.array(c, dtype=np.int32))),
+        cells(st.datetimes()).map(lambda c: own_cells(np.array(c, dtype="datetime64[s]"))),
+        cells(st.integers(-(2**70), 2**70)).map(as_is),
+        cells(_INT64.map(np.int64)).map(as_is),
+        cells(_FLOATS).map(as_is),
+        cells(st.none() | _FLOATS).map(as_is),
+        cells(st.booleans()).map(as_is),
+        cells(st.dates()).map(as_is),
+        cells(enums).map(as_is),
+        cells(st.none() | st.booleans() | _INT64 | _FLOATS | st.dates() | enums | _TEXTS).map(as_is),
     )
+
+
+# constant cells of every row of a block, such as a layer or a time-zone shift
+_CONSTANTS = st.one_of(
+    st.none(), st.booleans(), _INT64, st.integers(-(2**70), 2**70), _FLOATS, st.dates(),
+    st.sampled_from([*Layer, *CategoryLabel]), _TEXTS,
+)  # fmt: skip
 
 
 @st.composite
-def _tables(draw):
+def _blocks(draw):
+    """(block for the writer, its rows as the reference reads them)."""
     n = draw(st.integers(0, 6))
-    return draw(st.lists(_column_strategies(n), min_size=1, max_size=5))
+    cells = draw(
+        st.lists(st.one_of(_CONSTANTS.map(lambda c: (c, None)), _column_strategies(n)), min_size=1, max_size=6)
+    )
+    block = [cell for cell, _ in cells]
+    if all(column is None for _, column in cells):
+        return block, [block]  # constants only: one row
+    rows = [[cell if column is None else column[i] for cell, column in cells] for i in range(n)]
+    return block, rows
 
 
-@given(_tables(), st.integers(1, 7))
-@settings(max_examples=300, deadline=None)
-def test_column_writer_equals_the_row_formatter(columns, slice_rows):
-    header = [f"c{i}" for i in range(len(columns))]
+@given(st.lists(_blocks(), max_size=4), st.integers(1, 7))
+@settings(max_examples=400, deadline=None)
+def test_column_writer_equals_the_row_formatter(blocks, slice_rows):
+    # any mix of typed columns and constant cells, in blocks of 0-6 rows or
+    # in no block at all (a header-only file), is written as the per-cell
+    # reference writes each row
+    header = [f"c{i}" for i in range(max((len(block) for block, _ in blocks), default=1))]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_SLICE_ROWS", slice_rows):
-        RunWriter(Path(tmp)).write_csv("t.csv", header, columns)
-        text = (Path(tmp) / "t.csv").read_text(encoding="utf-8")
-    rows = [",".join(map(_fmt, row)) for row in zip(*columns)]
-    assert text == "\n".join([",".join(header), *rows]) + "\n"
+        RunWriter(Path(tmp)).write_csv("t.csv", header, *(block for block, _ in blocks))
+        data = (Path(tmp) / "t.csv").read_bytes()
+    rows = [",".join(map(_fmt_by_isinstance_chain, row)) for _, block_rows in blocks for row in block_rows]
+    assert data == ("\n".join([",".join(header), *rows]) + "\n").encode("utf-8")
 
 
 def test_column_writer_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match="unequal"):
-        RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], [[1, 2], [3]])
+        RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], [np.arange(2), ["3"]])
+    with pytest.raises(ValueError, match="unequal"):
+        RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], ["x", np.arange(1)], [np.arange(2), ["3"]])
     assert not (tmp_path / "t.csv").exists()
 
 

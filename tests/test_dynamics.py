@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wotnet.dynamics as dynamics
-from conftest import rows
+from conftest import _fmt_by_isinstance_chain, rows
 from wotnet import (
     CategoryLabel,
     EventLog,
     NodeMetrics,
-    Trajectory,
     TrajectorySelection,
     categorize,
     daily_fold,
@@ -29,7 +28,7 @@ from wotnet import (
     trajectories,
     write_log_csv,
 )
-from wotnet.cli import _fmt, main
+from wotnet.cli import main
 
 DAY = 86_400
 
@@ -55,7 +54,7 @@ def test_empty_log_has_no_snapshots_and_an_empty_fold():
     log = EventLog([])
     assert list(snapshot_series(log)) == []
     fold = daily_fold(log)
-    assert (fold.gini, fold.stability, fold.metrics) == ([], [], {})
+    assert (_gini_rows_of(fold), _stability_rows_of(fold), fold.metrics) == ([], [], {})
     assert fold.entrants == {
         TrajectorySelection.TOP_ENTRANTS_POSITIVE: set(),
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: set(),
@@ -162,10 +161,11 @@ def test_gini_bounds_and_scale_invariance(values):
 
 def test_gini_series_equal_reputations():
     log = EventLog([(1, 3, 5, 0), (2, 4, 5, 10)])
-    points = daily_fold(log).gini
+    points = _gini_rows_of(daily_fold(log))
     assert len(points) == 1
-    assert points[0].gini_plus == pytest.approx(0.0)
-    assert points[0].gini_minus is None
+    _, gini_plus, gini_minus = points[0]
+    assert gini_plus == pytest.approx(0.0)
+    assert gini_minus is None
 
 
 def test_gini_series_single_owner_bound():
@@ -196,8 +196,7 @@ def test_gini_point_none_before_any_qualifying_day():
 
 def test_gini_series_skips_unmeasurable_days():
     log = EventLog([(1, 2, 5, 0), (3, 4, 5, 2 * DAY)])
-    points = daily_fold(log).gini
-    assert [p.day for p in points] == [date(1970, 1, 3)]
+    assert daily_fold(log).gini.day.tolist() == [date(1970, 1, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +310,17 @@ def test_stability_identical_snapshots_give_unity():
     # two days, all events on day one: day two repeats the state
     log = EventLog([(1, 5, 9, 0), (2, 6, 4, 50), (3, 7, -8, DAY + 10)])
     points = daily_fold(log, k=3).stability
-    assert len(points) == 1
-    assert points[0].day == date(1970, 1, 1)  # labeled by the earlier day
-    assert points[0].j_plus == pytest.approx(1.0)
-    assert points[0].truncated  # fewer than 3 quali users on both days
+    assert points.day.tolist() == [date(1970, 1, 1)]  # labeled by the earlier day
+    assert points.j_plus.tolist() == [pytest.approx(1.0)]
+    assert points.truncated.tolist() == [True]  # fewer than 3 quali users on both days
 
 
 def test_stability_day_labels_cover_all_but_last(small_log):
     snaps = list(snapshot_series(small_log))
     points = daily_fold(small_log, k=5).stability
-    assert [p.day for p in points] == [s.day for s in snaps[:-1]]
-    for p in points:
-        for value in (p.j_plus, p.j_minus, p.j_global, p.sj_plus, p.sj_minus, p.sj_global):
+    assert points.day.tolist() == [s.day for s in snaps[:-1]]
+    for row in _stability_rows_of(daily_fold(small_log, k=5)):
+        for value in row[1:7]:
             if value is not None:
                 assert 0.0 <= value <= 1.0
 
@@ -390,6 +388,24 @@ def _dynamics_rows_by_loop(log: EventLog, k: int):
     return gini_rows, stability_rows
 
 
+def _unmasked(values, measured):
+    return [value if ok else None for value, ok in zip(values.tolist(), measured.tolist())]
+
+
+def _gini_rows_of(fold):
+    """The fold's Gini series as rows, None where a side has no value."""
+    gini = fold.gini
+    sides = map(_unmasked, (gini.gini_plus, gini.gini_minus), gini.measured)
+    return list(zip(gini.day.tolist(), *sides))
+
+
+def _stability_rows_of(fold):
+    """The fold's stability series as rows, None where a side has no value."""
+    stability = fold.stability
+    sides = map(_unmasked, stability[1:7], [*stability.measured] * 2)
+    return list(zip(stability.day.tolist(), *sides, stability.truncated.tolist()))
+
+
 @st.composite
 def _multi_day_logs(draw):
     """Small logs over a few days, some before 1970, with tied timestamps
@@ -414,11 +430,8 @@ def _multi_day_logs(draw):
 def _assert_fold_matches_separate_passes(log: EventLog, k: int) -> None:
     fold = daily_fold(log, k)
     gini_rows, stability_rows = _dynamics_rows_by_loop(log, k)
-    assert [(p.day, p.gini_plus, p.gini_minus) for p in fold.gini] == gini_rows
-    assert [
-        (p.day, p.j_plus, p.j_minus, p.j_global, p.sj_plus, p.sj_minus, p.sj_global, p.truncated)
-        for p in fold.stability
-    ] == stability_rows
+    assert _gini_rows_of(fold) == gini_rows
+    assert _stability_rows_of(fold) == stability_rows
     assert fold.entrants == {
         TrajectorySelection.TOP_ENTRANTS_POSITIVE: top_entrants(log, "rho_plus", k),
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: top_entrants(log, "rho_minus", k),
@@ -467,7 +480,7 @@ def test_dynamics_with_k_above_the_user_count_gives_the_oracle_rows(small_log, t
     assert main(argv) == 0
     for name, rows in zip(("gini_series.csv", "topk_stability.csv"), _dynamics_rows_by_loop(small_log, k)):
         lines = (out / name).read_text().splitlines()[1:]
-        assert lines == [",".join(map(_fmt, row)) for row in rows]
+        assert lines == [",".join(map(_fmt_by_isinstance_chain, row)) for row in rows]
 
 
 def _snapshots_by_event_loop(log: EventLog):
@@ -530,38 +543,45 @@ def test_snapshot_series_matches_event_loop(log):
 # trajectories
 
 
+def _records(trajs):
+    """(user, reputation after each rating, label) of each followed user."""
+    assert len(trajs.users) == len(trajs.categories) == len(trajs.counts)
+    assert trajs.counts.sum() == len(trajs.rho)
+    runs = np.split(trajs.rho, np.cumsum(trajs.counts)[:-1])
+    return [(u, tuple(run.tolist()), c) for u, run, c in zip(trajs.users.tolist(), runs, trajs.categories)]
+
+
 def test_trajectory_accumulates_incoming_scores():
     log = EventLog([(1, 9, 1, 0), (2, 9, 5, 10)])
-    trajs = trajectories(log, TrajectorySelection.BY_CATEGORY)
-    by_user = {t.user: t for t in trajs}
-    assert by_user[9].values == (1, 6)
+    trajs = _records(trajectories(log, TrajectorySelection.BY_CATEGORY))
+    by_user = {user: values for user, values, _ in trajs}
+    assert by_user[9] == (1, 6)
 
 
 def test_trajectory_negative_spiral():
     log = EventLog([(1, 9, -10, 0), (2, 9, -10, 10), (3, 9, -10, 20)])
-    trajs = trajectories(log, TrajectorySelection.TOP_ENTRANTS_NEGATIVE, k=3)
-    assert [t.user for t in trajs] == [9]
-    assert trajs[0].values == (-10, -20, -30)
-    assert trajs[0].category is CategoryLabel.UNTRUSTED
+    trajs = _records(trajectories(log, TrajectorySelection.TOP_ENTRANTS_NEGATIVE, k=3))
+    assert trajs == [(9, (-10, -20, -30), CategoryLabel.UNTRUSTED)]
+    assert trajs[0][2] is CategoryLabel.UNTRUSTED
 
 
 def test_trajectory_final_value_matches_aggregate(small_log):
     metrics = node_metrics(small_log)
-    for traj in trajectories(small_log, TrajectorySelection.BY_CATEGORY):
-        assert traj.values[-1] == metrics[traj.user].rho
-        incoming = metrics[traj.user].k_in_plus + metrics[traj.user].k_in_minus
-        assert len(traj.values) == incoming
+    for user, values, _ in _records(trajectories(small_log, TrajectorySelection.BY_CATEGORY)):
+        assert values[-1] == metrics[user].rho
+        incoming = metrics[user].k_in_plus + metrics[user].k_in_minus
+        assert len(values) == incoming
         # every incoming rating moves the reputation (scores are nonzero)
-        steps = np.diff((0,) + traj.values)
+        steps = np.diff((0,) + values)
         assert (steps != 0).all()
         assert all(1 <= abs(s) <= 10 for s in steps)
 
 
 def test_trajectories_by_category_cover_all_rated_users(small_log):
-    trajs = trajectories(small_log, TrajectorySelection.BY_CATEGORY)
+    users = trajectories(small_log, TrajectorySelection.BY_CATEGORY).users.tolist()
     rated = set(small_log.ratees.tolist())
-    assert {t.user for t in trajs} == rated
-    assert [t.user for t in trajs] == sorted(t.user for t in trajs)
+    assert set(users) == rated
+    assert users == sorted(users)
 
 
 def _follow_by_event_loop(log, users, labels):
@@ -573,7 +593,7 @@ def _follow_by_event_loop(log, users, labels):
         running[ratee] = new
         values.setdefault(ratee, []).append(new)
     chosen = values if users is None else (u for u in users if u in values)
-    return [Trajectory(u, tuple(values[u]), labels[u]) for u in sorted(chosen)]
+    return [(u, tuple(values[u]), labels[u]) for u in sorted(chosen)]
 
 
 @given(
@@ -585,13 +605,13 @@ def _follow_by_event_loop(log, users, labels):
 def test_follow_matches_event_loop(log, subset):
     labels = categorize(node_metrics(log))
     for users in (None, set(), subset):
-        assert follow(log, users, labels) == _follow_by_event_loop(log, users, labels)
+        assert _records(follow(log, users, labels)) == _follow_by_event_loop(log, users, labels)
 
 
 def test_top_entrants_selection_subsets_by_category(small_log):
-    all_users = {t.user for t in trajectories(small_log, TrajectorySelection.BY_CATEGORY)}
-    pos = {t.user for t in trajectories(small_log, TrajectorySelection.TOP_ENTRANTS_POSITIVE)}
-    neg = {t.user for t in trajectories(small_log, TrajectorySelection.TOP_ENTRANTS_NEGATIVE)}
+    all_users = set(trajectories(small_log, TrajectorySelection.BY_CATEGORY).users.tolist())
+    pos = set(trajectories(small_log, TrajectorySelection.TOP_ENTRANTS_POSITIVE).users.tolist())
+    neg = set(trajectories(small_log, TrajectorySelection.TOP_ENTRANTS_NEGATIVE).users.tolist())
     assert pos <= all_users
     assert neg <= all_users
     assert pos == top_entrants(small_log, "rho_plus", 10)
@@ -603,10 +623,10 @@ def test_top_entrants_key_validation(small_log):
 
 
 def test_trajectories_empty_log():
-    assert trajectories(EventLog([]), TrajectorySelection.BY_CATEGORY) == []
+    assert _records(trajectories(EventLog([]), TrajectorySelection.BY_CATEGORY)) == []
 
 
 def test_trajectory_categories_match_final_state(small_log):
     labels = categorize(node_metrics(small_log))
-    for traj in trajectories(small_log, TrajectorySelection.BY_CATEGORY):
-        assert traj.category is labels[traj.user]
+    for user, _, category in _records(trajectories(small_log, TrajectorySelection.BY_CATEGORY)):
+        assert category is labels[user]

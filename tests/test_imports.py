@@ -63,9 +63,9 @@ def test_all_lists_exactly_the_exported_names():
     assert all(hasattr(wotnet, name) for name in wotnet.__all__)
 
 
-def _loaded_after_import(module: str) -> bool:
-    """Whether importing the package and its CLI loads `module`."""
-    code = f"import sys, wotnet, wotnet.cli; print({module!r} in sys.modules)"
+def _loaded_after_import(*modules: str) -> list[str]:
+    """Those of `modules` that importing the package and its CLI loads."""
+    code = f"import sys, wotnet, wotnet.cli; print(*(m for m in {modules!r} if m in sys.modules))"
     path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -74,7 +74,7 @@ def _loaded_after_import(module: str) -> bool:
         text=True,
         check=True,
     )
-    return run.stdout.strip() == "True"
+    return run.stdout.split()
 
 
 def test_importing_the_package_leaves_scipy_stats_unloaded():
@@ -85,6 +85,13 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
 def test_importing_the_package_leaves_scipy_sparse_unloaded():
     # the projection is a sorted edge list; no sparse matrix is built
     assert not _loaded_after_import("scipy.sparse")
+
+
+def test_importing_the_package_loads_no_module_it_does_not_need():
+    # `categorize` takes the thresholds' own integer ratios, not `Fraction`'s
+    # (which loads decimal), and temporary files are named from `os.urandom`,
+    # not `secrets` (which loads base64 and hmac)
+    assert _loaded_after_import("fractions", "decimal", "secrets", "base64", "hmac") == []
 
 
 def test_a_whole_run_loads_no_scipy(tmp_path):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import rows
 from wotnet import model
+from wotnet.model import IngestReport
 from wotnet import (
     EventLog,
     IngestError,
-    IngestReport,
     NodeMetrics,
     SynthConfig,
     gettrust,

@@ -26,6 +26,7 @@ from wotnet import (
     local_clustering,
     log_binned_ccdf,
     mean_clustering,
+    metric_columns,
     node_metrics,
     ranked_users,
     ranking_report,
@@ -113,10 +114,9 @@ def test_reputation_distributions_skip_zero_sides():
 
 def test_log_binned_ccdf_anchors_to_support():
     dist = from_values([1, 1, 2, 4, 8, 16])
-    pairs = log_binned_ccdf(dist, n_points=9)
-    values = [v for v, _ in pairs]
+    values, ccdfs = log_binned_ccdf(dist, n_points=9)
     assert values[0] >= 1
-    ccdfs = [c for _, c in pairs]
+    assert len(values) == len(ccdfs) == 9
     assert all(a >= b - 1e-12 for a, b in zip(ccdfs, ccdfs[1:]))
 
 
@@ -604,6 +604,61 @@ def test_null_on_a_reciprocal_layer_keeps_the_empirical_degrees():
         assert (null.n_samples_per_bucket == 5).all()
 
 
+def _configuration_null_by_projection(projection, n_samples, seed, swaps_per_edge):
+    """`configuration_null` as it was before it passed each replica's edges
+    straight to `local_clustering`: each replica projected again (its keys
+    sorted, split with `divmod`, its degrees recounted) and its clustering
+    spectrum, stds included, taken per level; the oracle.  Returns the pooled
+    spectrum, the replicas' mean clustering and their swap counts."""
+    n = len(projection.nodes)
+    spectra, sample_means, swaps_done = [], [], []
+    for stream in np.random.SeedSequence(seed).spawn(n_samples):
+        ends = projection.edges.copy()
+        proposals = swaps_per_edge * ends.shape[1]
+        swaps_done.append(_double_edge_swaps(ends, n, proposals, np.random.default_rng(stream)))
+        edges = np.stack(np.divmod(np.unique(ends[0] * n + ends[1]), n))
+        degree = np.bincount(edges.ravel(), minlength=n)
+        clustering = local_clustering(edges, degree)
+        spectra.append(_bucket_spectrum_by_mask(degree, clustering))
+        sample_means.append(float(np.mean(clustering)))
+    pooled = _bucket_spectrum_by_mask(
+        np.concatenate([s.degree for s in spectra]), np.concatenate([s.mean_value for s in spectra])
+    )
+    return pooled, sample_means, swaps_done
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_logs(), st.integers(1, 4), st.integers(0, 2**32), st.integers(1, 3))
+@example(_log_of([(0, i) for i in range(1, 6)]), 2, 0, 1)  # star: no swap is accepted
+@example(_log_of([(a, b) for a in range(6) for b in range(6) if a < b and (a + b) % 3]), 3, 9, 2)
+def test_null_equals_the_reprojecting_oracle(log, n_samples, seed, swaps_per_edge):
+    for layer in split_layers(log):
+        if len(layer) == 0:
+            continue
+        projection = project(layer)
+        null = configuration_null(projection, n_samples, seed, swaps_per_edge)
+        pooled, sample_means, swaps_done = _configuration_null_by_projection(
+            projection, n_samples, seed, swaps_per_edge
+        )
+        got = (null.degree, null.null_mean, null.null_std, null.n_samples_per_bucket)
+        for mine, oracle in zip(got, (pooled.degree, pooled.mean_value, pooled.std_value, pooled.n_nodes)):
+            assert mine.dtype == oracle.dtype and mine.tobytes() == oracle.tobytes()
+        assert null.sample_means == tuple(sample_means)
+        assert null.swaps_done == tuple(swaps_done)
+        means = np.array(sample_means)
+        assert (null.null_mean_clustering, null.null_std_clustering) == (means.mean(), means.std())
+
+
+def test_null_equals_the_reprojecting_oracle_on_a_reciprocal_layer():
+    for layer in split_layers(reciprocal_log(n_users=80, n_pairs=300, seed=8)):
+        projection = project(layer)
+        null = configuration_null(projection, n_samples=3, seed=11)
+        pooled, sample_means, _ = _configuration_null_by_projection(projection, 3, 11, 10)
+        assert null.null_mean.tobytes() == pooled.mean_value.tobytes()
+        assert null.null_std.tobytes() == pooled.std_value.tobytes()
+        assert null.sample_means == tuple(sample_means)
+
+
 def _swap_round_by_sort(ends, keys, n, n_pairs, rng):
     """`_swap_round` as it was before it ordered the proposed ends with
     `np.minimum`/`np.maximum` and scattered the clash flags: the oracle."""
@@ -941,8 +996,7 @@ def test_ranking_report_shape(small_log):
     for key in RANKING_KEYS:
         assert set(report.table[key]) == users
     assert report.tau("rho", "rho") == pytest.approx(1.0)
-    ranks = [row[0] for row in report.by_inplus_rank]
-    assert ranks == list(range(1, len(users) + 1))
+    assert report.by_inplus_rank[:, 0].tolist() == list(range(1, len(users) + 1))
 
 
 @st.composite
@@ -966,9 +1020,9 @@ def test_ranking_report_matches_ranked_users(metrics):
         (rank, u, *metrics[u][:4], metrics[u].rho)
         for rank, u in enumerate(ranked_users(values["k_in_plus"]), start=1)
     ]
-    assert report.by_inplus_rank == expected_rows
-    # plain ints, as the CSV writer formats them
-    assert all(type(x) is int for row in report.by_inplus_rank for x in row)
+    assert report.by_inplus_rank.tolist() == list(map(list, expected_rows))
+    # one int64 array, which the CSV writer formats with %d
+    assert report.by_inplus_rank.dtype == np.int64
     assert all(type(u) is int for ranking in report.table.values() for u in ranking)
     tau = np.eye(len(RANKING_KEYS))
     for (i, a), (j, b) in itertools.combinations(enumerate(RANKING_KEYS), 2):
@@ -976,9 +1030,35 @@ def test_ranking_report_matches_ranked_users(metrics):
     np.testing.assert_array_equal(report.tau_matrix, tau)  # NaN where a side is all ties
 
 
+@given(_metrics_maps())
+@settings(max_examples=100, deadline=None)
+def test_metric_columns_stand_in_for_the_mapping(metrics):
+    # converted once, in ascending user order whatever the mapping's order,
+    # and passed in the mapping's place
+    columns = metric_columns(metrics)
+    assert columns.users.tolist() == sorted(metrics)
+    assert columns.fields.T.tolist() == [list(metrics[u]) for u in sorted(metrics)]
+    assert columns.users.dtype == columns.fields.dtype == np.int64
+    assert metric_columns(columns) is columns
+    report, from_columns = ranking_report(metrics), ranking_report(columns)
+    assert from_columns.table == report.table
+    np.testing.assert_array_equal(from_columns.by_inplus_rank, report.by_inplus_rank)
+    np.testing.assert_array_equal(from_columns.tau_matrix, report.tau_matrix)
+    for layer in Layer:
+        spectra = reputation_by_indegree(metrics, layer), reputation_by_indegree(columns, layer)
+        assert _spectrum_tuple(spectra[0]) == _spectrum_tuple(spectra[1])
+
+
 def test_ranking_report_empty_errors():
     with pytest.raises(ValueError):
         ranking_report({})
+    for empty in ({}, metric_columns({})):
+        with pytest.raises(ValueError, match="empty"):
+            reputation_distributions(empty)
+        with pytest.raises(ValueError, match="empty"):
+            reputation_by_indegree(empty, Layer.REWARDING)
+    with pytest.raises(ValueError, match="empty"):
+        ranking_report(metric_columns({}))
 
 
 def test_reputation_by_indegree_single_bucket():

@@ -12,6 +12,7 @@ from wotnet import (
     annotations_for,
     burstiness,
     circadian_profile,
+    daily_fold,
     daily_series,
     interevent_distribution,
     interevent_times,
@@ -65,27 +66,26 @@ def test_daily_series_single_day_counts():
         [(1, 2, 5, 100), (3, 2, 1, 200), (2, 1, -10, 300)]
     )
     series = daily_series(log)
-    assert len(series) == 1
-    assert series[0].day == date(1970, 1, 1)
-    assert (series[0].count_plus, series[0].count_minus) == (2, 1)
+    assert series.day.tolist() == [date(1970, 1, 1)]
+    assert (series.count_plus.tolist(), series.count_minus.tolist()) == ([2], [1])
 
 
 def test_daily_series_shift_moves_events_across_midnight():
     # 23:30 UTC lands on the previous calendar day at shift -6
     t = 3 * DAY + 23 * 3600 + 1800
     log = EventLog([(1, 2, 5, t)])
-    assert daily_series(log)[0].day == date(1970, 1, 4)
-    assert daily_series(log, tz_shift_hours=-6)[0].day == date(1970, 1, 4)
+    assert daily_series(log).day.tolist() == [date(1970, 1, 4)]
+    assert daily_series(log, tz_shift_hours=-6).day.tolist() == [date(1970, 1, 4)]
     # and 03:30 UTC moves back a day under the same shift
     early = EventLog([(1, 2, 5, 3 * DAY + 3 * 3600 + 1800)])
-    assert daily_series(early, tz_shift_hours=-6)[0].day == date(1970, 1, 3)
+    assert daily_series(early, tz_shift_hours=-6).day.tolist() == [date(1970, 1, 3)]
 
 
 def test_daily_series_buckets_by_shifted_day():
     log = EventLog([(1, 2, 5, 5 * DAY + 7 * 3600)])
-    assert daily_series(log)[0].day == date(1970, 1, 6)
-    assert daily_series(log, tz_shift_hours=-12)[0].day == date(1970, 1, 5)
-    assert daily_series(log, tz_shift_hours=14)[0].day == date(1970, 1, 6)
+    assert daily_series(log).day.tolist() == [date(1970, 1, 6)]
+    assert daily_series(log, tz_shift_hours=-12).day.tolist() == [date(1970, 1, 5)]
+    assert daily_series(log, tz_shift_hours=14).day.tolist() == [date(1970, 1, 6)]
     for shift in (-13, 15):
         with pytest.raises(ValueError):
             daily_series(log, tz_shift_hours=shift)
@@ -93,15 +93,33 @@ def test_daily_series_buckets_by_shifted_day():
 
 def test_daily_series_zero_fills_gaps_and_reconciles(small_log):
     series = daily_series(small_log)
-    days = [row.day for row in series]
+    days = series.day.tolist()
     assert days == sorted(days)
-    assert (days[-1] - days[0]).days + 1 == len(series)
-    assert sum(r.count_plus for r in series) == int((small_log.scores > 0).sum())
-    assert sum(r.count_minus for r in series) == int((small_log.scores < 0).sum())
+    assert (days[-1] - days[0]).days + 1 == len(days) == len(series.count_plus) == len(series.count_minus)
+    assert series.count_plus.sum() == int((small_log.scores > 0).sum())
+    assert series.count_minus.sum() == int((small_log.scores < 0).sum())
 
 
 def test_daily_series_empty_log():
-    assert daily_series(EventLog([])) == []
+    series = daily_series(EventLog([]))
+    assert [column.tolist() for column in series] == [[], [], []]
+    assert series.day.dtype == np.dtype("datetime64[D]")
+
+
+def test_days_past_the_calendar_raise_overflow_error():
+    # as `date` arithmetic raised when the series were built of `date`s: the
+    # CLI reports an analysis error (exit 3), not a day it cannot write
+    beyond = (date.max - date(1970, 1, 1)).days + 1
+    before = (date.min - date(1970, 1, 1)).days - 1
+    for t in (beyond * DAY, before * DAY):
+        log = EventLog([(1, 2, 5, 0), (2, 1, -3, t)])
+        with pytest.raises(OverflowError, match="date value out of range"):
+            daily_series(log)
+        with pytest.raises(OverflowError, match="date value out of range"):
+            daily_fold(log)
+    last = EventLog([(1, 2, 5, (beyond - 1) * DAY)])
+    assert daily_series(last).day.tolist() == [date.max]
+    assert daily_fold(last).stability.day.tolist() == []
 
 
 def test_activity_calendar_skips_quiet_days():
