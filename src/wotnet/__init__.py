@@ -27,11 +27,6 @@ from .dynamics import (
     extended_jaccard,
     follow,
     gini,
-    gini_point,
-    plain_jaccard,
-    snapshot_series,
-    stability_step,
-    top_k_lists,
     trajectories,
 )
 from .model import (
@@ -101,7 +96,6 @@ __all__ = [
     "from_values",
     "gettrust",
     "gini",
-    "gini_point",
     "ingest",
     "interevent_distribution",
     "interevent_times",
@@ -115,17 +109,13 @@ __all__ = [
     "negative_fraction",
     "negative_fractions",
     "node_metrics",
-    "plain_jaccard",
     "ranked_users",
     "ranking_report",
     "reputation_by_indegree",
     "reputation_distributions",
     "reputation_vs_indegree_scatter",
-    "snapshot_series",
     "split_layers",
-    "stability_step",
     "synth_log",
-    "top_k_lists",
     "trajectories",
     "undirected_projection",
     "weekly_profile",

@@ -649,7 +649,7 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _final_state_check(ctx: RunContext) -> None:
-    if ctx.fold.metrics != ctx.metrics:
+    if not all(map(np.array_equal, ctx.fold.metrics, ctx.columns)):
         raise RuntimeError(
             "internal consistency check failed: final snapshot does not match "
             "aggregate per-user metrics"

@@ -1,85 +1,24 @@
-"""Daily snapshot engine and the measures built on it: Gini-index series,
-top-k ranking stability, and per-user reputation trajectories.
+"""Daily measures of a rating log: the Gini-index series, top-k ranking
+stability, and per-user reputation trajectories.
 
-Snapshots are cumulative: each day's state folds in that day's events on top
-of everything before, so the final snapshot agrees with the aggregate
+Each day's state is cumulative: it folds in that day's events on top of
+everything before, so the last day's state agrees with the aggregate
 per-user metrics of the whole log.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .categories import CategoryLabel, CategoryThresholds, categorize
-from .model import EventLog, NodeMetrics, _by_user, _fold, node_metrics
-from .temporal import _EPOCH, SECONDS_PER_DAY, _days
-
-
-class Snapshot:
-    """Cumulative per-user state at the end of one day.
-
-    `state` is a 6 x n int64 array with one row per `NodeMetrics` field, in
-    field order, and one column per entry of `user_ids`.  `seen` marks the
-    users that have appeared (as rater or ratee) by this day.  `metrics`
-    materializes the mapping lazily for the seen users.
-    """
-
-    __slots__ = ("day", "user_ids", "state", "_metrics")
-
-    def __init__(self, day: date, user_ids: np.ndarray, state: np.ndarray):
-        self.day = day
-        self.user_ids = user_ids
-        self.state = state
-        self._metrics: dict[int, NodeMetrics] | None = None
-
-    @property
-    def seen(self) -> np.ndarray:
-        return self.state[:4].any(axis=0)
-
-    @property
-    def rho_plus(self) -> np.ndarray:
-        return self.state[4]
-
-    @property
-    def rho_minus(self) -> np.ndarray:
-        return self.state[5]
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.rho_plus - self.rho_minus
-
-    @property
-    def metrics(self) -> dict[int, NodeMetrics]:
-        if self._metrics is None:
-            self._metrics = _by_user(self.state, self.user_ids)
-        return self._metrics
-
-
-def snapshot_series(log: EventLog) -> Iterator[Snapshot]:
-    """Yield one cumulative snapshot per day, first to last event day, and
-    none for an empty log.
-
-    Days without events repeat the previous state.  Each day's events are
-    folded onto the day before; one `searchsorted` finds where every day
-    ends.
-    """
-    if len(log) == 0:
-        return
-    user_ids, (raters, ratees) = log.user_codes()
-    state = np.zeros((len(NodeMetrics._fields), len(user_ids)), dtype=np.int64)
-    days = log.timestamps // SECONDS_PER_DAY
-    day_numbers = np.arange(days[0], days[-1] + 1)
-    ends = np.searchsorted(days, day_numbers, side="right")
-    start = 0
-    for day_no, end in zip(day_numbers.tolist(), ends.tolist()):
-        _fold(state, raters[start:end], ratees[start:end], log.scores[start:end])
-        start = end
-        yield Snapshot(_EPOCH + timedelta(days=day_no), user_ids, state.copy())
+from .model import EventLog, MetricColumns, NodeMetrics, _fold, node_metrics
+from .static import _distinct, _run_starts
+from .temporal import SECONDS_PER_DAY, _days
 
 
 def gini(values) -> float:
@@ -101,27 +40,6 @@ def gini(values) -> float:
     return float(((2 * i - n - 1) * arr).sum() / (n * total))
 
 
-@dataclass(frozen=True)
-class GiniPoint:
-    day: date
-    gini_plus: float | None
-    gini_minus: float | None
-
-
-def gini_point(snap: Snapshot) -> GiniPoint | None:
-    """Gini of the day's positive and negative reputation, or None.
-
-    Each side is measured over the users with a strictly positive value
-    there, so a user never rated on a layer does not dilute it.  A side
-    with fewer than two such users is left empty; None when both sides are.
-    """
-    sides = [values[values > 0] for values in (snap.rho_plus, snap.rho_minus)]
-    g_plus, g_minus = (gini(v) if v.size >= 2 else None for v in sides)
-    if g_plus is None and g_minus is None:
-        return None
-    return GiniPoint(snap.day, g_plus, g_minus)
-
-
 def extended_jaccard(list_a, list_b, k: int | None = None) -> float:
     """Order-sensitive similarity of two ranked lists.
 
@@ -130,8 +48,7 @@ def extended_jaccard(list_a, list_b, k: int | None = None) -> float:
     they share nothing.  Lists shorter than k are compared as-is at the
     missing depths.
     """
-    a = list(list_a)
-    b = list(list_b)
+    a, b = list(list_a), list(list_b)
     if len(set(a)) != len(a) or len(set(b)) != len(b):
         raise ValueError("ranked lists must not contain duplicates")
     if k is None:
@@ -140,84 +57,16 @@ def extended_jaccard(list_a, list_b, k: int | None = None) -> float:
         raise ValueError("k must be >= 1")
     if len(a) > k or len(b) > k:
         raise ValueError("lists longer than k")
-    total = 0.0
-    set_a: set = set()
-    set_b: set = set()
-    inter = 0
-    for d in range(1, k + 1):
-        if d <= len(a):
-            x = a[d - 1]
-            if x in set_b:
-                inter += 1
-            set_a.add(x)
-        if d <= len(b):
-            y = b[d - 1]
-            if y in set_a:
-                inter += 1
-            set_b.add(y)
-        union = len(set_a) + len(set_b) - inter
+    # an entry at position i of a and j of b is in both prefixes from depth
+    # max(i, j) + 1 on
+    at_b = {x: j for j, x in enumerate(b)}
+    joins = Counter(max(i, at_b[x]) for i, x in enumerate(a) if x in at_b)
+    total, inter = 0.0, 0
+    for d in range(k):
+        inter += joins[d]
+        union = min(d + 1, len(a)) + min(d + 1, len(b)) - inter
         total += inter / union if union else 1.0
     return total / k
-
-
-def plain_jaccard(list_a, list_b) -> float:
-    """Set overlap of two lists, ignoring order; 1 when both are empty."""
-    sa, sb = set(list_a), set(list_b)
-    union = sa | sb
-    return len(sa & sb) / len(union) if union else 1.0
-
-
-def _top_k(values: np.ndarray, ids: np.ndarray, k: int) -> list[int]:
-    order = np.lexsort((ids, -values))
-    return ids[order[:k]].tolist()
-
-
-def top_k_lists(snap: Snapshot, k: int) -> dict[str, list[int]]:
-    """Top-k user lists for positive, negative and global reputation.
-
-    The positive (negative) list ranks the users with a strictly positive
-    value on that side; the global list ranks every user seen so far.
-    Ties break by ascending user id.
-    """
-    out: dict[str, list[int]] = {}
-    mask_p = snap.rho_plus > 0
-    out["rho_plus"] = _top_k(snap.rho_plus[mask_p], snap.user_ids[mask_p], k)
-    mask_m = snap.rho_minus > 0
-    out["rho_minus"] = _top_k(snap.rho_minus[mask_m], snap.user_ids[mask_m], k)
-    out["rho"] = _top_k(snap.rho[snap.seen], snap.user_ids[snap.seen], k)
-    return out
-
-
-@dataclass(frozen=True)
-class StabilityPoint:
-    """Similarity of the top-k lists between one day and the next.
-
-    `day` is the earlier day of the pair.  `j_*` are the extended Jaccard
-    indices of the positive, negative and global lists, `sj_*` their plain
-    set overlaps; a side is None when both days had empty lists.
-    `truncated` marks pairs where some list was shorter than k.
-    """
-
-    day: date
-    j_plus: float | None
-    j_minus: float | None
-    j_global: float | None
-    sj_plus: float | None
-    sj_minus: float | None
-    sj_global: float | None
-    truncated: bool
-
-
-def stability_step(
-    day: date, prev: Mapping[str, list[int]], current: Mapping[str, list[int]], k: int
-) -> StabilityPoint:
-    """Stability point comparing one day's top-k lists to the next day's."""
-    pairs = [(prev[key], current[key]) for key in ("rho_plus", "rho_minus", "rho")]
-    values: list[float | None] = []
-    for similarity in (lambda a, b: extended_jaccard(a, b, k), plain_jaccard):
-        values.extend(None if not a and not b else similarity(a, b) for a, b in pairs)
-    truncated = any(len(a) < k or len(b) < k for a, b in pairs)
-    return StabilityPoint(day, *values, truncated)
 
 
 class TrajectorySelection(Enum):
@@ -237,15 +86,10 @@ class Trajectories(NamedTuple):
     rho: np.ndarray
 
 
-_ENTRANT_KEYS = {
-    TrajectorySelection.TOP_ENTRANTS_POSITIVE: "rho_plus",
-    TrajectorySelection.TOP_ENTRANTS_NEGATIVE: "rho_minus",
-}
-
-
 class GiniSeries(NamedTuple):
-    """The `gini_point`s of the days that have one (datetime64[D]), as columns;
-    `measured[s]` is false, and side s (0: plus, 1: minus) reads 0, where it is None."""
+    """The Gini index of each side's positive values (0: plus, 1: minus) on the
+    days where a side has two holders (datetime64[D]), as columns; `measured[s]`
+    is false, and side s reads 0, where it has fewer."""
 
     day: np.ndarray
     gini_plus: np.ndarray
@@ -254,8 +98,10 @@ class GiniSeries(NamedTuple):
 
 
 class StabilitySeries(NamedTuple):
-    """The `stability_step`s of a series of day pairs, as columns; `measured[s]` is
-    false, and side s (0: plus, 1: minus, 2: global) reads 0, where it is None."""
+    """The extended and plain Jaccard indices of the top-k lists of each pair of
+    consecutive days (`day` is the earlier), as columns; `measured[s]` is false,
+    and side s (0: plus, 1: minus, 2: global) reads 0, where both days' lists are
+    empty; `truncated` marks the pairs where some list is shorter than k."""
 
     day: np.ndarray
     j_plus: np.ndarray
@@ -270,146 +116,189 @@ class StabilitySeries(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DailyFold:
-    """The daily measures of one pass over the snapshot series.
-
-    `entrants` maps each top-entrant selection to the users that were in
-    its day-level top-k on at least one day; `metrics` are the per-user
-    metrics of the final snapshot.  Everything is empty for an empty log.
-    """
+    """The daily measures of one pass over the days of a log: `entrants` maps
+    each top-entrant selection to the users in its day-level top-k on some
+    day, `metrics` are the last day's counters.  All are empty for an empty log."""
 
     gini: GiniSeries
     stability: StabilitySeries
     entrants: dict[TrajectorySelection, set[int]]
-    metrics: dict[int, NodeMetrics]
+    metrics: MetricColumns
 
 
-# days x users cells of one block of `daily_fold`: bounds the fold's working
-# memory on any log
+# the cells of one block of `daily_fold`: bound its working memory on any log
 _BLOCK_CELLS = 1 << 14
-_ABSENT = np.iinfo(np.int64).min  # the top-k key of a user no list may hold
+_ABSENT = np.iinfo(np.int64).min  # the least top-k key: see `_top_k_blocks`
 
 
 def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
-    """Gini series, top-k stability and top-k entrants of every day, with
-    the values `gini_point`, `top_k_lists` and `stability_step` give on
-    each of `snapshot_series`.
+    """Gini series, top-k stability and top-k entrants of every day from the
+    first event day to the last.
 
-    The days are folded in blocks of at most `_BLOCK_CELLS` days x users;
-    only the state and the lists of a block's last day carry over.
+    A side's Gini is taken over the users with a positive value there, on
+    the days where it has two.  The positive (negative) top-k list ranks
+    those users, the global list every user seen so far, ties by ascending
+    id; a day pair's stability compares its two days' lists.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    user_ids, (raters, ratees) = log.user_codes()
+    user_ids, codes = log.user_codes()
     n = len(user_ids)
-    # every counter up to the last folded day; rows 4 and 5 are rho+ and rho-
-    state = np.zeros((len(NodeMetrics._fields), n), dtype=np.int64)
     days = log.timestamps // SECONDS_PER_DAY
     first_day = int(days[0]) if len(days) else 0
     days -= first_day
     n_days = int(days[-1]) + 1 if len(days) else 0
-    calendar = _days(first_day, n_days)
-    gini = np.zeros((2, n_days))
-    gini_measured = np.zeros((2, n_days), dtype=bool)
-    # day pair p compares day p with day p + 1
-    stability = np.zeros((6, max(n_days - 1, 0)))
-    stability_measured = np.zeros((3, max(n_days - 1, 0)), dtype=bool)
-    truncated = np.zeros(max(n_days - 1, 0), dtype=bool)
-    appears = np.full(n, n_days)  # the first day of each user's first event
-    np.minimum.at(appears, raters, days)
-    np.minimum.at(appears, ratees, days)
-    tie = np.arange(n - 1, -1, -1)
+    layer = log.scores < 0  # each event's side: 0 plus, 1 minus
+    gained = np.abs(log.scores)
+    gini, gini_measured = np.zeros((2, n_days)), np.zeros((2, n_days), dtype=bool)
+    for side in range(2):
+        on = layer == side
+        _gini_side(days[on], codes[1][on], gained[on], gini[side], gini_measured[side])
+
     entrant = np.zeros((2, n), dtype=bool)
-    last_lists = None
-    block = max(1, _BLOCK_CELLS // max(n, k))
-    for lo in range(0, n_days, block):
-        hi = min(lo + block, n_days)
-        start, end = np.searchsorted(days, (lo, hi))
-        scores = log.scores[start:end]
-        rho = np.zeros((2, hi - lo, n), dtype=np.int64)
-        layer = (scores < 0).astype(np.intp)
-        np.add.at(rho, (layer, days[start:end] - lo, ratees[start:end]), np.abs(scores))
-        rho[:, 0] += state[4:]
-        for d in range(1, hi - lo):  # row by row: faster than cumsum over axis 1
-            rho[:, d] += rho[:, d - 1]
-        _fold(state, raters[start:end], ratees[start:end], scores)
-
-        # a side at a time, so that one side's rows are sorted at once
-        for side in range(2):
-            gini[side, lo:hi], gini_measured[side, lo:hi] = _gini_rows(rho[side])
-
-        # the global keys first: the side keys are packed into rho itself
-        unseen = appears > np.arange(lo, hi)[:, None]
-        global_keys = _packed(rho[0] - rho[1], unseen, tie)[None]
-        side_keys = _packed(rho, rho == 0, tie)
-        lists = np.concatenate((_top_k_rows(side_keys, k), _top_k_rows(global_keys, k)))
-        del rho, side_keys, global_keys  # the stability below needs only the lists
+    # the stability rows of the day pairs, in order, from an empty start
+    measures = [(np.zeros((6, 0)), np.zeros((3, 0), dtype=bool), np.zeros(0, dtype=bool))]
+    chunk = max(1, _BLOCK_CELLS // (16 * k))  # day pairs per `_stability_rows` call: ~12 arrays of 3k each
+    pending = []  # the lists of the days whose pairs are still to measure
+    for hi, lists in _top_k_blocks(days, n_days, n, codes, layer, gained, min(k, n)):
         for s in range(2):
             entrant[s, lists[s][lists[s] >= 0]] = True
+        pending.append(lists)
+        pairs = sum(part.shape[1] for part in pending) - 1
+        if pairs < chunk and hi < n_days:
+            continue
+        lists = np.concatenate(pending, axis=1)
+        for p in range(0, pairs, chunk):
+            q = min(p + chunk, pairs)
+            measures.append(_stability_rows(lists[:, p:q], lists[:, p + 1 : q + 1], n, k))
+        pending = [lists[:, -1:]]
 
-        if last_lists is not None:
-            lists = np.concatenate((last_lists, lists), axis=1)
-        last_lists = lists[:, -1:]
-        pairs = slice(hi - lists.shape[1], hi - 1)
-        stability[:, pairs], stability_measured[:, pairs], truncated[pairs] = _stability_rows(
-            lists[:, :-1], lists[:, 1:], n, k
-        )
-
-    entrants = {s: set(user_ids[mask].tolist()) for s, mask in zip(_ENTRANT_KEYS, entrant)}
+    state = np.zeros((len(NodeMetrics._fields), n), dtype=np.int64)
+    _fold(state, *codes, log.scores)
+    entrants = (TrajectorySelection.TOP_ENTRANTS_POSITIVE, TrajectorySelection.TOP_ENTRANTS_NEGATIVE)
+    calendar = _days(first_day, n_days)
+    stability, stability_measured, truncated = (np.concatenate(m, axis=-1) for m in zip(*measures))
     on = gini_measured.any(axis=0)
     return DailyFold(
         GiniSeries(calendar[on], *gini[:, on], gini_measured[:, on]),
         StabilitySeries(calendar[:-1], *stability, stability_measured, truncated),
-        entrants,
-        _by_user(state, user_ids),
+        {s: set(user_ids[mask].tolist()) for s, mask in zip(entrants, entrant)},
+        MetricColumns(user_ids, state),
     )
 
 
-def _gini_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`gini` of the positive entries of each row of a non-negative integer
-    array, 0 for a row with fewer than two, and whether each row has two.
-
-    The numerator sum((2i - n_s - 1) x_i) over the n_s holders is summed as
-    an exact integer: zeros sort first, so holder rank i sits at position
-    i - 1 + n - n_s of the sorted row of n.
-    """
-    n = rows.shape[-1]
-    holders = np.count_nonzero(rows, axis=-1)
-    total = rows.sum(axis=-1)
-    numerator = np.sort(rows, axis=-1) @ np.arange(1, 2 * n, 2) - (2 * n - holders) * total
-    measured = holders >= 2
-    return np.divide(numerator, holders * total, out=np.zeros(len(rows)), where=measured), measured
+def _running_sums(groups: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The stable order that sorts `groups`, the start and the length of each
+    group's run in that order, and the running sums of `values` in that
+    order, each run summed from its start."""
+    order = np.argsort(groups, kind="stable")
+    starts = np.flatnonzero(_run_starts(groups[order]))
+    counts = np.diff(starts, append=len(order))
+    values = values[order]
+    running = np.cumsum(values)
+    running -= np.repeat(running[starts] - values[starts], counts)
+    return order, starts, counts, running
 
 
-def _packed(values: np.ndarray, absent: np.ndarray, tie: np.ndarray) -> np.ndarray:
-    """`values` turned in place into top-k keys, `_ABSENT` where `absent`.
+def _gini_side(
+    days: np.ndarray, ratees: np.ndarray, gained: np.ndarray, gini: np.ndarray, measured: np.ndarray
+) -> None:
+    """Fill `gini` with the Gini index of one side's positive values on each
+    day (0 with fewer than two holders) and `measured` with whether the day
+    has two, from the side's events in time order.
 
-    The key of code c among n is value * n + n - 1 - c (`tie[c]`): user
-    codes follow id order, so the larger key holds the larger value or, on
-    a tie, the lower id.  The keys fit in int64 while 10 x events x users
-    stays below 2**63, as a reputation gains at most 10 per event.
-    """
-    values *= len(tie)
-    values += tie
-    values[absent] = _ABSENT
-    return values
+    `held[d, v]` counts the holders of the v-th distinct value on day d: an
+    event moves its ratee from its value before to its value after.  With
+    `ranks` a row's running sum, the holders of value v take ranks
+    ranks - held + 1 .. ranks, so the numerator sum((2i - holders - 1) x_i)
+    is the exact integer ((2 ranks - held - holders) held) @ values, summed
+    here term by term to spare the day x value temporaries."""
+    order, _, _, running = _running_sums(ratees, gained)
+    after = np.empty_like(running)
+    after[order] = running  # each ratee's value after each event, in time order
+    values = _distinct(after)
+    width = len(values)
+    to, since = np.searchsorted(values, after), np.searchsorted(values, after - gained)
+    was_held = after > gained
+    row = np.zeros(width, dtype=np.int64)  # holders per value at the last block's end
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    for lo in range(0, len(gini) if width else 0, step):
+        hi = min(lo + step, len(gini))
+        start, end = np.searchsorted(days, (lo, hi))
+        cells, size = (days[start:end] - lo) * width, (hi - lo) * width
+        held = np.bincount(cells + to[start:end], minlength=size)
+        held -= np.bincount((cells + since[start:end])[was_held[start:end]], minlength=size)
+        held = held.reshape(hi - lo, width)
+        held[0] += row
+        row = np.cumsum(held, axis=0, out=held)[-1]
+        ranks = np.cumsum(held, axis=1)
+        holders, total = ranks[:, -1], held @ values
+        numerator = 2 * ((held * ranks) @ values) - (held * held) @ values - holders * total
+        on = measured[lo:hi] = holders >= 2
+        np.divide(numerator, holders * total, out=gini[lo:hi], where=on)
 
 
-def _top_k_rows(keys: np.ndarray, k: int) -> np.ndarray:
-    """The codes of the (at most) k largest `_packed` keys of every row,
-    largest first, with -1 past the end of a row's present keys; `keys` is
-    partitioned in place."""
-    n = keys.shape[-1]
-    width = min(k, n)
-    keys.partition(n - width, axis=-1)
-    top = np.sort(keys[..., n - width :], axis=-1)[..., ::-1]
-    return np.where(top == _ABSENT, -1, n - 1 - top % n)
+def _top_k_blocks(
+    days: np.ndarray, n_days: int, n: int, codes: np.ndarray, layer: np.ndarray, gained: np.ndarray, width: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield the end `hi` of each block of days and its lists: `lists[s, d]`
+    holds the codes of the `width` first users of list s (0: plus, 1: minus,
+    2: global) on the block's day d, -1 past the list's end.
+
+    A user not rated in a block and not first seen in it keeps its key, so
+    each list's top on any day of the block lies among the changed users
+    and the top `width` of the others at its start: the days are ranked over
+    those columns only, as many days as keep days x (events + first
+    appearances + 3 x width) within `_BLOCK_CELLS`, and at least one.
+
+    The key of code c among n is value * n + n - 1 - c (`tie[c]`): codes
+    follow id order, so the larger key holds the larger value or, on a tie,
+    the lower id.  A user a list does not hold gets `_ABSENT` + n - 1 - c,
+    below every held key and still distinct, as `np.partition` slows down
+    many times over runs of equal keys.  The keys fit in int64 while
+    10 x events x users < 2**63: a reputation gains at most 10 per event."""
+    tie = np.arange(n - 1, -1, -1)
+    appears = np.full(n, n_days)  # the first day of each user's first event
+    for users in codes:  # raters, then ratees
+        np.minimum.at(appears, users, days)
+    starts = np.searchsorted(days, np.arange(n_days + 1))  # each day's first event
+    changes = starts + np.searchsorted(np.sort(appears), np.arange(n_days + 1))
+    values = np.zeros((2, n), dtype=np.int64)  # rho+ and rho- at the block's start
+    keys = np.tile(_ABSENT + tie, (3, 1))  # every list's keys at the block's start
+    lo = 0
+    while lo < n_days:
+        sizes = np.arange(1, n_days - lo + 1) * np.minimum(n, changes[lo + 1 :] - changes[lo] + 3 * width)
+        hi = lo + max(1, int(np.searchsorted(sizes, _BLOCK_CELLS, side="right")))
+        block = slice(starts[lo], starts[hi])
+        by, rated = codes[:, block]
+        changed = np.concatenate((rated, by[appears[by] >= lo]))
+        keys[:, changed] = _ABSENT + tie[changed]  # until the block's end, below
+        held = np.argpartition(keys, n - width, axis=1)[:, n - width :]
+        columns = _distinct(np.concatenate((changed, held.ravel())))
+        # the candidates' rho+, rho- and rho on each day of the block, as keys
+        span, count = hi - lo, len(columns)
+        cube = np.zeros((3, span, count), dtype=np.int64)
+        cells = (layer[block] * span + days[block] - lo) * count + np.searchsorted(columns, rated)
+        np.add.at(cube.reshape(-1), cells, gained[block])
+        cube[:2, 0] += values[:, columns]
+        np.cumsum(cube[:2], axis=1, out=cube[:2])
+        values[:, columns] = cube[:2, -1]
+        np.subtract(cube[0], cube[1], out=cube[2])
+        cube *= n
+        cube += tie[columns]
+        np.copyto(cube[:2], _ABSENT + tie[columns], where=cube[:2] < n)  # a side value of 0
+        np.copyto(cube[2], _ABSENT + tie[columns], where=appears[columns] > np.arange(lo, hi)[:, None])
+        keys[:, columns] = cube[:, -1]
+        cube.partition(count - width, axis=-1)
+        top = np.sort(cube[..., count - width :], axis=-1)[..., ::-1]
+        del cube  # not held over the yield
+        yield hi, np.where(top < _ABSENT + n, -1, n - 1 - top % n)
+        lo = hi
 
 
-def _stability_rows(
-    before: np.ndarray, after: np.ndarray, n: int, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`stability_step` of every day pair, as the rows of `StabilitySeries`:
-    its six similarities, `measured` and `truncated`.  `before[s, p]` and
+def _stability_rows(before: np.ndarray, after: np.ndarray, n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The stability of every day pair, as the rows of `StabilitySeries`: its
+    six similarities, `measured` and `truncated`.  `before[s, p]` and
     `after[s, p]` are the lists of side s on the two days of pair p, as codes
     below n in rank order with -1 past each list's end."""
     sides, pairs, width = before.shape
@@ -426,9 +315,8 @@ def _stability_rows(
     # an entry at position i of a and j of b is in both prefixes from depth
     # max(i, j) + 1 on; depth index k stands for never
     since = np.where(shared, np.maximum(np.arange(a.size) % width, b_order.ravel()[at]), k)
-    inter = np.bincount(
-        (rows * (k + 1)).repeat(width) + since, minlength=len(a) * (k + 1)
-    ).reshape(-1, k + 1)[:, :k]
+    cells = (rows * (k + 1)).repeat(width) + since
+    inter = np.bincount(cells, minlength=len(a) * (k + 1)).reshape(-1, k + 1)[:, :k]
     np.cumsum(inter, axis=1, out=inter)
     len_a, len_b = (a >= 0).sum(axis=1), (b >= 0).sum(axis=1)
     depth = np.arange(1, k + 1)
@@ -447,13 +335,10 @@ def follow(
 ) -> Trajectories:
     """Trajectories of `users` (every rated user when None) that received
     at least one rating, in ascending id order, labelled from `labels`."""
-    order = np.argsort(log.ratees, kind="stable")  # time order within a ratee
-    ids, starts, counts = np.unique(log.ratees[order], return_index=True, return_counts=True)
-    scores = log.scores[order]
-    running = np.cumsum(scores)
-    running -= np.repeat(running[starts] - scores[starts], counts)  # rebase per ratee
+    order, starts, counts, running = _running_sums(log.ratees, log.scores)
+    ids = log.ratees[order[starts]]
     if users is not None:
-        chosen = np.sort(np.fromiter(users, dtype=np.int64))
+        chosen = _distinct(np.fromiter(users, dtype=np.int64))
         pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
         ids, starts, counts = ids[pick], starts[pick], counts[pick]
         # each chosen run, moved up behind the runs before it

@@ -22,6 +22,7 @@ from conftest import (
     project,
     rows,
 )
+from daily_reference import snapshot_series
 from wotnet import (
     CategoryLabel,
     EventLog,
@@ -38,7 +39,6 @@ from wotnet import (
     mean_clustering,
     node_metrics,
     ranking_report,
-    snapshot_series,
     split_layers,
     synth_log,
     SynthConfig,

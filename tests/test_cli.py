@@ -609,10 +609,22 @@ SECOND_RUN_SHA256 = {
 }
 
 
-def _seeded_run_digests(tmp_path, *flags) -> dict[str, str]:
+# The daily-fold files of `all --seed 1 --null-samples 1 --topk 5` on a log
+# with many more users than events per day (1,883 users, 1,500 events over
+# 400 days), recorded while the fold ranked every user on every day; the
+# fold over candidate columns must write the same bytes.
+SPARSE_FOLD_SHA256 = {
+    "gini_series.csv": "620871f312b1e022b99c66f808d5276e16e303f38041c84369c05932860c863c",
+    "topk_stability.csv": "56240e43093279f3277222acb77f9b74c21230ff9112396ebffe998866c50cf0",
+    "trajectories_top_positive.csv": "6607104f418edf85ae71ca19b608affccca01364e3948021cd95734f9cfb996a",
+    "trajectories_top_negative.csv": "4d531e9112e99c991e67175584beb84453425b47e4a31583c18c16b0b87f488b",
+}
+
+
+def _seeded_run_digests(tmp_path, *flags, config=SynthConfig(n_users=300, n_events=2000, seed=11, t_span=150 * 86_400)):
     """SHA-256 of every CSV of `all --seed 1 --null-samples 1 FLAGS` on a
-    seeded 300-user, 2,000-event, 150-day log."""
-    log = synth_log(SynthConfig(n_users=300, n_events=2000, seed=11, t_span=150 * 86_400))
+    seeded log, by default of 300 users and 2,000 events over 150 days."""
+    log = synth_log(config)
     write_log_csv(log, tmp_path / "log.csv")
     out = tmp_path / "out"
     argv = ["all", "--input", str(tmp_path / "log.csv"), "--out", str(out)]
@@ -622,6 +634,12 @@ def _seeded_run_digests(tmp_path, *flags) -> dict[str, str]:
 
 def test_fold_outputs_match_recorded_digests(tmp_path):
     assert _seeded_run_digests(tmp_path, "--topk", "5") == FOLD_SHA256
+
+
+def test_sparse_log_fold_outputs_match_recorded_digests(tmp_path):
+    config = SynthConfig(n_users=3000, n_events=1500, seed=13, t_span=400 * 86_400)
+    digests = _seeded_run_digests(tmp_path, "--topk", "5", config=config)
+    assert {name: digests[name] for name in SPARSE_FOLD_SHA256} == SPARSE_FOLD_SHA256
 
 
 def test_second_seeded_run_matches_recorded_digests(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import wotnet.dynamics as dynamics
 from conftest import _fmt_by_isinstance_chain, rows
+from daily_reference import gini_point, plain_jaccard, snapshot_series, stability_step, top_k_lists
 from wotnet import (
     CategoryLabel,
     EventLog,
@@ -19,12 +20,8 @@ from wotnet import (
     extended_jaccard,
     follow,
     gini,
-    gini_point,
+    metric_columns,
     node_metrics,
-    plain_jaccard,
-    snapshot_series,
-    stability_step,
-    top_k_lists,
     trajectories,
     write_log_csv,
 )
@@ -35,6 +32,11 @@ DAY = 86_400
 
 def _truncated_log(log: EventLog, cutoff: int) -> EventLog:
     return EventLog(row for row in rows(log) if row[3] <= cutoff)
+
+
+def _same_metrics(columns, metrics) -> bool:
+    """Whether `MetricColumns` hold the counters of a `node_metrics` mapping."""
+    return all(map(np.array_equal, columns, metric_columns(metrics)))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,8 @@ def test_empty_log_has_no_snapshots_and_an_empty_fold():
     log = EventLog([])
     assert list(snapshot_series(log)) == []
     fold = daily_fold(log)
-    assert (_gini_rows_of(fold), _stability_rows_of(fold), fold.metrics) == ([], [], {})
+    assert (_gini_rows_of(fold), _stability_rows_of(fold)) == ([], [])
+    assert _same_metrics(fold.metrics, {})
     assert fold.entrants == {
         TrajectorySelection.TOP_ENTRANTS_POSITIVE: set(),
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: set(),
@@ -86,11 +89,14 @@ def test_every_query_returns_node_metrics_records(small_log):
     for metrics in (
         node_metrics(small_log),
         node_metrics(small_log, int(np.median(small_log.timestamps))),
-        daily_fold(small_log).metrics,
         snapshots[0].metrics,
         snapshots[-1].metrics,
     ):
         assert metrics and all(type(m) is NodeMetrics for m in metrics.values())
+    # the fold hands on its last day's counters as columns
+    fold_metrics = daily_fold(small_log).metrics
+    assert fold_metrics.fields.dtype == np.int64
+    assert _same_metrics(fold_metrics, node_metrics(small_log))
 
 
 def test_snapshots_match_truncated_aggregates():
@@ -436,7 +442,7 @@ def _assert_fold_matches_separate_passes(log: EventLog, k: int) -> None:
         TrajectorySelection.TOP_ENTRANTS_POSITIVE: top_entrants(log, "rho_plus", k),
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: top_entrants(log, "rho_minus", k),
     }
-    assert fold.metrics == node_metrics(log)
+    assert _same_metrics(fold.metrics, node_metrics(log))
 
 
 def _fold_examples(test):
@@ -468,6 +474,47 @@ def test_daily_fold_matches_separate_passes(log, k):
 def test_daily_fold_matches_separate_passes_in_small_blocks(cells, log, k):
     # a budget of 1 cell folds one day per block; 7 cells fold one or a
     # few days, so the reputations and lists carry between blocks
+    with mock.patch.object(dynamics, "_BLOCK_CELLS", cells):
+        _assert_fold_matches_separate_passes(log, k)
+
+
+@st.composite
+def _sparse_logs(draw):
+    """Logs of a pool of 40 users with up to three events a day over a few
+    days, the first day never quiet: most users keep their values through a
+    block of days, so the fold ranks its candidate columns, not every user."""
+    pool = list(range(-3, 37))
+    events = []
+    for day in range(draw(st.integers(1, 15))):
+        for _ in range(draw(st.integers(0 if day else 1, 3))):
+            rater, ratee = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+            score = draw(st.integers(-10, 10).filter(bool))
+            events.append((rater, ratee, score, day * DAY + draw(st.integers(0, DAY - 1))))
+    return EventLog(events)
+
+
+def _candidate_examples(test):
+    """Logs on which the top-k of a block must come from its candidates."""
+    cases = [
+        # 11, never rated again, holds the second place while others gain
+        (EventLog([(1, 10, 10, 0), (1, 11, 5, 0), (2, 12, 1, DAY), (3, 13, 1, 2 * DAY), (4, 14, 2, 3 * DAY)]), 2),
+        # the global leader 10 falls below the unchanged 11 and 12 and the raters
+        (EventLog([(1, 10, 10, 0), (2, 11, 5, 0), (3, 12, 4, 0), (4, 10, -10, DAY), (5, 10, -10, DAY)]), 2),
+        # 3, first seen as a rater, enters the global list at rho = 0
+        (EventLog([(1, 10, -5, 0), (2, 11, -3, 0), (3, 10, -1, DAY)]), 3),
+    ]
+    for log, k in reversed(cases):
+        test = example(log, k)(test)
+    return test
+
+
+@pytest.mark.parametrize("cells", [1, 7, dynamics._BLOCK_CELLS])
+@_candidate_examples
+@given(log=_sparse_logs(), k=st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_daily_fold_over_candidate_columns_matches_separate_passes(cells, log, k):
+    # with 1 or 7 cells each block is a day or a few, and few of the 40
+    # users change in it; the default budget folds a small log in one block
     with mock.patch.object(dynamics, "_BLOCK_CELLS", cells):
         _assert_fold_matches_separate_passes(log, k)
 
@@ -606,6 +653,17 @@ def test_follow_matches_event_loop(log, subset):
     labels = categorize(node_metrics(log))
     for users in (None, set(), subset):
         assert _records(follow(log, users, labels)) == _follow_by_event_loop(log, users, labels)
+
+
+def test_follow_gives_repeated_ids_the_result_of_distinct_ids(small_log):
+    log = EventLog([(1, 2, 5, 0), (1, 3, -2, 10), (4, 2, 1, 20), (2, 3, 4, 30)])
+    labels = categorize(node_metrics(log))
+    assert _records(follow(log, [2, 2, 3], labels)) == _records(follow(log, [2, 3], labels))
+    assert _records(follow(log, [3, 2, 3, 2], labels)) == [(2, (5, 6), labels[2]), (3, (-2, 2), labels[3])]
+    labels = categorize(node_metrics(small_log))
+    rated = sorted(set(small_log.ratees.tolist()))[:6]
+    repeated = [*rated, *rated[::2], rated[-1], -1]  # and an id absent from the log
+    assert _records(follow(small_log, repeated, labels)) == _records(follow(small_log, set(rated), labels))
 
 
 def test_top_entrants_selection_subsets_by_category(small_log):
