@@ -8,14 +8,13 @@ reputation at all stay uncategorized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .model import MetricColumns, NodeMetrics, metric_columns
+from .model import MetricColumns, NodeMetrics, _as_columns
 
 
 class CategoryLabel(Enum):
@@ -63,7 +62,7 @@ def negative_fractions(rho_plus: np.ndarray, rho_minus: np.ndarray) -> tuple[np.
 
 
 def categorize(
-    metrics: Mapping[int, NodeMetrics],
+    metrics: MetricColumns | Mapping[int, NodeMetrics],
     thresholds: CategoryThresholds = CategoryThresholds(),
 ) -> dict[int, CategoryLabel]:
     """Label every user by their negative-reputation fraction r.
@@ -76,79 +75,58 @@ def categorize(
     # r < p / q exactly when rho- * q < p * (rho+ + rho-), on Python ints
     low_p, low_q = thresholds.low.as_integer_ratio()
     high_p, high_q = thresholds.high.as_integer_ratio()
+    users, fields = _as_columns(metrics)
     labels: dict[int, CategoryLabel] = {}
-    for user, m in metrics.items():
-        total = m.rho_plus + m.rho_minus
+    for user, rho_plus, rho_minus in zip(users.tolist(), *fields[4:].tolist()):
+        total = rho_plus + rho_minus
         if total == 0:
             labels[user] = CategoryLabel.UNCATEGORIZED
-        elif m.rho_minus * low_q < low_p * total:
+        elif rho_minus * low_q < low_p * total:
             labels[user] = CategoryLabel.TRUSTWORTHY
-        elif m.rho_minus * high_q > high_p * total:
+        elif rho_minus * high_q > high_p * total:
             labels[user] = CategoryLabel.UNTRUSTED
         else:
             labels[user] = CategoryLabel.CONTROVERSIAL
     return labels
 
 
-@dataclass(frozen=True, eq=False)
-class ValueSummary:
-    """Quantile summary of one per-user quantity, with the raw values kept
-    for violin-style plotting."""
-
-    values: np.ndarray
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-
-    @classmethod
-    def of(cls, values) -> "ValueSummary":
-        arr = np.asarray(values, dtype=float)
-        arr.setflags(write=False)
-        if arr.size == 0:
-            nan = math.nan
-            return cls(arr, nan, nan, nan, nan, nan)
-        q1, med, q3 = np.percentile(arr, [25, 50, 75])
-        return cls(arr, float(arr.min()), float(q1), float(med), float(q3), float(arr.max()))
-
-    @property
-    def count(self) -> int:
-        return int(self.values.size)
+QUANTITIES = ("rho", "activity_plus", "activity_minus", "activity_total")
 
 
-@dataclass(frozen=True, eq=False)
-class CategoryStats:
-    label: CategoryLabel
-    count: int
-    rho: ValueSummary
-    activity_plus: ValueSummary  # ratings given on the rewarding layer
-    activity_minus: ValueSummary  # ratings given on the punitive layer
-    activity_total: ValueSummary
+class CategorySummary(NamedTuple):
+    """Reputation and activity summaries of the three labeled categories, as
+    columns with a row per category and quantity (`QUANTITIES`; activity
+    counts the ratings given on the rewarding layer, the punitive layer and
+    both): the `count` of the category's users and, in a rows x 5 float
+    array, the `quantiles` min, q1, median, q3 and max of their values."""
+
+    category: list[CategoryLabel]
+    quantity: list[str]
+    count: np.ndarray
+    quantiles: np.ndarray
 
 
 def category_summary(
-    metrics: Mapping[int, NodeMetrics], labels: Mapping[int, CategoryLabel]
-) -> dict[CategoryLabel, CategoryStats]:
+    metrics: MetricColumns | Mapping[int, NodeMetrics], labels: Mapping[int, CategoryLabel]
+) -> CategorySummary:
     """Reputation and activity summaries for the three labeled categories.
 
     Empty categories are emitted with zero counts and NaN quantiles.
     """
-    stats: dict[CategoryLabel, CategoryStats] = {}
-    for category in LABELED_CATEGORIES:
-        users = sorted(u for u, lab in labels.items() if lab is category)
-        ms = [metrics[u] for u in users]
-        stats[category] = CategoryStats(
-            label=category,
-            count=len(users),
-            rho=ValueSummary.of([m.rho for m in ms]),
-            activity_plus=ValueSummary.of([m.k_out_plus for m in ms]),
-            activity_minus=ValueSummary.of([m.k_out_minus for m in ms]),
-            activity_total=ValueSummary.of(
-                [m.k_out_plus + m.k_out_minus for m in ms]
-            ),
-        )
-    return stats
+    users, (_, _, k_out_plus, k_out_minus, rho_plus, rho_minus) = _as_columns(metrics)
+    values = np.stack((rho_plus - rho_minus, k_out_plus, k_out_minus, k_out_plus + k_out_minus)).astype(float)
+    index = {category: i for i, category in enumerate(LABELED_CATEGORIES)}
+    of = np.array([index.get(labels.get(user), -1) for user in users.tolist()], dtype=np.int64)
+    counts = np.bincount(of[of >= 0], minlength=len(LABELED_CATEGORIES))
+    quantiles = np.full((len(LABELED_CATEGORIES), len(QUANTITIES), 5), np.nan)
+    for i in np.flatnonzero(counts):
+        quantiles[i] = np.percentile(values[:, of == i], (0, 25, 50, 75, 100), axis=1).T
+    return CategorySummary(
+        [category for category in LABELED_CATEGORIES for _ in QUANTITIES],
+        list(QUANTITIES) * len(LABELED_CATEGORIES),
+        np.repeat(counts, len(QUANTITIES)),
+        quantiles.reshape(-1, 5),
+    )
 
 
 # Limit growth scenarios for reputation vs. aggregate in-degree: every
@@ -170,11 +148,11 @@ class ScatterResult:
 
 
 def reputation_vs_indegree_scatter(
-    metrics: Mapping[int, NodeMetrics] | MetricColumns, labels: Mapping[int, CategoryLabel]
+    metrics: MetricColumns | Mapping[int, NodeMetrics], labels: Mapping[int, CategoryLabel]
 ) -> ScatterResult:
     """Per-user (aggregate in-degree, global reputation) points with category
     labels; reference slopes mark the +10/+1/-10-per-rating growth limits."""
-    users, (k_in_plus, k_in_minus, _, _, rho_plus, rho_minus) = metric_columns(metrics)
+    users, (k_in_plus, k_in_minus, _, _, rho_plus, rho_minus) = _as_columns(metrics)
     return ScatterResult(
         users=users,
         k_in_total=k_in_plus + k_in_minus,

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import warnings
+import zlib
 from dataclasses import MISSING, astuple, fields
 from datetime import date, datetime, timezone
 from functools import cache, cached_property
@@ -39,18 +41,16 @@ from .categories import (
     reputation_vs_indegree_scatter,
 )
 from .distributions import Distribution, from_values, log_binned_ccdf
-from .dynamics import DailyFold, TrajectorySelection, daily_fold, follow
+from .dynamics import DailyFold, TrajectorySelection, _chosen, _ratee_runs, daily_fold
 from .model import (
     EventLog,
     IngestError,
     IngestReport,
     Layer,
-    NodeMetrics,
     SynthConfig,
     MetricColumns,
     ingest,
     metric_columns,
-    node_metrics,
     split_layers,
     synth_log,
 )
@@ -236,14 +236,6 @@ class RunWriter:
         )
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -351,16 +343,20 @@ def _require(config: dict, key: str, why: str):
     return config[key]
 
 
-def _load_log(config: dict) -> tuple[EventLog, IngestReport]:
+def _load_log(config: dict) -> tuple[EventLog, IngestReport, str]:
+    """The log, its ingest report and the SHA-256 of the bytes it was read from."""
     path = _require(config, "input", "to read an event log")
     if not os.path.exists(path):
         raise InputError(f"input file not found: {path}")
     try:
-        return ingest(path, mode=config["mode"])
+        data = Path(path).read_bytes()
+        return *ingest(io.BytesIO(data), mode=config["mode"]), hashlib.sha256(data).hexdigest()
     except IngestError as exc:
         raise InputError(str(exc)) from exc
-    except OSError as exc:
+    except OSError as exc:  # a bad gzip header or checksum too
         raise InputError(f"cannot read input: {exc}") from exc
+    except (EOFError, zlib.error, UnicodeDecodeError) as exc:  # truncated gzip, bad deflate data, not UTF-8
+        raise InputError(f"cannot decode input: {exc}") from exc
 
 
 class RunContext:
@@ -373,7 +369,7 @@ class RunContext:
 
     def __init__(self, config: dict, selection: str | None):
         self.config = config
-        self.log, self.report = _load_log(config)
+        self.log, self.report, self.input_sha256 = _load_log(config)
         # `all` follows both top-entrant selections
         self.selections = (
             [TrajectorySelection(selection)]
@@ -386,16 +382,12 @@ class RunContext:
         return split_layers(self.log)
 
     @cached_property
-    def metrics(self) -> dict[int, NodeMetrics]:
-        return node_metrics(self.log)
-
-    @cached_property
     def columns(self) -> MetricColumns:
-        return metric_columns(self.metrics)
+        return metric_columns(self.log)
 
     @cached_property
     def labels(self) -> dict[int, CategoryLabel]:
-        return categorize(self.metrics, CategoryThresholds(*self.config["thresholds"]))
+        return categorize(self.columns, CategoryThresholds(*self.config["thresholds"]))
 
     @cached_property
     def fold(self) -> DailyFold:
@@ -557,10 +549,8 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
-    metrics, labels = ctx.metrics, ctx.labels
-
     # the scatter's columns are in the ascending user order of `ctx.columns`
-    scatter = reputation_vs_indegree_scatter(ctx.columns, labels)
+    scatter = reputation_vs_indegree_scatter(ctx.columns, ctx.labels)
     label_texts = [label._value_ for label in scatter.labels]
     rho_plus, rho_minus = ctx.columns.fields[4:]
     # the negative fraction r, empty for a user with no received reputation
@@ -571,15 +561,11 @@ def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
         [scatter.users, rho_plus, rho_minus, scatter.rho, _masked(r, received), label_texts],
     )
 
-    quantities = ("rho", "activity_plus", "activity_minus", "activity_total")
+    summary = category_summary(ctx.columns, ctx.labels)
     writer.write_csv(
         "category_summary.csv",
         ["category", "quantity", "count", "min", "q1", "median", "q3", "max"],
-        *(
-            (cs.label, quantity, cs.count, v.minimum, v.q1, v.median, v.q3, v.maximum)
-            for cs in category_summary(metrics, labels).values()
-            for quantity, v in zip(quantities, (cs.rho, cs.activity_plus, cs.activity_minus, cs.activity_total))
-        ),
+        [summary.category, summary.quantity, summary.count, *summary.quantiles.T],
     )
 
     writer.write_csv(
@@ -673,10 +659,11 @@ def _write_dynamics(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
+    runs = _ratee_runs(ctx.log)  # sorted once for every selection
     for selection in ctx.selections:
         # None follows every rated user
         users = None if selection is TrajectorySelection.BY_CATEGORY else ctx.fold.entrants[selection]
-        t = follow(ctx.log, users, ctx.labels)
+        t = _chosen(runs, users, ctx.labels)
         starts = np.cumsum(t.counts) - t.counts
         writer.write_csv(
             f"trajectories_{selection.value.replace('-', '_')}.csv",
@@ -732,7 +719,7 @@ def _run(args: argparse.Namespace) -> int:
     if writer is not None:
         writer.ingest = ctx.report
         writer.warnings = [str(w.message) for w in caught]
-        writer.write_manifest(args.command, config, _sha256(config["input"]))
+        writer.write_manifest(args.command, config, ctx.input_sha256)
     return EXIT_OK
 
 

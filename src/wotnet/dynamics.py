@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .categories import CategoryLabel, CategoryThresholds, categorize
-from .model import EventLog, MetricColumns, NodeMetrics, _fold, node_metrics
+from .model import EventLog, MetricColumns, metric_columns
 from .static import _distinct, _run_starts
 from .temporal import SECONDS_PER_DAY, _days
 
@@ -173,8 +173,6 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
             measures.append(_stability_rows(lists[:, p:q], lists[:, p + 1 : q + 1], n, k))
         pending = [lists[:, -1:]]
 
-    state = np.zeros((len(NodeMetrics._fields), n), dtype=np.int64)
-    _fold(state, *codes, log.scores)
     entrants = (TrajectorySelection.TOP_ENTRANTS_POSITIVE, TrajectorySelection.TOP_ENTRANTS_NEGATIVE)
     calendar = _days(first_day, n_days)
     stability, stability_measured, truncated = (np.concatenate(m, axis=-1) for m in zip(*measures))
@@ -183,7 +181,7 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
         GiniSeries(calendar[on], *gini[:, on], gini_measured[:, on]),
         StabilitySeries(calendar[:-1], *stability, stability_measured, truncated),
         {s: set(user_ids[mask].tolist()) for s, mask in zip(entrants, entrant)},
-        MetricColumns(user_ids, state),
+        metric_columns(log),
     )
 
 
@@ -330,13 +328,17 @@ def _stability_rows(before: np.ndarray, after: np.ndarray, n: int, k: int) -> tu
     return np.concatenate((extended, overlap)).reshape(2 * sides, pairs), measured, truncated
 
 
-def follow(
-    log: EventLog, users: Iterable[int] | None, labels: Mapping[int, CategoryLabel]
-) -> Trajectories:
-    """Trajectories of `users` (every rated user when None) that received
-    at least one rating, in ascending id order, labelled from `labels`."""
+def _ratee_runs(log: EventLog) -> tuple[np.ndarray, ...]:
+    """The rated users in ascending id order, and the start, length and running reputation of their runs."""
     order, starts, counts, running = _running_sums(log.ratees, log.scores)
-    ids = log.ratees[order[starts]]
+    return log.ratees[order[starts]], starts, counts, running
+
+
+def _chosen(
+    runs: tuple[np.ndarray, ...], users: Iterable[int] | None, labels: Mapping[int, CategoryLabel]
+) -> Trajectories:
+    """What `follow` returns, from the `_ratee_runs` of the log."""
+    ids, starts, counts, running = runs
     if users is not None:
         chosen = _distinct(np.fromiter(users, dtype=np.int64))
         pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
@@ -344,6 +346,14 @@ def follow(
         # each chosen run, moved up behind the runs before it
         running = running[np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
     return Trajectories(ids, tuple(map(labels.__getitem__, ids.tolist())), counts, running)
+
+
+def follow(
+    log: EventLog, users: Iterable[int] | None, labels: Mapping[int, CategoryLabel]
+) -> Trajectories:
+    """Trajectories of `users` (every rated user when None) that received
+    at least one rating, in ascending id order, labelled from `labels`."""
+    return _chosen(_ratee_runs(log), users, labels)
 
 
 def trajectories(
@@ -358,7 +368,6 @@ def trajectories(
     (negative) reputation, or all users with at least one incoming rating.
     The category label is taken at the end of the log.
     """
-    labels = categorize(node_metrics(log), thresholds)
-    if selection is TrajectorySelection.BY_CATEGORY:
-        return follow(log, None, labels)
-    return follow(log, daily_fold(log, k).entrants[selection], labels)
+    labels = categorize(metric_columns(log), thresholds)
+    users = None if selection is TrajectorySelection.BY_CATEGORY else daily_fold(log, k).entrants[selection]
+    return follow(log, users, labels)

@@ -377,18 +377,6 @@ def _fold(state: np.ndarray, raters: np.ndarray, ratees: np.ndarray, scores: np.
     np.add.at(flat, row + 4 * n + ratees, np.abs(scores))
 
 
-# a record from the tuple of its six fields, by `tuple.__new__` itself: no
-# Python frame per record, as `NodeMetrics(...)` or `_make` would run
-_new_metrics = partial(tuple.__new__, NodeMetrics)
-
-
-def _by_user(state: np.ndarray, ids: np.ndarray) -> dict[int, NodeMetrics]:
-    """`NodeMetrics` of the users with an event in `state` (any degree > 0),
-    keyed by id in ascending code order; `ids` maps codes to user ids."""
-    seen = np.flatnonzero(state[:4].any(axis=0))
-    return dict(zip(ids[seen].tolist(), map(_new_metrics, zip(*state[:, seen].tolist()))))
-
-
 class MetricColumns(NamedTuple):
     """Users in ascending id order and their 6 x n int64 counters, a column
     per user, the rows in `NodeMetrics` field order."""
@@ -397,10 +385,18 @@ class MetricColumns(NamedTuple):
     fields: np.ndarray
 
 
-def metric_columns(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> MetricColumns:
-    """The columns of a metrics mapping, converted once and then passed in its
-    place to `reputation_distributions`, `reputation_by_indegree`,
-    `ranking_report` and `reputation_vs_indegree_scatter`; columns are
+def metric_columns(log: EventLog, cutoff: int | None = None) -> MetricColumns:
+    """Degrees and reputations, as columns, of every user seen at or before
+    the cutoff (any degree > 0)."""
+    sub = log.truncated(cutoff)
+    state = np.zeros((len(NodeMetrics._fields), len(sub._universe)), dtype=np.int64)
+    _fold(state, *sub._codes, sub.scores)
+    seen = state[:4].any(axis=0)
+    return MetricColumns(sub._universe[seen], state[:, seen])
+
+
+def _as_columns(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> MetricColumns:
+    """The columns of a metrics mapping, in ascending user order; columns are
     returned as they are."""
     if isinstance(metrics, MetricColumns):
         return metrics
@@ -411,14 +407,17 @@ def metric_columns(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> Metric
     return MetricColumns(users[order], fields.reshape(n, width)[order].T)
 
 
+# a record from the tuple of its six fields, by `tuple.__new__` itself: no
+# Python frame per record, as `NodeMetrics(...)` or `_make` would run
+_new_metrics = partial(tuple.__new__, NodeMetrics)
+
+
 def node_metrics(
     log: EventLog, cutoff: int | None = None
 ) -> dict[int, NodeMetrics]:
-    """Degrees and reputations for every user seen at or before the cutoff."""
-    sub = log.truncated(cutoff)
-    state = np.zeros((len(NodeMetrics._fields), len(sub._universe)), dtype=np.int64)
-    _fold(state, *sub._codes, sub.scores)
-    return _by_user(state, sub._universe)
+    """The records of `metric_columns`, keyed by user id in ascending order."""
+    users, fields = metric_columns(log, cutoff)
+    return dict(zip(users.tolist(), map(_new_metrics, zip(*fields.tolist()))))
 
 
 def latest_ratings(

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import Distribution, from_values
-from .model import EventLog, Layer, MetricColumns, NodeMetrics, metric_columns
+from .model import EventLog, Layer, MetricColumns, NodeMetrics, _as_columns
 
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
 # ratio between consecutive bin edges of `log_binned_means`
@@ -323,7 +323,7 @@ def weight_distribution(layer: EventLog) -> Distribution:
 
 
 def _nonempty(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> MetricColumns:
-    columns = metric_columns(metrics)
+    columns = _as_columns(metrics)
     if columns.users.size == 0:
         raise ValueError("empty metrics map")
     return columns

@@ -12,6 +12,7 @@ import os
 import random
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wotnet import (
     synth_log,
     undirected_projection,
 )
+from wotnet.categories import CategorySummary
 from wotnet.static import Projection
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -153,3 +155,19 @@ def _fmt_by_isinstance_chain(value) -> str:
     if isinstance(value, (Layer, CategoryLabel)):
         return value.value
     return str(value)
+
+
+class SummaryRow(NamedTuple):
+    count: int
+    minimum: float
+    q1: float
+    median: float
+    q3: float
+    maximum: float
+
+
+def summary_row(summary: CategorySummary, category: CategoryLabel, quantity: str) -> SummaryRow:
+    """The count and the quantiles of one category and quantity of a
+    `CategorySummary`."""
+    (i,) = [i for i, key in enumerate(zip(summary.category, summary.quantity)) if key == (category, quantity)]
+    return SummaryRow(int(summary.count[i]), *summary.quantiles[i].tolist())

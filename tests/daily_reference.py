@@ -1,8 +1,11 @@
-"""The per-day reference for `wotnet.dynamics.daily_fold`.
+"""The per-day reference for `wotnet.dynamics.daily_fold`, and the dict
+path of the per-user counters for `wotnet.metric_columns`.
 
 One cumulative snapshot per day, and the Gini point, the top-k lists and
 the stability step of one snapshot or one pair of days, each measured on
-its own.  The fold's tests compare it with these day by day.
+its own.  The fold's tests compare it with these day by day.  The counters
+of a log at a cutoff as a dict of `NodeMetrics` records, and the columns of
+such a dict, are the path that `metric_columns` replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from wotnet import EventLog, NodeMetrics, extended_jaccard, gini
-from wotnet.model import _by_user, _fold
+from wotnet.model import _fold
 from wotnet.temporal import _EPOCH, SECONDS_PER_DAY
 
 
@@ -54,8 +57,32 @@ class Snapshot:
     @property
     def metrics(self) -> dict[int, NodeMetrics]:
         if self._metrics is None:
-            self._metrics = _by_user(self.state, self.user_ids)
+            self._metrics = by_user(self.state, self.user_ids)
         return self._metrics
+
+
+def by_user(state: np.ndarray, ids: np.ndarray) -> dict[int, NodeMetrics]:
+    """`NodeMetrics` of the users with an event in `state` (any degree > 0),
+    keyed by id in ascending code order; `ids` maps codes to user ids."""
+    seen = np.flatnonzero(state[:4].any(axis=0))
+    return {user: NodeMetrics(*column) for user, column in zip(ids[seen].tolist(), state[:, seen].T.tolist())}
+
+
+def metrics_by_dict(log: EventLog, cutoff: int | None = None) -> dict[int, NodeMetrics]:
+    """The counters of every user seen at or before the cutoff, folded over
+    the codes of the log's universe and kept as records."""
+    sub = log.truncated(cutoff)
+    state = np.zeros((len(NodeMetrics._fields), len(sub._universe)), dtype=np.int64)
+    _fold(state, *sub._codes, sub.scores)
+    return by_user(state, sub._universe)
+
+
+def columns_of(metrics: Mapping[int, NodeMetrics]) -> tuple[np.ndarray, np.ndarray]:
+    """The users of a metrics mapping in ascending id order, and their 6 x n
+    int64 counters, a column per user."""
+    users = sorted(metrics)
+    fields = np.array([metrics[u] for u in users], dtype=np.int64).reshape(-1, len(NodeMetrics._fields))
+    return np.array(users, dtype=np.int64), fields.T
 
 
 def snapshot_series(log: EventLog) -> Iterator[Snapshot]:

@@ -21,6 +21,7 @@ from conftest import (
     keeps_projected_degrees,
     project,
     rows,
+    summary_row,
 )
 from daily_reference import snapshot_series
 from wotnet import (
@@ -227,23 +228,24 @@ def test_c8_categories():
     metrics = _metrics()
     labels = categorize(metrics)
     stats = category_summary(metrics, labels)
-    tw = stats[CategoryLabel.TRUSTWORTHY]
-    un = stats[CategoryLabel.UNTRUSTED]
-    co = stats[CategoryLabel.CONTROVERSIAL]
-    largest = tw.count > un.count and tw.count > co.count
-    rho_order = un.rho.median < co.rho.median < tw.rho.median
+    tw, un, co = (
+        {q: summary_row(stats, category, q) for q in ("rho", "activity_total")}
+        for category in (CategoryLabel.TRUSTWORTHY, CategoryLabel.UNTRUSTED, CategoryLabel.CONTROVERSIAL)
+    )
+    largest = tw["rho"].count > un["rho"].count and tw["rho"].count > co["rho"].count
+    rho_order = un["rho"].median < co["rho"].median < tw["rho"].median
     activity = (
-        un.activity_total.median < tw.activity_total.median
-        and un.activity_total.median < co.activity_total.median
+        un["activity_total"].median < tw["activity_total"].median
+        and un["activity_total"].median < co["activity_total"].median
     )
     _verdict(
         "C8",
         "categories",
         largest and rho_order and activity,
-        f"counts tw/co/un={tw.count}/{co.count}/{un.count}; "
-        f"median rho un/co/tw={un.rho.median:.1f}/{co.rho.median:.1f}/{tw.rho.median:.1f}; "
-        f"median out-activity un/co/tw={un.activity_total.median:.1f}/"
-        f"{co.activity_total.median:.1f}/{tw.activity_total.median:.1f}",
+        f"counts tw/co/un={tw['rho'].count}/{co['rho'].count}/{un['rho'].count}; "
+        f"median rho un/co/tw={un['rho'].median:.1f}/{co['rho'].median:.1f}/{tw['rho'].median:.1f}; "
+        f"median out-activity un/co/tw={un['activity_total'].median:.1f}/"
+        f"{co['activity_total'].median:.1f}/{tw['activity_total'].median:.1f}",
     )
 
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import summary_row
 from wotnet import (
     CategoryLabel,
     CategoryThresholds,
     NodeMetrics,
     category_summary,
     categorize,
+    metric_columns,
     negative_fraction,
     negative_fractions,
     node_metrics,
@@ -171,22 +173,21 @@ def test_category_summary_counts_and_quantiles():
         5: _received(0, 0),
     }
     stats = category_summary(metrics, categorize(metrics))
-    assert set(stats) == set(LABELED_CATEGORIES)
-    assert stats[CategoryLabel.TRUSTWORTHY].count == 2
-    assert stats[CategoryLabel.UNTRUSTED].count == 1
-    assert stats[CategoryLabel.CONTROVERSIAL].count == 1
-    assert stats[CategoryLabel.TRUSTWORTHY].rho.median == pytest.approx(94.0)
-    assert stats[CategoryLabel.UNTRUSTED].rho.median == -50.0
-    assert stats[CategoryLabel.CONTROVERSIAL].rho.median == 0.0
+    assert set(stats.category) == set(LABELED_CATEGORIES)
+    assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "rho").count == 2
+    assert summary_row(stats, CategoryLabel.UNTRUSTED, "rho").count == 1
+    assert summary_row(stats, CategoryLabel.CONTROVERSIAL, "rho").count == 1
+    assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "rho").median == pytest.approx(94.0)
+    assert summary_row(stats, CategoryLabel.UNTRUSTED, "rho").median == -50.0
+    assert summary_row(stats, CategoryLabel.CONTROVERSIAL, "rho").median == 0.0
 
 
 def test_category_summary_empty_category_is_nan():
     metrics = {1: _received(100, 2)}
     stats = category_summary(metrics, categorize(metrics))
-    untr = stats[CategoryLabel.UNTRUSTED]
-    assert untr.count == 0
-    assert math.isnan(untr.rho.median)
-    assert math.isnan(untr.activity_total.q3)
+    assert summary_row(stats, CategoryLabel.UNTRUSTED, "rho").count == 0
+    assert math.isnan(summary_row(stats, CategoryLabel.UNTRUSTED, "rho").median)
+    assert math.isnan(summary_row(stats, CategoryLabel.UNTRUSTED, "activity_total").q3)
 
 
 def test_category_summary_tracks_out_activity():
@@ -195,11 +196,32 @@ def test_category_summary_tracks_out_activity():
         2: NodeMetrics(0, 1, 0, 0, 0, 5),
     }
     stats = category_summary(metrics, categorize(metrics))
-    tw = stats[CategoryLabel.TRUSTWORTHY]
-    assert tw.activity_plus.median == 4.0
-    assert tw.activity_minus.median == 3.0
-    assert tw.activity_total.median == 7.0
-    assert stats[CategoryLabel.UNTRUSTED].activity_total.median == 0.0
+    assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_plus").median == 4.0
+    assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_minus").median == 3.0
+    assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_total").median == 7.0
+    assert summary_row(stats, CategoryLabel.UNTRUSTED, "activity_total").median == 0.0
+
+
+def test_category_summary_of_columns_matches_the_per_user_records(small_log):
+    metrics, columns = node_metrics(small_log), metric_columns(small_log)
+    labels = categorize(metrics)
+    assert categorize(columns) == labels
+    stats = category_summary(columns, labels)
+    np.testing.assert_array_equal(category_summary(metrics, labels).quantiles, stats.quantiles)
+    quantities = {
+        "rho": lambda m: m.rho,
+        "activity_plus": lambda m: m.k_out_plus,
+        "activity_minus": lambda m: m.k_out_minus,
+        "activity_total": lambda m: m.k_out_plus + m.k_out_minus,
+    }
+    for category in LABELED_CATEGORIES:
+        ms = [metrics[u] for u in sorted(metrics) if labels[u] is category]
+        for quantity, value in quantities.items():
+            values = np.array([value(m) for m in ms], dtype=float)
+            row = summary_row(stats, category, quantity)
+            assert row.count == len(ms)
+            expected = [values.min(), *np.percentile(values, [25, 50, 75]), values.max()] if ms else [np.nan] * 5
+            np.testing.assert_array_equal(row[1:], expected)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,34 @@ def test_input_with_no_content_is_input_error(capsys, tmp_path):
     assert "empty input" in err
 
 
+def _corrupt_inputs() -> dict[str, bytes]:
+    """A log's bytes spoilt four ways that the ingest cannot read."""
+    body = b"rater,ratee,score,timestamp\n" + b"".join(b"%d,%d,5,%d\n" % (i, i + 1, 100 + i) for i in range(200))
+    packed = gzip.compress(body, mtime=0)
+
+    def flip(data: bytes) -> bytes:
+        return bytes(b ^ 0xFF for b in data)
+
+    return {
+        "truncated-gzip": packed[: len(packed) // 2],
+        "corrupt-deflate": packed[:10] + flip(packed[10:30]) + packed[30:],
+        "bad-gzip-checksum": packed[:-8] + flip(packed[-8:-4]) + packed[-4:],
+        "not-utf-8": body + b"7,8,5,\xff00\n",
+    }
+
+
+@pytest.mark.parametrize("name", _corrupt_inputs())
+@pytest.mark.parametrize("command", ["summary", "all"])
+def test_corrupt_input_is_input_error(capsys, tmp_path, name, command):
+    log = tmp_path / "log.csv"
+    log.write_bytes(_corrupt_inputs()[name])
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, command, "--input", str(log), "--out", str(out), "--seed", "1")
+    assert code == 2
+    assert err.startswith("wotnet: input error:")
+    assert not out.exists()
+
+
 def test_header_only_input_is_a_valid_empty_log(capsys, tmp_path):
     header_only = tmp_path / "header.csv"
     header_only.write_text("rater,ratee,score,timestamp\n")
@@ -447,6 +475,21 @@ def test_failed_run_leaves_no_stale_manifest(capsys, input_csv, tmp_path):
     assert manifest["input_sha256"] == hashlib.sha256(positive.read_bytes()).hexdigest()
 
 
+def test_manifest_hashes_the_bytes_that_were_analysed(input_csv, tmp_path, monkeypatch):
+    original = hashlib.sha256(input_csv.read_bytes()).hexdigest()
+    summary = cli.STAGES["summary"]
+
+    def rewrite_then_summarize(writer, ctx):
+        input_csv.write_text("rater,ratee,score,timestamp\n1,2,5,100\n")
+        summary.build(writer, ctx)
+
+    monkeypatch.setitem(cli.STAGES, "summary", summary._replace(build=rewrite_then_summarize))
+    out = tmp_path / "run"
+    assert main(["summary", "--input", str(input_csv), "--out", str(out)]) == 0
+    assert hashlib.sha256(input_csv.read_bytes()).hexdigest() != original
+    assert _manifest_of(out)["input_sha256"] == original
+
+
 def test_rewiring_star_layers_accepts_no_swap_and_warns_nothing(tmp_path):
     # both layers are stars: every double-edge swap proposal is rejected
     # (weights 1 and 3: each weight sub-layer of the rewarding star needs a degree-2 node)
@@ -633,6 +676,17 @@ def _seeded_run_digests(tmp_path, *flags, config=SynthConfig(n_users=300, n_even
 
 
 def test_fold_outputs_match_recorded_digests(tmp_path):
+    assert _seeded_run_digests(tmp_path, "--topk", "5") == FOLD_SHA256
+
+
+def test_all_builds_no_node_metrics_records(tmp_path, monkeypatch):
+    # every stage reads the per-user counters as `metric_columns`
+    def refuse(*args, **kwargs):
+        raise AssertionError("node_metrics called")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "wotnet" and hasattr(module, "node_metrics"):
+            monkeypatch.setattr(module, "node_metrics", refuse)
     assert _seeded_run_digests(tmp_path, "--topk", "5") == FOLD_SHA256
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import wotnet.dynamics as dynamics
 from conftest import _fmt_by_isinstance_chain, rows
-from daily_reference import gini_point, plain_jaccard, snapshot_series, stability_step, top_k_lists
+from daily_reference import columns_of, gini_point, plain_jaccard, snapshot_series, stability_step, top_k_lists
 from wotnet import (
     CategoryLabel,
     EventLog,
@@ -20,7 +20,6 @@ from wotnet import (
     extended_jaccard,
     follow,
     gini,
-    metric_columns,
     node_metrics,
     trajectories,
     write_log_csv,
@@ -36,7 +35,7 @@ def _truncated_log(log: EventLog, cutoff: int) -> EventLog:
 
 def _same_metrics(columns, metrics) -> bool:
     """Whether `MetricColumns` hold the counters of a `node_metrics` mapping."""
-    return all(map(np.array_equal, columns, metric_columns(metrics)))
+    return all(map(np.array_equal, columns, columns_of(metrics)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rows
+from daily_reference import columns_of, metrics_by_dict
 from wotnet import model
 from wotnet.model import IngestReport
 from wotnet import (
@@ -19,6 +20,7 @@ from wotnet import (
     gettrust,
     ingest,
     latest_ratings,
+    metric_columns,
     node_metrics,
     split_layers,
     synth_log,
@@ -486,6 +488,26 @@ def test_metrics_at_cutoff_match_naive_accumulation_of_the_prefix(case):
     assert all(type(m) is NodeMetrics for m in metrics.values())
     if cutoff < min(e[3] for e in events):
         assert metrics == {}
+
+
+@given(_log_and_cutoff(), st.sampled_from(["log", "plus", "minus"]))
+@example(([(1, 2, 3, 0), (2, 1, -4, 0), (3, 1, 1, 10)], -1), "log")  # before the first event
+@example(([(1, 2, 3, 0), (2, 1, -4, 0), (3, 1, 1, 10)], -1), "minus")
+@example(([(1, 2, 3, 0), (2, 1, -4, 0), (3, 1, 1, 10)], 0), "minus")  # a layer: the parent's universe
+@example(([(1, 2, 3, 0), (2, 1, -4, 0), (3, 1, 1, 10)], 11), "plus")
+@settings(max_examples=200, deadline=None)
+def test_metric_columns_equal_the_columns_of_the_dict_path(case, view):
+    events, cutoff = case
+    log = EventLog(events)
+    plus, minus = split_layers(log)
+    log = {"log": log, "plus": plus, "minus": minus}[view]
+    columns = metric_columns(log, cutoff)
+    users, fields = columns_of(metrics_by_dict(log, cutoff))
+    assert columns.users.dtype == columns.fields.dtype == np.int64
+    assert columns.fields.shape == (len(NodeMetrics._fields), len(columns.users))
+    np.testing.assert_array_equal(columns.users, users)
+    np.testing.assert_array_equal(columns.fields, fields)
+    assert node_metrics(log, cutoff) == metrics_by_dict(log, cutoff)
 
 
 def test_metrics_degree_sums_equal_layer_edge_counts(small_log):

@@ -26,7 +26,6 @@ from wotnet import (
     local_clustering,
     log_binned_ccdf,
     mean_clustering,
-    metric_columns,
     node_metrics,
     ranked_users,
     ranking_report,
@@ -35,6 +34,7 @@ from wotnet import (
     split_layers,
     weight_distribution,
 )
+from wotnet.model import _as_columns
 from wotnet.static import (
     RANKING_KEYS,
     DegreeSpectrum,
@@ -1035,11 +1035,11 @@ def test_ranking_report_matches_ranked_users(metrics):
 def test_metric_columns_stand_in_for_the_mapping(metrics):
     # converted once, in ascending user order whatever the mapping's order,
     # and passed in the mapping's place
-    columns = metric_columns(metrics)
+    columns = _as_columns(metrics)
     assert columns.users.tolist() == sorted(metrics)
     assert columns.fields.T.tolist() == [list(metrics[u]) for u in sorted(metrics)]
     assert columns.users.dtype == columns.fields.dtype == np.int64
-    assert metric_columns(columns) is columns
+    assert _as_columns(columns) is columns
     report, from_columns = ranking_report(metrics), ranking_report(columns)
     assert from_columns.table == report.table
     np.testing.assert_array_equal(from_columns.by_inplus_rank, report.by_inplus_rank)
@@ -1052,13 +1052,13 @@ def test_metric_columns_stand_in_for_the_mapping(metrics):
 def test_ranking_report_empty_errors():
     with pytest.raises(ValueError):
         ranking_report({})
-    for empty in ({}, metric_columns({})):
+    for empty in ({}, _as_columns({})):
         with pytest.raises(ValueError, match="empty"):
             reputation_distributions(empty)
         with pytest.raises(ValueError, match="empty"):
             reputation_by_indegree(empty, Layer.REWARDING)
     with pytest.raises(ValueError, match="empty"):
-        ranking_report(metric_columns({}))
+        ranking_report(_as_columns({}))
 
 
 def test_reputation_by_indegree_single_bucket():
