@@ -9,7 +9,7 @@ interevent statistics and burstiness, circadian/weekly profiles, Gini
 concentration, top-k ranking stability, per-user trajectories).
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .categories import (
     CategoryLabel,

@@ -480,7 +480,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
         binned_blocks.append(_binned(spectrum, layer))
         null = configuration_null(projection, n_samples, seed)
         stats = (null.null_mean_clustering, null.null_std_clustering, null.n_samples, null.swaps_target)
-        null_rows.append((layer, mean_clustering(projection), *stats, min(null.swaps_done), null.seed))
+        null_rows.append((layer, mean_clustering(projection), *stats, min(null.swaps_done), null.seed, null.swaps_gap))
         # the replicas keep every projected degree, so the null's degrees are the spectrum's
         spectrum_blocks.append((*_spectrum(spectrum, layer), null.null_mean, null.null_std))
     writer.write_csv(
@@ -500,6 +500,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
             "swaps_target",
             "min_swaps_done",
             "seed",
+            "swaps_gap",
         ],
         *null_rows,
     )
@@ -635,7 +636,8 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _final_state_check(ctx: RunContext) -> None:
-    if not all(map(np.array_equal, ctx.fold.metrics, ctx.columns)):
+    users, fields = ctx.columns
+    if not (np.array_equal(ctx.log.user_codes()[0], users) and np.array_equal(ctx.fold.rho, fields[4:])):
         raise RuntimeError(
             "internal consistency check failed: final snapshot does not match "
             "aggregate per-user metrics"

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .categories import CategoryLabel, CategoryThresholds, categorize
-from .model import EventLog, MetricColumns, metric_columns
+from .model import EventLog, metric_columns
 from .static import _distinct, _run_starts
 from .temporal import SECONDS_PER_DAY, _days
 
@@ -116,14 +116,14 @@ class StabilitySeries(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DailyFold:
-    """The daily measures of one pass over the days of a log: `entrants` maps
-    each top-entrant selection to the users in its day-level top-k on some
-    day, `metrics` are the last day's counters.  All are empty for an empty log."""
+    """The daily measures of one pass over the days of a log: `entrants` maps each top-entrant
+    selection to the users in its day-level top-k on some day, `rho` is the last day's rho+ and
+    rho- (2 x n int64) of the log's users in ascending id order.  All are empty for an empty log."""
 
     gini: GiniSeries
     stability: StabilitySeries
     entrants: dict[TrajectorySelection, set[int]]
-    metrics: MetricColumns
+    rho: np.ndarray
 
 
 # the cells of one block of `daily_fold`: bound its working memory on any log
@@ -160,7 +160,8 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
     measures = [(np.zeros((6, 0)), np.zeros((3, 0), dtype=bool), np.zeros(0, dtype=bool))]
     chunk = max(1, _BLOCK_CELLS // (16 * k))  # day pairs per `_stability_rows` call: ~12 arrays of 3k each
     pending = []  # the lists of the days whose pairs are still to measure
-    for hi, lists in _top_k_blocks(days, n_days, n, codes, layer, gained, min(k, n)):
+    rho = np.zeros((2, n), dtype=np.int64)  # rho+ and rho-, carried to the last day
+    for hi, lists in _top_k_blocks(days, n_days, n, codes, layer, gained, min(k, n), rho):
         for s in range(2):
             entrant[s, lists[s][lists[s] >= 0]] = True
         pending.append(lists)
@@ -181,7 +182,7 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
         GiniSeries(calendar[on], *gini[:, on], gini_measured[:, on]),
         StabilitySeries(calendar[:-1], *stability, stability_measured, truncated),
         {s: set(user_ids[mask].tolist()) for s, mask in zip(entrants, entrant)},
-        metric_columns(log),
+        rho,
     )
 
 
@@ -237,11 +238,13 @@ def _gini_side(
 
 
 def _top_k_blocks(
-    days: np.ndarray, n_days: int, n: int, codes: np.ndarray, layer: np.ndarray, gained: np.ndarray, width: int
+    days: np.ndarray, n_days: int, n: int, codes: np.ndarray, layer: np.ndarray, gained: np.ndarray, width: int,
+    values: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield the end `hi` of each block of days and its lists: `lists[s, d]`
     holds the codes of the `width` first users of list s (0: plus, 1: minus,
-    2: global) on the block's day d, -1 past the list's end.
+    2: global) on the block's day d, -1 past the list's end; `values`, zero at
+    first, holds each user's rho+ and rho- at the end of the last block yielded.
 
     A user not rated in a block and not first seen in it keeps its key, so
     each list's top on any day of the block lies among the changed users
@@ -261,7 +264,6 @@ def _top_k_blocks(
         np.minimum.at(appears, users, days)
     starts = np.searchsorted(days, np.arange(n_days + 1))  # each day's first event
     changes = starts + np.searchsorted(np.sort(appears), np.arange(n_days + 1))
-    values = np.zeros((2, n), dtype=np.int64)  # rho+ and rho- at the block's start
     keys = np.tile(_ABSENT + tie, (3, 1))  # every list's keys at the block's start
     lo = 0
     while lo < n_days:

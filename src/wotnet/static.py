@@ -201,6 +201,7 @@ class NullModelResult:
     sample_means: tuple[float, ...]
     n_samples: int
     swaps_target: int
+    swaps_gap: int
     swaps_done: tuple[int, ...]
     seed: int
 
@@ -274,14 +275,14 @@ def configuration_null(
 ) -> NullModelResult:
     """Clustering of a projected layer against degree-preserving replicas.
 
-    Each replica makes `swaps_target = swaps_per_edge * |E|` double-edge swap
-    proposals on the projection's |E| undirected edges (`swaps_done` counts the
-    accepted ones), so it keeps every node's projected degree and stays simple.
-    Clustering is measured on each replica, degree-<2 nodes included.
+    The replicas are states of one chain of double-edge swap proposals on the projection's |E|
+    undirected edges: the first after `swaps_target = swaps_per_edge * |E|` proposals, each later
+    one after `swaps_gap` more (`swaps_done[i]` counts the swaps accepted up to replica i).  Each
+    keeps every projected degree and stays simple; clustering is measured with degree-<2 nodes.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n, n_proposals = len(projection.nodes), swaps_per_edge * projection.edges.shape[1]
+    n, m = len(projection.nodes), projection.edges.shape[1]
     if n == 0:  # no node to measure, as `mean_clustering` reports it
         raise ValueError("no nodes satisfy the requested clustering convention")
     # the swaps keep every degree and the graph simple, so each replica's
@@ -291,9 +292,13 @@ def configuration_null(
     bucket_means: list[np.ndarray] = []
     sample_means: list[float] = []
     swaps_done: list[int] = []
-    for stream in np.random.SeedSequence(seed).spawn(n_samples):
-        ends = projection.edges.copy()
-        swaps_done.append(_double_edge_swaps(ends, n, n_proposals, np.random.default_rng(stream)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    ends, done, proposals = projection.edges.copy(), 0, swaps_per_edge * m
+    for _ in range(n_samples):
+        done += _double_edge_swaps(ends, n, proposals, rng)
+        if not swaps_done:  # the gap: about |E| swaps at the burn-in's rate, at most its length
+            proposals = -(-swaps_per_edge * m * m // max(done, m))
+        swaps_done.append(done)
         clustering = local_clustering(ends, projection.degree)
         bucket_means.append(_run_sums(clustering[order], runs) / counts)
         sample_means.append(float(np.mean(clustering)))
@@ -309,7 +314,8 @@ def configuration_null(
         null_std_clustering=float(means.std()),
         sample_means=tuple(means.tolist()),
         n_samples=n_samples,
-        swaps_target=n_proposals,
+        swaps_target=swaps_per_edge * m,
+        swaps_gap=proposals,
         swaps_done=tuple(swaps_done),
         seed=seed,
     )

@@ -605,14 +605,15 @@ def test_dynamics_outputs(synth_csv, tmp_path):
 # four daily-fold files were recorded from the per-day loop over
 # `snapshot_series`, the rest from the row-by-row CSV writer and the
 # line-by-line ingest; the column writer and the array ingest must write the
-# same bytes.
+# same bytes.  `clustering_null.csv` was recorded again when it gained its last
+# column, `swaps_gap`; its other columns are as they were.
 FOLD_SHA256 = {
     "burstiness.csv": "f15d15805af79e17c40bead7f7a1a962d3d73eecc58b5f9c1d14fb7fcbd839b4",
     "categories.csv": "a69e9dde1b14ff07c659dd8c55ebd925d4a3da382b79e43c49bfde293db1a8ae",
     "category_summary.csv": "9757b4fd2e32da49d422e9926d2486c9a94721ca76dee5087cdfd27e595361a5",
     "circadian_profile.csv": "fff49a56ea59a1747bdf44640affa8d890ba0d92049079fafbea249a47e51314",
     "clustering_binned.csv": "30be3df0238fd941051cbfebb393c3f25a89ce208a4c74d5a3afa8db6c169bd0",
-    "clustering_null.csv": "cd8e8abf569d74b22950a62f6954d15c1eb278c6b811a2b979506a41bb33946c",
+    "clustering_null.csv": "2d541c404b2643f2c72a66a2af592a3c1b80816c6175bac728930ec133ae9499",
     "clustering_spectrum.csv": "545962cf41c9fdfead59c69558fbcf0e758b85ab8868ae27dec442efa3d85ef4",
     "daily_activity.csv": "4dde07f9695705f27d3f788797ab0ffa5e60c7affb7d60a8544ac44ae17f1664",
     "degree_distributions.csv": "5b9dff3c442bdfc09746b3ddbdf819757e9dc238c469014f1f24534f3540eedb",
@@ -688,6 +689,22 @@ def test_all_builds_no_node_metrics_records(tmp_path, monkeypatch):
         if name.partition(".")[0] == "wotnet" and hasattr(module, "node_metrics"):
             monkeypatch.setattr(module, "node_metrics", refuse)
     assert _seeded_run_digests(tmp_path, "--topk", "5") == FOLD_SHA256
+
+
+def test_all_exits_3_when_the_fold_disagrees_with_the_counters(synth_csv, tmp_path, monkeypatch, capsys):
+    # the fold's last-day reputations come from its own running sums, and are
+    # checked against `metric_columns`, which counts them on another path
+    fold_of = cli.daily_fold
+
+    def corrupted(log, k):
+        fold = fold_of(log, k)
+        fold.rho[1, 0] += 1
+        return fold
+
+    monkeypatch.setattr(cli, "daily_fold", corrupted)
+    argv = ["all", "--input", str(synth_csv), "--out", str(tmp_path / "all"), "--seed", "1"]
+    assert main(argv + ["--null-samples", "1"]) == 3
+    assert "internal consistency check failed" in capsys.readouterr().err
 
 
 def test_sparse_log_fold_outputs_match_recorded_digests(tmp_path):

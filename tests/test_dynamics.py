@@ -33,9 +33,11 @@ def _truncated_log(log: EventLog, cutoff: int) -> EventLog:
     return EventLog(row for row in rows(log) if row[3] <= cutoff)
 
 
-def _same_metrics(columns, metrics) -> bool:
-    """Whether `MetricColumns` hold the counters of a `node_metrics` mapping."""
-    return all(map(np.array_equal, columns, columns_of(metrics)))
+def _same_rho(fold, log, metrics) -> bool:
+    """Whether the fold's last-day rho+ and rho- are those of a `node_metrics`
+    mapping that covers every user of the log."""
+    users, fields = columns_of(metrics)
+    return np.array_equal(log.user_codes()[0], users) and np.array_equal(fold.rho, fields[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +58,7 @@ def test_empty_log_has_no_snapshots_and_an_empty_fold():
     assert list(snapshot_series(log)) == []
     fold = daily_fold(log)
     assert (_gini_rows_of(fold), _stability_rows_of(fold)) == ([], [])
-    assert _same_metrics(fold.metrics, {})
+    assert _same_rho(fold, log, {})
     assert fold.entrants == {
         TrajectorySelection.TOP_ENTRANTS_POSITIVE: set(),
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: set(),
@@ -92,10 +94,10 @@ def test_every_query_returns_node_metrics_records(small_log):
         snapshots[-1].metrics,
     ):
         assert metrics and all(type(m) is NodeMetrics for m in metrics.values())
-    # the fold hands on its last day's counters as columns
-    fold_metrics = daily_fold(small_log).metrics
-    assert fold_metrics.fields.dtype == np.int64
-    assert _same_metrics(fold_metrics, node_metrics(small_log))
+    # the fold hands on its last day's reputations as int64 columns
+    fold = daily_fold(small_log)
+    assert fold.rho.dtype == np.int64
+    assert _same_rho(fold, small_log, node_metrics(small_log))
 
 
 def test_snapshots_match_truncated_aggregates():
@@ -441,7 +443,7 @@ def _assert_fold_matches_separate_passes(log: EventLog, k: int) -> None:
         TrajectorySelection.TOP_ENTRANTS_POSITIVE: top_entrants(log, "rho_plus", k),
         TrajectorySelection.TOP_ENTRANTS_NEGATIVE: top_entrants(log, "rho_minus", k),
     }
-    assert _same_metrics(fold.metrics, node_metrics(log))
+    assert _same_rho(fold, log, node_metrics(log))
 
 
 def _fold_examples(test):

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from wotnet import (
     EventLog,
     Layer,
     NodeMetrics,
+    SynthConfig,
     from_values,
     kendall_tau,
     local_clustering,
@@ -32,12 +34,14 @@ from wotnet import (
     reputation_by_indegree,
     reputation_distributions,
     split_layers,
+    synth_log,
     weight_distribution,
 )
 from wotnet.model import _as_columns
 from wotnet.static import (
     RANKING_KEYS,
     DegreeSpectrum,
+    Projection,
     _bucket_spectrum,
     _distinct,
     _double_edge_swaps,
@@ -604,18 +608,15 @@ def test_null_on_a_reciprocal_layer_keeps_the_empirical_degrees():
         assert (null.n_samples_per_bucket == 5).all()
 
 
-def _configuration_null_by_projection(projection, n_samples, seed, swaps_per_edge):
-    """`configuration_null` as it was before it passed each replica's edges
-    straight to `local_clustering`: each replica projected again (its keys
-    sorted, split with `divmod`, its degrees recounted) and its clustering
-    spectrum, stds included, taken per level; the oracle.  Returns the pooled
-    spectrum, the replicas' mean clustering and their swap counts."""
+def _measured_by_projection(projection, replicas):
+    """Each replica's edges projected again (keys sorted, split with `divmod`,
+    degrees recounted) and its clustering spectrum, stds included, taken per
+    level, as `configuration_null` measured replicas before it passed their
+    edges straight to `local_clustering`.  Returns the pooled spectrum and the
+    replicas' mean clustering."""
     n = len(projection.nodes)
-    spectra, sample_means, swaps_done = [], [], []
-    for stream in np.random.SeedSequence(seed).spawn(n_samples):
-        ends = projection.edges.copy()
-        proposals = swaps_per_edge * ends.shape[1]
-        swaps_done.append(_double_edge_swaps(ends, n, proposals, np.random.default_rng(stream)))
+    spectra, sample_means = [], []
+    for ends in replicas:
         edges = np.stack(np.divmod(np.unique(ends[0] * n + ends[1]), n))
         degree = np.bincount(edges.ravel(), minlength=n)
         clustering = local_clustering(edges, degree)
@@ -624,7 +625,45 @@ def _configuration_null_by_projection(projection, n_samples, seed, swaps_per_edg
     pooled = _bucket_spectrum_by_mask(
         np.concatenate([s.degree for s in spectra]), np.concatenate([s.mean_value for s in spectra])
     )
-    return pooled, sample_means, swaps_done
+    return pooled, sample_means
+
+
+def _configuration_null_by_projection(projection, n_samples, seed, swaps_per_edge):
+    """The null of independent chains, as `configuration_null` drew it before
+    its replicas came from one chain: each replica `swaps_per_edge` x |E|
+    proposals from the projection, on its own stream spawned from the seed,
+    and measured by `_measured_by_projection`; the reference the one chain is
+    tested against.  Returns the pooled spectrum, the replicas' mean
+    clustering and their swap counts."""
+    n, replicas, swaps_done = len(projection.nodes), [], []
+    for stream in np.random.SeedSequence(seed).spawn(n_samples):
+        ends = projection.edges.copy()
+        proposals = swaps_per_edge * ends.shape[1]
+        swaps_done.append(_double_edge_swaps(ends, n, proposals, np.random.default_rng(stream)))
+        replicas.append(ends)
+    return (*_measured_by_projection(projection, replicas), swaps_done)
+
+
+def _one_chain_null_by_projection(projection, n_samples, seed, swaps_per_edge):
+    """The oracle of `configuration_null`: one chain on the seed's first
+    spawned stream makes a burn-in of B = `swaps_per_edge` x m proposals from
+    the projection's m edges, then G = min(B, max(m, ceil(B m / A))) more
+    before each later replica, A the swaps the burn-in accepted (G = B when A
+    is 0); each replica is measured by `_measured_by_projection`.  Returns the
+    pooled spectrum, the replicas' mean clustering, the swaps accepted up to
+    each replica and G."""
+    n, m = len(projection.nodes), projection.edges.shape[1]
+    burn_in = swaps_per_edge * m
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    ends = projection.edges.copy()
+    swaps_done = [_double_edge_swaps(ends, n, burn_in, rng)]
+    accepted = swaps_done[0]
+    gap = min(burn_in, max(m, math.ceil(Fraction(burn_in * m, accepted)))) if accepted else burn_in
+    replicas = [ends.copy()]
+    for _ in range(n_samples - 1):
+        swaps_done.append(swaps_done[-1] + _double_edge_swaps(ends, n, gap, rng))
+        replicas.append(ends.copy())
+    return (*_measured_by_projection(projection, replicas), swaps_done, gap)
 
 
 @settings(max_examples=60, deadline=None)
@@ -637,7 +676,7 @@ def test_null_equals_the_reprojecting_oracle(log, n_samples, seed, swaps_per_edg
             continue
         projection = project(layer)
         null = configuration_null(projection, n_samples, seed, swaps_per_edge)
-        pooled, sample_means, swaps_done = _configuration_null_by_projection(
+        pooled, sample_means, swaps_done, gap = _one_chain_null_by_projection(
             projection, n_samples, seed, swaps_per_edge
         )
         got = (null.degree, null.null_mean, null.null_std, null.n_samples_per_bucket)
@@ -645,6 +684,7 @@ def test_null_equals_the_reprojecting_oracle(log, n_samples, seed, swaps_per_edg
             assert mine.dtype == oracle.dtype and mine.tobytes() == oracle.tobytes()
         assert null.sample_means == tuple(sample_means)
         assert null.swaps_done == tuple(swaps_done)
+        assert null.swaps_gap == gap
         means = np.array(sample_means)
         assert (null.null_mean_clustering, null.null_std_clustering) == (means.mean(), means.std())
 
@@ -653,10 +693,24 @@ def test_null_equals_the_reprojecting_oracle_on_a_reciprocal_layer():
     for layer in split_layers(reciprocal_log(n_users=80, n_pairs=300, seed=8)):
         projection = project(layer)
         null = configuration_null(projection, n_samples=3, seed=11)
-        pooled, sample_means, _ = _configuration_null_by_projection(projection, 3, 11, 10)
+        pooled, sample_means, _, _ = _one_chain_null_by_projection(projection, 3, 11, 10)
         assert null.null_mean.tobytes() == pooled.mean_value.tobytes()
         assert null.null_std.tobytes() == pooled.std_value.tobytes()
         assert null.sample_means == tuple(sample_means)
+
+
+@pytest.mark.parametrize("n_samples", [2, 20])
+def test_one_replica_is_the_first_replica_of_many(small_log, n_samples):
+    # the chain's first replica follows the burn-in from the projection, as the
+    # first of the independent replicas did
+    for layer in (*split_layers(small_log), *split_layers(reciprocal_log(n_users=80, n_pairs=300, seed=8))):
+        projection = project(layer)
+        for seed in (0, 7):
+            one = configuration_null(projection, 1, seed)
+            many = configuration_null(projection, n_samples, seed)
+            assert (one.sample_means[0], one.swaps_done[0]) == (many.sample_means[0], many.swaps_done[0])
+            independent = _configuration_null_by_projection(projection, 1, seed, 10)
+            assert (one.sample_means[0], one.swaps_done[0]) == (independent[1][0], independent[2][0])
 
 
 def _swap_round_by_sort(ends, keys, n, n_pairs, rng):
@@ -800,6 +854,64 @@ def test_rewiring_from_a_uniform_start_stays_uniform():
     assert sps.chisquare([visits[g] for g in graphs]).pvalue > 1e-3
 
 
+def test_thinned_replicas_visit_every_graph_uniformly():
+    # every replica of the production path, spaced by the gap its burn-in sets,
+    # recorded as `configuration_null` measures it
+    degrees = [3, 3, 2, 2, 1, 1]
+    n, graphs = len(degrees), _simple_graphs(degrees)
+    edges, degree = np.array(np.divmod(graphs[0], n)), np.array(degrees)
+    projection = Projection(np.arange(n), edges, degree, local_clustering(edges, degree))
+    visits = Counter()
+
+    def measured(ends, degree):
+        visits[tuple(sorted((ends[0] * n + ends[1]).tolist()))] += 1
+        return local_clustering(ends, degree)
+
+    with mock.patch("wotnet.static.local_clustering", measured):
+        for seed in range(150):
+            configuration_null(projection, n_samples=12, seed=seed)
+    assert set(visits) == set(graphs)
+    assert sps.chisquare([visits[g] for g in graphs]).pvalue > 1e-3
+
+
+def _ring_lattice(n, k):
+    """The projection of a ring of n nodes, each joined to the k nearest on
+    either side: clustering 3(k - 1) / (2(2k - 1)), far above its null's."""
+    raters = np.repeat(np.arange(n), k)
+    return undirected_projection(raters, (raters + np.tile(np.arange(1, k + 1), n)) % n)
+
+
+def _synthetic_layer(config, side):
+    layer = split_layers(synth_log(config))[side]
+    return undirected_projection(layer.raters, layer.ratees)
+
+
+# the shape of the eighth benchmark log: 738 users, 4,500 ratings, about 237 days
+EIGHTH = SynthConfig(n_users=738, n_events=4500, seed=1, score_distribution="skewed", t_span=20_500_000)
+# layers whose burn-ins accept 98% (eighth log, punitive), 5.8% (dense log,
+# rewarding: the gap is the whole burn-in) and 78% of the proposals from a
+# clustered start; the replicas per seed keep each check within a few seconds
+NULL_CHECKS = {
+    "eighth-punitive": (lambda: _synthetic_layer(EIGHTH, 1), 5),
+    "dense-rewarding": (lambda: _synthetic_layer(SynthConfig(n_users=25, n_events=400, seed=7), 0), 2),
+    "ring-lattice": (lambda: _ring_lattice(60, 2), 5),
+}
+
+
+@pytest.mark.parametrize("name", NULL_CHECKS)
+def test_one_chain_draws_the_null_of_independent_chains(name):
+    # 200 seeds of each; the one chain on seeds 0-199, the independent chains on
+    # 200-399, so that no replica of one is a replica of the other
+    build, n_samples = NULL_CHECKS[name]
+    projection = build()
+    thinned = [configuration_null(projection, n_samples, seed) for seed in range(200)]
+    thinned = np.array([(r.null_mean_clustering, r.null_std_clustering) for r in thinned])
+    independent = [_configuration_null_by_projection(projection, n_samples, seed, 10)[1] for seed in range(200, 400)]
+    independent = np.array([(np.mean(means), np.std(means)) for means in independent])
+    for statistic in range(2):  # the replicas' mean clustering, then its std
+        assert sps.ks_2samp(thinned[:, statistic], independent[:, statistic]).pvalue > 1e-3
+
+
 def test_null_deterministic_for_fixed_seed():
     projection = project(_layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]))
     a = configuration_null(projection, n_samples=1, seed=5)
@@ -821,10 +933,14 @@ def test_null_metadata_records_swap_budget():
     with mock.patch("wotnet.static._swap_round", wraps=_swap_round) as spy:
         result = configuration_null(projection, n_samples=2, seed=3, swaps_per_edge=10)
     assert result.swaps_target == 40
-    assert sum(call.args[3] for call in spy.call_args_list) == 2 * 40
+    # the burn-in, then the gap before the second replica
+    burn_in, gap = result.swaps_target, result.swaps_gap
+    assert sum(call.args[3] for call in spy.call_args_list) == burn_in + gap
     # only the swap of two opposite edges to the two diagonals is legal on a 4-cycle
-    assert all(0 < done < 40 for done in result.swaps_done)
-    assert all(type(done) is int for done in result.swaps_done)  # plain ints, as JSON takes them
+    first, second = result.swaps_done
+    assert 0 < first < burn_in and first <= second < burn_in + gap
+    assert gap == min(burn_in, max(4, math.ceil(burn_in * 4 / first)))
+    assert all(type(x) is int for x in (gap, *result.swaps_done))  # plain ints, as JSON takes them
     assert result.n_samples == 2
     assert result.seed == 3
 
