@@ -16,7 +16,6 @@ from .categories import (
     CategoryThresholds,
     categorize,
     category_summary,
-    negative_fraction,
     negative_fractions,
     reputation_vs_indegree_scatter,
 )
@@ -52,7 +51,6 @@ from .static import (
     kendall_tau,
     local_clustering,
     mean_clustering,
-    ranked_users,
     ranking_report,
     reputation_by_indegree,
     reputation_distributions,
@@ -106,10 +104,8 @@ __all__ = [
     "log_binned_ccdf",
     "mean_clustering",
     "metric_columns",
-    "negative_fraction",
     "negative_fractions",
     "node_metrics",
-    "ranked_users",
     "ranking_report",
     "reputation_by_indegree",
     "reputation_distributions",

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import MetricColumns, NodeMetrics, _as_columns
+from .model import MetricColumns
 
 
 class CategoryLabel(Enum):
@@ -24,11 +24,11 @@ class CategoryLabel(Enum):
     UNCATEGORIZED = "uncategorized"
 
 
-LABELED_CATEGORIES = (
-    CategoryLabel.TRUSTWORTHY,
-    CategoryLabel.UNTRUSTED,
-    CategoryLabel.CONTROVERSIAL,
-)
+# A label column holds each user's label as its int8 position in
+# `CategoryLabel`; `LABEL_TEXTS[labels]` are the labels' texts.
+LABEL_TEXTS = np.array([label._value_ for label in CategoryLabel])
+LABEL_TEXTS.setflags(write=False)
+LABELED_CATEGORIES = tuple(CategoryLabel)[:3]  # every label but the last, UNCATEGORIZED
 
 
 @dataclass(frozen=True)
@@ -45,49 +45,41 @@ class CategoryThresholds:
             raise ValueError(f"high must be in (0.5, 1), got {self.high}")
 
 
-def negative_fraction(m: NodeMetrics) -> float | None:
-    """rho- / (rho+ + rho-); None when the user has no received reputation."""
-    total = m.rho_plus + m.rho_minus
-    if total == 0:
-        return None
-    return m.rho_minus / total
-
-
 def negative_fractions(rho_plus: np.ndarray, rho_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`negative_fraction` of columns of received reputations: r, reading 0
-    where a user has none, and the mask of the users that have some."""
+    """The negative fraction r = rho- / (rho+ + rho-) of columns of received
+    reputations, reading 0 where a user has none, and the mask of the users
+    that have some."""
     total = rho_plus + rho_minus
     received = total > 0
     return np.divide(rho_minus, total, out=np.zeros(len(total)), where=received), received
 
 
-def categorize(
-    metrics: MetricColumns | Mapping[int, NodeMetrics],
-    thresholds: CategoryThresholds = CategoryThresholds(),
-) -> dict[int, CategoryLabel]:
-    """Label every user by their negative-reputation fraction r.
+def categorize(columns: MetricColumns, thresholds: CategoryThresholds = CategoryThresholds()) -> np.ndarray:
+    """The label column of the users of `columns`, by their negative-reputation fraction r.
 
     r < low: trustworthy; low <= r <= high: controversial; r > high:
     untrusted; no received reputation: uncategorized.  Comparisons are done
     in exact rational arithmetic, so labels are invariant under scaling all
     reputations by a common positive factor.
     """
-    # r < p / q exactly when rho- * q < p * (rho+ + rho-), on Python ints
+    trustworthy, untrusted, controversial, uncategorized = range(len(CategoryLabel))
+    # r < p / q exactly when rho- * q < p * (rho+ + rho-), on Python ints: a
+    # threshold's q can be near 2**54, and the products overflow int64
     low_p, low_q = thresholds.low.as_integer_ratio()
     high_p, high_q = thresholds.high.as_integer_ratio()
-    users, fields = _as_columns(metrics)
-    labels: dict[int, CategoryLabel] = {}
-    for user, rho_plus, rho_minus in zip(users.tolist(), *fields[4:].tolist()):
-        total = rho_plus + rho_minus
-        if total == 0:
-            labels[user] = CategoryLabel.UNCATEGORIZED
-        elif rho_minus * low_q < low_p * total:
-            labels[user] = CategoryLabel.TRUSTWORTHY
-        elif rho_minus * high_q > high_p * total:
-            labels[user] = CategoryLabel.UNTRUSTED
-        else:
-            labels[user] = CategoryLabel.CONTROVERSIAL
+    rho_plus, rho_minus = columns.fields[4:].astype(object)
+    total = rho_plus + rho_minus
+    labels = np.full(len(total), controversial, dtype=np.int8)
+    labels[rho_minus * high_q > high_p * total] = untrusted
+    labels[rho_minus * low_q < low_p * total] = trustworthy
+    labels[total == 0] = uncategorized
     return labels
+
+
+def _aligned(columns: MetricColumns, labels: np.ndarray) -> MetricColumns:
+    if len(labels) != len(columns.users):
+        raise ValueError(f"labels must hold one label per user: {len(labels)} for {len(columns.users)} users")
+    return columns
 
 
 QUANTITIES = ("rho", "activity_plus", "activity_minus", "activity_total")
@@ -106,21 +98,18 @@ class CategorySummary(NamedTuple):
     quantiles: np.ndarray
 
 
-def category_summary(
-    metrics: MetricColumns | Mapping[int, NodeMetrics], labels: Mapping[int, CategoryLabel]
-) -> CategorySummary:
-    """Reputation and activity summaries for the three labeled categories.
+def category_summary(columns: MetricColumns, labels: np.ndarray) -> CategorySummary:
+    """Reputation and activity summaries for the three labeled categories of
+    the label column `labels` of `columns`' users.
 
     Empty categories are emitted with zero counts and NaN quantiles.
     """
-    users, (_, _, k_out_plus, k_out_minus, rho_plus, rho_minus) = _as_columns(metrics)
+    _, (_, _, k_out_plus, k_out_minus, rho_plus, rho_minus) = _aligned(columns, labels)
     values = np.stack((rho_plus - rho_minus, k_out_plus, k_out_minus, k_out_plus + k_out_minus)).astype(float)
-    index = {category: i for i, category in enumerate(LABELED_CATEGORIES)}
-    of = np.array([index.get(labels.get(user), -1) for user in users.tolist()], dtype=np.int64)
-    counts = np.bincount(of[of >= 0], minlength=len(LABELED_CATEGORIES))
+    counts = np.bincount(labels, minlength=len(CategoryLabel))[: len(LABELED_CATEGORIES)]
     quantiles = np.full((len(LABELED_CATEGORIES), len(QUANTITIES), 5), np.nan)
     for i in np.flatnonzero(counts):
-        quantiles[i] = np.percentile(values[:, of == i], (0, 25, 50, 75, 100), axis=1).T
+        quantiles[i] = np.percentile(values[:, labels == i], (0, 25, 50, 75, 100), axis=1).T
     return CategorySummary(
         [category for category in LABELED_CATEGORIES for _ in QUANTITIES],
         list(QUANTITIES) * len(LABELED_CATEGORIES),
@@ -138,24 +127,17 @@ LIMIT_SLOPES = (10, 1, -10)
 @dataclass(frozen=True, eq=False)
 class ScatterResult:
     """Per-user columns in ascending user order: aggregate in-degree, global
-    reputation and category label."""
+    reputation and the label column."""
 
     users: np.ndarray
     k_in_total: np.ndarray
     rho: np.ndarray
-    labels: tuple[CategoryLabel, ...]
+    labels: np.ndarray
     limit_slopes: tuple[int, ...] = LIMIT_SLOPES
 
 
-def reputation_vs_indegree_scatter(
-    metrics: MetricColumns | Mapping[int, NodeMetrics], labels: Mapping[int, CategoryLabel]
-) -> ScatterResult:
-    """Per-user (aggregate in-degree, global reputation) points with category
-    labels; reference slopes mark the +10/+1/-10-per-rating growth limits."""
-    users, (k_in_plus, k_in_minus, _, _, rho_plus, rho_minus) = _as_columns(metrics)
-    return ScatterResult(
-        users=users,
-        k_in_total=k_in_plus + k_in_minus,
-        rho=rho_plus - rho_minus,
-        labels=tuple(labels.get(u, CategoryLabel.UNCATEGORIZED) for u in users.tolist()),
-    )
+def reputation_vs_indegree_scatter(columns: MetricColumns, labels: np.ndarray) -> ScatterResult:
+    """Per-user (aggregate in-degree, global reputation) points with the label
+    column `labels`; reference slopes mark the +10/+1/-10-per-rating growth limits."""
+    users, (k_in_plus, k_in_minus, _, _, rho_plus, rho_minus) = _aligned(columns, labels)
+    return ScatterResult(users=users, k_in_total=k_in_plus + k_in_minus, rho=rho_plus - rho_minus, labels=labels)

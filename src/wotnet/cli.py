@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .categories import (
+    LABEL_TEXTS,
     CategoryLabel,
     CategoryThresholds,
     categorize,
@@ -386,7 +387,7 @@ class RunContext:
         return metric_columns(self.log)
 
     @cached_property
-    def labels(self) -> dict[int, CategoryLabel]:
+    def labels(self) -> np.ndarray:
         return categorize(self.columns, CategoryThresholds(*self.config["thresholds"]))
 
     @cached_property
@@ -550,9 +551,8 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
-    # the scatter's columns are in the ascending user order of `ctx.columns`
     scatter = reputation_vs_indegree_scatter(ctx.columns, ctx.labels)
-    label_texts = [label._value_ for label in scatter.labels]
+    label_texts = LABEL_TEXTS[scatter.labels]
     rho_plus, rho_minus = ctx.columns.fields[4:]
     # the negative fraction r, empty for a user with no received reputation
     r, received = negative_fractions(rho_plus, rho_minus)
@@ -661,11 +661,11 @@ def _write_dynamics(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
-    runs = _ratee_runs(ctx.log)  # sorted once for every selection
+    runs = _ratee_runs(ctx.log, ctx.labels)  # sorted once for every selection
     for selection in ctx.selections:
         # None follows every rated user
         users = None if selection is TrajectorySelection.BY_CATEGORY else ctx.fold.entrants[selection]
-        t = _chosen(runs, users, ctx.labels)
+        t = _chosen(runs, users)
         starts = np.cumsum(t.counts) - t.counts
         writer.write_csv(
             f"trajectories_{selection.value.replace('-', '_')}.csv",
@@ -674,7 +674,7 @@ def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
                 np.repeat(t.users, t.counts),
                 np.arange(1, len(t.rho) + 1) - np.repeat(starts, t.counts),
                 t.rho,
-                np.repeat(np.array([label._value_ for label in t.categories], dtype=str), t.counts),
+                np.repeat(LABEL_TEXTS[t.categories], t.counts),
             ],
         )
 

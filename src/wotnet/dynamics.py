@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .categories import CategoryLabel, CategoryThresholds, categorize
+from .categories import CategoryThresholds, categorize
 from .model import EventLog, metric_columns
 from .static import _distinct, _run_starts
 from .temporal import SECONDS_PER_DAY, _days
@@ -76,12 +76,12 @@ class TrajectorySelection(Enum):
 
 
 class Trajectories(NamedTuple):
-    """Reputation trajectories as columns: the followed `users`, ascending,
-    their `categories` and the `counts` of ratings each received; `rho` holds
+    """Reputation trajectories as columns: the followed `users`, ascending, their
+    label column `categories` and the `counts` of ratings each received; `rho` holds
     each user's reputation after each of them, in event order, run after run."""
 
     users: np.ndarray
-    categories: tuple[CategoryLabel, ...]
+    categories: np.ndarray
     counts: np.ndarray
     rho: np.ndarray
 
@@ -148,6 +148,7 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
     first_day = int(days[0]) if len(days) else 0
     days -= first_day
     n_days = int(days[-1]) + 1 if len(days) else 0
+    calendar = _days(first_day, n_days)  # raises before any folding on a log past the calendar
     layer = log.scores < 0  # each event's side: 0 plus, 1 minus
     gained = np.abs(log.scores)
     gini, gini_measured = np.zeros((2, n_days)), np.zeros((2, n_days), dtype=bool)
@@ -175,7 +176,6 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
         pending = [lists[:, -1:]]
 
     entrants = (TrajectorySelection.TOP_ENTRANTS_POSITIVE, TrajectorySelection.TOP_ENTRANTS_NEGATIVE)
-    calendar = _days(first_day, n_days)
     stability, stability_measured, truncated = (np.concatenate(m, axis=-1) for m in zip(*measures))
     on = gini_measured.any(axis=0)
     return DailyFold(
@@ -330,32 +330,32 @@ def _stability_rows(before: np.ndarray, after: np.ndarray, n: int, k: int) -> tu
     return np.concatenate((extended, overlap)).reshape(2 * sides, pairs), measured, truncated
 
 
-def _ratee_runs(log: EventLog) -> tuple[np.ndarray, ...]:
-    """The rated users in ascending id order, and the start, length and running reputation of their runs."""
-    order, starts, counts, running = _running_sums(log.ratees, log.scores)
-    return log.ratees[order[starts]], starts, counts, running
+def _ratee_runs(log: EventLog, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rated users in ascending id order, their `labels` and the start, length and running rho of their runs."""
+    user_ids, (_, ratees) = log.user_codes()
+    if len(labels) != len(user_ids):
+        raise ValueError(f"labels must hold one label per user: {len(labels)} for the log's {len(user_ids)} users")
+    order, starts, counts, running = _running_sums(ratees, log.scores)
+    rated = ratees[order[starts]]  # codes follow id order
+    return user_ids[rated], labels[rated], starts, counts, running
 
 
-def _chosen(
-    runs: tuple[np.ndarray, ...], users: Iterable[int] | None, labels: Mapping[int, CategoryLabel]
-) -> Trajectories:
+def _chosen(runs: tuple[np.ndarray, ...], users: Iterable[int] | None) -> Trajectories:
     """What `follow` returns, from the `_ratee_runs` of the log."""
-    ids, starts, counts, running = runs
+    ids, labels, starts, counts, running = runs
     if users is not None:
         chosen = _distinct(np.fromiter(users, dtype=np.int64))
         pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
-        ids, starts, counts = ids[pick], starts[pick], counts[pick]
+        ids, labels, starts, counts = ids[pick], labels[pick], starts[pick], counts[pick]
         # each chosen run, moved up behind the runs before it
         running = running[np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
-    return Trajectories(ids, tuple(map(labels.__getitem__, ids.tolist())), counts, running)
+    return Trajectories(ids, labels, counts, running)
 
 
-def follow(
-    log: EventLog, users: Iterable[int] | None, labels: Mapping[int, CategoryLabel]
-) -> Trajectories:
-    """Trajectories of `users` (every rated user when None) that received
-    at least one rating, in ascending id order, labelled from `labels`."""
-    return _chosen(_ratee_runs(log), users, labels)
+def follow(log: EventLog, users: Iterable[int] | None, labels: np.ndarray) -> Trajectories:
+    """Trajectories of `users` (every rated user when None) that received at least one rating,
+    in ascending id order, labelled from `labels`, the label column of `log.user_codes()[0]`."""
+    return _chosen(_ratee_runs(log, labels), users)
 
 
 def trajectories(

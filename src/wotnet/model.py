@@ -16,9 +16,8 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -393,18 +392,6 @@ def metric_columns(log: EventLog, cutoff: int | None = None) -> MetricColumns:
     _fold(state, *sub._codes, sub.scores)
     seen = state[:4].any(axis=0)
     return MetricColumns(sub._universe[seen], state[:, seen])
-
-
-def _as_columns(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> MetricColumns:
-    """The columns of a metrics mapping, in ascending user order; columns are
-    returned as they are."""
-    if isinstance(metrics, MetricColumns):
-        return metrics
-    n, width = len(metrics), len(NodeMetrics._fields)
-    users = np.fromiter(metrics, dtype=np.int64, count=n)
-    fields = np.fromiter(chain.from_iterable(metrics.values()), dtype=np.int64, count=n * width)
-    order = np.argsort(users, kind="stable")
-    return MetricColumns(users[order], fields.reshape(n, width)[order].T)
 
 
 # a record from the tuple of its six fields, by `tuple.__new__` itself: no

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import Distribution, from_values
-from .model import EventLog, Layer, MetricColumns, NodeMetrics, _as_columns
+from .model import EventLog, Layer, MetricColumns
 
 RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
 # ratio between consecutive bin edges of `log_binned_means`
@@ -328,23 +328,20 @@ def weight_distribution(layer: EventLog) -> Distribution:
     return from_values(np.abs(layer.scores))
 
 
-def _nonempty(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> MetricColumns:
-    columns = _as_columns(metrics)
+def _nonempty(columns: MetricColumns) -> MetricColumns:
     if columns.users.size == 0:
-        raise ValueError("empty metrics map")
+        raise ValueError("empty metric columns")
     return columns
 
 
-def reputation_distributions(
-    metrics: Mapping[int, NodeMetrics] | MetricColumns,
-) -> tuple[Distribution, Distribution, Distribution]:
+def reputation_distributions(columns: MetricColumns) -> tuple[Distribution, Distribution, Distribution]:
     """Distributions of positive, negative and global reputation.
 
     Positive/negative distributions cover only the users with a non-zero
     value on that side (a user never rated on a layer carries no mass
     there); the global distribution covers every user, signed support.
     """
-    rho_plus, rho_minus = _nonempty(metrics).fields[4:]
+    rho_plus, rho_minus = _nonempty(columns).fields[4:]
     rho = rho_plus - rho_minus
     return from_values(rho_plus[rho_plus > 0]), from_values(rho_minus[rho_minus > 0]), from_values(rho)
 
@@ -416,17 +413,12 @@ def _discordant_pairs(ranks: np.ndarray) -> int:
     return discordant
 
 
-def ranked_users(values: Mapping[int, float]) -> list[int]:
-    """Users by descending value; ties broken by ascending user id."""
-    return sorted(values, key=lambda u: (-values[u], u))
-
-
 @dataclass(frozen=True, eq=False)
 class RankingReport:
-    """Rankings of users by each attribute plus their pairwise correlations."""
+    """Pairwise rank correlations of the users' attributes, and the users
+    ranked by one of them."""
 
     keys: tuple[str, ...]
-    table: dict[str, list[int]]
     tau_matrix: np.ndarray
     # n x 7 int64, by rewarding in-degree rank: the columns are rank, user,
     # k_in_plus, k_in_minus, k_out_plus, k_out_minus and rho
@@ -436,15 +428,12 @@ class RankingReport:
         return float(self.tau_matrix[self.keys.index(key_a), self.keys.index(key_b)])
 
 
-def ranking_report(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> RankingReport:
-    """Per-attribute rankings, the 5x5 tau-b matrix, and the attribute table
-    sorted by the rewarding in-degree ranking."""
-    users, fields = _nonempty(metrics)
+def ranking_report(columns: MetricColumns) -> RankingReport:
+    """The 5x5 tau-b matrix of the attributes, and the attribute table sorted
+    by the rewarding in-degree ranking."""
+    users, fields = _nonempty(columns)
     # one row per RANKING_KEYS entry: the four degrees, then rho
     attributes = np.vstack((fields[:4], fields[4] - fields[5]))
-    # each ranking is `ranked_users` of its row: descending, ties by ascending id
-    orders = [np.lexsort((users, -attribute)) for attribute in attributes]
-    table = {key: users[order].tolist() for key, order in zip(RANKING_KEYS, orders)}
     # each attribute ranked once, for its four pairs
     ranks = [_ties(attribute) for attribute in attributes]
     n = len(RANKING_KEYS)
@@ -452,16 +441,15 @@ def ranking_report(metrics: Mapping[int, NodeMetrics] | MetricColumns) -> Rankin
     for i in range(n):
         for j in range(i + 1, n):
             tau[i, j] = tau[j, i] = _tau_b_of_ranks(ranks[i], ranks[j])
-    by_inplus = orders[0]
+    # descending rewarding in-degree, ties by ascending id
+    by_inplus = np.lexsort((users, -attributes[0]))
     rows = np.column_stack((np.arange(1, len(users) + 1), users[by_inplus], attributes[:, by_inplus].T))
-    return RankingReport(keys=RANKING_KEYS, table=table, tau_matrix=tau, by_inplus_rank=rows)
+    return RankingReport(keys=RANKING_KEYS, tau_matrix=tau, by_inplus_rank=rows)
 
 
-def reputation_by_indegree(
-    metrics: Mapping[int, NodeMetrics] | MetricColumns, layer: Layer
-) -> DegreeSpectrum:
+def reputation_by_indegree(columns: MetricColumns, layer: Layer) -> DegreeSpectrum:
     """Mean/std of global reputation per in-degree level of one layer."""
-    fields = _nonempty(metrics).fields
+    fields = _nonempty(columns).fields
     return _bucket_spectrum(fields[0 if layer is Layer.REWARDING else 1], fields[4] - fields[5])
 
 

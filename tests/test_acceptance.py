@@ -38,6 +38,7 @@ from wotnet import (
     ingest,
     kendall_tau,
     mean_clustering,
+    metric_columns,
     node_metrics,
     ranking_report,
     split_layers,
@@ -92,7 +93,7 @@ def _layers():
 
 @lru_cache(maxsize=None)
 def _metrics():
-    return node_metrics(_ingested()[0])
+    return metric_columns(_ingested()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +226,8 @@ def test_c7_rank_correlations():
 
 def test_c8_categories():
     _dataset_or_skip("C8", "categories")
-    metrics = _metrics()
-    labels = categorize(metrics)
-    stats = category_summary(metrics, labels)
+    columns = _metrics()
+    stats = category_summary(columns, categorize(columns))
     tw, un, co = (
         {q: summary_row(stats, category, q) for q in ("rho", "activity_total")}
         for category in (CategoryLabel.TRUSTWORTHY, CategoryLabel.UNTRUSTED, CategoryLabel.CONTROVERSIAL)

@@ -7,19 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import summary_row
+from daily_reference import columns_of
 from wotnet import (
     CategoryLabel,
     CategoryThresholds,
+    MetricColumns,
     NodeMetrics,
     category_summary,
     categorize,
     metric_columns,
-    negative_fraction,
     negative_fractions,
     node_metrics,
     reputation_vs_indegree_scatter,
 )
-from wotnet.categories import LABELED_CATEGORIES
+from wotnet.categories import LABEL_TEXTS, LABELED_CATEGORIES
+
+LABELS = tuple(CategoryLabel)  # a label column holds positions in this tuple
 
 
 def _received(rho_plus: int, rho_minus: int) -> NodeMetrics:
@@ -28,6 +31,24 @@ def _received(rho_plus: int, rho_minus: int) -> NodeMetrics:
     k_in_plus = max(1, math.ceil(rho_plus / 10)) if rho_plus else 0
     k_in_minus = max(1, math.ceil(rho_minus / 10)) if rho_minus else 0
     return NodeMetrics(k_in_plus, k_in_minus, 0, 0, rho_plus, rho_minus)
+
+
+def _columns(metrics) -> MetricColumns:
+    return MetricColumns(*columns_of(metrics))
+
+
+def _labels(metrics, thresholds=CategoryThresholds()) -> list[CategoryLabel]:
+    """The labels of a metrics mapping's users, in ascending id order."""
+    return [LABELS[code] for code in categorize(_columns(metrics), thresholds)]
+
+
+def negative_fraction(m: NodeMetrics) -> float | None:
+    """rho- / (rho+ + rho-) of one user, None when the user has no received
+    reputation: the per-user oracle of `negative_fractions`."""
+    total = m.rho_plus + m.rho_minus
+    if total == 0:
+        return None
+    return m.rho_minus / total
 
 
 # ---------------------------------------------------------------------------
@@ -44,27 +65,23 @@ def _received(rho_plus: int, rho_minus: int) -> NodeMetrics:
     ],
 )
 def test_labeling_rule_examples(rho_plus, rho_minus, expected):
-    labels = categorize({1: _received(rho_plus, rho_minus)})
-    assert labels[1] is expected
+    assert _labels({1: _received(rho_plus, rho_minus)}) == [expected]
 
 
 def test_threshold_boundaries_are_inclusive_for_controversial():
     # r exactly 0.25 and exactly 0.75 both land in the middle band
-    labels = categorize({1: _received(3, 1), 2: _received(1, 3)})
-    assert labels[1] is CategoryLabel.CONTROVERSIAL
-    assert labels[2] is CategoryLabel.CONTROVERSIAL
+    labels = _labels({1: _received(3, 1), 2: _received(1, 3)})
+    assert labels == [CategoryLabel.CONTROVERSIAL, CategoryLabel.CONTROVERSIAL]
 
 
 def test_just_inside_outer_bands():
-    labels = categorize({1: _received(31, 10), 2: _received(10, 31)})
-    assert labels[1] is CategoryLabel.TRUSTWORTHY
-    assert labels[2] is CategoryLabel.UNTRUSTED
+    labels = _labels({1: _received(31, 10), 2: _received(10, 31)})
+    assert labels == [CategoryLabel.TRUSTWORTHY, CategoryLabel.UNTRUSTED]
 
 
 def test_custom_thresholds_move_the_bands():
     strict = CategoryThresholds(low=0.05, high=0.95)
-    labels = categorize({1: _received(9, 1)}, strict)
-    assert labels[1] is CategoryLabel.CONTROVERSIAL  # r=0.1 >= 0.05
+    assert _labels({1: _received(9, 1)}, strict) == [CategoryLabel.CONTROVERSIAL]  # r=0.1 >= 0.05
 
 
 @pytest.mark.parametrize("low,high", [(0.0, 0.75), (0.5, 0.75), (0.25, 0.5), (0.25, 1.0)])
@@ -74,9 +91,9 @@ def test_threshold_validation(low, high):
 
 
 def test_negative_fraction_values():
-    assert negative_fraction(_received(3, 1)) == pytest.approx(0.25)
-    assert negative_fraction(_received(0, 0)) is None
-    assert negative_fraction(_received(0, 7)) == 1.0
+    r, received = negative_fractions(np.array([3, 0, 0]), np.array([1, 0, 7]))
+    assert r.tolist() == [0.25, 0.0, 1.0]
+    assert received.tolist() == [True, False, True]
 
 
 @given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)) | st.just((0, 0)), max_size=8))
@@ -96,33 +113,36 @@ def test_negative_fractions_match_the_per_user_fraction(reputations):
 )
 @settings(max_examples=200, deadline=None)
 def test_labels_invariant_under_common_scaling(rho_plus, rho_minus, scale):
-    base = categorize({1: _received(rho_plus, rho_minus)})[1]
-    scaled = categorize({1: _received(rho_plus * scale, rho_minus * scale)})[1]
-    assert base is scaled
+    base = _labels({1: _received(rho_plus, rho_minus)})
+    scaled = _labels({1: _received(rho_plus * scale, rho_minus * scale)})
+    assert base == scaled
 
 
 @given(st.integers(0, 500), st.integers(0, 500))
 @settings(max_examples=200, deadline=None)
 def test_every_user_gets_exactly_one_label(rho_plus, rho_minus):
-    labels = categorize({1: _received(rho_plus, rho_minus)})
-    assert labels[1] in CategoryLabel
+    (label,) = _labels({1: _received(rho_plus, rho_minus)})
+    assert label in CategoryLabel
     if rho_plus + rho_minus == 0:
-        assert labels[1] is CategoryLabel.UNCATEGORIZED
+        assert label is CategoryLabel.UNCATEGORIZED
     else:
-        assert labels[1] is not CategoryLabel.UNCATEGORIZED
+        assert label is not CategoryLabel.UNCATEGORIZED
 
 
 def test_labels_cover_all_users(small_log):
-    metrics = node_metrics(small_log)
-    labels = categorize(metrics)
-    assert set(labels) == set(metrics)
+    # one int8 label per user of the columns, which are the log's users
+    columns = metric_columns(small_log)
+    labels = categorize(columns)
+    assert labels.dtype == np.int8 and labels.shape == columns.users.shape
+    np.testing.assert_array_equal(columns.users, small_log.user_codes()[0])
+    assert set(labels.tolist()) <= set(range(len(LABELS)))
+    assert LABEL_TEXTS[labels].tolist() == [LABELS[code].value for code in labels]
 
 
 def test_boundary_ratio_exact_at_large_magnitudes():
     # r stays exactly 1/4 regardless of magnitude, landing in the middle band
     big = 10**14
-    labels = categorize({1: _received(3 * big, big)})
-    assert labels[1] is CategoryLabel.CONTROVERSIAL
+    assert _labels({1: _received(3 * big, big)}) == [CategoryLabel.CONTROVERSIAL]
 
 
 def _categorize_by_fraction(metrics, thresholds):
@@ -157,7 +177,21 @@ _reputations = st.one_of(st.integers(0, 1000), st.integers(2**62 - 1000, 2**62 +
 def test_labels_match_the_fraction_oracle(reputations, bounds):
     metrics = {user: _received(*pair) for user, pair in enumerate(reputations)}
     thresholds = CategoryThresholds(*bounds)
-    assert categorize(metrics, thresholds) == _categorize_by_fraction(metrics, thresholds)
+    expected = _categorize_by_fraction(metrics, thresholds)
+    labels = categorize(_columns(metrics), thresholds)
+    assert labels.tolist() == [LABELS.index(expected[user]) for user in sorted(metrics)]
+
+
+def test_label_columns_of_another_length_are_rejected(small_log):
+    # a label column is read by position, so one of another length would
+    # label the wrong users
+    columns = metric_columns(small_log)
+    labels = categorize(columns)
+    for wrong in (labels[:-1], np.append(labels, labels[:1])):
+        with pytest.raises(ValueError, match="one label per user"):
+            category_summary(columns, wrong)
+        with pytest.raises(ValueError, match="one label per user"):
+            reputation_vs_indegree_scatter(columns, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +206,8 @@ def test_category_summary_counts_and_quantiles():
         4: _received(10, 10),
         5: _received(0, 0),
     }
-    stats = category_summary(metrics, categorize(metrics))
+    columns = _columns(metrics)
+    stats = category_summary(columns, categorize(columns))
     assert set(stats.category) == set(LABELED_CATEGORIES)
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "rho").count == 2
     assert summary_row(stats, CategoryLabel.UNTRUSTED, "rho").count == 1
@@ -183,8 +218,8 @@ def test_category_summary_counts_and_quantiles():
 
 
 def test_category_summary_empty_category_is_nan():
-    metrics = {1: _received(100, 2)}
-    stats = category_summary(metrics, categorize(metrics))
+    columns = _columns({1: _received(100, 2)})
+    stats = category_summary(columns, categorize(columns))
     assert summary_row(stats, CategoryLabel.UNTRUSTED, "rho").count == 0
     assert math.isnan(summary_row(stats, CategoryLabel.UNTRUSTED, "rho").median)
     assert math.isnan(summary_row(stats, CategoryLabel.UNTRUSTED, "activity_total").q3)
@@ -195,7 +230,8 @@ def test_category_summary_tracks_out_activity():
         1: NodeMetrics(1, 0, 4, 3, 10, 0),
         2: NodeMetrics(0, 1, 0, 0, 0, 5),
     }
-    stats = category_summary(metrics, categorize(metrics))
+    columns = _columns(metrics)
+    stats = category_summary(columns, categorize(columns))
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_plus").median == 4.0
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_minus").median == 3.0
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_total").median == 7.0
@@ -204,10 +240,9 @@ def test_category_summary_tracks_out_activity():
 
 def test_category_summary_of_columns_matches_the_per_user_records(small_log):
     metrics, columns = node_metrics(small_log), metric_columns(small_log)
-    labels = categorize(metrics)
-    assert categorize(columns) == labels
+    labels = categorize(columns)
     stats = category_summary(columns, labels)
-    np.testing.assert_array_equal(category_summary(metrics, labels).quantiles, stats.quantiles)
+    label_of = dict(zip(columns.users.tolist(), (LABELS[code] for code in labels)))
     quantities = {
         "rho": lambda m: m.rho,
         "activity_plus": lambda m: m.k_out_plus,
@@ -215,7 +250,7 @@ def test_category_summary_of_columns_matches_the_per_user_records(small_log):
         "activity_total": lambda m: m.k_out_plus + m.k_out_minus,
     }
     for category in LABELED_CATEGORIES:
-        ms = [metrics[u] for u in sorted(metrics) if labels[u] is category]
+        ms = [metrics[u] for u in sorted(metrics) if label_of[u] is category]
         for quantity, value in quantities.items():
             values = np.array([value(m) for m in ms], dtype=float)
             row = summary_row(stats, category, quantity)
@@ -234,7 +269,8 @@ def test_scatter_points_and_limit_slopes():
         2: NodeMetrics(0, 4, 0, 0, 0, 40),  # 4 maximal negative ratings
         3: NodeMetrics(2, 0, 0, 0, 2, 0),  # 2 minimal positive ratings
     }
-    result = reputation_vs_indegree_scatter(metrics, categorize(metrics))
+    columns = _columns(metrics)
+    result = reputation_vs_indegree_scatter(columns, categorize(columns))
     assert result.users.tolist() == [1, 2, 3]
     assert result.k_in_total.tolist() == [3, 4, 2]
     assert result.rho.tolist() == [30, -40, 2]
@@ -246,11 +282,11 @@ def test_scatter_points_and_limit_slopes():
 
 
 def test_scatter_labels_follow_categorization(small_log):
-    metrics = node_metrics(small_log)
-    labels = categorize(metrics)
-    result = reputation_vs_indegree_scatter(metrics, labels)
+    metrics, columns = node_metrics(small_log), metric_columns(small_log)
+    result = reputation_vs_indegree_scatter(columns, categorize(columns))
     assert result.users.tolist() == sorted(metrics)
-    assert result.labels == tuple(labels[u] for u in sorted(metrics))
+    expected = _categorize_by_fraction(metrics, CategoryThresholds())
+    assert [LABELS[code] for code in result.labels] == [expected[u] for u in sorted(metrics)]
     assert result.k_in_total.tolist() == [m.k_in_plus + m.k_in_minus for _, m in sorted(metrics.items())]
     assert result.rho.tolist() == [m.rho for _, m in sorted(metrics.items())]
     assert (-10 * result.k_in_total <= result.rho).all() and (result.rho <= 10 * result.k_in_total).all()

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import hashlib
 import json
@@ -749,6 +750,7 @@ _TEXTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_character
 _INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0, -1])
 
 
+@functools.cache  # built once for each of the seven row counts
 def _column_strategies(n):
     """(column as a stage or a caller hands it to the writer, its cells as
     the reference reads them) of n rows."""

@@ -20,6 +20,7 @@ from wotnet import (
     extended_jaccard,
     follow,
     gini,
+    metric_columns,
     node_metrics,
     trajectories,
     write_log_csv,
@@ -596,7 +597,14 @@ def _records(trajs):
     assert len(trajs.users) == len(trajs.categories) == len(trajs.counts)
     assert trajs.counts.sum() == len(trajs.rho)
     runs = np.split(trajs.rho, np.cumsum(trajs.counts)[:-1])
-    return [(u, tuple(run.tolist()), c) for u, run, c in zip(trajs.users.tolist(), runs, trajs.categories)]
+    labels = [tuple(CategoryLabel)[code] for code in trajs.categories]
+    return [(u, tuple(run.tolist()), c) for u, run, c in zip(trajs.users.tolist(), runs, labels)]
+
+
+def _labels(log):
+    """The label column of the log's users, and each user's label by id."""
+    labels = categorize(metric_columns(log))
+    return labels, dict(zip(log.user_codes()[0].tolist(), (tuple(CategoryLabel)[code] for code in labels)))
 
 
 def test_trajectory_accumulates_incoming_scores():
@@ -633,7 +641,8 @@ def test_trajectories_by_category_cover_all_rated_users(small_log):
 
 
 def _follow_by_event_loop(log, users, labels):
-    """`follow` as a per-event loop over running per-ratee sums."""
+    """`follow` as a per-event loop over running per-ratee sums, labelled
+    from the mapping `labels` of user ids."""
     values: dict[int, list[int]] = {}
     running: dict[int, int] = {}
     for ratee, score in zip(log.ratees.tolist(), log.scores.tolist()):
@@ -651,20 +660,27 @@ def _follow_by_event_loop(log, users, labels):
 )
 @settings(max_examples=150, deadline=None)
 def test_follow_matches_event_loop(log, subset):
-    labels = categorize(node_metrics(log))
+    labels, label_of = _labels(log)
     for users in (None, set(), subset):
-        assert _records(follow(log, users, labels)) == _follow_by_event_loop(log, users, labels)
+        assert _records(follow(log, users, labels)) == _follow_by_event_loop(log, users, label_of)
 
 
 def test_follow_gives_repeated_ids_the_result_of_distinct_ids(small_log):
     log = EventLog([(1, 2, 5, 0), (1, 3, -2, 10), (4, 2, 1, 20), (2, 3, 4, 30)])
-    labels = categorize(node_metrics(log))
+    labels, label_of = _labels(log)
     assert _records(follow(log, [2, 2, 3], labels)) == _records(follow(log, [2, 3], labels))
-    assert _records(follow(log, [3, 2, 3, 2], labels)) == [(2, (5, 6), labels[2]), (3, (-2, 2), labels[3])]
-    labels = categorize(node_metrics(small_log))
+    assert _records(follow(log, [3, 2, 3, 2], labels)) == [(2, (5, 6), label_of[2]), (3, (-2, 2), label_of[3])]
+    labels, _ = _labels(small_log)
     rated = sorted(set(small_log.ratees.tolist()))[:6]
     repeated = [*rated, *rated[::2], rated[-1], -1]  # and an id absent from the log
     assert _records(follow(small_log, repeated, labels)) == _records(follow(small_log, set(rated), labels))
+
+
+def test_follow_rejects_a_label_column_of_another_length(small_log):
+    labels, _ = _labels(small_log)
+    for wrong in (labels[:-1], np.append(labels, labels[:1])):
+        with pytest.raises(ValueError, match="one label per user"):
+            follow(small_log, None, wrong)
 
 
 def test_top_entrants_selection_subsets_by_category(small_log):
@@ -686,6 +702,6 @@ def test_trajectories_empty_log():
 
 
 def test_trajectory_categories_match_final_state(small_log):
-    labels = categorize(node_metrics(small_log))
+    _, label_of = _labels(small_log)
     for user, _, category in _records(trajectories(small_log, TrajectorySelection.BY_CATEGORY)):
-        assert category is labels[user]
+        assert category is label_of[user]

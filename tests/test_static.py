@@ -18,9 +18,11 @@ from conftest import (
     project,
     reciprocal_log,
 )
+from daily_reference import columns_of
 from wotnet import (
     EventLog,
     Layer,
+    MetricColumns,
     NodeMetrics,
     SynthConfig,
     from_values,
@@ -28,8 +30,7 @@ from wotnet import (
     local_clustering,
     log_binned_ccdf,
     mean_clustering,
-    node_metrics,
-    ranked_users,
+    metric_columns,
     ranking_report,
     reputation_by_indegree,
     reputation_distributions,
@@ -37,7 +38,6 @@ from wotnet import (
     synth_log,
     weight_distribution,
 )
-from wotnet.model import _as_columns
 from wotnet.static import (
     RANKING_KEYS,
     DegreeSpectrum,
@@ -53,6 +53,10 @@ from wotnet.static import (
     spectrum_trend,
     undirected_projection,
 )
+
+
+def _columns(metrics) -> MetricColumns:
+    return MetricColumns(*columns_of(metrics))
 
 
 def _layer_from_edges(edges, scores=None) -> EventLog:
@@ -98,7 +102,7 @@ def test_reputation_distribution_small_case():
         3: NodeMetrics(1, 0, 0, 0, 2, 0),
         4: NodeMetrics(0, 1, 0, 0, 0, 3),
     }
-    rho_p, rho_m, rho = reputation_distributions(metrics)
+    rho_p, rho_m, rho = reputation_distributions(_columns(metrics))
     assert rho_p.support.tolist() == [1, 2]
     assert rho_p.pmf.tolist() == pytest.approx([2 / 3, 1 / 3])
     assert rho_m.support.tolist() == [3]
@@ -110,7 +114,7 @@ def test_reputation_distributions_skip_zero_sides():
         1: NodeMetrics(0, 0, 1, 0, 0, 0),  # pure rater: no mass on either side
         2: NodeMetrics(1, 1, 0, 0, 5, 3),
     }
-    rho_p, rho_m, rho = reputation_distributions(metrics)
+    rho_p, rho_m, rho = reputation_distributions(_columns(metrics))
     assert rho_p.support.tolist() == [5]
     assert rho_m.support.tolist() == [3]
     assert sorted(rho.support.tolist()) == [0, 2]
@@ -1098,21 +1102,29 @@ def test_tau_invariant_under_monotone_transform(values):
 # rankings and reports
 
 
+def ranked_users(values: dict[int, float]) -> list[int]:
+    """Users by descending value; ties broken by ascending user id: the
+    oracle of the rankings."""
+    return sorted(values, key=lambda u: (-values[u], u))
+
+
 def test_ranked_users_ties_break_by_id():
     assert ranked_users({3: 5.0, 1: 5.0, 2: 9.0}) == [2, 1, 3]
+    # the rewarding in-degree ranking breaks its ties so too
+    metrics = {u: NodeMetrics(k, 0, 0, 0, 0, 0) for u, k in ((3, 5), (1, 5), (2, 9))}
+    assert ranking_report(_columns(metrics)).by_inplus_rank[:, 1].tolist() == [2, 1, 3]
 
 
 def test_ranking_report_shape(small_log):
-    report = ranking_report(node_metrics(small_log))
+    columns = metric_columns(small_log)
+    report = ranking_report(columns)
     n = len(RANKING_KEYS)
     assert report.tau_matrix.shape == (n, n)
     assert np.allclose(report.tau_matrix, report.tau_matrix.T)
     assert np.allclose(np.diag(report.tau_matrix), 1.0)
-    users = set(report.table["rho"])
-    for key in RANKING_KEYS:
-        assert set(report.table[key]) == users
     assert report.tau("rho", "rho") == pytest.approx(1.0)
-    assert report.by_inplus_rank[:, 0].tolist() == list(range(1, len(users) + 1))
+    assert report.by_inplus_rank[:, 0].tolist() == list(range(1, len(columns.users) + 1))
+    assert sorted(report.by_inplus_rank[:, 1].tolist()) == columns.users.tolist()
 
 
 @st.composite
@@ -1128,10 +1140,8 @@ def _metrics_maps(draw):
 @example({7: NodeMetrics(1, 0, 2, 0, 3, 1)})
 @settings(max_examples=150, deadline=None)
 def test_ranking_report_matches_ranked_users(metrics):
-    report = ranking_report(metrics)
+    report = ranking_report(_columns(metrics))
     values = {key: {u: getattr(m, key) for u, m in metrics.items()} for key in RANKING_KEYS}
-    for key in RANKING_KEYS:
-        assert report.table[key] == ranked_users(values[key])
     expected_rows = [
         (rank, u, *metrics[u][:4], metrics[u].rho)
         for rank, u in enumerate(ranked_users(values["k_in_plus"]), start=1)
@@ -1139,47 +1149,24 @@ def test_ranking_report_matches_ranked_users(metrics):
     assert report.by_inplus_rank.tolist() == list(map(list, expected_rows))
     # one int64 array, which the CSV writer formats with %d
     assert report.by_inplus_rank.dtype == np.int64
-    assert all(type(u) is int for ranking in report.table.values() for u in ranking)
     tau = np.eye(len(RANKING_KEYS))
     for (i, a), (j, b) in itertools.combinations(enumerate(RANKING_KEYS), 2):
         tau[i, j] = tau[j, i] = kendall_tau(values[a], values[b])
     np.testing.assert_array_equal(report.tau_matrix, tau)  # NaN where a side is all ties
 
 
-@given(_metrics_maps())
-@settings(max_examples=100, deadline=None)
-def test_metric_columns_stand_in_for_the_mapping(metrics):
-    # converted once, in ascending user order whatever the mapping's order,
-    # and passed in the mapping's place
-    columns = _as_columns(metrics)
-    assert columns.users.tolist() == sorted(metrics)
-    assert columns.fields.T.tolist() == [list(metrics[u]) for u in sorted(metrics)]
-    assert columns.users.dtype == columns.fields.dtype == np.int64
-    assert _as_columns(columns) is columns
-    report, from_columns = ranking_report(metrics), ranking_report(columns)
-    assert from_columns.table == report.table
-    np.testing.assert_array_equal(from_columns.by_inplus_rank, report.by_inplus_rank)
-    np.testing.assert_array_equal(from_columns.tau_matrix, report.tau_matrix)
-    for layer in Layer:
-        spectra = reputation_by_indegree(metrics, layer), reputation_by_indegree(columns, layer)
-        assert _spectrum_tuple(spectra[0]) == _spectrum_tuple(spectra[1])
-
-
 def test_ranking_report_empty_errors():
-    with pytest.raises(ValueError):
-        ranking_report({})
-    for empty in ({}, _as_columns({})):
-        with pytest.raises(ValueError, match="empty"):
-            reputation_distributions(empty)
-        with pytest.raises(ValueError, match="empty"):
-            reputation_by_indegree(empty, Layer.REWARDING)
+    empty = _columns({})
     with pytest.raises(ValueError, match="empty"):
-        ranking_report(_as_columns({}))
+        reputation_distributions(empty)
+    with pytest.raises(ValueError, match="empty"):
+        reputation_by_indegree(empty, Layer.REWARDING)
+    with pytest.raises(ValueError, match="empty"):
+        ranking_report(empty)
 
 
 def test_reputation_by_indegree_single_bucket():
-    metrics = {1: NodeMetrics(3, 0, 0, 0, 5, 0)}
-    spectrum = reputation_by_indegree(metrics, Layer.REWARDING)
+    spectrum = reputation_by_indegree(_columns({1: NodeMetrics(3, 0, 0, 0, 5, 0)}), Layer.REWARDING)
     assert spectrum.degree.tolist() == [3]
     assert spectrum.mean_value.tolist() == [5.0]
     assert spectrum.std_value.tolist() == [0.0]
@@ -1209,7 +1196,7 @@ def test_dataset_weight_modes(otc_log):
 
 
 def test_dataset_reputation_tails_and_asymmetry(otc_log):
-    rho_p, rho_m, rho = reputation_distributions(node_metrics(otc_log))
+    rho_p, rho_m, rho = reputation_distributions(metric_columns(otc_log))
     assert _r_squared_loglog(rho_p.support, rho_p.ccdf) > 0.90
     assert _r_squared_loglog(rho_m.support, rho_m.ccdf) > 0.90
     positive_mass = rho.mass_where(rho.support > 0)
@@ -1218,7 +1205,7 @@ def test_dataset_reputation_tails_and_asymmetry(otc_log):
 
 
 def test_dataset_reputation_rises_with_rewarding_indegree(otc_log):
-    spectrum = reputation_by_indegree(node_metrics(otc_log), Layer.REWARDING)
+    spectrum = reputation_by_indegree(metric_columns(otc_log), Layer.REWARDING)
     centers, means = log_binned_means(spectrum)
     low = means[: len(means) // 2]
     assert (np.diff(low) > 0).all()
