@@ -62,7 +62,6 @@ from .temporal import (
     burstiness,
     circadian_profile,
     daily_series,
-    interevent_distribution,
     interevent_times,
     load_annotations,
     weekly_profile,
@@ -95,7 +94,6 @@ __all__ = [
     "gettrust",
     "gini",
     "ingest",
-    "interevent_distribution",
     "interevent_times",
     "kendall_tau",
     "latest_ratings",

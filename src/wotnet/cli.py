@@ -552,7 +552,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
 
 def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
     scatter = reputation_vs_indegree_scatter(ctx.columns, ctx.labels)
-    label_texts = LABEL_TEXTS[scatter.labels]
+    label_texts = LABEL_TEXTS[scatter.labels].tolist()
     rho_plus, rho_minus = ctx.columns.fields[4:]
     # the negative fraction r, empty for a user with no received reputation
     r, received = negative_fractions(rho_plus, rho_minus)
@@ -566,7 +566,7 @@ def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
     writer.write_csv(
         "category_summary.csv",
         ["category", "quantity", "count", "min", "q1", "median", "q3", "max"],
-        [summary.category, summary.quantity, summary.count, *summary.quantiles.T],
+        [[c.value for c in summary.category], summary.quantity, summary.count, *summary.quantiles.T],
     )
 
     writer.write_csv(
@@ -604,9 +604,7 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
         *daily_blocks(),
     )
 
-    interevent_blocks = []
-    binned_blocks = []
-    burst_rows = []
+    interevent_blocks, binned_blocks, burst_blocks = [], [], []
     for layer in LAYERS:
         # layers without enough repeat ratings simply contribute no rows
         deltas = interevent_times(log, layer)
@@ -614,13 +612,14 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
             dist = from_values(deltas)
             interevent_blocks.append(_distribution(dist, layer))
             binned_blocks.append((layer, *log_binned_ccdf(dist)))
-        if deltas.size >= 2:
+        if deltas.size >= 2 and deltas.any():
             # empty year marks the whole-log rows
-            burst_rows.append((None, layer, burstiness(deltas), len(deltas)))
-    burst_rows.extend((b.year, b.layer, b.value, b.n_samples) for b in yearly_burstiness(log))
+            burst_blocks.append((None, layer, burstiness(deltas), len(deltas)))
+    yearly = yearly_burstiness(log)
+    burst_blocks.append((yearly.year, [layer.value for layer in yearly.layer], yearly.value, yearly.n_samples))
     writer.write_csv("interevent_distribution.csv", ["layer", "dt_seconds", "pmf", "ccdf"], *interevent_blocks)
     writer.write_csv("interevent_binned_ccdf.csv", ["layer", "dt_seconds", "ccdf"], *binned_blocks)
-    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], *burst_rows)
+    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], *burst_blocks)
 
     profiles = (("circadian", "hour", circadian_profile), ("weekly", "weekday", weekly_profile))
     for name, slot, profile in profiles:
@@ -674,7 +673,7 @@ def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
                 np.repeat(t.users, t.counts),
                 np.arange(1, len(t.rho) + 1) - np.repeat(starts, t.counts),
                 t.rho,
-                np.repeat(LABEL_TEXTS[t.categories], t.counts),
+                LABEL_TEXTS[np.repeat(t.categories, t.counts)].tolist(),
             ],
         )
 

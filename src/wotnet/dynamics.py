@@ -17,8 +17,8 @@ import numpy as np
 
 from .categories import CategoryThresholds, categorize
 from .model import EventLog, metric_columns
-from .static import _distinct, _run_starts
-from .temporal import SECONDS_PER_DAY, _days
+from .static import _buckets, _distinct
+from .temporal import SECONDS_PER_DAY, _calendar
 
 
 def gini(values) -> float:
@@ -144,11 +144,8 @@ def daily_fold(log: EventLog, k: int = 10) -> DailyFold:
         raise ValueError("k must be >= 1")
     user_ids, codes = log.user_codes()
     n = len(user_ids)
-    days = log.timestamps // SECONDS_PER_DAY
-    first_day = int(days[0]) if len(days) else 0
-    days -= first_day
-    n_days = int(days[-1]) + 1 if len(days) else 0
-    calendar = _days(first_day, n_days)  # raises before any folding on a log past the calendar
+    days, calendar = _calendar(log.timestamps // SECONDS_PER_DAY)  # raises before any folding past the calendar
+    n_days = len(calendar)
     layer = log.scores < 0  # each event's side: 0 plus, 1 minus
     gained = np.abs(log.scores)
     gini, gini_measured = np.zeros((2, n_days)), np.zeros((2, n_days), dtype=bool)
@@ -190,9 +187,7 @@ def _running_sums(groups: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, .
     """The stable order that sorts `groups`, the start and the length of each
     group's run in that order, and the running sums of `values` in that
     order, each run summed from its start."""
-    order = np.argsort(groups, kind="stable")
-    starts = np.flatnonzero(_run_starts(groups[order]))
-    counts = np.diff(starts, append=len(order))
+    order, _, starts, counts = _buckets(groups)
     values = values[order]
     running = np.cumsum(values)
     running -= np.repeat(running[starts] - values[starts], counts)

@@ -55,29 +55,28 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[_run_starts(ordered)]
 
 
-def _buckets(buckets: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]:
+def _buckets(buckets: Sequence[int]) -> tuple[np.ndarray, ...]:
     """The permutation that sorts values by their level in `buckets`,
-    stably, the distinct levels, the count of each and its run of the
-    sorted values."""
+    stably, the distinct levels, and the start and length of each level's
+    run of the sorted values."""
     b = np.asarray(buckets)
     order = np.argsort(b, kind="stable")
     b = b[order]
     starts = np.flatnonzero(_run_starts(b))
-    counts = np.diff(np.append(starts, len(b)))
-    return order, b[starts], counts, [slice(i, i + c) for i, c in zip(starts.tolist(), counts.tolist())]
+    return order, b[starts], starts, np.diff(starts, append=len(b))
 
 
-def _run_sums(ordered: np.ndarray, runs: list[slice]) -> np.ndarray:
-    # each run summed by `np.add.reduce`, as `ndarray.mean` and `.std` sum
-    # it, so the bucket statistics are theirs bit for bit
-    return np.array([np.add.reduce(ordered[run]) for run in runs])
+def _run_sums(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # each run summed by `np.add.reduce`, as `ndarray.mean`, `.std` and
+    # `np.average` sum it, so the bucket statistics are theirs bit for bit
+    return np.array([np.add.reduce(ordered[i : i + c]) for i, c in zip(starts.tolist(), counts.tolist())])
 
 
 def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeSpectrum:
-    order, levels, counts, runs = _buckets(buckets)
+    order, levels, starts, counts = _buckets(buckets)
     v = np.asarray(values, dtype=float)[order]
-    means = _run_sums(v, runs) / counts
-    stds = np.sqrt(_run_sums(np.square(v - np.repeat(means, counts)), runs) / counts)
+    means = _run_sums(v, starts, counts) / counts
+    stds = np.sqrt(_run_sums(np.square(v - np.repeat(means, counts)), starts, counts) / counts)
     return DegreeSpectrum(levels, means, stds, counts)
 
 
@@ -288,7 +287,7 @@ def configuration_null(
     # the swaps keep every degree and the graph simple, so each replica's
     # edges go to `local_clustering` as they are, and its degree buckets are
     # the projection's
-    order, levels, counts, runs = _buckets(projection.degree)
+    order, levels, starts, counts = _buckets(projection.degree)
     bucket_means: list[np.ndarray] = []
     sample_means: list[float] = []
     swaps_done: list[int] = []
@@ -300,7 +299,7 @@ def configuration_null(
             proposals = -(-swaps_per_edge * m * m // max(done, m))
         swaps_done.append(done)
         clustering = local_clustering(ends, projection.degree)
-        bucket_means.append(_run_sums(clustering[order], runs) / counts)
+        bucket_means.append(_run_sums(clustering[order], starts, counts) / counts)
         sample_means.append(float(np.mean(clustering)))
     # the replicas' bucket means, pooled per degree
     null = _bucket_spectrum(np.tile(levels, n_samples), np.concatenate(bucket_means))
@@ -464,15 +463,10 @@ def log_binned_means(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:
     deg = spectrum.degree[keep].astype(float)
     val = spectrum.mean_value[keep]
     wgt = spectrum.n_nodes[keep].astype(float)
-    if deg.size == 0:
-        return np.array([]), np.array([])
-    bins = np.floor(np.log(deg) / np.log(BIN_FACTOR)).astype(int)
-    centers, means = [], []
-    for b in _distinct(bins):
-        sel = bins == b
-        centers.append(BIN_FACTOR ** (b + 0.5))
-        means.append(float(np.average(val[sel], weights=wgt[sel])))
-    return np.array(centers), np.array(means)
+    order, bins, starts, counts = _buckets(np.floor(np.log(deg) / np.log(BIN_FACTOR)).astype(int))
+    # each bin's weighted mean summed as `np.average` sums it
+    means = _run_sums((val * wgt)[order], starts, counts) / _run_sums(wgt[order], starts, counts)
+    return BIN_FACTOR ** (bins + 0.5), means
 
 
 def spectrum_trend(spectrum: DegreeSpectrum) -> float:

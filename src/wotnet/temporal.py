@@ -15,9 +15,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution, from_values
 from .model import EventLog, Layer
-from .static import _distinct
+from .static import _bucket_spectrum
 
 _EPOCH = date(1970, 1, 1)
 SECONDS_PER_DAY = 86_400
@@ -37,12 +36,14 @@ def _check_shift(tz_shift_hours: int) -> int:
 _FIRST_DAY, _LAST_DAY = date.min.toordinal() - _EPOCH.toordinal(), date.max.toordinal() - _EPOCH.toordinal()
 
 
-def _days(first: int, n: int) -> np.ndarray:
-    """The `n` calendar days from epoch day `first` on, as datetime64[D]; an
-    OverflowError past the range of `datetime.date`, as date arithmetic raises."""
-    if n and not _FIRST_DAY <= first <= first + n - 1 <= _LAST_DAY:
+def _calendar(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offset of each of the sorted epoch `days` from the first, and the
+    calendar from the first to the last, as datetime64[D]; an OverflowError
+    past the range of `datetime.date`, as date arithmetic raises."""
+    first, last = (int(days[0]), int(days[-1])) if len(days) else (0, -1)
+    if first < _FIRST_DAY or last > _LAST_DAY:
         raise OverflowError("date value out of range")
-    return np.arange(first, first + n).astype("datetime64[D]")
+    return days - first, np.arange(first, last + 1).astype("datetime64[D]")
 
 
 class DailySeries(NamedTuple):
@@ -56,12 +57,10 @@ class DailySeries(NamedTuple):
 def daily_series(log: EventLog, tz_shift_hours: int = 0) -> DailySeries:
     """Events per calendar day on each layer, zero-filled over the full range."""
     shift = _check_shift(tz_shift_hours)
-    days = (log.timestamps + shift) // SECONDS_PER_DAY
-    first = int(days[0]) if len(days) else 0
-    n = int(days[-1]) - first + 1 if len(days) else 0
-    plus = np.bincount(days[log.scores > 0] - first, minlength=n)
-    minus = np.bincount(days[log.scores < 0] - first, minlength=n)
-    return DailySeries(_days(first, n), plus, minus)
+    days, calendar = _calendar((log.timestamps + shift) // SECONDS_PER_DAY)
+    plus = np.bincount(days[log.scores > 0], minlength=len(calendar))
+    minus = np.bincount(days[log.scores < 0], minlength=len(calendar))
+    return DailySeries(calendar, plus, minus)
 
 
 def _user_gaps(log: EventLog, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
@@ -86,14 +85,6 @@ def interevent_times(log: EventLog, layer: Layer) -> np.ndarray:
     return _user_gaps(log, layer)[0]
 
 
-def interevent_distribution(log: EventLog, layer: Layer) -> Distribution:
-    """Distribution of the pooled per-user interevent times, in seconds."""
-    deltas = interevent_times(log, layer)
-    if deltas.size == 0:
-        raise ValueError("no interevent samples on this layer")
-    return from_values(deltas)
-
-
 def burstiness(deltas) -> float:
     """Burstiness coefficient (sigma - mean) / (sigma + mean) of gap samples.
 
@@ -110,41 +101,41 @@ def burstiness(deltas) -> float:
     return float((s - m) / (s + m))
 
 
-@dataclass(frozen=True)
-class YearlyBurstiness:
-    year: int
-    layer: Layer
-    value: float
-    n_samples: int
+class YearlyBurstiness(NamedTuple):
+    """Burstiness per calendar year and layer, as columns, by year and then
+    layer (rewarding first): the `value` of B over the `n_samples` gaps."""
+
+    year: np.ndarray
+    layer: list[Layer]
+    value: np.ndarray
+    n_samples: np.ndarray
 
 
 def _utc_years(timestamps: np.ndarray) -> np.ndarray:
     return timestamps.astype("datetime64[s]").astype("datetime64[Y]").astype(int) + 1970
 
 
-def yearly_burstiness(log: EventLog) -> list[YearlyBurstiness]:
+def yearly_burstiness(log: EventLog) -> YearlyBurstiness:
     """Burstiness per calendar year and layer.
 
     Gaps are pooled within each year (per-user consecutive incoming events
     falling in the same year); year/layer slices with fewer than two gap
-    samples are omitted.
+    samples, or with only zero gaps, are omitted.
     """
-    rows: list[YearlyBurstiness] = []
-    for layer in (Layer.REWARDING, Layer.PUNITIVE):
+    keys, deltas = [], []
+    for side, layer in enumerate(Layer):
         gaps, later = _user_gaps(log, layer)
         years = _utc_years(later)
         same_year = years == _utc_years(later - gaps)
-        deltas = gaps[same_year]
-        delta_years = years[same_year]
-        for year in _distinct(delta_years):
-            sample = deltas[delta_years == year]
-            if sample.size < 2:
-                continue
-            rows.append(
-                YearlyBurstiness(int(year), layer, burstiness(sample), int(sample.size))
-            )
-    rows.sort(key=lambda r: (r.year, r.layer is Layer.PUNITIVE))
-    return rows
+        keys.append(years[same_year] * 2 + side)  # by year, then layer
+        deltas.append(gaps[same_year])
+    # each slice's mean and std summed as `burstiness` sums them
+    slices = _bucket_spectrum(np.concatenate(keys), np.concatenate(deltas))
+    kept = (slices.n_nodes >= 2) & (slices.mean_value > 0)
+    m, s = slices.mean_value[kept], slices.std_value[kept]
+    years, sides = np.divmod(slices.degree[kept], 2)
+    layers = np.array(list(Layer))[sides].tolist()
+    return YearlyBurstiness(years, layers, (s - m) / (s + m), slices.n_nodes[kept])
 
 
 def _profile(

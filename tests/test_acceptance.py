@@ -252,7 +252,8 @@ def test_c8_categories():
 def test_c9_temporal_patterns():
     _dataset_or_skip("C9", "temporal-patterns")
     log, _ = _ingested()
-    yearly = {(r.year, r.layer): r.value for r in yearly_burstiness(log)}
+    columns = yearly_burstiness(log)
+    yearly = dict(zip(zip(columns.year.tolist(), columns.layer), columns.value.tolist()))
     missing = [
         (year, layer.value)
         for year in (2012, 2013, 2014, 2015)

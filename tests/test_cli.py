@@ -301,6 +301,18 @@ def test_analysis_error_on_degenerate_log(capsys, tmp_path):
     assert "analysis error" in err
 
 
+def test_temporal_omits_the_burstiness_of_zero_gaps(capsys, tmp_path):
+    # user 2's rewarding gaps are 0 and 0, user 1's one punitive gap is 100
+    path = tmp_path / "tied.csv"
+    path.write_text("1,2,5,1300000000\n3,2,4,1300000000\n4,2,3,1300000000\n2,1,-2,1300000100\n3,1,-1,1300000200\n")
+    out = tmp_path / "t"
+    code, _, err = _run(capsys, "temporal", "--input", str(path), "--out", str(out))
+    assert code == 0, err
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
+    # no whole-log or per-year row: each slice has one gap or only zero gaps
+    assert (out / "burstiness.csv").read_text() == "year,layer,B,n_samples\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -39,6 +39,7 @@ from wotnet import (
     weight_distribution,
 )
 from wotnet.static import (
+    BIN_FACTOR,
     RANKING_KEYS,
     DegreeSpectrum,
     Projection,
@@ -496,6 +497,38 @@ def test_log_binned_means_collapse():
     assert len(centers) == 2
     assert means[0] == pytest.approx(5.0)  # leaves dominate the low bin
     assert means[-1] == pytest.approx(1.0)
+
+
+def _log_binned_means_by_mask(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """`log_binned_means` as it was before it grouped the bins with one sort:
+    `np.average` of each bin's means weighted by their node counts; the oracle."""
+    keep = spectrum.degree >= 1
+    deg = spectrum.degree[keep].astype(float)
+    val = spectrum.mean_value[keep]
+    wgt = spectrum.n_nodes[keep].astype(float)
+    if deg.size == 0:
+        return np.array([]), np.array([])
+    bins = np.floor(np.log(deg) / np.log(BIN_FACTOR)).astype(int)
+    centers, means = [], []
+    for b in np.unique(bins):
+        sel = bins == b
+        centers.append(BIN_FACTOR ** (b + 0.5))
+        means.append(float(np.average(val[sel], weights=wgt[sel])))
+    return np.array(centers), np.array(means)
+
+
+@given(st.lists(st.tuples(st.integers(0, 100), _magnitudes, st.integers(1, 50)), max_size=60, unique_by=lambda r: r[0]))
+@example([])
+@example([(0, 2.0, 3)])  # no degree-1 row, no bin
+@example([(d, 0.1 * d, d % 7 + 1) for d in range(64, 0, -1)])  # descending, a bin of 32 degrees
+@settings(max_examples=200, deadline=None)
+def test_log_binned_means_is_bitwise_the_weighted_average_of_each_bin(rows):
+    degree, mean, count = (np.array([row[i] for row in rows], dtype=t) for i, t in enumerate((np.int64, float, np.int64)))
+    spectrum = DegreeSpectrum(degree, mean, np.zeros(len(rows)), count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mine, oracle = log_binned_means(spectrum), _log_binned_means_by_mask(spectrum)
+    for a, b in zip(mine, oracle):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_spectrum_trend_sign():

@@ -3,6 +3,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from wotnet import (
@@ -14,14 +16,13 @@ from wotnet import (
     circadian_profile,
     daily_fold,
     daily_series,
-    interevent_distribution,
     interevent_times,
     load_annotations,
     synth_log,
     weekly_profile,
     yearly_burstiness,
 )
-from wotnet.temporal import AnnotationWindow
+from wotnet.temporal import AnnotationWindow, _user_gaps, _utc_years
 
 DAY = 86_400
 YEAR_2012 = 1_325_376_000  # 2012-01-01T00:00:00Z
@@ -195,12 +196,6 @@ def test_interevent_times_by_user_consistent_with_pooled(small_log):
             assert (gaps >= 0).all()
 
 
-def test_interevent_distribution_requires_samples():
-    log = EventLog([(1, 2, 5, 0), (3, 4, 5, 10)])
-    with pytest.raises(ValueError):
-        interevent_distribution(log, Layer.REWARDING)
-
-
 def test_poisson_synth_gaps_are_exponential():
     config = SynthConfig(
         n_users=20,
@@ -262,15 +257,14 @@ def test_yearly_burstiness_single_year():
             (3, 9, -5, YEAR_2012 + 400),
         ]
     )
-    rows = yearly_burstiness(log)
-    assert [(r.year, r.layer) for r in rows] == [
+    yearly = yearly_burstiness(log)
+    assert list(zip(yearly.year.tolist(), yearly.layer)) == [
         (2012, Layer.REWARDING),
         (2012, Layer.PUNITIVE),
     ]
-    plus = rows[0]
-    assert plus.n_samples == 2
-    assert plus.value == pytest.approx(burstiness([100, 4900]))
-    assert rows[1].value == pytest.approx(-1.0)  # gaps 100, 100
+    assert yearly.n_samples[0] == 2
+    assert yearly.value[0] == pytest.approx(burstiness([100, 4900]))
+    assert yearly.value[1] == pytest.approx(-1.0)  # gaps 100, 100
 
 
 def test_yearly_burstiness_omits_sparse_years():
@@ -285,8 +279,8 @@ def test_yearly_burstiness_omits_sparse_years():
             (3, 9, 5, y2013 + 200),
         ]
     )
-    rows = yearly_burstiness(log)
-    assert [(r.year, r.layer) for r in rows] == [(2013, Layer.REWARDING)]
+    yearly = yearly_burstiness(log)
+    assert list(zip(yearly.year.tolist(), yearly.layer)) == [(2013, Layer.REWARDING)]
 
 
 def test_yearly_burstiness_excludes_cross_year_gaps():
@@ -300,16 +294,76 @@ def test_yearly_burstiness_excludes_cross_year_gaps():
             (4, 9, 5, y2013 + 10_000),
         ]
     )
-    rows = yearly_burstiness(log)
+    yearly = yearly_burstiness(log)
     # each year holds only one within-year gap, below the two-sample floor
-    assert rows == []
+    assert yearly.year.size == 0 and yearly.layer == []
 
 
 def test_yearly_burstiness_pools_users_within_year(small_log):
-    rows = yearly_burstiness(small_log)
-    for row in rows:
-        assert row.n_samples >= 2
-        assert -1.0 <= row.value < 1.0
+    yearly = yearly_burstiness(small_log)
+    assert (yearly.n_samples >= 2).all()
+    assert ((-1.0 <= yearly.value) & (yearly.value < 1.0)).all()
+
+
+TIED = 1_300_000_000
+# user 2 receives three ratings in one second: two rewarding gaps, both 0
+TIED_LOG = [(1, 2, 5, TIED), (3, 2, 4, TIED), (4, 2, 3, TIED), (2, 1, -2, TIED + 100), (3, 1, -1, TIED + 200)]
+
+
+def test_yearly_burstiness_omits_slices_of_zero_gaps():
+    log = EventLog([*TIED_LOG, (5, 1, -3, TIED + 260)])
+    with np.errstate(all="raise"):  # B is computed over the kept slices only
+        yearly = yearly_burstiness(log)
+    # the rewarding gaps 0, 0 make no row; the punitive gaps 100, 60 do
+    assert list(zip(yearly.year.tolist(), yearly.layer)) == [(2011, Layer.PUNITIVE)]
+    assert yearly.value.tolist() == [burstiness([100, 60])]
+    assert yearly.n_samples.tolist() == [2]
+
+
+def _yearly_burstiness_by_mask(log: EventLog) -> list[tuple]:
+    """`yearly_burstiness` as it was before it grouped the gaps with one sort:
+    `burstiness` of each year's gaps on each layer, as (year, layer, B, n)
+    rows by year and then layer; the oracle, omitting the slices of zero gaps."""
+    rows = []
+    for layer in (Layer.REWARDING, Layer.PUNITIVE):
+        gaps, later = _user_gaps(log, layer)
+        years = _utc_years(later)
+        same_year = years == _utc_years(later - gaps)
+        deltas, delta_years = gaps[same_year], years[same_year]
+        for year in np.unique(delta_years):
+            sample = deltas[delta_years == year]
+            if sample.size >= 2 and sample.any():
+                rows.append((int(year), layer, burstiness(sample), int(sample.size)))
+    return sorted(rows, key=lambda r: (r[0], r[1] is Layer.PUNITIVE))
+
+
+# three days before 2012, 1970 and 1900 begin: gaps across a new year, and pre-1970 times
+_YEAR_ENDS = (YEAR_2012 - 3 * DAY, -3 * DAY, -2_208_988_800 - 3 * DAY)
+
+
+@st.composite
+def _small_logs(draw):
+    start = draw(st.sampled_from(_YEAR_ENDS))
+    # a small pool of offsets repeats timestamps; the rest spread over two years
+    pool = draw(st.lists(st.integers(0, 6 * DAY), min_size=1, max_size=4))
+    offset = st.sampled_from(pool) | st.integers(0, 6 * DAY) | st.integers(0, 2 * 365 * DAY)
+    event = st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([-3, -1, 2, 10]), offset)
+    events = draw(st.lists(event.filter(lambda e: e[0] != e[1]), max_size=60))
+    return EventLog([(a, b, score, start + t) for a, b, score, t in events])
+
+
+@given(_small_logs())
+@example(EventLog(TIED_LOG))
+# twelve gaps in one slice, which a pairwise sum adds otherwise than one by one
+@example(EventLog([(1, 2, 1, YEAR_2012 + t) for t in np.cumsum([0, 51113, 26978, 30782, 4097, 7524, 1652, 17526, 81327, 64941, 91275, 50362, 60663])]))
+@settings(max_examples=200, deadline=None)
+def test_yearly_burstiness_is_bitwise_burstiness_of_each_year(log):
+    yearly = yearly_burstiness(log)
+    oracle = _yearly_burstiness_by_mask(log)
+    assert list(zip(yearly.year.tolist(), yearly.layer, yearly.n_samples.tolist())) == [
+        (year, layer, n) for year, layer, _, n in oracle
+    ]
+    assert yearly.value.tobytes() == np.array([b for _, _, b, _ in oracle]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +460,8 @@ def test_annotation_file_validation(tmp_path):
 
 
 def test_dataset_yearly_burstiness_positive_mid_years(otc_log):
-    rows = {(r.year, r.layer): r.value for r in yearly_burstiness(otc_log)}
+    yearly = yearly_burstiness(otc_log)
+    rows = dict(zip(zip(yearly.year.tolist(), yearly.layer), yearly.value.tolist()))
     for year in (2012, 2013, 2014, 2015):
         assert rows[(year, Layer.REWARDING)] > 0
         assert rows[(year, Layer.PUNITIVE)] > 0
