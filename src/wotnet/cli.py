@@ -73,8 +73,8 @@ from .static import (
 from .temporal import (
     MAX_TZ_SHIFT,
     MIN_TZ_SHIFT,
+    _slice_burstiness,
     annotations_for,
-    burstiness,
     circadian_profile,
     daily_series,
     interevent_times,
@@ -604,18 +604,19 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
         *daily_blocks(),
     )
 
-    interevent_blocks, binned_blocks, burst_blocks = [], [], []
+    interevent_blocks, binned_blocks, gaps = [], [], []
     for layer in LAYERS:
         # layers without enough repeat ratings simply contribute no rows
         deltas = interevent_times(log, layer)
+        gaps.append(deltas)
         if deltas.size > 0:
             dist = from_values(deltas)
             interevent_blocks.append(_distribution(dist, layer))
             binned_blocks.append((layer, *log_binned_ccdf(dist)))
-        if deltas.size >= 2 and deltas.any():
-            # empty year marks the whole-log rows
-            burst_blocks.append((None, layer, burstiness(deltas), len(deltas)))
+    # the whole-log rows, marked by an empty year, by the per-year rows' rule
+    sides, value, n_samples = _slice_burstiness(np.repeat([0, 1], [len(d) for d in gaps]), np.concatenate(gaps))
     yearly = yearly_burstiness(log)
+    burst_blocks = [(None, [LAYERS[i].value for i in sides.tolist()], value, n_samples)]
     burst_blocks.append((yearly.year, [layer.value for layer in yearly.layer], yearly.value, yearly.n_samples))
     writer.write_csv("interevent_distribution.csv", ["layer", "dt_seconds", "pmf", "ccdf"], *interevent_blocks)
     writer.write_csv("interevent_binned_ccdf.csv", ["layer", "dt_seconds", "ccdf"], *binned_blocks)

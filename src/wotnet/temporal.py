@@ -115,6 +115,16 @@ def _utc_years(timestamps: np.ndarray) -> np.ndarray:
     return timestamps.astype("datetime64[s]").astype("datetime64[Y]").astype(int) + 1970
 
 
+def _slice_burstiness(keys: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct keys, each one's burstiness B and its gap count; a key
+    with fewer than two gaps, or with only zero gaps, is omitted."""
+    # each slice's mean and std summed as `burstiness` sums them
+    slices = _bucket_spectrum(keys, deltas)
+    kept = (slices.n_nodes >= 2) & (slices.mean_value > 0)
+    m, s = slices.mean_value[kept], slices.std_value[kept]
+    return slices.degree[kept], (s - m) / (s + m), slices.n_nodes[kept]
+
+
 def yearly_burstiness(log: EventLog) -> YearlyBurstiness:
     """Burstiness per calendar year and layer.
 
@@ -129,13 +139,9 @@ def yearly_burstiness(log: EventLog) -> YearlyBurstiness:
         same_year = years == _utc_years(later - gaps)
         keys.append(years[same_year] * 2 + side)  # by year, then layer
         deltas.append(gaps[same_year])
-    # each slice's mean and std summed as `burstiness` sums them
-    slices = _bucket_spectrum(np.concatenate(keys), np.concatenate(deltas))
-    kept = (slices.n_nodes >= 2) & (slices.mean_value > 0)
-    m, s = slices.mean_value[kept], slices.std_value[kept]
-    years, sides = np.divmod(slices.degree[kept], 2)
-    layers = np.array(list(Layer))[sides].tolist()
-    return YearlyBurstiness(years, layers, (s - m) / (s + m), slices.n_nodes[kept])
+    key, value, n_samples = _slice_burstiness(np.concatenate(keys), np.concatenate(deltas))
+    years, sides = np.divmod(key, 2)
+    return YearlyBurstiness(years, np.array(list(Layer))[sides].tolist(), value, n_samples)
 
 
 def _profile(
