@@ -60,12 +60,12 @@ from .static import (
 from .temporal import (
     annotations_for,
     burstiness,
+    burstiness_table,
     circadian_profile,
     daily_series,
     interevent_times,
     load_annotations,
     weekly_profile,
-    yearly_burstiness,
 )
 
 __all__ = [
@@ -81,6 +81,7 @@ __all__ = [
     "annotations_for",
     "avg_neighbor_degree_spectrum",
     "burstiness",
+    "burstiness_table",
     "categorize",
     "category_summary",
     "circadian_profile",
@@ -115,5 +116,4 @@ __all__ = [
     "weekly_profile",
     "weight_distribution",
     "write_log_csv",
-    "yearly_burstiness",
 ]

@@ -42,7 +42,7 @@ from .categories import (
     reputation_vs_indegree_scatter,
 )
 from .distributions import Distribution, from_values, log_binned_ccdf
-from .dynamics import DailyFold, TrajectorySelection, _chosen, _ratee_runs, daily_fold
+from .dynamics import DailyFold, TrajectorySelection, daily_fold, follow
 from .model import (
     EventLog,
     IngestError,
@@ -73,14 +73,13 @@ from .static import (
 from .temporal import (
     MAX_TZ_SHIFT,
     MIN_TZ_SHIFT,
-    _slice_burstiness,
     annotations_for,
+    burstiness_table,
     circadian_profile,
     daily_series,
     interevent_times,
     load_annotations,
     weekly_profile,
-    yearly_burstiness,
 )
 
 EXIT_OK = 0
@@ -604,23 +603,17 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
         *daily_blocks(),
     )
 
-    interevent_blocks, binned_blocks, gaps = [], [], []
+    interevent_blocks, binned_blocks = [], []
     for layer in LAYERS:
         # layers without enough repeat ratings simply contribute no rows
         deltas = interevent_times(log, layer)
-        gaps.append(deltas)
         if deltas.size > 0:
             dist = from_values(deltas)
             interevent_blocks.append(_distribution(dist, layer))
             binned_blocks.append((layer, *log_binned_ccdf(dist)))
-    # the whole-log rows, marked by an empty year, by the per-year rows' rule
-    sides, value, n_samples = _slice_burstiness(np.repeat([0, 1], [len(d) for d in gaps]), np.concatenate(gaps))
-    yearly = yearly_burstiness(log)
-    burst_blocks = [(None, [LAYERS[i].value for i in sides.tolist()], value, n_samples)]
-    burst_blocks.append((yearly.year, [layer.value for layer in yearly.layer], yearly.value, yearly.n_samples))
     writer.write_csv("interevent_distribution.csv", ["layer", "dt_seconds", "pmf", "ccdf"], *interevent_blocks)
     writer.write_csv("interevent_binned_ccdf.csv", ["layer", "dt_seconds", "ccdf"], *binned_blocks)
-    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], *burst_blocks)
+    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], burstiness_table(log))
 
     profiles = (("circadian", "hour", circadian_profile), ("weekly", "weekday", weekly_profile))
     for name, slot, profile in profiles:
@@ -661,11 +654,9 @@ def _write_dynamics(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _write_trajectories(writer: RunWriter, ctx: RunContext) -> None:
-    runs = _ratee_runs(ctx.log, ctx.labels)  # sorted once for every selection
+    runs = follow(ctx.log, None, ctx.labels)  # sorted once for every selection
     for selection in ctx.selections:
-        # None follows every rated user
-        users = None if selection is TrajectorySelection.BY_CATEGORY else ctx.fold.entrants[selection]
-        t = _chosen(runs, users)
+        t = runs if selection is TrajectorySelection.BY_CATEGORY else runs.pick(ctx.fold.entrants[selection])
         starts = np.cumsum(t.counts) - t.counts
         writer.write_csv(
             f"trajectories_{selection.value.replace('-', '_')}.csv",

@@ -85,6 +85,16 @@ class Trajectories(NamedTuple):
     counts: np.ndarray
     rho: np.ndarray
 
+    def pick(self, users: Iterable[int]) -> Trajectories:
+        """The trajectories of those of `users` followed here, each once, in ascending id order."""
+        chosen = _distinct(np.fromiter(users, dtype=np.int64))
+        at = np.searchsorted(self.users, chosen[np.isin(chosen, self.users)])
+        counts = self.counts[at]
+        # each chosen run, from its start here, moved up behind the chosen runs before it
+        starts = (np.cumsum(self.counts) - self.counts)[at]
+        rho = self.rho[np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
+        return Trajectories(self.users[at], self.categories[at], counts, rho)
+
 
 class GiniSeries(NamedTuple):
     """The Gini index of each side's positive values (0: plus, 1: minus) on the
@@ -325,32 +335,16 @@ def _stability_rows(before: np.ndarray, after: np.ndarray, n: int, k: int) -> tu
     return np.concatenate((extended, overlap)).reshape(2 * sides, pairs), measured, truncated
 
 
-def _ratee_runs(log: EventLog, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rated users in ascending id order, their `labels` and the start, length and running rho of their runs."""
+def follow(log: EventLog, users: Iterable[int] | None, labels: np.ndarray) -> Trajectories:
+    """Trajectories of `users` (every rated user when None) that received at least one rating,
+    in ascending id order, labelled from `labels`, the label column of `log.user_codes()[0]`."""
     user_ids, (_, ratees) = log.user_codes()
     if len(labels) != len(user_ids):
         raise ValueError(f"labels must hold one label per user: {len(labels)} for the log's {len(user_ids)} users")
     order, starts, counts, running = _running_sums(ratees, log.scores)
     rated = ratees[order[starts]]  # codes follow id order
-    return user_ids[rated], labels[rated], starts, counts, running
-
-
-def _chosen(runs: tuple[np.ndarray, ...], users: Iterable[int] | None) -> Trajectories:
-    """What `follow` returns, from the `_ratee_runs` of the log."""
-    ids, labels, starts, counts, running = runs
-    if users is not None:
-        chosen = _distinct(np.fromiter(users, dtype=np.int64))
-        pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
-        ids, labels, starts, counts = ids[pick], labels[pick], starts[pick], counts[pick]
-        # each chosen run, moved up behind the runs before it
-        running = running[np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
-    return Trajectories(ids, labels, counts, running)
-
-
-def follow(log: EventLog, users: Iterable[int] | None, labels: np.ndarray) -> Trajectories:
-    """Trajectories of `users` (every rated user when None) that received at least one rating,
-    in ascending id order, labelled from `labels`, the label column of `log.user_codes()[0]`."""
-    return _chosen(_ratee_runs(log, labels), users)
+    runs = Trajectories(user_ids[rated], labels[rated], counts, running)
+    return runs if users is None else runs.pick(users)
 
 
 def trajectories(

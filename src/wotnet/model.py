@@ -15,7 +15,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -394,17 +394,15 @@ def metric_columns(log: EventLog, cutoff: int | None = None) -> MetricColumns:
     return MetricColumns(sub._universe[seen], state[:, seen])
 
 
-# a record from the tuple of its six fields, by `tuple.__new__` itself: no
-# Python frame per record, as `NodeMetrics(...)` or `_make` would run
-_new_metrics = partial(tuple.__new__, NodeMetrics)
-
-
 def node_metrics(
     log: EventLog, cutoff: int | None = None
 ) -> dict[int, NodeMetrics]:
     """The records of `metric_columns`, keyed by user id in ascending order."""
     users, fields = metric_columns(log, cutoff)
-    return dict(zip(users.tolist(), map(_new_metrics, zip(*fields.tolist()))))
+    # each record made from its six fields by `tuple.__new__` itself: no Python
+    # frame per record, as `NodeMetrics(...)` or `_make` would run
+    records = map(tuple.__new__, repeat(NodeMetrics), zip(*fields.tolist()))
+    return dict(zip(users.tolist(), records))
 
 
 def latest_ratings(

@@ -205,11 +205,9 @@ class NullModelResult:
     seed: int
 
 
-def _swap_round(
-    ends: np.ndarray, keys: np.ndarray, n: int, n_pairs: int, rng: np.random.Generator
-) -> int:
-    """One round of double-edge swaps on the simple graph of edges `ends[:, i]`
-    (lower end first, with key `lo * n + hi` in `keys`).
+def _swap_round(keys: np.ndarray, n: int, n_pairs: int, rng: np.random.Generator) -> int:
+    """One round of double-edge swaps on the simple graph whose edges have the
+    keys `lo * n + hi` in `keys`, lower end first.
 
     Draws `n_pairs` disjoint edge pairs (a, b), (c, d) and a coin per pair
     proposing (a, c), (b, d) or (a, d), (b, c).  A proposal is accepted when
@@ -219,7 +217,8 @@ def _swap_round(
     296:910, 2002).  Applies the accepted swaps in place and returns their number.
     """
     slots = rng.permutation(len(keys))[: 2 * n_pairs]
-    taken = ends.take(slots, axis=1)  # faster than ends[:, slots]
+    old_keys = keys.take(slots)
+    taken = np.stack(np.divmod(old_keys, n))
     ab, cd = taken[:, :n_pairs], taken[:, n_pairs:]  # rows (a, b) and (c, d)
     flip = rng.random(n_pairs) < 0.5
     kept, swapped = ab.ravel(), np.where(flip, cd[::-1], cd).ravel()
@@ -241,22 +240,16 @@ def _swap_round(
     clash[order[same + 1] % size] = True
     bad = (lo == hi) | clash[len(keys) :] | clash[slots]
     ok = ~(bad[:n_pairs] | bad[n_pairs:])
-    done = np.concatenate((ok, ok))
-    keys[slots[done]] = new_keys[done]
-    # the ends again from the keys: two passes in order, not two scattered writes
-    low, high = ends
-    np.floor_divide(keys, n, out=low)
-    np.subtract(keys, low * n, out=high)
+    keys[slots] = np.where(np.concatenate((ok, ok)), new_keys, old_keys)
     return int(np.count_nonzero(ok))
 
 
-def _double_edge_swaps(ends: np.ndarray, n: int, n_proposals: int, rng: np.random.Generator) -> int:
-    """Rewire the simple graph `ends` (lower ends first) in place by `n_proposals`
-    double-edge swap proposals, in rounds of `_swap_round`; a rejected proposal is a
-    step that stays on the current graph (Fosdick et al., SIAM Review 60:315, 2018).
-    Returns the swaps accepted."""
-    keys = ends[0] * n + ends[1]
-    m, degree = len(keys), np.bincount(ends.ravel())
+def _double_edge_swaps(keys: np.ndarray, n: int, n_proposals: int, rng: np.random.Generator) -> int:
+    """Rewire the simple graph of edge keys `keys` (`lo * n + hi`) in place by
+    `n_proposals` double-edge swap proposals, in rounds of `_swap_round`; a rejected
+    proposal is a step that stays on the current graph (Fosdick et al., SIAM Review
+    60:315, 2018).  Returns the swaps accepted."""
+    m, degree = len(keys), np.bincount(np.concatenate(np.divmod(keys, n)))
     if m < 2:  # no pair of edges to propose
         return 0
     # A proposed edge exists already with probability about q = (sum k^2)^2 / (2m)^3
@@ -264,7 +257,7 @@ def _double_edge_swaps(ends: np.ndarray, n: int, n_proposals: int, rng: np.rando
     # keep that near 1/16 of them.  Fixed by the degrees, the bound keeps the chain symmetric.
     round_pairs = min(m // 2, max(1, int((m * m / (2 * degree @ degree)) ** 2)))
     return sum(
-        _swap_round(ends, keys, n, min(round_pairs, n_proposals - start), rng)
+        _swap_round(keys, n, min(round_pairs, n_proposals - start), rng)
         for start in range(0, n_proposals, round_pairs)
     )
 
@@ -292,13 +285,13 @@ def configuration_null(
     sample_means: list[float] = []
     swaps_done: list[int] = []
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    ends, done, proposals = projection.edges.copy(), 0, swaps_per_edge * m
+    keys, done, proposals = projection.edges[0] * n + projection.edges[1], 0, swaps_per_edge * m
     for _ in range(n_samples):
-        done += _double_edge_swaps(ends, n, proposals, rng)
+        done += _double_edge_swaps(keys, n, proposals, rng)
         if not swaps_done:  # the gap: about |E| swaps at the burn-in's rate, at most its length
             proposals = -(-swaps_per_edge * m * m // max(done, m))
         swaps_done.append(done)
-        clustering = local_clustering(ends, projection.degree)
+        clustering = local_clustering(np.stack(np.divmod(keys, n)), projection.degree)
         bucket_means.append(_run_sums(clustering[order], starts, counts) / counts)
         sample_means.append(float(np.mean(clustering)))
     # the replicas' bucket means, pooled per degree

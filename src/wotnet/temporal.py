@@ -101,11 +101,12 @@ def burstiness(deltas) -> float:
     return float((s - m) / (s + m))
 
 
-class YearlyBurstiness(NamedTuple):
-    """Burstiness per calendar year and layer, as columns, by year and then
-    layer (rewarding first): the `value` of B over the `n_samples` gaps."""
+class BurstinessTable(NamedTuple):
+    """Burstiness per layer over the whole log (`year` None), then per calendar
+    year and layer, as columns, by year and then layer (rewarding first): the
+    `value` of B over the `n_samples` gaps."""
 
-    year: np.ndarray
+    year: list[int | None]
     layer: list[Layer]
     value: np.ndarray
     n_samples: np.ndarray
@@ -125,23 +126,30 @@ def _slice_burstiness(keys: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray,
     return slices.degree[kept], (s - m) / (s + m), slices.n_nodes[kept]
 
 
-def yearly_burstiness(log: EventLog) -> YearlyBurstiness:
-    """Burstiness per calendar year and layer.
+# the key of each layer's whole-log slice, below the key `2 * year + side` of any year
+_WHOLE_LOG = np.iinfo(np.int64).min
 
-    Gaps are pooled within each year (per-user consecutive incoming events
-    falling in the same year); year/layer slices with fewer than two gap
-    samples, or with only zero gaps, are omitted.
+
+def burstiness_table(log: EventLog) -> BurstinessTable:
+    """Burstiness of each layer's gaps over the whole log, then per calendar year.
+
+    A year pools the gaps within it (per-user consecutive incoming events
+    falling in the same year); slices with fewer than two gap samples, or
+    with only zero gaps, are omitted.
     """
     keys, deltas = [], []
     for side, layer in enumerate(Layer):
         gaps, later = _user_gaps(log, layer)
         years = _utc_years(later)
         same_year = years == _utc_years(later - gaps)
-        keys.append(years[same_year] * 2 + side)  # by year, then layer
-        deltas.append(gaps[same_year])
+        # the layer's whole-log slice, then its slices by year
+        keys += [np.full(len(gaps), _WHOLE_LOG + side), years[same_year] * 2 + side]
+        deltas += [gaps, gaps[same_year]]
     key, value, n_samples = _slice_burstiness(np.concatenate(keys), np.concatenate(deltas))
     years, sides = np.divmod(key, 2)
-    return YearlyBurstiness(years, np.array(list(Layer))[sides].tolist(), value, n_samples)
+    whole = int(np.searchsorted(key, _WHOLE_LOG + 2))  # the whole-log rows come first
+    year = [None] * whole + years[whole:].tolist()
+    return BurstinessTable(year, np.array(list(Layer))[sides].tolist(), value, n_samples)
 
 
 def _profile(
@@ -197,21 +205,27 @@ class AnnotationWindow:
 
 
 def load_annotations(path: str | Path) -> list[AnnotationWindow]:
-    """Read a `label,start_date,end_date` CSV of ISO-8601 date windows."""
+    """Read a `label,start_date,end_date` CSV of ISO-8601 date windows.
+
+    The first non-blank line may be a header, as in `ingest`.  A label may
+    not hold a comma, a semicolon, a double quote or a line break: the daily
+    output writes labels into unquoted cells, joined by semicolons.
+    """
     windows: list[AnnotationWindow] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
-            if not row or not "".join(row).strip():
-                continue
+        rows = ((i, row) for i, row in enumerate(csv.reader(fh), start=1) if "".join(row).strip())
+        for n, (i, row) in enumerate(rows):
             if len(row) != 3:
                 raise ValueError(f"{path}: line {i}: expected 3 fields")
             label, start_s, end_s = (f.strip() for f in row)
             try:
                 start, end = date.fromisoformat(start_s), date.fromisoformat(end_s)
             except ValueError:
-                if i == 1:
+                if n == 0:
                     continue  # header line
                 raise ValueError(f"{path}: line {i}: invalid ISO date") from None
+            if set(label) & set(',;"\r\n'):
+                raise ValueError(f"{path}: line {i}: label {label!r} holds a comma, semicolon, quote or line break")
             windows.append(AnnotationWindow(label, start, end))
     return windows
 

@@ -899,6 +899,18 @@ def test_temporal_annotations_joined(capsys, tmp_path):
     assert any("2013-04-01" in l for l in in_window)
 
 
+def test_temporal_rejects_an_annotation_label_with_a_comma(capsys, tmp_path):
+    # unquoted in the daily output, the label would add a sixth cell to its rows
+    events = tmp_path / "events.csv"
+    events.write_text("1,2,5,1383264000\n3,2,1,1383350400\n")
+    windows = tmp_path / "win.csv"
+    windows.write_text('"bull, run",2013-11-01,2013-11-03\n')
+    out = tmp_path / "t"
+    code, _, err = _run(capsys, "temporal", "--input", str(events), "--out", str(out), "--annotations", str(windows))
+    assert code == 2
+    assert err.startswith("wotnet: input error:") and "line 1: label 'bull, run'" in err
+
+
 def test_all_runs_every_analysis(synth_csv, tmp_path):
     out = tmp_path / "all"
     assert (

@@ -676,6 +676,38 @@ def test_follow_gives_repeated_ids_the_result_of_distinct_ids(small_log):
     assert _records(follow(small_log, repeated, labels)) == _records(follow(small_log, set(rated), labels))
 
 
+def _follow_by_chosen_runs(log, users, labels):
+    """`follow` as it was before `Trajectories.pick`: the ratee runs, then
+    the chosen ones moved up behind each other, with each run's start taken
+    from the sort; the oracle of `pick`."""
+    user_ids, (_, ratees) = log.user_codes()
+    order, starts, counts, running = dynamics._running_sums(ratees, log.scores)
+    rated = ratees[order[starts]]
+    ids, labels = user_ids[rated], labels[rated]
+    if users is not None:
+        chosen = np.unique(np.fromiter(users, dtype=np.int64))
+        pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
+        ids, labels, starts, counts = ids[pick], labels[pick], starts[pick], counts[pick]
+        running = running[np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
+    return ids, labels, counts, running
+
+
+@given(
+    _multi_day_logs(),
+    # repeated ids, rated users, raters never rated, and ids absent from every log
+    st.lists(st.sampled_from([-5, 0, 3, 17, 2**40, 8, 9, -6, 1, 2**41]), max_size=15),
+)
+@settings(max_examples=150, deadline=None)
+def test_pick_matches_following_the_chosen_runs(log, users):
+    labels, _ = _labels(log)
+    runs = follow(log, None, labels)
+    for chosen in (None, users):
+        picked = runs if chosen is None else runs.pick(chosen)
+        for mine, oracle in zip(picked, _follow_by_chosen_runs(log, chosen, labels)):
+            assert mine.dtype == oracle.dtype and mine.tobytes() == oracle.tobytes()
+        assert _records(follow(log, chosen, labels)) == _records(picked)
+
+
 def test_follow_rejects_a_label_column_of_another_length(small_log):
     labels, _ = _labels(small_log)
     for wrong in (labels[:-1], np.append(labels, labels[:1])):

@@ -4,6 +4,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -580,12 +581,11 @@ def test_spectrum_trend_needs_two_bins():
 def _rewired(projection, seed, swaps_per_edge=10):
     """Rewire the projection's edges as one null replica does; returns the
     rewired edges, the swaps accepted and the pairs `_swap_round` was given."""
-    ends = projection.edges.copy()
+    n = len(projection.nodes)
+    keys = projection.edges[0] * n + projection.edges[1]
     with mock.patch("wotnet.static._swap_round", wraps=_swap_round) as spy:
-        done = _double_edge_swaps(
-            ends, len(projection.nodes), swaps_per_edge * ends.shape[1], np.random.default_rng(seed)
-        )
-    return ends, done, sum(call.args[3] for call in spy.call_args_list)
+        done = _double_edge_swaps(keys, n, swaps_per_edge * len(keys), np.random.default_rng(seed))
+    return np.stack(np.divmod(keys, n)), done, sum(call.args[2] for call in spy.call_args_list)
 
 
 def test_null_samples_preserve_degree_sequences(small_log):
@@ -646,15 +646,15 @@ def test_null_on_a_reciprocal_layer_keeps_the_empirical_degrees():
 
 
 def _measured_by_projection(projection, replicas):
-    """Each replica's edges projected again (keys sorted, split with `divmod`,
+    """Each replica's edge keys projected again (sorted, split with `divmod`,
     degrees recounted) and its clustering spectrum, stds included, taken per
     level, as `configuration_null` measured replicas before it passed their
     edges straight to `local_clustering`.  Returns the pooled spectrum and the
     replicas' mean clustering."""
     n = len(projection.nodes)
     spectra, sample_means = [], []
-    for ends in replicas:
-        edges = np.stack(np.divmod(np.unique(ends[0] * n + ends[1]), n))
+    for keys in replicas:
+        edges = np.stack(np.divmod(np.unique(keys), n))
         degree = np.bincount(edges.ravel(), minlength=n)
         clustering = local_clustering(edges, degree)
         spectra.append(_bucket_spectrum_by_mask(degree, clustering))
@@ -674,10 +674,10 @@ def _configuration_null_by_projection(projection, n_samples, seed, swaps_per_edg
     clustering and their swap counts."""
     n, replicas, swaps_done = len(projection.nodes), [], []
     for stream in np.random.SeedSequence(seed).spawn(n_samples):
-        ends = projection.edges.copy()
-        proposals = swaps_per_edge * ends.shape[1]
-        swaps_done.append(_double_edge_swaps(ends, n, proposals, np.random.default_rng(stream)))
-        replicas.append(ends)
+        keys = projection.edges[0] * n + projection.edges[1]
+        proposals = swaps_per_edge * len(keys)
+        swaps_done.append(_double_edge_swaps(keys, n, proposals, np.random.default_rng(stream)))
+        replicas.append(keys)
     return (*_measured_by_projection(projection, replicas), swaps_done)
 
 
@@ -692,14 +692,14 @@ def _one_chain_null_by_projection(projection, n_samples, seed, swaps_per_edge):
     n, m = len(projection.nodes), projection.edges.shape[1]
     burn_in = swaps_per_edge * m
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    ends = projection.edges.copy()
-    swaps_done = [_double_edge_swaps(ends, n, burn_in, rng)]
+    keys = projection.edges[0] * n + projection.edges[1]
+    swaps_done = [_double_edge_swaps(keys, n, burn_in, rng)]
     accepted = swaps_done[0]
     gap = min(burn_in, max(m, math.ceil(Fraction(burn_in * m, accepted)))) if accepted else burn_in
-    replicas = [ends.copy()]
+    replicas = [keys.copy()]
     for _ in range(n_samples - 1):
-        swaps_done.append(swaps_done[-1] + _double_edge_swaps(ends, n, gap, rng))
-        replicas.append(ends.copy())
+        swaps_done.append(swaps_done[-1] + _double_edge_swaps(keys, n, gap, rng))
+        replicas.append(keys.copy())
     return (*_measured_by_projection(projection, replicas), swaps_done, gap)
 
 
@@ -752,7 +752,8 @@ def test_one_replica_is_the_first_replica_of_many(small_log, n_samples):
 
 def _swap_round_by_sort(ends, keys, n, n_pairs, rng):
     """`_swap_round` as it was before it ordered the proposed ends with
-    `np.minimum`/`np.maximum` and scattered the clash flags: the oracle."""
+    `np.minimum`/`np.maximum`, scattered the clash flags and kept only the
+    edges' keys: the oracle, which keeps the ends `ends` next to `keys`."""
     slots = rng.permutation(len(keys))[: 2 * n_pairs]
     (a, c), (b, d) = ends[:, slots].reshape(2, 2, n_pairs)
     flip = rng.random(n_pairs) < 0.5
@@ -785,13 +786,12 @@ def test_swap_round_matches_the_sorting_round(log, seed):
         if m < 2:
             continue
         states = []
-        for round_ in (_swap_round, _swap_round_by_sort):
-            ends = projection.edges.copy()
-            keys = ends[0] * n + ends[1]
+        for round_ in (_swap_round, partial(_swap_round_by_sort, projection.edges.copy())):
+            keys = projection.edges[0] * n + projection.edges[1]
             rng = np.random.default_rng(seed)
             pairs = random.Random(seed)  # the same round sizes for both
-            accepted = [round_(ends, keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
-            states.append((ends.tolist(), keys.tolist(), accepted))
+            accepted = [round_(keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
+            states.append((keys.tolist(), accepted))
         assert states[0] == states[1]
 
 
@@ -809,15 +809,14 @@ def test_swap_round_without_room_to_pack_matches_the_sorting_round(log, seed):
         if m < 2:
             continue
         states = []
-        for round_ in (_swap_round, _swap_round_by_sort):
-            ends = edges.copy()
-            keys = ends[0] * n + ends[1]
+        for round_ in (_swap_round, partial(_swap_round_by_sort, edges.copy())):
+            keys = edges[0] * n + edges[1]
             rng = np.random.default_rng(seed)
             pairs = random.Random(seed)  # the same round sizes for both
             with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-                accepted = [round_(ends, keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
+                accepted = [round_(keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
             assert spy.call_count == 12
-            states.append((ends.tolist(), keys.tolist(), accepted))
+            states.append((keys.tolist(), accepted))
         assert states[0] == states[1]
 
 
@@ -834,10 +833,9 @@ def _simple_graphs(degrees):
 def _round_chain(graph, n, seed):
     """One `_swap_round` per step, pairing every edge: the most conflicts a round can have."""
     rng = np.random.default_rng(seed)
-    ends = np.array(np.divmod(graph, n), dtype=np.int64)
-    keys = ends[0] * n + ends[1]
+    keys = np.array(graph, dtype=np.int64)
     while True:
-        _swap_round(ends, keys, n, len(keys) // 2, rng)
+        _swap_round(keys, n, len(keys) // 2, rng)
         yield tuple(sorted(keys.tolist()))
 
 
@@ -884,9 +882,9 @@ def test_rewiring_from_a_uniform_start_stays_uniform():
     rng = np.random.default_rng(1)
     visits = Counter()
     for start in rng.integers(len(graphs), size=3400):
-        ends = np.array(np.divmod(graphs[start], n), dtype=np.int64)
-        _double_edge_swaps(ends, n, ends.shape[1], rng)
-        visits[tuple(sorted((ends[0] * n + ends[1]).tolist()))] += 1
+        keys = np.array(graphs[start], dtype=np.int64)
+        _double_edge_swaps(keys, n, len(keys), rng)
+        visits[tuple(sorted(keys.tolist()))] += 1
     assert set(visits) == set(graphs)
     assert sps.chisquare([visits[g] for g in graphs]).pvalue > 1e-3
 
@@ -972,7 +970,7 @@ def test_null_metadata_records_swap_budget():
     assert result.swaps_target == 40
     # the burn-in, then the gap before the second replica
     burn_in, gap = result.swaps_target, result.swaps_gap
-    assert sum(call.args[3] for call in spy.call_args_list) == burn_in + gap
+    assert sum(call.args[2] for call in spy.call_args_list) == burn_in + gap
     # only the swap of two opposite edges to the two diagonals is legal on a 4-cycle
     first, second = result.swaps_done
     assert 0 < first < burn_in and first <= second < burn_in + gap

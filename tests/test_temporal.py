@@ -13,6 +13,7 @@ from wotnet import (
     SynthConfig,
     annotations_for,
     burstiness,
+    burstiness_table,
     circadian_profile,
     daily_fold,
     daily_series,
@@ -20,9 +21,8 @@ from wotnet import (
     load_annotations,
     synth_log,
     weekly_profile,
-    yearly_burstiness,
 )
-from wotnet.temporal import AnnotationWindow, _user_gaps, _utc_years
+from wotnet.temporal import AnnotationWindow, _slice_burstiness, _user_gaps, _utc_years
 
 DAY = 86_400
 YEAR_2012 = 1_325_376_000  # 2012-01-01T00:00:00Z
@@ -246,6 +246,18 @@ def test_burstiness_rejects_degenerate_samples(bad):
         burstiness(bad)
 
 
+def _year_rows(log: EventLog):
+    """The per-year rows of `burstiness_table(log)`, as its columns, the years an int array."""
+    table = burstiness_table(log)
+    rows = slice(table.year.count(None), None)  # after the whole-log rows
+    return table._replace(
+        year=np.array(table.year[rows], dtype=np.int64),
+        layer=table.layer[rows],
+        value=table.value[rows],
+        n_samples=table.n_samples[rows],
+    )
+
+
 def test_yearly_burstiness_single_year():
     log = EventLog(
         [
@@ -257,7 +269,7 @@ def test_yearly_burstiness_single_year():
             (3, 9, -5, YEAR_2012 + 400),
         ]
     )
-    yearly = yearly_burstiness(log)
+    yearly = _year_rows(log)
     assert list(zip(yearly.year.tolist(), yearly.layer)) == [
         (2012, Layer.REWARDING),
         (2012, Layer.PUNITIVE),
@@ -279,7 +291,7 @@ def test_yearly_burstiness_omits_sparse_years():
             (3, 9, 5, y2013 + 200),
         ]
     )
-    yearly = yearly_burstiness(log)
+    yearly = _year_rows(log)
     assert list(zip(yearly.year.tolist(), yearly.layer)) == [(2013, Layer.REWARDING)]
 
 
@@ -294,13 +306,13 @@ def test_yearly_burstiness_excludes_cross_year_gaps():
             (4, 9, 5, y2013 + 10_000),
         ]
     )
-    yearly = yearly_burstiness(log)
+    yearly = _year_rows(log)
     # each year holds only one within-year gap, below the two-sample floor
     assert yearly.year.size == 0 and yearly.layer == []
 
 
 def test_yearly_burstiness_pools_users_within_year(small_log):
-    yearly = yearly_burstiness(small_log)
+    yearly = _year_rows(small_log)
     assert (yearly.n_samples >= 2).all()
     assert ((-1.0 <= yearly.value) & (yearly.value < 1.0)).all()
 
@@ -313,7 +325,7 @@ TIED_LOG = [(1, 2, 5, TIED), (3, 2, 4, TIED), (4, 2, 3, TIED), (2, 1, -2, TIED +
 def test_yearly_burstiness_omits_slices_of_zero_gaps():
     log = EventLog([*TIED_LOG, (5, 1, -3, TIED + 260)])
     with np.errstate(all="raise"):  # B is computed over the kept slices only
-        yearly = yearly_burstiness(log)
+        yearly = _year_rows(log)
     # the rewarding gaps 0, 0 make no row; the punitive gaps 100, 60 do
     assert list(zip(yearly.year.tolist(), yearly.layer)) == [(2011, Layer.PUNITIVE)]
     assert yearly.value.tolist() == [burstiness([100, 60])]
@@ -358,12 +370,62 @@ def _small_logs(draw):
 @example(EventLog([(1, 2, 1, YEAR_2012 + t) for t in np.cumsum([0, 51113, 26978, 30782, 4097, 7524, 1652, 17526, 81327, 64941, 91275, 50362, 60663])]))
 @settings(max_examples=200, deadline=None)
 def test_yearly_burstiness_is_bitwise_burstiness_of_each_year(log):
-    yearly = yearly_burstiness(log)
+    yearly = _year_rows(log)
     oracle = _yearly_burstiness_by_mask(log)
     assert list(zip(yearly.year.tolist(), yearly.layer, yearly.n_samples.tolist())) == [
         (year, layer, n) for year, layer, _, n in oracle
     ]
     assert yearly.value.tobytes() == np.array([b for _, _, b, _ in oracle]).tobytes()
+
+
+def _burstiness_rows_by_two_calls(log: EventLog) -> tuple:
+    """The rows of `burstiness.csv` as the temporal stage composed them
+    before `burstiness_table`: `_slice_burstiness` over layer keys for the
+    whole-log rows, then `yearly_burstiness` as it was, over year x 2 +
+    layer keys; the oracle, as (year, layer, B, n) columns."""
+    whole = [_user_gaps(log, layer)[0] for layer in Layer]
+    sides, value, n_samples = _slice_burstiness(np.repeat([0, 1], [len(g) for g in whole]), np.concatenate(whole))
+    keys, deltas = [], []
+    for side, layer in enumerate(Layer):
+        gaps, later = _user_gaps(log, layer)
+        years = _utc_years(later)
+        same_year = years == _utc_years(later - gaps)
+        keys.append(years[same_year] * 2 + side)
+        deltas.append(gaps[same_year])
+    key, yearly_value, yearly_n = _slice_burstiness(np.concatenate(keys), np.concatenate(deltas))
+    years, yearly_sides = np.divmod(key, 2)
+    layers = np.array(list(Layer))
+    return (
+        [None] * len(sides) + years.tolist(),
+        layers[np.concatenate((sides, yearly_sides))].tolist(),
+        np.concatenate((value, yearly_value)),
+        np.concatenate((n_samples, yearly_n)),
+    )
+
+
+@given(_small_logs())
+@example(EventLog(TIED_LOG))
+# one gap on each layer
+@example(EventLog([(1, 2, 5, YEAR_2012), (3, 2, 1, YEAR_2012 + 50), (2, 1, -2, YEAR_2012 + 9), (3, 1, -1, YEAR_2012 + 90)]))
+@settings(max_examples=200, deadline=None)
+def test_burstiness_table_is_bitwise_the_two_call_composition(log):
+    table = burstiness_table(log)
+    year, layer, value, n_samples = _burstiness_rows_by_two_calls(log)
+    assert (table.year, table.layer, table.n_samples.tolist()) == (year, layer, n_samples.tolist())
+    assert table.value.dtype == value.dtype and table.value.tobytes() == value.tobytes()
+
+
+def test_burstiness_table_leads_with_the_whole_log_rows():
+    # gaps of 100 and 4,900 s in 2011 and of 60 s across the new year, then one in 2012
+    new_year = YEAR_2012 - 30
+    times = (new_year - 5000, new_year - 4900, new_year, new_year + 60, new_year + 70)
+    log = EventLog((rater, 9, 5, t) for rater, t in enumerate(times, start=1))
+    table = burstiness_table(log)
+    assert list(zip(table.year, table.layer, table.n_samples.tolist())) == [
+        (None, Layer.REWARDING, 4),
+        (2011, Layer.REWARDING, 2),
+    ]
+    assert table.value.tolist() == [burstiness([100, 4900, 60, 10]), burstiness([100, 4900])]
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +504,25 @@ def test_annotation_windows_join(tmp_path):
     assert annotations_for(date(2013, 4, 1), overlapping) == "first-peak;extra"
 
 
+def test_annotation_header_may_follow_blank_lines(tmp_path):
+    path = tmp_path / "windows.csv"
+    path.write_text("\nlabel,start,end\nbubble,2013-11-01,2013-12-31\n")
+    assert load_annotations(path) == [AnnotationWindow("bubble", date(2013, 11, 1), date(2013, 12, 31))]
+    # only the first non-blank line may be a header
+    path.write_text("\nlabel,start,end\nfrom,to,when\n")
+    with pytest.raises(ValueError, match="line 3: invalid ISO date"):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("label", ['"bull, run"', '"bull; run"', '"bull ""run"""', '"bull\nrun"', '"bull\rrun"'])
+def test_annotation_labels_may_not_break_the_daily_cells(tmp_path, label):
+    # the daily output writes labels unquoted, joined by semicolons
+    path = tmp_path / "windows.csv"
+    path.write_text(f"label,start,end\n{label},2013-11-01,2013-11-03\n", newline="")
+    with pytest.raises(ValueError, match="line 2: label"):
+        load_annotations(path)
+
+
 def test_annotation_file_validation(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("only-two-fields,2013-01-01\n")
@@ -460,7 +541,7 @@ def test_annotation_file_validation(tmp_path):
 
 
 def test_dataset_yearly_burstiness_positive_mid_years(otc_log):
-    yearly = yearly_burstiness(otc_log)
+    yearly = _year_rows(otc_log)
     rows = dict(zip(zip(yearly.year.tolist(), yearly.layer), yearly.value.tolist()))
     for year in (2012, 2013, 2014, 2015):
         assert rows[(year, Layer.REWARDING)] > 0
