@@ -41,7 +41,7 @@ from .categories import (
     negative_fractions,
     reputation_vs_indegree_scatter,
 )
-from .distributions import Distribution, from_values, log_binned_ccdf
+from .distributions import from_values, log_binned_ccdf
 from .dynamics import DailyFold, TrajectorySelection, daily_fold, follow
 from .model import (
     EventLog,
@@ -57,7 +57,6 @@ from .model import (
 )
 from .static import (
     RANKING_KEYS,
-    DegreeSpectrum,
     avg_neighbor_degree_spectrum,
     clustering_spectrum,
     configuration_null,
@@ -87,7 +86,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
 
-LAYERS = (Layer.REWARDING, Layer.PUNITIVE)
+LAYERS = tuple(Layer)
 
 
 class InputError(Exception):
@@ -189,9 +188,6 @@ class RunWriter:
         (out_dir / "manifest.json").unlink(missing_ok=True)
         self.out_dir = out_dir
         self.outputs: list[str] = []
-        # ingest counts and warnings of a log-reading run, recorded in the manifest
-        self.ingest: IngestReport | None = None
-        self.warnings: list[str] | None = None
 
     def write_csv(self, name: str, header: Sequence[str], *blocks: Sequence) -> None:
         """Write the table of `blocks`, one below the other; no block makes a
@@ -212,7 +208,16 @@ class RunWriter:
         _atomic_write(self.out_dir / name, "\n".join(lines) + "\n")
         self.outputs.append(name)
 
-    def write_manifest(self, command: str, config: dict, input_sha256: str | None) -> None:
+    def write_manifest(
+        self,
+        command: str,
+        config: dict,
+        input_sha256: str | None,
+        ingest: IngestReport | None = None,
+        warnings: list[str] | None = None,
+    ) -> None:
+        """Write `manifest.json`; a log-reading run also records its ingest
+        counts and the warnings its stages raised."""
         manifest = {
             "command": command,
             "config": config,
@@ -222,14 +227,10 @@ class RunWriter:
             "tool": "wotnet",
             "version": __version__,
         }
-        if self.ingest is not None:
-            manifest["ingest"] = {
-                "kept": self.ingest.events_kept,
-                "rejected": self.ingest.events_rejected,
-                "users": self.ingest.n_users,
-            }
-        if self.warnings is not None:
-            manifest["warnings"] = self.warnings
+        if ingest is not None:
+            manifest["ingest"] = {"kept": ingest.events_kept, "rejected": ingest.events_rejected, "users": ingest.n_users}
+        if warnings is not None:
+            manifest["warnings"] = warnings
         _atomic_write(
             self.out_dir / "manifest.json",
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -370,6 +371,13 @@ class RunContext:
     def __init__(self, config: dict, selection: str | None):
         self.config = config
         self.log, self.report, self.input_sha256 = _load_log(config)
+        # read before any stage writes, so that a bad file writes nothing
+        self.windows = []
+        if config["annotations"]:
+            try:
+                self.windows = load_annotations(config["annotations"])
+            except (ValueError, OSError) as exc:
+                raise InputError(f"cannot read annotation file: {exc}") from exc
         # `all` follows both top-entrant selections
         self.selections = (
             [TrajectorySelection(selection)]
@@ -396,18 +404,6 @@ class RunContext:
 
 # ---------------------------------------------------------------------------
 # stages: each writes its outputs from the shared run context
-
-
-def _distribution(dist: Distribution, *prefix) -> tuple:
-    return (*prefix, dist.support, dist.pmf, dist.ccdf)
-
-
-def _spectrum(spectrum: DegreeSpectrum, *prefix) -> tuple:
-    return (*prefix, spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes)
-
-
-def _binned(spectrum: DegreeSpectrum, *prefix) -> tuple:
-    return (*prefix, *log_binned_means(spectrum))
 
 
 def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
@@ -446,13 +442,13 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     seed = _require(ctx.config, "seed", "for the configuration-model null")
     n_samples = ctx.config["null_samples"]
     columns = ctx.columns
-    layer_plus, layer_minus = ctx.layers
-    pair = ((Layer.REWARDING, layer_plus), (Layer.PUNITIVE, layer_minus))
+    layer_plus = ctx.layers[0]
+    pair = tuple(zip(LAYERS, ctx.layers))
 
     writer.write_csv(
         "weight_distribution.csv",
         ["layer", "weight", "pmf", "ccdf"],
-        *(_distribution(weight_distribution(view), layer) for layer, view in pair),
+        *((layer, *weight_distribution(view)) for layer, view in pair),
     )
 
     fields = columns.fields
@@ -460,7 +456,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
         "degree_distributions.csv",
         ["layer", "direction", "degree", "pmf", "ccdf"],
         *(
-            _distribution(from_values(fields[row + offset]), layer, direction)
+            (layer, direction, *from_values(fields[row + offset]))
             for row, layer in enumerate(LAYERS)
             for offset, direction in ((0, "in"), (2, "out"))
         ),
@@ -470,19 +466,19 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     writer.write_csv(
         "reputation_distributions.csv",
         ["measure", "value", "pmf", "ccdf"],
-        *(_distribution(dist, measure) for measure, dist in measures),
+        *((measure, *dist) for measure, dist in measures),
     )
 
     projections = [undirected_projection(view.raters, view.ratees) for _, view in pair]
     spectrum_blocks, binned_blocks, null_rows = [], [], []
     for layer, projection in zip(LAYERS, projections):
         spectrum = clustering_spectrum(projection)
-        binned_blocks.append(_binned(spectrum, layer))
+        binned_blocks.append((layer, *log_binned_means(spectrum)))
         null = configuration_null(projection, n_samples, seed)
         stats = (null.null_mean_clustering, null.null_std_clustering, null.n_samples, null.swaps_target)
         null_rows.append((layer, mean_clustering(projection), *stats, min(null.swaps_done), null.seed, null.swaps_gap))
         # the replicas keep every projected degree, so the null's degrees are the spectrum's
-        spectrum_blocks.append((*_spectrum(spectrum, layer), null.null_mean, null.null_std))
+        spectrum_blocks.append((layer, *spectrum, null.null_mean, null.null_std))
     writer.write_csv(
         "clustering_spectrum.csv",
         ["layer", "degree", "mean_clustering", "std_clustering", "n_nodes", "null_mean", "null_std"],
@@ -525,12 +521,12 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     writer.write_csv(
         "neighbor_degree_spectrum.csv",
         ["layer", "degree", "mean_neighbor_degree", "std_neighbor_degree", "n_nodes"],
-        *map(_spectrum, spectra, LAYERS),
+        *((layer, *spectrum) for layer, spectrum in zip(LAYERS, spectra)),
     )
     writer.write_csv(
         "neighbor_degree_binned.csv",
         ["layer", "bin_center", "mean_neighbor_degree"],
-        *map(_binned, spectra, LAYERS),
+        *((layer, *log_binned_means(spectrum)) for layer, spectrum in zip(LAYERS, spectra)),
     )
     writer.write_csv("neighbor_degree_trend.csv", ["layer", "spearman"], *zip(LAYERS, trends))
 
@@ -545,7 +541,7 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     writer.write_csv(
         "reputation_by_indegree.csv",
         ["layer", "in_degree", "mean_rho", "std_rho", "n_users"],
-        *(_spectrum(reputation_by_indegree(columns, layer), layer) for layer in LAYERS),
+        *((layer, *reputation_by_indegree(columns, layer)) for layer in LAYERS),
     )
 
 
@@ -577,17 +573,7 @@ def _write_categories(writer: RunWriter, ctx: RunContext) -> None:
 
 
 def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
-    log, config = ctx.log, ctx.config
-    shift = config["tz_shift"]
-    windows = []
-    if config["annotations"]:
-        if not os.path.exists(config["annotations"]):
-            raise InputError(f"annotation file not found: {config['annotations']}")
-        try:
-            windows = load_annotations(config["annotations"])
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-
+    log, shift, windows = ctx.log, ctx.config["tz_shift"], ctx.windows
     shifts = [0] if shift == 0 else [0, shift]
 
     def daily_blocks():
@@ -604,12 +590,11 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
     )
 
     interevent_blocks, binned_blocks = [], []
-    for layer in LAYERS:
+    for layer, deltas in interevent_times(log).items():
         # layers without enough repeat ratings simply contribute no rows
-        deltas = interevent_times(log, layer)
         if deltas.size > 0:
             dist = from_values(deltas)
-            interevent_blocks.append(_distribution(dist, layer))
+            interevent_blocks.append((layer, *dist))
             binned_blocks.append((layer, *log_binned_ccdf(dist)))
     writer.write_csv("interevent_distribution.csv", ["layer", "dt_seconds", "pmf", "ccdf"], *interevent_blocks)
     writer.write_csv("interevent_binned_ccdf.csv", ["layer", "dt_seconds", "ccdf"], *binned_blocks)
@@ -617,14 +602,11 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
 
     profiles = (("circadian", "hour", circadian_profile), ("weekly", "weekday", weekly_profile))
     for name, slot, profile in profiles:
-        fractions = [profile(log, s) for s in shifts]
+        fractions = [profile(log, s).values() for s in shifts]
         writer.write_csv(
             f"{name}_profile.csv",
             ["tz_shift_hours", slot, "frac_plus", "frac_minus"],
-            *(
-                (s, np.arange(len(f[Layer.REWARDING])), f[Layer.REWARDING], f[Layer.PUNITIVE])
-                for s, f in zip(shifts, fractions)
-            ),
+            *((s, np.arange(len(plus)), plus, minus) for s, (plus, minus) in zip(shifts, fractions)),
         )
 
 
@@ -710,9 +692,7 @@ def _run(args: argparse.Namespace) -> int:
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     if writer is not None:
-        writer.ingest = ctx.report
-        writer.warnings = [str(w.message) for w in caught]
-        writer.write_manifest(args.command, config, ctx.input_sha256)
+        writer.write_manifest(args.command, config, ctx.input_sha256, ctx.report, [str(w.message) for w in caught])
     return EXIT_OK
 
 

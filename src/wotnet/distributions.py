@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(NamedTuple):
     """pmf and inclusive CCDF over the sorted distinct observed values.
 
     ccdf[i] is P(X >= support[i]); the ccdf at the smallest support value
@@ -18,10 +17,6 @@ class Distribution:
     support: np.ndarray
     pmf: np.ndarray
     ccdf: np.ndarray
-
-    def __post_init__(self) -> None:
-        for a in (self.support, self.pmf, self.ccdf):
-            a.setflags(write=False)
 
     def mode(self) -> int | float:
         """Support value with the highest probability (smallest wins ties)."""
@@ -40,7 +35,9 @@ def from_values(values) -> Distribution:
     support, counts = np.unique(arr, return_counts=True)
     pmf = counts / arr.size
     ccdf = np.cumsum(pmf[::-1])[::-1]
-    return Distribution(support=support, pmf=pmf, ccdf=ccdf)
+    for a in (support, pmf, ccdf):
+        a.setflags(write=False)
+    return Distribution(support, pmf, ccdf)
 
 
 def log_binned_ccdf(dist: Distribution, n_points: int = 50) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,8 @@ class IngestError(ValueError):
 
 
 class Layer(Enum):
+    """The two layers in row order: an event's row is `score < 0`, rewarding first."""
+
     REWARDING = "rewarding"
     PUNITIVE = "punitive"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,18 +24,13 @@ RANKING_KEYS = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho")
 BIN_FACTOR = 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeSpectrum:
+class DegreeSpectrum(NamedTuple):
     """Per-degree-bucket mean/std of some node-level value."""
 
     degree: np.ndarray
     mean_value: np.ndarray
     std_value: np.ndarray
     n_nodes: np.ndarray
-
-    def __post_init__(self) -> None:
-        for a in (self.degree, self.mean_value, self.std_value, self.n_nodes):
-            a.setflags(write=False)
 
     def as_dict(self) -> dict[int, float]:
         return {int(d): float(m) for d, m in zip(self.degree, self.mean_value)}
@@ -77,6 +72,8 @@ def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeS
     v = np.asarray(values, dtype=float)[order]
     means = _run_sums(v, starts, counts) / counts
     stds = np.sqrt(_run_sums(np.square(v - np.repeat(means, counts)), starts, counts) / counts)
+    for a in (levels, means, stds, counts):
+        a.setflags(write=False)
     return DegreeSpectrum(levels, means, stds, counts)
 
 
@@ -442,7 +439,7 @@ def ranking_report(columns: MetricColumns) -> RankingReport:
 def reputation_by_indegree(columns: MetricColumns, layer: Layer) -> DegreeSpectrum:
     """Mean/std of global reputation per in-degree level of one layer."""
     fields = _nonempty(columns).fields
-    return _bucket_spectrum(fields[0 if layer is Layer.REWARDING else 1], fields[4] - fields[5])
+    return _bucket_spectrum(fields[list(Layer).index(layer)], fields[4] - fields[5])
 
 
 def log_binned_means(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,11 @@ def _calendar(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return days - first, np.arange(first, last + 1).astype("datetime64[D]")
 
 
+def _layer_counts(log: EventLog, bins: np.ndarray, n_bins: int) -> np.ndarray:
+    """Events per bin on each layer, 2 x `n_bins`, from one `bincount` keyed by layer row."""
+    return np.bincount((log.scores < 0) * n_bins + bins, minlength=2 * n_bins).reshape(2, n_bins)
+
+
 class DailySeries(NamedTuple):
     """Events per calendar day on each layer, a day per entry (datetime64[D])."""
 
@@ -58,31 +63,30 @@ def daily_series(log: EventLog, tz_shift_hours: int = 0) -> DailySeries:
     """Events per calendar day on each layer, zero-filled over the full range."""
     shift = _check_shift(tz_shift_hours)
     days, calendar = _calendar((log.timestamps + shift) // SECONDS_PER_DAY)
-    plus = np.bincount(days[log.scores > 0], minlength=len(calendar))
-    minus = np.bincount(days[log.scores < 0], minlength=len(calendar))
-    return DailySeries(calendar, plus, minus)
+    return DailySeries(calendar, *_layer_counts(log, days, len(calendar)))
 
 
-def _user_gaps(log: EventLog, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps between consecutive events received by the same user on a layer,
-    and the timestamp of each gap's later event."""
-    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
-    ratees = log.ratees[mask]
-    ts = log.timestamps[mask]
-    order = np.argsort(ratees, kind="stable")  # events already time-sorted
-    ratees = ratees[order]
-    ts = ts[order]
-    same_user = ratees[1:] == ratees[:-1]
-    return np.diff(ts)[same_user], ts[1:][same_user]
+def _user_gaps(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaps between consecutive events received by the same user on the
+    same layer, from one sort keyed by layer row and ratee: each gap's layer
+    row (a bool, as `score < 0` is), its length and the timestamp of its
+    later event, the rewarding gaps first."""
+    users, codes = log.user_codes()
+    keys = (log.scores < 0) * len(users) + codes[1]
+    order = np.argsort(keys, kind="stable")  # events already time-sorted
+    keys, ts = keys[order], log.timestamps[order]
+    same_user = keys[1:] == keys[:-1]
+    return keys[1:][same_user] >= len(users), np.diff(ts)[same_user], ts[1:][same_user]
 
 
-def interevent_times(log: EventLog, layer: Layer) -> np.ndarray:
-    """Pooled gaps between consecutive events received by the same user.
+def interevent_times(log: EventLog) -> dict[Layer, np.ndarray]:
+    """Pooled gaps between consecutive events received by the same user, per layer.
 
-    Each user's incoming events on the layer are taken in time order; users
-    with fewer than two incoming events contribute nothing.
+    Each user's incoming events on a layer are taken in time order; users
+    with fewer than two incoming events on it contribute nothing.
     """
-    return _user_gaps(log, layer)[0]
+    rows, gaps, _ = _user_gaps(log)
+    return dict(zip(Layer, np.split(gaps, [np.searchsorted(rows, True)])))
 
 
 def burstiness(deltas) -> float:
@@ -126,7 +130,7 @@ def _slice_burstiness(keys: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray,
     return slices.degree[kept], (s - m) / (s + m), slices.n_nodes[kept]
 
 
-# the key of each layer's whole-log slice, below the key `2 * year + side` of any year
+# the key of each layer's whole-log slice, below the key `2 * year + row` of any year
 _WHOLE_LOG = np.iinfo(np.int64).min
 
 
@@ -137,33 +141,22 @@ def burstiness_table(log: EventLog) -> BurstinessTable:
     falling in the same year); slices with fewer than two gap samples, or
     with only zero gaps, are omitted.
     """
-    keys, deltas = [], []
-    for side, layer in enumerate(Layer):
-        gaps, later = _user_gaps(log, layer)
-        years = _utc_years(later)
-        same_year = years == _utc_years(later - gaps)
-        # the layer's whole-log slice, then its slices by year
-        keys += [np.full(len(gaps), _WHOLE_LOG + side), years[same_year] * 2 + side]
-        deltas += [gaps, gaps[same_year]]
-    key, value, n_samples = _slice_burstiness(np.concatenate(keys), np.concatenate(deltas))
-    years, sides = np.divmod(key, 2)
+    rows, gaps, later = _user_gaps(log)
+    years = _utc_years(later)
+    same_year = years == _utc_years(later - gaps)
+    # each layer's whole-log slice, then its slices by year
+    keys = np.concatenate((rows + _WHOLE_LOG, (years * 2 + rows)[same_year]))
+    key, value, n_samples = _slice_burstiness(keys, np.concatenate((gaps, gaps[same_year])))
+    years, rows = np.divmod(key, 2)
     whole = int(np.searchsorted(key, _WHOLE_LOG + 2))  # the whole-log rows come first
     year = [None] * whole + years[whole:].tolist()
-    return BurstinessTable(year, np.array(list(Layer))[sides].tolist(), value, n_samples)
+    return BurstinessTable(year, np.array(list(Layer))[rows].tolist(), value, n_samples)
 
 
-def _profile(
-    log: EventLog, n_bins: int, bin_of: np.ndarray
-) -> dict[Layer, np.ndarray]:
-    out: dict[Layer, np.ndarray] = {}
-    for layer, mask in (
-        (Layer.REWARDING, log.scores > 0),
-        (Layer.PUNITIVE, log.scores < 0),
-    ):
-        counts = np.bincount(bin_of[mask], minlength=n_bins).astype(float)
-        total = counts.sum()
-        out[layer] = counts / total if total > 0 else counts
-    return out
+def _profile(log: EventLog, n_bins: int, bin_of: np.ndarray) -> dict[Layer, np.ndarray]:
+    counts = _layer_counts(log, bin_of, n_bins).astype(float)
+    totals = counts.sum(axis=1, keepdims=True)
+    return dict(zip(Layer, np.divide(counts, totals, out=counts, where=totals > 0)))
 
 
 def circadian_profile(
@@ -204,10 +197,18 @@ class AnnotationWindow:
         return self.start <= day <= self.end
 
 
+def _iso_date(text: str) -> date | None:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        return None
+
+
 def load_annotations(path: str | Path) -> list[AnnotationWindow]:
     """Read a `label,start_date,end_date` CSV of ISO-8601 date windows.
 
-    The first non-blank line may be a header, as in `ingest`.  A label may
+    The first non-blank line is a header when neither of its date fields
+    is a date; a line with one valid date is a window.  A label may
     not hold a comma, a semicolon, a double quote or a line break: the daily
     output writes labels into unquoted cells, joined by semicolons.
     """
@@ -217,13 +218,12 @@ def load_annotations(path: str | Path) -> list[AnnotationWindow]:
         for n, (i, row) in enumerate(rows):
             if len(row) != 3:
                 raise ValueError(f"{path}: line {i}: expected 3 fields")
-            label, start_s, end_s = (f.strip() for f in row)
-            try:
-                start, end = date.fromisoformat(start_s), date.fromisoformat(end_s)
-            except ValueError:
-                if n == 0:
-                    continue  # header line
-                raise ValueError(f"{path}: line {i}: invalid ISO date") from None
+            label, start, end = (f.strip() for f in row)
+            start, end = _iso_date(start), _iso_date(end)
+            if start is None or end is None:
+                if n == 0 and start is None and end is None:
+                    continue  # a header line: neither date field parses
+                raise ValueError(f"{path}: line {i}: invalid ISO date")
             if set(label) & set(',;"\r\n'):
                 raise ValueError(f"{path}: line {i}: label {label!r} holds a comma, semicolon, quote or line break")
             windows.append(AnnotationWindow(label, start, end))

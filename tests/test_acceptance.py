@@ -366,7 +366,7 @@ def test_c10_property_suites():
 
     # interevent oracle on a small log
     log = _random_small_log(rng)
-    got = sorted(interevent_times(log, Layer.REWARDING).tolist())
+    got = sorted(interevent_times(log)[Layer.REWARDING].tolist())
     seen: dict[int, int] = {}
     expected = []
     for _, ratee, score, timestamp in rows(log):

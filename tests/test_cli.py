@@ -414,7 +414,10 @@ def _summary_run(capsys, tmp_path, flags: dict, entries: dict):
     return _run(capsys, "summary", "--config", str(config), *argv)
 
 
-def test_every_option_parses_alike_as_flag_or_config_entry(capsys, input_csv, tmp_path):
+def test_every_option_parses_alike_as_flag_or_config_entry(capsys, input_csv, tmp_path, monkeypatch):
+    # every log-reading subcommand reads the annotation file, so the valid text names one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / VALID_TEXT["annotations"]).write_text("bubble,2013-11-01,2013-12-31\n")
     out = tmp_path / "out"
     base = {"input": str(input_csv), "out": str(out)}
     valid = {**base, **VALID_TEXT}
@@ -909,6 +912,27 @@ def test_temporal_rejects_an_annotation_label_with_a_comma(capsys, tmp_path):
     code, _, err = _run(capsys, "temporal", "--input", str(events), "--out", str(out), "--annotations", str(windows))
     assert code == 2
     assert err.startswith("wotnet: input error:") and "line 1: label 'bull, run'" in err
+
+
+@pytest.mark.parametrize(
+    "windows, message",
+    [
+        ("label,start,end\nbubble,2013-11-01,2013-13-01\n", "line 2: invalid ISO date"),
+        ("bubble,2013-11-01,2013-13-01\ncrash,2014-02-01,2014-02-20\n", "line 1: invalid ISO date"),
+        (None, "Is a directory"),
+    ],
+)
+def test_a_bad_annotation_file_stops_all_before_it_writes(capsys, synth_csv, tmp_path, windows, message):
+    path = tmp_path / "win.csv"
+    if windows is None:
+        path.mkdir()
+    else:
+        path.write_text(windows)
+    out = tmp_path / "all"
+    code, _, err = _run(capsys, "all", "--input", str(synth_csv), "--out", str(out), "--seed", "1", "--annotations", str(path))
+    assert code == 2
+    assert err.startswith("wotnet: input error:") and message in err
+    assert not out.exists()
 
 
 def test_all_runs_every_analysis(synth_csv, tmp_path):

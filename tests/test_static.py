@@ -97,6 +97,18 @@ def test_distribution_invariants(small_log):
         assert (np.diff(dist.support) > 0).all()
 
 
+def test_result_tables_unpack_into_read_only_columns():
+    dist = from_values([3, 1, 3])
+    spectrum = clustering_spectrum(project(_layer_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])))
+    # the tables are tuples of their columns, which the CLI unpacks into blocks
+    assert tuple(dist) == (dist.support, dist.pmf, dist.ccdf)
+    assert tuple(spectrum) == (spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes)
+    for column in (*dist, *spectrum):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+
+
 def test_reputation_distribution_small_case():
     metrics = {
         1: NodeMetrics(1, 0, 0, 0, 1, 0),

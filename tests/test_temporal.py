@@ -22,7 +22,7 @@ from wotnet import (
     synth_log,
     weekly_profile,
 )
-from wotnet.temporal import AnnotationWindow, _slice_burstiness, _user_gaps, _utc_years
+from wotnet.temporal import AnnotationWindow, _calendar, _slice_burstiness, _utc_years
 
 DAY = 86_400
 YEAR_2012 = 1_325_376_000  # 2012-01-01T00:00:00Z
@@ -39,6 +39,21 @@ def activity_calendar(log: EventLog) -> dict[Layer, list[date]]:
         active = np.unique(days[mask])
         out[layer] = [date(1970, 1, 1) + timedelta(days=int(d)) for d in active]
     return out
+
+
+def _user_gaps_by_mask(log: EventLog, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps between consecutive events received by the same user on a layer,
+    and the timestamp of each gap's later event, from one mask and one sort
+    per layer, as `_user_gaps` found them before it keyed both layers in one
+    sort; the oracle of the burstiness tests."""
+    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
+    ratees = log.ratees[mask]
+    ts = log.timestamps[mask]
+    order = np.argsort(ratees, kind="stable")  # events already time-sorted
+    ratees = ratees[order]
+    ts = ts[order]
+    same_user = ratees[1:] == ratees[:-1]
+    return np.diff(ts)[same_user], ts[1:][same_user]
 
 
 def interevent_times_by_user(log: EventLog, layer: Layer) -> dict[int, np.ndarray]:
@@ -140,15 +155,15 @@ def test_interevent_times_single_receiver():
     log = EventLog(
         [(1, 9, 5, 0), (2, 9, 5, 10), (3, 9, 5, 25)]
     )
-    assert interevent_times(log, Layer.REWARDING).tolist() == [10, 15]
-    assert interevent_times(log, Layer.PUNITIVE).tolist() == []
+    assert interevent_times(log)[Layer.REWARDING].tolist() == [10, 15]
+    assert interevent_times(log)[Layer.PUNITIVE].tolist() == []
 
 
 def test_interevent_times_do_not_mix_receivers():
     log = EventLog(
         [(1, 8, 5, 0), (1, 9, 5, 5), (2, 8, 5, 30), (2, 9, 5, 100)]
     )
-    assert sorted(interevent_times(log, Layer.REWARDING).tolist()) == [30, 95]
+    assert sorted(interevent_times(log)[Layer.REWARDING].tolist()) == [30, 95]
 
 
 def _gaps_by_scanning(rows, want_positive):
@@ -178,7 +193,7 @@ def test_interevent_times_match_scanning_oracle():
             rows.append((a, b, rng.choice([-3, -1, 2, 5]), t))
         log = EventLog(rows)
         for layer, positive in ((Layer.REWARDING, True), (Layer.PUNITIVE, False)):
-            assert sorted(interevent_times(log, layer).tolist()) == _gaps_by_scanning(
+            assert sorted(interevent_times(log)[layer].tolist()) == _gaps_by_scanning(
                 rows, positive
             )
 
@@ -186,7 +201,7 @@ def test_interevent_times_match_scanning_oracle():
 def test_interevent_times_by_user_consistent_with_pooled(small_log):
     for layer in Layer:
         per_user = interevent_times_by_user(small_log, layer)
-        pooled = interevent_times(small_log, layer)
+        pooled = interevent_times(small_log)[layer]
         merged = sorted(
             g for gaps in per_user.values() for g in gaps.tolist()
         )
@@ -206,7 +221,7 @@ def test_poisson_synth_gaps_are_exponential():
         seed=99,
     )
     log = synth_log(config)
-    gaps = interevent_times(log, Layer.REWARDING).astype(float)
+    gaps = interevent_times(log)[Layer.REWARDING].astype(float)
     assert gaps.size >= 10_000
     # pooled per-receiver gaps of a homogeneous Poisson stream are
     # exponential with the per-receiver arrival rate
@@ -338,7 +353,7 @@ def _yearly_burstiness_by_mask(log: EventLog) -> list[tuple]:
     rows by year and then layer; the oracle, omitting the slices of zero gaps."""
     rows = []
     for layer in (Layer.REWARDING, Layer.PUNITIVE):
-        gaps, later = _user_gaps(log, layer)
+        gaps, later = _user_gaps_by_mask(log, layer)
         years = _utc_years(later)
         same_year = years == _utc_years(later - gaps)
         deltas, delta_years = gaps[same_year], years[same_year]
@@ -354,12 +369,12 @@ _YEAR_ENDS = (YEAR_2012 - 3 * DAY, -3 * DAY, -2_208_988_800 - 3 * DAY)
 
 
 @st.composite
-def _small_logs(draw):
+def _small_logs(draw, scores=(-3, -1, 2, 10)):
     start = draw(st.sampled_from(_YEAR_ENDS))
     # a small pool of offsets repeats timestamps; the rest spread over two years
     pool = draw(st.lists(st.integers(0, 6 * DAY), min_size=1, max_size=4))
     offset = st.sampled_from(pool) | st.integers(0, 6 * DAY) | st.integers(0, 2 * 365 * DAY)
-    event = st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([-3, -1, 2, 10]), offset)
+    event = st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(scores), offset)
     events = draw(st.lists(event.filter(lambda e: e[0] != e[1]), max_size=60))
     return EventLog([(a, b, score, start + t) for a, b, score, t in events])
 
@@ -383,11 +398,11 @@ def _burstiness_rows_by_two_calls(log: EventLog) -> tuple:
     before `burstiness_table`: `_slice_burstiness` over layer keys for the
     whole-log rows, then `yearly_burstiness` as it was, over year x 2 +
     layer keys; the oracle, as (year, layer, B, n) columns."""
-    whole = [_user_gaps(log, layer)[0] for layer in Layer]
+    whole = [_user_gaps_by_mask(log, layer)[0] for layer in Layer]
     sides, value, n_samples = _slice_burstiness(np.repeat([0, 1], [len(g) for g in whole]), np.concatenate(whole))
     keys, deltas = [], []
     for side, layer in enumerate(Layer):
-        gaps, later = _user_gaps(log, layer)
+        gaps, later = _user_gaps_by_mask(log, layer)
         years = _utc_years(later)
         same_year = years == _utc_years(later - gaps)
         keys.append(years[same_year] * 2 + side)
@@ -413,6 +428,36 @@ def test_burstiness_table_is_bitwise_the_two_call_composition(log):
     year, layer, value, n_samples = _burstiness_rows_by_two_calls(log)
     assert (table.year, table.layer, table.n_samples.tolist()) == (year, layer, n_samples.tolist())
     assert table.value.dtype == value.dtype and table.value.tobytes() == value.tobytes()
+
+
+@given(st.sampled_from([(-3, -1, 2, 10), (2, 10), (-3, -1)]).flatmap(_small_logs), st.sampled_from([0, -6, 5, 14]))
+@example(EventLog(TIED_LOG), -6)
+@settings(max_examples=200, deadline=None)
+def test_keyed_passes_are_bitwise_the_per_layer_masks(log, tz_shift_hours):
+    # the oracle: one mask per layer, as each statistic split the layers
+    # before it counted both in one pass keyed by layer row
+    masks = (log.scores > 0, log.scores < 0)
+    gaps = interevent_times(log)
+    assert list(gaps) == list(Layer)
+    for layer in Layer:
+        expected = _user_gaps_by_mask(log, layer)[0]
+        assert gaps[layer].dtype == expected.dtype and gaps[layer].tobytes() == expected.tobytes()
+
+    shifted = log.timestamps + tz_shift_hours * 3600
+    days, calendar = _calendar(shifted // DAY)
+    series = daily_series(log, tz_shift_hours)
+    assert series.day.tolist() == calendar.tolist()
+    assert [c.tolist() for c in series[1:]] == [np.bincount(days[m], minlength=len(calendar)).tolist() for m in masks]
+
+    hours, weekdays = (shifted % DAY) // 3600, (shifted // DAY + 3) % 7
+    for profile, n_bins, bin_of in ((circadian_profile, 24, hours), (weekly_profile, 7, weekdays)):
+        fractions = profile(log, tz_shift_hours)
+        assert list(fractions) == list(Layer)
+        for layer, mask in zip(Layer, masks):
+            counts = np.bincount(bin_of[mask], minlength=n_bins).astype(float)
+            total = counts.sum()
+            expected = counts / total if total > 0 else counts
+            assert fractions[layer].dtype == expected.dtype and fractions[layer].tobytes() == expected.tobytes()
 
 
 def test_burstiness_table_leads_with_the_whole_log_rows():
@@ -520,6 +565,14 @@ def test_annotation_labels_may_not_break_the_daily_cells(tmp_path, label):
     path = tmp_path / "windows.csv"
     path.write_text(f"label,start,end\n{label},2013-11-01,2013-11-03\n", newline="")
     with pytest.raises(ValueError, match="line 2: label"):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("first", ["bubble,2013-11-01,2013-13-01", "bubble,2013-13-01,2013-12-01"])
+def test_a_first_line_with_one_valid_date_is_a_window_not_a_header(tmp_path, first):
+    path = tmp_path / "windows.csv"
+    path.write_text(f"{first}\ncrash,2014-02-01,2014-02-20\n")
+    with pytest.raises(ValueError, match="line 1: invalid ISO date"):
         load_annotations(path)
 
 
