@@ -124,8 +124,7 @@ def category_summary(columns: MetricColumns, labels: np.ndarray) -> CategorySumm
 LIMIT_SLOPES = (10, 1, -10)
 
 
-@dataclass(frozen=True, eq=False)
-class ScatterResult:
+class ScatterResult(NamedTuple):
     """Per-user columns in ascending user order: aggregate in-degree, global
     reputation and the label column."""
 

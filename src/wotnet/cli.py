@@ -438,6 +438,13 @@ def _write_summary(writer: RunWriter | None, ctx: RunContext) -> None:
         writer.write_csv("summary.csv", names, counts)
 
 
+def _kept(table: str, row: str, why: str, ok: bool) -> bool:
+    """Whether a row of `table` is written; a row left out raises a warning naming it and why."""
+    if not ok:
+        warnings.warn(f"{table}: row {row} left out: {why}", RuntimeWarning)
+    return ok
+
+
 def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     seed = _require(ctx.config, "seed", "for the configuration-model null")
     n_samples = ctx.config["null_samples"]
@@ -505,30 +512,32 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     # degree conventions (all nodes vs. degree >= 2 only)
     by_weight = [("w_eq_1", layer_plus.where(layer_plus.scores == 1)), ("w_gt_1", layer_plus.where(layer_plus.scores >= 2))]
     sublayers = [(name, undirected_projection(view.raters, view.ratees)) for name, view in by_weight]
-    conventions = (("all_nodes", True), ("degree_ge_2", False))
+    conventions = (("all_nodes", 0), ("degree_ge_2", 2))  # the least degree of the nodes each averages over
     writer.write_csv(
         "norm_breaking_clustering.csv",
         ["convention", "sublayer", "mean_clustering"],
         *(
-            (convention, name, mean_clustering(projection, low))
-            for convention, low in conventions
+            (convention, name, mean_clustering(projection, include_low_degree=least < 2))
+            for convention, least in conventions
             for name, projection in sublayers
+            if _kept("norm_breaking_clustering.csv", f"{convention},{name}", "no node to average", (projection.degree >= least).any())
         ),
     )
 
     spectra = [avg_neighbor_degree_spectrum(projection) for projection in projections]
-    trends = [spectrum_trend(spectrum) for spectrum in spectra]
+    binned = [(layer, *log_binned_means(spectrum)) for layer, spectrum in zip(LAYERS, spectra)]
+    trends = [
+        (layer, spectrum_trend(spectrum))
+        for (layer, centers, _), spectrum in zip(binned, spectra)
+        if _kept("neighbor_degree_trend.csv", layer.value, "fewer than two log bins", len(centers) >= 2)
+    ]
     writer.write_csv(
         "neighbor_degree_spectrum.csv",
         ["layer", "degree", "mean_neighbor_degree", "std_neighbor_degree", "n_nodes"],
         *((layer, *spectrum) for layer, spectrum in zip(LAYERS, spectra)),
     )
-    writer.write_csv(
-        "neighbor_degree_binned.csv",
-        ["layer", "bin_center", "mean_neighbor_degree"],
-        *((layer, *log_binned_means(spectrum)) for layer, spectrum in zip(LAYERS, spectra)),
-    )
-    writer.write_csv("neighbor_degree_trend.csv", ["layer", "spearman"], *zip(LAYERS, trends))
+    writer.write_csv("neighbor_degree_binned.csv", ["layer", "bin_center", "mean_neighbor_degree"], *binned)
+    writer.write_csv("neighbor_degree_trend.csv", ["layer", "spearman"], *trends)
 
     report = ranking_report(columns)
     writer.write_csv("tau_matrix.csv", ["key", *RANKING_KEYS], [list(RANKING_KEYS), *report.tau_matrix.T])

@@ -9,7 +9,6 @@ per-user metrics of the whole log.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -124,8 +123,7 @@ class StabilitySeries(NamedTuple):
     truncated: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class DailyFold:
+class DailyFold(NamedTuple):
     """The daily measures of one pass over the days of a log: `entrants` maps each top-entrant
     selection to the users in its day-level top-k on some day, `rho` is the last day's rho+ and
     rho- (2 x n int64) of the log's users in ascending id order.  All are empty for an empty log."""

@@ -11,7 +11,6 @@ replicas keep the projected degrees that the clustering spectrum buckets by.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -77,8 +76,7 @@ def _bucket_spectrum(buckets: Sequence[int], values: Sequence[float]) -> DegreeS
     return DegreeSpectrum(levels, means, stds, counts)
 
 
-@dataclass(frozen=True, eq=False)
-class Projection:
+class Projection(NamedTuple):
     """The simple undirected graph underlying a directed edge list.
 
     Parallel edges and directions collapse into single edges.  `degree[i]`
@@ -92,10 +90,6 @@ class Projection:
     edges: np.ndarray
     degree: np.ndarray
     clustering: np.ndarray
-
-    def __post_init__(self) -> None:
-        for a in (self.nodes, self.edges, self.degree, self.clustering):
-            a.setflags(write=False)
 
 
 def undirected_projection(raters: np.ndarray, ratees: np.ndarray) -> Projection:
@@ -114,7 +108,10 @@ def undirected_projection(raters: np.ndarray, ratees: np.ndarray) -> Projection:
     n = len(nodes)
     edges = np.stack(np.divmod(_distinct(np.minimum(u, v) * n + np.maximum(u, v)), n))
     degree = np.bincount(edges.ravel(), minlength=n)
-    return Projection(nodes, edges, degree, local_clustering(edges, degree))
+    projection = Projection(nodes, edges, degree, local_clustering(edges, degree))
+    for a in projection:
+        a.setflags(write=False)
+    return projection
 
 
 def local_clustering(edges: np.ndarray, degree: np.ndarray) -> np.ndarray:
@@ -180,8 +177,7 @@ def avg_neighbor_degree_spectrum(projection: Projection) -> DegreeSpectrum:
     return _bucket_spectrum(degree, neighbor_sums / degree)
 
 
-@dataclass(frozen=True, eq=False)
-class NullModelResult:
+class NullModelResult(NamedTuple):
     """Clustering statistics of degree-preserving rewired replicas.
 
     Per-degree rows aggregate the bucket means across replicas; the overall
@@ -402,19 +398,17 @@ def _discordant_pairs(ranks: np.ndarray) -> int:
     return discordant
 
 
-@dataclass(frozen=True, eq=False)
-class RankingReport:
-    """Pairwise rank correlations of the users' attributes, and the users
-    ranked by one of them."""
+class RankingReport(NamedTuple):
+    """Pairwise rank correlations of the users' attributes (`RANKING_KEYS`),
+    and the users ranked by one of them."""
 
-    keys: tuple[str, ...]
     tau_matrix: np.ndarray
     # n x 7 int64, by rewarding in-degree rank: the columns are rank, user,
     # k_in_plus, k_in_minus, k_out_plus, k_out_minus and rho
     by_inplus_rank: np.ndarray
 
     def tau(self, key_a: str, key_b: str) -> float:
-        return float(self.tau_matrix[self.keys.index(key_a), self.keys.index(key_b)])
+        return float(self.tau_matrix[RANKING_KEYS.index(key_a), RANKING_KEYS.index(key_b)])
 
 
 def ranking_report(columns: MetricColumns) -> RankingReport:
@@ -433,7 +427,7 @@ def ranking_report(columns: MetricColumns) -> RankingReport:
     # descending rewarding in-degree, ties by ascending id
     by_inplus = np.lexsort((users, -attributes[0]))
     rows = np.column_stack((np.arange(1, len(users) + 1), users[by_inplus], attributes[:, by_inplus].T))
-    return RankingReport(keys=RANKING_KEYS, tau_matrix=tau, by_inplus_rank=rows)
+    return RankingReport(tau, rows)
 
 
 def reputation_by_indegree(columns: MetricColumns, layer: Layer) -> DegreeSpectrum:

@@ -226,7 +226,10 @@ def load_annotations(path: str | Path) -> list[AnnotationWindow]:
                 raise ValueError(f"{path}: line {i}: invalid ISO date")
             if set(label) & set(',;"\r\n'):
                 raise ValueError(f"{path}: line {i}: label {label!r} holds a comma, semicolon, quote or line break")
-            windows.append(AnnotationWindow(label, start, end))
+            try:
+                windows.append(AnnotationWindow(label, start, end))
+            except ValueError as exc:  # a window whose start is after its end
+                raise ValueError(f"{path}: line {i}: {exc}") from exc
     return windows
 
 

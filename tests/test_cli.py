@@ -543,6 +543,65 @@ def test_stage_warning_is_recorded_in_the_manifest(tmp_path):
     assert [str(w.message) for w in passed_on] == [constant]
 
 
+NO_NODE = "no node to average"
+FEW_BINS = "fewer than two log bins"
+
+
+@pytest.mark.parametrize(
+    "users, events, left_out",
+    [
+        # w_eq_1 has no node of degree 2, and the punitive spectrum one log bin
+        (30, 60, [("norm_breaking_clustering.csv", "degree_ge_2,w_eq_1", NO_NODE), ("neighbor_degree_trend.csv", "punitive", FEW_BINS)]),
+        (20, 30, [("neighbor_degree_trend.csv", "punitive", FEW_BINS)]),
+    ],
+)
+def test_all_leaves_out_the_rows_a_small_log_cannot_give(capsys, tmp_path, users, events, left_out):
+    gen = tmp_path / "gen"
+    assert main(["synth", "--users", str(users), "--events", str(events), "--seed", "1", "--out", str(gen)]) == 0
+    out = tmp_path / "all"
+    argv = ["all", "--input", str(gen / "synthetic.csv"), "--out", str(out), "--seed", "1", "--null-samples", "2"]
+    with pytest.warns(RuntimeWarning):
+        code, _, err = _run(capsys, *argv)
+    assert code == 0, err
+    manifest = _manifest_of(out)
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["warnings"] == [f"{table}: row {row} left out: {why}" for table, row, why in left_out]
+    written = {
+        table: [line.rsplit(",", 1)[0] for line in (out / table).read_text().splitlines()[1:]]
+        for table in ("norm_breaking_clustering.csv", "neighbor_degree_trend.csv")
+    }
+    every_row = {
+        "norm_breaking_clustering.csv": [f"{c},{s}" for c in ("all_nodes", "degree_ge_2") for s in ("w_eq_1", "w_gt_1")],
+        "neighbor_degree_trend.csv": ["rewarding", "punitive"],
+    }
+    missing = {(table, row) for table, row, _ in left_out}
+    assert written == {table: [row for row in rows if (table, row) not in missing] for table, rows in every_row.items()}
+
+
+@st.composite
+def _two_layer_logs(draw):
+    """Logs of up to 40 events among up to 25 users, with a rewarding and a
+    punitive event at least, tied times and times at or before 1970."""
+    start = draw(st.sampled_from([-2_208_988_800, -86_400, 0, 1_300_000_000]))
+    pool = draw(st.lists(st.integers(0, 3 * 86_400), min_size=1, max_size=4))
+    offset = st.sampled_from(pool) | st.integers(0, 2 * 365 * 86_400)
+    pair = st.tuples(st.integers(1, 25), st.integers(1, 25)).filter(lambda p: p[0] != p[1])
+    event = st.tuples(pair, st.sampled_from((-10, -2, -1, 1, 2, 10)), offset)
+    events = [*draw(st.lists(event, max_size=38)), (draw(pair), 1, draw(offset)), (draw(pair), -1, draw(offset))]
+    return EventLog([(a, b, score, start + t) for (a, b), score, t in events])
+
+
+@given(_two_layer_logs())
+@settings(max_examples=30, deadline=None)
+def test_all_completes_on_small_two_layer_logs(log):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the rows left out warn; the manifest keeps them
+        write_log_csv(log, Path(tmp) / "log.csv")
+        out = Path(tmp) / "all"
+        assert main(["all", "--input", str(Path(tmp) / "log.csv"), "--out", str(out), "--seed", "1", "--null-samples", "2"]) == 0
+        assert _manifest_of(out)["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
 def test_null_of_a_reciprocal_log_covers_every_degree(tmp_path):
     # the rewired replicas keep every projected degree, so every degree
     # bucket of the spectrum gets a null value

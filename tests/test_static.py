@@ -99,11 +99,13 @@ def test_distribution_invariants(small_log):
 
 def test_result_tables_unpack_into_read_only_columns():
     dist = from_values([3, 1, 3])
-    spectrum = clustering_spectrum(project(_layer_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])))
+    projection = project(_layer_from_edges([(1, 2), (2, 3), (3, 1), (3, 4)]))
+    spectrum = clustering_spectrum(projection)
     # the tables are tuples of their columns, which the CLI unpacks into blocks
     assert tuple(dist) == (dist.support, dist.pmf, dist.ccdf)
     assert tuple(spectrum) == (spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes)
-    for column in (*dist, *spectrum):
+    assert tuple(projection) == (projection.nodes, projection.edges, projection.degree, projection.clustering)
+    for column in (*dist, *spectrum, *projection):
         assert not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0

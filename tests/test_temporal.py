@@ -585,6 +585,11 @@ def test_annotation_file_validation(tmp_path):
     bad_date.write_text("label,start,end\nx,2013-13-45,2013-01-01\n")
     with pytest.raises(ValueError):
         load_annotations(bad_date)
+    # `AnnotationWindow` rejects a window that starts after it ends, and the file names its line
+    inverted = tmp_path / "inverted.csv"
+    inverted.write_text("label,start,end\ninv,2014-01-01,2013-01-01\n")
+    with pytest.raises(ValueError, match=r"inverted\.csv: line 2: window 'inv': start after end$"):
+        load_annotations(inverted)
     with pytest.raises(ValueError):
         AnnotationWindow("inverted", date(2014, 1, 1), date(2013, 1, 1))
 
