@@ -310,7 +310,7 @@ def _parse(key: str, text: str, where: str = "") -> object:
 def _read_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
     for i, raw in enumerate(lines, start=1):
@@ -358,6 +358,13 @@ def _load_log(config: dict) -> tuple[EventLog, IngestReport, str]:
         raise InputError(f"cannot read input: {exc}") from exc
     except (EOFError, zlib.error, UnicodeDecodeError) as exc:  # truncated gzip, bad deflate data, not UTF-8
         raise InputError(f"cannot decode input: {exc}") from exc
+
+
+def _run_writer(out: str) -> RunWriter:
+    try:
+        return RunWriter(Path(out))
+    except OSError as exc:  # such as a file in place of the directory
+        raise UsageError(f"--out: cannot create the output directory: {exc}") from None
 
 
 class RunContext:
@@ -690,7 +697,7 @@ def _run(args: argparse.Namespace) -> int:
         stages = [STAGES[args.command]]
     if stages[0].analysis:
         _require(config, "out", "to write analysis outputs")
-    writer = RunWriter(Path(config["out"])) if config["out"] else None
+    writer = _run_writer(config["out"]) if config["out"] else None
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -714,7 +721,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     log = synth_log(synth_config)
-    writer = RunWriter(Path(_require(config, "out", "to write the synthetic log")))
+    writer = _run_writer(_require(config, "out", "to write the synthetic log"))
     writer.write_csv("synthetic.csv", ["rater", "ratee", "score", "timestamp"], [log.raters, log.ratees, log.scores, log.timestamps])
     config.update((flag, getattr(synth_config, field)) for flag, field in SYNTH_FLAGS.items())
     writer.write_manifest("synth", config, None)

@@ -8,6 +8,7 @@ rating event is its own edge.
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import math
@@ -197,11 +198,12 @@ def _read_bytes(source: str | Path | IO[bytes]) -> bytes:
 
 def _text_stream(data: bytes) -> IO[str]:
     """The UTF-8 text of `data`, gunzipped when it starts with the gzip magic,
-    read line by line with universal newlines."""
+    read line by line with universal newlines; a leading byte-order mark is
+    dropped."""
     binary: IO[bytes] = io.BytesIO(data)
     if data[:2] == b"\x1f\x8b":
         binary = gzip.GzipFile(fileobj=binary)
-    return io.TextIOWrapper(binary, encoding="utf-8")
+    return io.TextIOWrapper(binary, encoding="utf-8-sig")
 
 
 def _parse_timestamp(text: str) -> int:
@@ -283,6 +285,7 @@ def _ingest_columns(data: bytes) -> np.ndarray | None:
         if data[:2] == b"\x1f\x8b":
             with gzip.GzipFile(fileobj=io.BytesIO(data)) as unzipped:
                 data = unzipped.read()
+        data = data.removeprefix(codecs.BOM_UTF8)  # as the line loop's `utf-8-sig` drops it
         if b"\r" in data:
             data = data.replace(b"\r\n", b"\n")
             if b"\r" in data:

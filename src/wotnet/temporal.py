@@ -213,7 +213,7 @@ def load_annotations(path: str | Path) -> list[AnnotationWindow]:
     output writes labels into unquoted cells, joined by semicolons.
     """
     windows: list[AnnotationWindow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = ((i, row) for i, row in enumerate(csv.reader(fh), start=1) if "".join(row).strip())
         for n, (i, row) in enumerate(rows):
             if len(row) != 3:

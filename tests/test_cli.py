@@ -1,3 +1,4 @@
+import codecs
 import functools
 import gzip
 import hashlib
@@ -61,9 +62,9 @@ def test_summary_prints_counts(capsys, input_csv):
 def test_summary_reads_gzip(capsys, tmp_path, input_csv):
     gz = tmp_path / "events.csv.gz"
     gz.write_bytes(gzip.compress(input_csv.read_bytes()))
-    code, out, _ = _run(capsys, "summary", "--input", str(gz))
-    assert code == 0
-    assert "events=3" in out
+    plain = _run(capsys, "summary", "--input", str(input_csv))
+    assert plain[:2] == (0, "users=3\nevents=3\ne_plus=2\ne_minus=1\n")
+    assert _run(capsys, "summary", "--input", str(gz)) == plain
 
 
 def test_ingest_check_reports_rejections(capsys, tmp_path):
@@ -287,6 +288,27 @@ def test_analysis_requires_out(capsys, input_csv):
     code, _, err = _run(capsys, "dynamics", "--input", str(input_csv))
     assert code == 1
     assert "--out is required" in err
+
+
+@pytest.mark.parametrize("command", ["categories", "synth"])
+def test_an_out_that_names_a_file_is_a_usage_error(capsys, input_csv, tmp_path, command):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    given = ["--users", "5", "--events", "10", "--seed", "1"] if command == "synth" else ["--input", str(input_csv)]
+    code, _, err = _run(capsys, command, *given, "--out", str(afile))
+    assert code == 1
+    assert err.startswith("wotnet: error: --out: cannot create the output directory:")
+    assert afile.read_text() == "kept\n"
+
+
+def test_a_byte_order_mark_is_not_part_of_a_config_or_annotation_file(input_csv, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_bytes(codecs.BOM_UTF8 + f"input = {input_csv}\n".encode())
+    windows = tmp_path / "windows.csv"
+    windows.write_bytes(codecs.BOM_UTF8 + b"bubble,1970-01-01,1970-01-02\n")
+    out = tmp_path / "t"
+    assert main(["temporal", "--config", str(config), "--out", str(out), "--annotations", str(windows)]) == 0
+    assert (out / "daily_activity.csv").read_text().splitlines()[1].endswith(",bubble")
 
 
 def test_analysis_error_on_degenerate_log(capsys, tmp_path):
@@ -979,6 +1001,7 @@ def test_temporal_rejects_an_annotation_label_with_a_comma(capsys, tmp_path):
         ("label,start,end\nbubble,2013-11-01,2013-13-01\n", "line 2: invalid ISO date"),
         ("bubble,2013-11-01,2013-13-01\ncrash,2014-02-01,2014-02-20\n", "line 1: invalid ISO date"),
         (None, "Is a directory"),
+        ("label,start,end\ninv,2014-01-01,2013-01-01\n", "line 2: window 'inv': start after end"),
     ],
 )
 def test_a_bad_annotation_file_stops_all_before_it_writes(capsys, synth_csv, tmp_path, windows, message):

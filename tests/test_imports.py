@@ -4,6 +4,9 @@ exports exactly the names it binds, and a run loads no scipy module."""
 from __future__ import annotations
 
 import ast
+import csv
+import gzip
+import json
 import os
 import subprocess
 import sys
@@ -11,9 +14,11 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wotnet
+from wotnet.categories import LABEL_TEXTS
 from wotnet.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -66,25 +71,13 @@ def test_all_lists_exactly_the_exported_names():
 def _loaded_after_import(*modules: str) -> list[str]:
     """Those of `modules` that importing the package and its CLI loads."""
     code = f"import sys, wotnet, wotnet.cli; print(*(m for m in {modules!r} if m in sys.modules))"
-    path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return run.stdout.split()
+    return _child(code, REPO_ROOT).stdout.split()
 
 
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    # the rank correlations are computed in numpy; scipy.stats is the tests' oracle only
-    assert not _loaded_after_import("scipy.stats")
-
-
-def test_importing_the_package_leaves_scipy_sparse_unloaded():
-    # the projection is a sorted edge list; no sparse matrix is built
-    assert not _loaded_after_import("scipy.sparse")
+def _child(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True)
 
 
 def test_importing_the_package_loads_no_module_it_does_not_need():
@@ -94,24 +87,87 @@ def test_importing_the_package_loads_no_module_it_does_not_need():
     assert _loaded_after_import("fractions", "decimal", "secrets", "base64", "hmac") == []
 
 
-def test_a_whole_run_loads_no_scipy(tmp_path):
+def _queries() -> int:
+    """The library's queries at a mid-log cutoff, and the labels of the whole log as `all` wrote them."""
+    log, _ = wotnet.ingest("gen/synthetic.csv")
+    cutoff = int(np.median(log.timestamps))
+    metrics = wotnet.node_metrics(log, cutoff)
+    users, fields = wotnet.metric_columns(log, cutoff)
+    assert metrics and all(type(m) is wotnet.NodeMetrics for m in metrics.values())
+    assert (list(metrics), [list(m) for m in metrics.values()]) == (users.tolist(), fields.T.tolist())
+    target = max(metrics, key=lambda u: metrics[u].k_in_plus)
+    assert type(wotnet.gettrust(log, min(metrics.keys() - {target}), target, cutoff)) is int
+    written = [row["label"] for row in csv.DictReader(Path("run/categories.csv").read_text().splitlines())]
+    assert LABEL_TEXTS[wotnet.categorize(wotnet.metric_columns(log))].tolist() == written
+    return 0
+
+
+# each scenario's exit code and its calls, in order: CLI arguments or a function; a whole-run
+# check belongs here, in a module that imports neither scipy nor Hypothesis
+SCENARIOS = {
+    "import": (0, []),
+    "all": (0, ["all --input gen/synthetic.csv --out run --seed 1"]),
+    "small-log": (0, ["synth --users 30 --events 60 --seed 1 --out small",
+                      "all --input small/synthetic.csv --out small-run --seed 1 --null-samples 2"]),
+    "tied-log": (0, ["temporal --input tied.csv --out tied"]),
+    "null-gap": (0, ["static --input gen/synthetic.csv --out null4 --seed 1 --null-samples 4"]),
+    "twice": (0, [f"all --input gen/synthetic.csv --out twice-{x} --seed 1" for x in "ab"]),
+    "sparse": (0, ["synth --users 3000 --events 1500 --seed 13 --out sparse"]
+               + [f"all --input sparse/synthetic.csv --out sparse-{x} --seed 1 --topk 5" for x in "ab"]),
+    "ingest": (0, [f"{command} --input {log}" for command in ("summary", "ingest-check")
+                   for log in ("gen/synthetic.csv", "gen/synthetic.csv.gz", "fractional.csv", "mixed.csv")]),
+    "corrupt": (2, [f"summary --input {log}" for log in ("truncated.csv.gz", "latin.csv")]),
+    "annotations": (2, [f"{command} --input gen/synthetic.csv --out {name} --seed 1 --annotations {name}.csv"
+                        for command, name in (("temporal", "comma"), ("all", "baddate"), ("all", "dir"), ("temporal", "inverted"))]),
+    "queries": (0, [_queries]),
+}
+
+
+def _run_scenarios() -> None:
+    """Print, as the last line, the exit code of each call here, or the exception it raised."""
+    codes: dict[str, list] = {name: [] for name in SCENARIOS}
+    for name, (_, calls) in SCENARIOS.items():
+        for call in calls:
+            try:
+                codes[name].append(call() if callable(call) else main(call.split()))
+            except Exception as exc:  # a lazy import of scipy, say
+                codes[name].append(repr(exc))
+    print(json.dumps(codes))
+
+
+@pytest.fixture(scope="module")
+def scenario_runs(tmp_path_factory):
+    """Where one child process, in which importing scipy or Hypothesis fails, ran each call, and its exit code."""
+    where = tmp_path_factory.mktemp("scenarios")
+    assert main(["synth", "--users", "25", "--events", "400", "--seed", "7", "--out", str(where / "gen")]) == 0
+    log = (where / "gen" / "synthetic.csv").read_bytes()
+    inputs = {
+        "gen/synthetic.csv.gz": gzip.compress(log),
+        "fractional.csv": log + b"1,2,3,1300000000.75\n",
+        "mixed.csv": log + b"1,2,3,1300000000.75\n1,2,x,1300000000\n",
+        "truncated.csv.gz": gzip.compress(log)[:2000],
+        "latin.csv": log + b"1,2,3,\xff\n",
+        "tied.csv": b"1,2,5,1300000000\n3,2,4,1300000000\n4,2,3,1300000000\n2,1,-2,1300000100\n3,1,-1,1300000200\n",
+        "comma.csv": b'"bull, run",2013-11-01,2013-11-03\n',
+        "baddate.csv": b"label,start,end\nbubble,2013-11-01,2013-13-01\n",
+        "inverted.csv": b"label,start,end\ninv,2014-01-01,2013-01-01\n",
+    }
+    for name, data in inputs.items():
+        (where / name).write_bytes(data)
+    (where / "dir.csv").mkdir()
+    code = "import sys; sys.modules.update(scipy=None, hypothesis=None); import test_imports; test_imports._run_scenarios()"
+    return where, json.loads(_child(code, where).stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_whole_run_loads_no_scipy(scenario_runs, name):
     # numpy is the only runtime dependency; scipy serves the tests as an oracle
-    log = tmp_path / "gen" / "synthetic.csv"
-    assert main(["synth", "--users", "25", "--events", "400", "--seed", "7", "--out", str(log.parent)]) == 0
-    code = (
-        "import sys; from wotnet.cli import main; code = main(sys.argv[1:]); "
-        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    )
-    argv = ["all", "--input", str(log), "--out", str(tmp_path / "all"), "--seed", "1", "--null-samples", "2"]
-    path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert run.stdout.splitlines()[-1] == "0 []"
+    where, codes = scenario_runs
+    code, calls = SCENARIOS[name]
+    assert codes[name] == [code] * len(calls)
+    if name in ("twice", "sparse"):  # two runs in one process write the same bytes
+        a, b = ({p.name: p.read_bytes() for p in (where / f"{name}-{x}").iterdir() if p.name != "manifest.json"} for x in "ab")
+        assert a == b
 
 
 def test_the_build_reads_the_version_of_the_package():

@@ -1,3 +1,4 @@
+import codecs
 import gzip
 import io
 import random
@@ -264,6 +265,18 @@ def test_plain_logs_take_the_loadtxt_path(text, gzipped):
     data = gzip.compress(text.encode()) if gzipped else text.encode()
     assert model._ingest_columns(data) is not None
     assert _by_ingest(data, "strict") == _by_line_loop(data, "strict")
+
+
+@pytest.mark.parametrize("header", ["", _HEADER])
+@pytest.mark.parametrize("gzipped", [False, True])
+@pytest.mark.parametrize("mode", ["lenient", "strict"])
+def test_a_byte_order_mark_is_not_part_of_the_first_line(header, gzipped, mode):
+    text = (header + "1,2,5,1300000000\n3,2,4,1300086400\n2,3,-1,1300172800\n").encode()
+    pack = gzip.compress if gzipped else bytes
+    without = _by_ingest(pack(text), mode)
+    assert without[1].events_kept == 3
+    # on the `loadtxt` path and on the line loop
+    assert _by_ingest(pack(codecs.BOM_UTF8 + text), mode) == _by_line_loop(pack(codecs.BOM_UTF8 + text), mode) == without
 
 
 @pytest.mark.parametrize(

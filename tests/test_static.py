@@ -978,20 +978,28 @@ def test_null_different_seeds_can_differ(small_log):
 
 
 def test_null_metadata_records_swap_budget():
-    projection = project(_layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]))
-    with mock.patch("wotnet.static._swap_round", wraps=_swap_round) as spy:
-        result = configuration_null(projection, n_samples=2, seed=3, swaps_per_edge=10)
-    assert result.swaps_target == 40
-    # the burn-in, then the gap before the second replica
-    burn_in, gap = result.swaps_target, result.swaps_gap
-    assert sum(call.args[2] for call in spy.call_args_list) == burn_in + gap
-    # only the swap of two opposite edges to the two diagonals is legal on a 4-cycle
-    first, second = result.swaps_done
-    assert 0 < first < burn_in and first <= second < burn_in + gap
-    assert gap == min(burn_in, max(4, math.ceil(burn_in * 4 / first)))
-    assert all(type(x) is int for x in (gap, *result.swaps_done))  # plain ints, as JSON takes them
-    assert result.n_samples == 2
-    assert result.seed == 3
+    # (projection, seed, burn-in, gap): only the swap of two opposite edges to the
+    # two diagonals is legal on a 4-cycle; the dense log's layers as `static --seed 1`
+    # nulls them, the rewarding one's burn-in accepting so few proposals that its gap
+    # is the whole burn-in
+    dense = SynthConfig(n_users=25, n_events=400, seed=7)
+    cases = [
+        (project(_layer_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])), 3, 40, 32),
+        (_synthetic_layer(dense, 0), 1, 2170, 2170),
+        (_synthetic_layer(dense, 1), 1, 310, 47),
+    ]
+    for projection, seed, burn_in, gap in cases:
+        with mock.patch("wotnet.static._swap_round", wraps=_swap_round) as spy:
+            result = configuration_null(projection, n_samples=2, seed=seed, swaps_per_edge=10)
+        assert (result.swaps_target, result.swaps_gap) == (burn_in, gap)
+        # the burn-in, then the gap before the second replica
+        assert sum(call.args[2] for call in spy.call_args_list) == burn_in + gap
+        first, second = result.swaps_done
+        assert 0 < first < burn_in and first <= second < burn_in + gap
+        m = projection.edges.shape[1]
+        assert gap == min(burn_in, max(m, math.ceil(burn_in * m / first)))
+        assert all(type(x) is int for x in (gap, *result.swaps_done))  # plain ints, as JSON takes them
+        assert (result.n_samples, result.seed) == (2, seed)
 
 
 def test_null_rewiring_star_accepts_no_swap_and_does_not_warn():
