@@ -27,7 +27,7 @@ from dataclasses import MISSING, astuple, fields
 from datetime import date, datetime, timezone
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -74,6 +74,7 @@ from .temporal import (
     MIN_TZ_SHIFT,
     annotations_for,
     burstiness_table,
+    check_calendar,
     circadian_profile,
     daily_series,
     interevent_times,
@@ -120,8 +121,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# rows formatted at a time: only one slice's cell texts are held at once, so
-# a table of 10^5 rows costs no more memory than its finished lines
+# rows formatted and written at a time: a run holds one slice's text, never a
+# whole table's, however long the calendar
 _SLICE_ROWS = 1 << 10
 
 
@@ -141,41 +142,53 @@ def _texts(column: np.ndarray | list) -> list:
     return list(map(_fmt, column))
 
 
-def _masked(values: np.ndarray, present: np.ndarray) -> list[str]:
-    """The cells of a float column with an empty cell where not `present`."""
-    return ["%.12g" % v if ok else "" for v, ok in zip(values.tolist(), present.tolist())]
+class _masked:
+    """A float column with an empty cell where not `present`; a slice of it
+    is the texts of its cells, so that only the slice written is formatted."""
+
+    def __init__(self, values: np.ndarray, present: np.ndarray):
+        self.values, self.present = values, present
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return ["%.12g" % v if ok else "" for v, ok in zip(self.values[rows].tolist(), self.present[rows].tolist())]
 
 
-def _block_lines(name: str, block: Sequence) -> list[str]:
-    """The lines of one block of a table: its columns, numpy arrays or lists
-    of one length, and constant cells, one format string for all."""
+def _block_lines(name: str, block: Sequence) -> Iterator[str]:
+    """The text of one block of a table, `_SLICE_ROWS` lines at a time: its
+    columns of one length and constant cells, one format string for all."""
     formats, columns = [], []
     for cell in block:
-        if isinstance(cell, (np.ndarray, list)):
+        if isinstance(cell, (np.ndarray, list, _masked)):
             formats.append("%.12g" if isinstance(cell, np.ndarray) and cell.dtype == np.float64 else "%s")
             columns.append(cell)
         else:
             formats.append(_fmt(cell).replace("%", "%%"))
     row = ",".join(formats)
     if not columns:
-        return [row % ()]
+        yield row % () + "\n"
+        return
     lengths = set(map(len, columns))
     if len(lengths) > 1:
         raise ValueError(f"{name}: columns of unequal length")
-    lines: list[str] = []
     for start in range(0, lengths.pop(), _SLICE_ROWS):
         values = [_texts(column[start : start + _SLICE_ROWS]) for column in columns]
-        lines.extend(map(row.__mod__, zip(*values)))
-    return lines
+        yield "\n".join(map(row.__mod__, zip(*values))) + "\n"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, *parts: Iterable[str]) -> None:
     # a fresh name per write, so that runs sharing a directory never write into each
     # other's temporary files; created exclusively, with the umask's permissions
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            for chunks in parts:  # each chunk written as it comes
+                fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:  # gone once renamed; a block that fails part way leaves no file
+        tmp.unlink(missing_ok=True)
 
 
 class RunWriter:
@@ -193,19 +206,16 @@ class RunWriter:
         """Write the table of `blocks`, one below the other; no block makes a
         header-only file.
 
-        A block is a sequence of cells.  A numpy array or a list is a
-        column; the columns of a block have one length.  Any other cell is a
-        constant of each of the block's rows, and a block of constants only
-        is one row.  Every cell is written as `_fmt` writes it: ints in
-        decimal, floats with %.12g, None as an empty cell, bools as true/false
-        and enum members as their values.  Arrays of ints, float64, bools,
-        datetime64[D] days or str and lists of texts are formatted whole,
-        any other column cell by cell.
+        A block is a sequence of cells.  A numpy array, a list or `_masked`
+        is a column; the columns of a block have one length.  Any other cell
+        is a constant of each of the block's rows, and a block of constants
+        only is one row.  Every cell is written as `_fmt` writes it: ints in
+        decimal, floats with %.12g, None as an empty cell, bools as
+        true/false and enum members as their values.  Arrays of ints,
+        float64, bools, datetime64[D] days or str and lists of texts are
+        formatted whole, any other column cell by cell.
         """
-        lines = [",".join(header)]
-        for block in blocks:
-            lines.extend(_block_lines(name, block))
-        _atomic_write(self.out_dir / name, "\n".join(lines) + "\n")
+        _atomic_write(self.out_dir / name, [",".join(header) + "\n"], *(_block_lines(name, block) for block in blocks))
         self.outputs.append(name)
 
     def write_manifest(
@@ -231,10 +241,7 @@ class RunWriter:
             manifest["ingest"] = {"kept": ingest.events_kept, "rejected": ingest.events_rejected, "users": ingest.n_users}
         if warnings is not None:
             manifest["warnings"] = warnings
-        _atomic_write(
-            self.out_dir / "manifest.json",
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
+        _atomic_write(self.out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +318,7 @@ def _read_config_file(path: str) -> dict:
     values: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -672,6 +679,7 @@ class Stage(NamedTuple):
     help: str
     build: Callable[[RunWriter | None, RunContext], None]
     analysis: bool = True  # needs --out and is part of `all`
+    shifts: Callable[[RunContext], set[int]] = lambda ctx: set()  # those at which it puts the log's days on the calendar
 
 
 # every subcommand that reads a log; `all` runs the analyses in this order
@@ -680,9 +688,15 @@ STAGES = {
     "summary": Stage("print user/event/layer counts", _write_summary, False),
     "static": Stage("distributions, clustering vs. null, neighbor degrees, rankings", _write_static),
     "categories": Stage("user categories and their summaries", _write_categories),
-    "temporal": Stage("daily series, interevent statistics, activity profiles", _write_temporal),
-    "dynamics": Stage("daily snapshots: Gini series and top-k stability", _write_dynamics),
-    "trajectories": Stage("per-user reputation trajectories", _write_trajectories),
+    "temporal": Stage(
+        "daily series, interevent statistics, activity profiles", _write_temporal, shifts=lambda ctx: {0, ctx.config["tz_shift"]}
+    ),
+    "dynamics": Stage("daily snapshots: Gini series and top-k stability", _write_dynamics, shifts=lambda ctx: {0}),
+    "trajectories": Stage(  # the fold places the days at shift 0
+        "per-user reputation trajectories",
+        _write_trajectories,
+        shifts=lambda ctx: {0 for s in ctx.selections if s is not TrajectorySelection.BY_CATEGORY},
+    ),
 }
 
 
@@ -691,12 +705,11 @@ def _run(args: argparse.Namespace) -> int:
     then write the manifest."""
     config = _resolve_config(args)
     ctx = RunContext(config, getattr(args, "selection", None))
-    if args.command == "all":
-        stages = [stage for stage in STAGES.values() if stage.analysis]
-    else:
-        stages = [STAGES[args.command]]
+    stages = [stage for stage in STAGES.values() if stage.analysis] if args.command == "all" else [STAGES[args.command]]
     if stages[0].analysis:
         _require(config, "out", "to write analysis outputs")
+    # days past the calendar's range fail here, as a bad annotation file does, before any stage writes
+    check_calendar(ctx.log, {shift for stage in stages for shift in stage.shifts(ctx)})
     writer = _run_writer(config["out"]) if config["out"] else None
     try:
         with warnings.catch_warnings(record=True) as caught:

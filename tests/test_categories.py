@@ -20,7 +20,7 @@ from wotnet import (
     node_metrics,
     reputation_vs_indegree_scatter,
 )
-from wotnet.categories import LABEL_TEXTS, LABELED_CATEGORIES
+from wotnet.categories import LABEL_TEXTS, LABELED_CATEGORIES, _quartiles
 
 LABELS = tuple(CategoryLabel)  # a label column holds positions in this tuple
 
@@ -236,6 +236,20 @@ def test_category_summary_tracks_out_activity():
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_minus").median == 3.0
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_total").median == 7.0
     assert summary_row(stats, CategoryLabel.UNTRUSTED, "activity_total").median == 0.0
+
+
+def test_quartiles_equal_numpy_percentile():
+    # rows of 1 to 60 values with ties, negatives and fractions: one sort and
+    # the linear step give `np.percentile`'s default quantiles exactly
+    rng = np.random.default_rng(27)
+    for n in range(1, 61):
+        for values in (
+            rng.integers(-3, 4, (4, n)).astype(float),  # many ties
+            rng.integers(-400, 400, (4, n)) / 8,  # negatives and exact fractions
+            rng.normal(0, 1e3, (4, n)),
+            rng.choice([-1e15, -2.5, 0.0, 1 / 3, 0.1, 7.25, 1e15], (4, n)),
+        ):
+            assert np.array_equal(_quartiles(values), np.percentile(values, (0, 25, 50, 75, 100), axis=1).T)
 
 
 def test_category_summary_of_columns_matches_the_per_user_records(small_log):

@@ -2,6 +2,7 @@ import codecs
 import functools
 import gzip
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -406,6 +407,14 @@ def test_config_file_missing_is_input_error(capsys, input_csv, tmp_path):
     )
     assert code == 2
     assert "config file" in err
+
+
+def test_config_file_not_utf8_is_input_error(capsys, input_csv, tmp_path):
+    config = tmp_path / "latin.conf"
+    config.write_bytes(b"seed=1\xff\n")
+    code, _, err = _run(capsys, "summary", "--input", str(input_csv), "--config", str(config))
+    assert code == 2
+    assert err.startswith("wotnet: input error: cannot read config file:") and "can't decode byte 0xff" in err
 
 
 # a text that each setting accepts (input and out are added per test), and
@@ -919,9 +928,34 @@ def test_column_writer_equals_the_row_formatter(blocks, slice_rows):
 def test_column_writer_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match="unequal"):
         RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], [np.arange(2), ["3"]])
+    # the second block fails after the header and the first block were streamed
     with pytest.raises(ValueError, match="unequal"):
         RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], ["x", np.arange(1)], [np.arange(2), ["3"]])
     assert not (tmp_path / "t.csv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_column_writer_streams_a_table_one_slice_at_a_time(tmp_path):
+    writes = []
+
+    class Spy(io.TextIOWrapper):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    def spy_open(path, mode, **kwargs):
+        return Spy(open(path, mode + "b"), **kwargs)
+
+    n, slice_rows = 1000, 64
+    values = np.linspace(-1, 1, n)
+    block = [Layer.REWARDING, np.arange(n).astype("datetime64[D]"), np.arange(n), values, cli._masked(values, np.arange(n) % 3 > 0)]
+    header = ["layer", "day", "i", "value", "masked"]
+    with mock.patch.object(cli, "_SLICE_ROWS", slice_rows), mock.patch.object(cli, "open", spy_open, create=True):
+        RunWriter(tmp_path).write_csv("t.csv", header, block, ["constants", "only"], block)
+    # the header, each slice of each column block and the row of constants, each its own write
+    assert [text.count("\n") for text in writes] == [1, *[slice_rows] * 15, 40, 1, *[slice_rows] * 15, 40]
+    assert "".join(writes) == (tmp_path / "t.csv").read_text()
+    assert writes[1].startswith("rewarding,1970-01-01,0,-1,\nrewarding,1970-01-02,1,")
 
 
 def test_dynamics_of_header_only_log_writes_empty_series(capsys, tmp_path):
@@ -1015,6 +1049,42 @@ def test_a_bad_annotation_file_stops_all_before_it_writes(capsys, synth_csv, tmp
     assert code == 2
     assert err.startswith("wotnet: input error:") and message in err
     assert not out.exists()
+
+
+# two events past `datetime.date`'s range, which ingest accepts and only the calendar cannot hold
+FAR_LOG = "rater,ratee,score,timestamp\n1,2,5,-200000000000\n2,1,-3,200000000000\n"
+
+
+@pytest.mark.parametrize("command", ["all", "temporal", "dynamics", "trajectories"])
+def test_a_log_past_the_calendar_stops_a_calendar_run_before_it_writes(capsys, input_csv, tmp_path, command):
+    log = tmp_path / "far.csv"
+    log.write_text(FAR_LOG)
+    out = tmp_path / "out"
+    assert main(["categories", "--input", str(input_csv), "--out", str(out)]) == 0  # an earlier run
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, _, err = _run(capsys, command, "--input", str(log), "--out", str(out), "--seed", "1", "--null-samples", "2")
+    assert (code, err) == (3, "wotnet: analysis error: date value out of range\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_only_a_stage_that_places_a_day_past_the_calendar_refuses_the_log(tmp_path):
+    # 03:00 UTC on the calendar's first day: in range at shift 0, not at the default -6 h
+    start = (date.min - date(1970, 1, 1)).days * 86_400 + 3 * 3600
+    early, far = tmp_path / "early.csv", tmp_path / "far.csv"
+    early.write_text(f"1,2,5,{start}\n2,1,-3,{start + 86_400}\n")
+    far.write_text(FAR_LOG)
+    runs = [
+        (["temporal", "--input", str(early)], 3),
+        (["temporal", "--input", str(early), "--tz-shift", "0"], 0),
+        (["dynamics", "--input", str(early)], 0),  # the fold places the days at shift 0
+        (["trajectories", "--input", str(early)], 0),
+        (["trajectories", "--input", str(far), "--selection", "by-category"], 0),  # no fold
+        (["static", "--input", str(far), "--seed", "1", "--null-samples", "2"], 0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # static leaves out rows such a log cannot give
+        codes = [main([*argv, "--out", str(tmp_path / f"run{i}")]) for i, (argv, _) in enumerate(runs)]
+    assert codes == [code for _, code in runs]
 
 
 def test_all_runs_every_analysis(synth_csv, tmp_path):

@@ -1,5 +1,6 @@
 """Every name imported by the package and by its tests is used, the package
-exports exactly the names it binds, and a run loads no scipy module."""
+exports exactly the names it binds, a run loads no scipy module and no
+`numpy.ma`, and a long calendar costs a run one slice of each table."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import csv
 import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -124,15 +126,21 @@ SCENARIOS = {
 
 
 def _run_scenarios() -> None:
-    """Print, as the last line, the exit code of each call here, or the exception it raised."""
+    """Print, as the last line, the exit code of each call here, or the
+    exception it raised, and the scenarios during which `numpy.ma` was
+    loaded (numpy 1.x loads it with numpy itself, before any scenario)."""
     codes: dict[str, list] = {name: [] for name in SCENARIOS}
+    loaded_ma = []
     for name, (_, calls) in SCENARIOS.items():
+        had_ma = "numpy.ma" in sys.modules
         for call in calls:
             try:
                 codes[name].append(call() if callable(call) else main(call.split()))
             except Exception as exc:  # a lazy import of scipy, say
                 codes[name].append(repr(exc))
-    print(json.dumps(codes))
+        if not had_ma and "numpy.ma" in sys.modules:
+            loaded_ma.append(name)
+    print(json.dumps({"codes": codes, "loaded numpy.ma": loaded_ma}))
 
 
 @pytest.fixture(scope="module")
@@ -162,12 +170,33 @@ def scenario_runs(tmp_path_factory):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_a_whole_run_loads_no_scipy(scenario_runs, name):
     # numpy is the only runtime dependency; scipy serves the tests as an oracle
-    where, codes = scenario_runs
+    where, runs = scenario_runs
     code, calls = SCENARIOS[name]
-    assert codes[name] == [code] * len(calls)
+    assert runs["codes"][name] == [code] * len(calls)
+    if any(str(call).startswith("all ") for call in calls):
+        # the quartiles of `categories` take no `np.percentile`, which loads `numpy.ma`
+        assert name not in runs["loaded numpy.ma"]
     if name in ("twice", "sparse"):  # two runs in one process write the same bytes
         a, b = ({p.name: p.read_bytes() for p in (where / f"{name}-{x}").iterdir() if p.name != "manifest.json"} for x in "ab")
         assert a == b
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_a_long_calendar_costs_one_slice_of_memory(tmp_path):
+    # two events 400,000 days apart: `temporal` writes 800,000 daily rows (at
+    # shift 0 and -6 h), which stream to their file a slice at a time; a
+    # whole table held as text peaks at about 140 MB. The child reads VmHWM,
+    # the peak of its own address space: `getrusage`'s ru_maxrss carries the
+    # peak of the process that started it across exec.
+    (tmp_path / "long.csv").write_text(f"1,2,5,0\n2,1,-3,{400_000 * 86_400}\n")
+    code = (
+        "from pathlib import Path; from wotnet.cli import main; "
+        "assert main(['temporal', '--input', 'long.csv', '--out', 'run']) == 0; "
+        "print(Path('/proc/self/status').read_text())"
+    )
+    peak_kib = int(re.search(r"^VmHWM:\s+(\d+) kB$", _child(code, tmp_path).stdout, re.M).group(1))
+    assert len((tmp_path / "run" / "daily_activity.csv").read_text().splitlines()) == 1 + 2 * 400_001
+    assert peak_kib < 80 * 1024
 
 
 def test_the_build_reads_the_version_of_the_package():
