@@ -5,9 +5,11 @@ every analysis stage) over one `RunContext`, which computes what several
 stages share once.  Every run that writes files also writes a
 `manifest.json` recording the resolved configuration, the input checksum,
 the ingest counts, the tool version and the list of produced files.
-Outputs are written atomically (temp file + rename) and floats are
-formatted with %.12g, so identical (input, config, seed) runs produce
-byte-identical files except for the manifest timestamp.
+A run writes its files into a hidden directory beside its output
+directory and publishes them together when it ends, so a run that fails
+leaves the output directory as it was.  Floats are formatted with %.12g,
+so identical (input, config, seed) runs produce byte-identical files
+except for the manifest timestamp.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 analysis error.
 """
@@ -20,14 +22,16 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import warnings
 import zlib
+from contextlib import nullcontext
 from dataclasses import MISSING, astuple, fields
 from datetime import date, datetime, timezone
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -74,7 +78,6 @@ from .temporal import (
     MIN_TZ_SHIFT,
     annotations_for,
     burstiness_table,
-    check_calendar,
     circadian_profile,
     daily_series,
     interevent_times,
@@ -178,29 +181,42 @@ def _block_lines(name: str, block: Sequence) -> Iterator[str]:
         yield "\n".join(map(row.__mod__, zip(*values))) + "\n"
 
 
-def _atomic_write(path: Path, *parts: Iterable[str]) -> None:
-    # a fresh name per write, so that runs sharing a directory never write into each
-    # other's temporary files; created exclusively, with the umask's permissions
-    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-            for chunks in parts:  # each chunk written as it comes
-                fh.writelines(chunks)
-        os.replace(tmp, path)
-    finally:  # gone once renamed; a block that fails part way leaves no file
-        tmp.unlink(missing_ok=True)
-
-
 class RunWriter:
-    """Collects the CSV outputs of one run and finalizes the manifest."""
+    """The files of one run, written into `out_dir`, a hidden directory
+    beside `out`, and published together.
 
-    def __init__(self, out_dir: Path):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # a run that fails must not leave an earlier run's manifest next to
-        # its own files; the manifest is written last
-        (out_dir / "manifest.json").unlink(missing_ok=True)
-        self.out_dir = out_dir
+    Used as a context manager: when its block ends, the files move into
+    `out`, with one rename if `out` is new or empty and else one by one over
+    their namesakes, the manifest last; on an exception they are removed and
+    `out` is left as it was.
+    """
+
+    def __init__(self, out: Path):
+        self.out = out.resolve()
+        if self.out.exists() and not self.out.is_dir():
+            raise NotADirectoryError(f"{out} is not a directory")
+        self.out.parent.mkdir(parents=True, exist_ok=True)
+        self.out_dir = self.out.parent / f".{self.out.name}.{os.urandom(8).hex()}"
+        self.out_dir.mkdir()
         self.outputs: list[str] = []
+
+    def __enter__(self) -> RunWriter:
+        return self
+
+    def __exit__(self, failure, *_) -> None:
+        try:
+            if failure is None:
+                self._publish()
+        finally:
+            shutil.rmtree(self.out_dir, ignore_errors=True)
+
+    def _publish(self) -> None:
+        try:
+            os.rename(self.out_dir, self.out)
+        except OSError:  # `out` holds files; while ours join them, no manifest lists a mix
+            (self.out / "manifest.json").unlink(missing_ok=True)
+            for name in sorted(os.listdir(self.out_dir), key="manifest.json".__eq__):
+                os.replace(self.out_dir / name, self.out / name)
 
     def write_csv(self, name: str, header: Sequence[str], *blocks: Sequence) -> None:
         """Write the table of `blocks`, one below the other; no block makes a
@@ -215,7 +231,10 @@ class RunWriter:
         float64, bools, datetime64[D] days or str and lists of texts are
         formatted whole, any other column cell by cell.
         """
-        _atomic_write(self.out_dir / name, [",".join(header) + "\n"], *(_block_lines(name, block) for block in blocks))
+        with open(self.out_dir / name, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for block in blocks:  # each slice written as it comes
+                fh.writelines(_block_lines(name, block))
         self.outputs.append(name)
 
     def write_manifest(
@@ -241,7 +260,7 @@ class RunWriter:
             manifest["ingest"] = {"kept": ingest.events_kept, "rejected": ingest.events_rejected, "users": ingest.n_users}
         if warnings is not None:
             manifest["warnings"] = warnings
-        _atomic_write(self.out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+        (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +455,7 @@ def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
             ["line_no", "reason", "text"],
             [
                 np.array([r.line_no for r in rejections], dtype=np.int64),
-                [r.reason for r in rejections],
+                [r.reason.replace(",", ";") for r in rejections],
                 [r.text.replace(",", ";") for r in rejections],
             ],
         )
@@ -679,7 +698,6 @@ class Stage(NamedTuple):
     help: str
     build: Callable[[RunWriter | None, RunContext], None]
     analysis: bool = True  # needs --out and is part of `all`
-    shifts: Callable[[RunContext], set[int]] = lambda ctx: set()  # those at which it puts the log's days on the calendar
 
 
 # every subcommand that reads a log; `all` runs the analyses in this order
@@ -688,40 +706,33 @@ STAGES = {
     "summary": Stage("print user/event/layer counts", _write_summary, False),
     "static": Stage("distributions, clustering vs. null, neighbor degrees, rankings", _write_static),
     "categories": Stage("user categories and their summaries", _write_categories),
-    "temporal": Stage(
-        "daily series, interevent statistics, activity profiles", _write_temporal, shifts=lambda ctx: {0, ctx.config["tz_shift"]}
-    ),
-    "dynamics": Stage("daily snapshots: Gini series and top-k stability", _write_dynamics, shifts=lambda ctx: {0}),
-    "trajectories": Stage(  # the fold places the days at shift 0
-        "per-user reputation trajectories",
-        _write_trajectories,
-        shifts=lambda ctx: {0 for s in ctx.selections if s is not TrajectorySelection.BY_CATEGORY},
-    ),
+    "temporal": Stage("daily series, interevent statistics, activity profiles", _write_temporal),
+    "dynamics": Stage("daily snapshots: Gini series and top-k stability", _write_dynamics),
+    "trajectories": Stage("per-user reputation trajectories", _write_trajectories),
 }
 
 
 def _run(args: argparse.Namespace) -> int:
     """Load the log once, run the command's stages over one shared context,
-    then write the manifest."""
+    then write the manifest; the run's files are published only if all of
+    this succeeds."""
     config = _resolve_config(args)
     ctx = RunContext(config, getattr(args, "selection", None))
     stages = [stage for stage in STAGES.values() if stage.analysis] if args.command == "all" else [STAGES[args.command]]
     if stages[0].analysis:
         _require(config, "out", "to write analysis outputs")
-    # days past the calendar's range fail here, as a bad annotation file does, before any stage writes
-    check_calendar(ctx.log, {shift for stage in stages for shift in stage.shifts(ctx)})
-    writer = _run_writer(config["out"]) if config["out"] else None
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for stage in stages:
-                stage.build(writer, ctx)
-    finally:
-        # recorded for the manifest, and passed on to the caller's filters
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    if writer is not None:
-        writer.write_manifest(args.command, config, ctx.input_sha256, ctx.report, [str(w.message) for w in caught])
+    with _run_writer(config["out"]) if config["out"] else nullcontext() as writer:
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for stage in stages:
+                    stage.build(writer, ctx)
+        finally:
+            # recorded for the manifest, and passed on to the caller's filters
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        if writer is not None:
+            writer.write_manifest(args.command, config, ctx.input_sha256, ctx.report, [str(w.message) for w in caught])
     return EXIT_OK
 
 
@@ -734,10 +745,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     log = synth_log(synth_config)
-    writer = _run_writer(_require(config, "out", "to write the synthetic log"))
-    writer.write_csv("synthetic.csv", ["rater", "ratee", "score", "timestamp"], [log.raters, log.ratees, log.scores, log.timestamps])
-    config.update((flag, getattr(synth_config, field)) for flag, field in SYNTH_FLAGS.items())
-    writer.write_manifest("synth", config, None)
+    with _run_writer(_require(config, "out", "to write the synthetic log")) as writer:
+        writer.write_csv("synthetic.csv", ["rater", "ratee", "score", "timestamp"], [log.raters, log.ratees, log.scores, log.timestamps])
+        config.update((flag, getattr(synth_config, field)) for flag, field in SYNTH_FLAGS.items())
+        writer.write_manifest("synth", config, None)
     return EXIT_OK
 
 

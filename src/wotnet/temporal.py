@@ -36,29 +36,14 @@ def _check_shift(tz_shift_hours: int) -> int:
 _FIRST_DAY, _LAST_DAY = date.min.toordinal() - _EPOCH.toordinal(), date.max.toordinal() - _EPOCH.toordinal()
 
 
-def _day_span(days: np.ndarray) -> tuple[int, int]:
-    """The first and the last of the sorted epoch `days`, (0, -1) for none;
-    an OverflowError past the range of `datetime.date`, as date arithmetic
-    raises."""
+def _calendar(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offset of each of the sorted epoch `days` from the first, and the
+    calendar from the first to the last, as datetime64[D]; an OverflowError
+    past the range of `datetime.date`, as date arithmetic raises."""
     first, last = (int(days[0]), int(days[-1])) if len(days) else (0, -1)
     if first < _FIRST_DAY or last > _LAST_DAY:
         raise OverflowError("date value out of range")
-    return first, last
-
-
-def _calendar(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The offset of each of the sorted epoch `days` from the first, and the
-    calendar from the first to the last, as datetime64[D] (see `_day_span`)."""
-    first, last = _day_span(days)
     return days - first, np.arange(first, last + 1).astype("datetime64[D]")
-
-
-def check_calendar(log: EventLog, tz_shift_hours: Iterable[int]) -> None:
-    """Raise the OverflowError that placing the days of `log` on the
-    calendar at any of the shifts raises, without building a calendar."""
-    ends = log.timestamps[[0, -1]] if len(log) else log.timestamps  # sorted by time
-    for hours in tz_shift_hours:
-        _day_span((ends + _check_shift(hours)) // SECONDS_PER_DAY)
 
 
 def _layer_counts(log: EventLog, bins: np.ndarray, n_bins: int) -> np.ndarray:

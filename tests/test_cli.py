@@ -1,4 +1,5 @@
 import codecs
+import csv
 import functools
 import gzip
 import hashlib
@@ -82,6 +83,8 @@ def test_ingest_check_reports_rejections(capsys, tmp_path):
     rejected = (out_dir / "rejected_lines.csv").read_text().splitlines()
     assert rejected[0] == "line_no,reason,text"
     assert len(rejected) == 3
+    # a reason holds commas, as `score must be in [-10,-1] or [1,10]` does
+    assert [len(row) for row in csv.reader(rejected)] == [3, 3, 3]
 
 
 def test_strict_mode_rejects_bad_rows(capsys, tmp_path):
@@ -505,21 +508,42 @@ def test_manifest_records_run(synth_csv, tmp_path):
         assert _manifest_of(out)["ingest"] == {"kept": 3, "rejected": 2, "users": 3}
 
 
-def test_failed_run_leaves_no_stale_manifest(capsys, input_csv, tmp_path):
+def _files_of(out_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def test_failed_run_leaves_the_earlier_run_as_it_was(capsys, input_csv, tmp_path):
     out = tmp_path / "run"
     assert main(["categories", "--input", str(input_csv), "--out", str(out)]) == 0
     assert _manifest_of(out)["command"] == "categories"
+    before = _files_of(out)
     # a positive-only log has no punitive weights, so `all` stops in `static`
     positive = tmp_path / "positive.csv"
     positive.write_text("1,2,5,100\n2,3,4,200\n3,1,2,300\n")
     code, _, err = _run(capsys, "all", "--input", str(positive), "--out", str(out), "--seed", "1")
     assert code == 3
     assert "analysis error" in err
-    assert not (out / "manifest.json").exists()
+    assert _files_of(out) == before
     assert main(["categories", "--input", str(positive), "--out", str(out)]) == 0
     manifest = _manifest_of(out)
     assert manifest["command"] == "categories"
     assert manifest["input_sha256"] == hashlib.sha256(positive.read_bytes()).hexdigest()
+
+
+def test_a_run_that_fails_in_its_last_stage_publishes_nothing(capsys, synth_csv, tmp_path, monkeypatch):
+    def fail(writer, ctx):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setitem(cli.STAGES, "trajectories", cli.STAGES["trajectories"]._replace(build=fail))
+    earlier, new = tmp_path / "earlier", tmp_path / "new"
+    assert main(["categories", "--input", str(synth_csv), "--out", str(earlier)]) == 0
+    before = _files_of(earlier)
+    for out in (earlier, new):
+        code, _, err = _run(capsys, "all", "--input", str(synth_csv), "--out", str(out), "--seed", "1", "--null-samples", "2")
+        assert (code, err) == (3, "wotnet: analysis error: injected failure\n")
+    assert _files_of(earlier) == before
+    assert not new.exists()
+    assert not list(tmp_path.glob(".*"))  # no staging directory is left beside either
 
 
 def test_manifest_hashes_the_bytes_that_were_analysed(input_csv, tmp_path, monkeypatch):
@@ -919,18 +943,19 @@ def test_column_writer_equals_the_row_formatter(blocks, slice_rows):
     # reference writes each row
     header = [f"c{i}" for i in range(max((len(block) for block, _ in blocks), default=1))]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_SLICE_ROWS", slice_rows):
-        RunWriter(Path(tmp)).write_csv("t.csv", header, *(block for block, _ in blocks))
+        with RunWriter(Path(tmp)) as writer:
+            writer.write_csv("t.csv", header, *(block for block, _ in blocks))
         data = (Path(tmp) / "t.csv").read_bytes()
     rows = [",".join(map(_fmt_by_isinstance_chain, row)) for _, block_rows in blocks for row in block_rows]
     assert data == ("\n".join([",".join(header), *rows]) + "\n").encode("utf-8")
 
 
 def test_column_writer_rejects_columns_of_unequal_length(tmp_path):
-    with pytest.raises(ValueError, match="unequal"):
-        RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], [np.arange(2), ["3"]])
+    with pytest.raises(ValueError, match="unequal"), RunWriter(tmp_path) as writer:
+        writer.write_csv("t.csv", ["a", "b"], [np.arange(2), ["3"]])
     # the second block fails after the header and the first block were streamed
-    with pytest.raises(ValueError, match="unequal"):
-        RunWriter(tmp_path).write_csv("t.csv", ["a", "b"], ["x", np.arange(1)], [np.arange(2), ["3"]])
+    with pytest.raises(ValueError, match="unequal"), RunWriter(tmp_path) as writer:
+        writer.write_csv("t.csv", ["a", "b"], ["x", np.arange(1)], [np.arange(2), ["3"]])
     assert not (tmp_path / "t.csv").exists()
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -951,7 +976,8 @@ def test_column_writer_streams_a_table_one_slice_at_a_time(tmp_path):
     block = [Layer.REWARDING, np.arange(n).astype("datetime64[D]"), np.arange(n), values, cli._masked(values, np.arange(n) % 3 > 0)]
     header = ["layer", "day", "i", "value", "masked"]
     with mock.patch.object(cli, "_SLICE_ROWS", slice_rows), mock.patch.object(cli, "open", spy_open, create=True):
-        RunWriter(tmp_path).write_csv("t.csv", header, block, ["constants", "only"], block)
+        with RunWriter(tmp_path) as writer:
+            writer.write_csv("t.csv", header, block, ["constants", "only"], block)
     # the header, each slice of each column block and the row of constants, each its own write
     assert [text.count("\n") for text in writes] == [1, *[slice_rows] * 15, 40, 1, *[slice_rows] * 15, 40]
     assert "".join(writes) == (tmp_path / "t.csv").read_text()

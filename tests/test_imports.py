@@ -84,8 +84,8 @@ def _child(code: str, cwd: Path) -> subprocess.CompletedProcess:
 
 def test_importing_the_package_loads_no_module_it_does_not_need():
     # `categorize` takes the thresholds' own integer ratios, not `Fraction`'s
-    # (which loads decimal), and temporary files are named from `os.urandom`,
-    # not `secrets` (which loads base64 and hmac)
+    # (which loads decimal), and a run's staging directory is named from
+    # `os.urandom`, not `secrets` (which loads base64 and hmac)
     assert _loaded_after_import("fractions", "decimal", "secrets", "base64", "hmac") == []
 
 
@@ -173,6 +173,10 @@ def test_a_whole_run_loads_no_scipy(scenario_runs, name):
     where, runs = scenario_runs
     code, calls = SCENARIOS[name]
     assert runs["codes"][name] == [code] * len(calls)
+    # each run published its staging directory or removed it
+    assert not list(where.glob(".*"))
+    if name == "annotations":  # each stopped before any stage ran
+        assert not any((where / out).exists() for out in ("comma", "baddate", "dir", "inverted"))
     if any(str(call).startswith("all ") for call in calls):
         # the quartiles of `categories` take no `np.percentile`, which loads `numpy.ma`
         assert name not in runs["loaded numpy.ma"]
