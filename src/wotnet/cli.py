@@ -186,9 +186,9 @@ class RunWriter:
     beside `out`, and published together.
 
     Used as a context manager: when its block ends, the files move into
-    `out`, with one rename if `out` is new or empty and else one by one over
-    their namesakes, the manifest last; on an exception they are removed and
-    `out` is left as it was.
+    `out`, with one rename if `out` is new and else one by one over their
+    namesakes, the manifest last, so an existing `out` keeps its own mode and
+    owner; on an exception they are removed and `out` is left as it was.
     """
 
     def __init__(self, out: Path):
@@ -211,12 +211,13 @@ class RunWriter:
             shutil.rmtree(self.out_dir, ignore_errors=True)
 
     def _publish(self) -> None:
-        try:
+        if not self.out.exists():
             os.rename(self.out_dir, self.out)
-        except OSError:  # `out` holds files; while ours join them, no manifest lists a mix
-            (self.out / "manifest.json").unlink(missing_ok=True)
-            for name in sorted(os.listdir(self.out_dir), key="manifest.json".__eq__):
-                os.replace(self.out_dir / name, self.out / name)
+            return
+        # while ours join the files of `out`, no manifest lists a mix
+        (self.out / "manifest.json").unlink(missing_ok=True)
+        for name in sorted(os.listdir(self.out_dir), key="manifest.json".__eq__):
+            os.replace(self.out_dir / name, self.out / name)
 
     def write_csv(self, name: str, header: Sequence[str], *blocks: Sequence) -> None:
         """Write the table of `blocks`, one below the other; no block makes a
@@ -439,6 +440,13 @@ class RunContext:
 # stages: each writes its outputs from the shared run context
 
 
+def _csv_cell(text: str) -> str:
+    """`text` as one CSV cell: each comma written as `;`, and the cell quoted
+    as RFC 4180 quotes it if it holds a `"`."""
+    text = text.replace(",", ";")
+    return '"' + text.replace('"', '""') + '"' if '"' in text else text
+
+
 def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
     report = ctx.report
     print(f"events={report.events_kept}")
@@ -455,8 +463,8 @@ def _write_ingest_check(writer: RunWriter | None, ctx: RunContext) -> None:
             ["line_no", "reason", "text"],
             [
                 np.array([r.line_no for r in rejections], dtype=np.int64),
-                [r.reason.replace(",", ";") for r in rejections],
-                [r.text.replace(",", ";") for r in rejections],
+                [_csv_cell(r.reason) for r in rejections],
+                [_csv_cell(r.text) for r in rejections],
             ],
         )
 

@@ -1,45 +1,37 @@
-"""The per-day reference for `wotnet.dynamics.daily_fold`, and the dict
-path of the per-user counters for `wotnet.metric_columns`.
+"""The per-day reference for `wotnet.dynamics.daily_fold`, and the columns
+of a dict of `NodeMetrics` records.
 
 One cumulative snapshot per day, and the Gini point, the top-k lists and
 the stability step of one snapshot or one pair of days, each measured on
-its own.  The fold's tests compare it with these day by day.  The counters
-of a log at a cutoff as a dict of `NodeMetrics` records, and the columns of
-such a dict, are the path that `metric_columns` replaced.
+its own.  The fold's tests compare it with these day by day.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from wotnet import EventLog, NodeMetrics, extended_jaccard, gini
+from wotnet import EventLog, MetricColumns, NodeMetrics, extended_jaccard, gini
 from wotnet.model import _fold
 from wotnet.temporal import _EPOCH, SECONDS_PER_DAY
 
 
-class Snapshot:
+class Snapshot(NamedTuple):
     """Cumulative per-user state at the end of one day.
 
     `state` is a 6 x n int64 array with one row per `NodeMetrics` field, in
-    field order, and one column per entry of `user_ids`.  `seen` marks the
-    users that have appeared (as rater or ratee) by this day.  `metrics`
-    materializes the mapping lazily for the seen users.
+    field order, and one column per entry of `user_ids`.
     """
 
-    __slots__ = ("day", "user_ids", "state", "_metrics")
-
-    def __init__(self, day: date, user_ids: np.ndarray, state: np.ndarray):
-        self.day = day
-        self.user_ids = user_ids
-        self.state = state
-        self._metrics: dict[int, NodeMetrics] | None = None
+    day: date
+    user_ids: np.ndarray
+    state: np.ndarray
 
     @property
     def seen(self) -> np.ndarray:
+        """The users that have appeared, as rater or ratee, by this day."""
         return self.state[:4].any(axis=0)
 
     @property
@@ -56,33 +48,17 @@ class Snapshot:
 
     @property
     def metrics(self) -> dict[int, NodeMetrics]:
-        if self._metrics is None:
-            self._metrics = by_user(self.state, self.user_ids)
-        return self._metrics
+        """The records of the seen users, keyed by id in ascending order."""
+        seen = np.flatnonzero(self.seen)
+        return {user: NodeMetrics(*column) for user, column in zip(self.user_ids[seen].tolist(), self.state[:, seen].T.tolist())}
 
 
-def by_user(state: np.ndarray, ids: np.ndarray) -> dict[int, NodeMetrics]:
-    """`NodeMetrics` of the users with an event in `state` (any degree > 0),
-    keyed by id in ascending code order; `ids` maps codes to user ids."""
-    seen = np.flatnonzero(state[:4].any(axis=0))
-    return {user: NodeMetrics(*column) for user, column in zip(ids[seen].tolist(), state[:, seen].T.tolist())}
-
-
-def metrics_by_dict(log: EventLog, cutoff: int | None = None) -> dict[int, NodeMetrics]:
-    """The counters of every user seen at or before the cutoff, folded over
-    the codes of the log's universe and kept as records."""
-    sub = log.truncated(cutoff)
-    state = np.zeros((len(NodeMetrics._fields), len(sub._universe)), dtype=np.int64)
-    _fold(state, *sub._codes, sub.scores)
-    return by_user(state, sub._universe)
-
-
-def columns_of(metrics: Mapping[int, NodeMetrics]) -> tuple[np.ndarray, np.ndarray]:
+def columns_of(metrics: Mapping[int, NodeMetrics]) -> MetricColumns:
     """The users of a metrics mapping in ascending id order, and their 6 x n
     int64 counters, a column per user."""
     users = sorted(metrics)
     fields = np.array([metrics[u] for u in users], dtype=np.int64).reshape(-1, len(NodeMetrics._fields))
-    return np.array(users, dtype=np.int64), fields.T
+    return MetricColumns(np.array(users, dtype=np.int64), fields.T)
 
 
 def snapshot_series(log: EventLog) -> Iterator[Snapshot]:
@@ -107,8 +83,7 @@ def snapshot_series(log: EventLog) -> Iterator[Snapshot]:
         yield Snapshot(_EPOCH + timedelta(days=day_no), user_ids, state.copy())
 
 
-@dataclass(frozen=True)
-class GiniPoint:
+class GiniPoint(NamedTuple):
     day: date
     gini_plus: float | None
     gini_minus: float | None
@@ -156,8 +131,7 @@ def top_k_lists(snap: Snapshot, k: int) -> dict[str, list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class StabilityPoint:
+class StabilityPoint(NamedTuple):
     """Similarity of the top-k lists between one day and the next.
 
     `day` is the earlier day of the pair.  `j_*` are the extended Jaccard

@@ -11,7 +11,6 @@ from daily_reference import columns_of
 from wotnet import (
     CategoryLabel,
     CategoryThresholds,
-    MetricColumns,
     NodeMetrics,
     category_summary,
     categorize,
@@ -33,13 +32,9 @@ def _received(rho_plus: int, rho_minus: int) -> NodeMetrics:
     return NodeMetrics(k_in_plus, k_in_minus, 0, 0, rho_plus, rho_minus)
 
 
-def _columns(metrics) -> MetricColumns:
-    return MetricColumns(*columns_of(metrics))
-
-
 def _labels(metrics, thresholds=CategoryThresholds()) -> list[CategoryLabel]:
     """The labels of a metrics mapping's users, in ascending id order."""
-    return [LABELS[code] for code in categorize(_columns(metrics), thresholds)]
+    return [LABELS[code] for code in categorize(columns_of(metrics), thresholds)]
 
 
 def negative_fraction(m: NodeMetrics) -> float | None:
@@ -178,7 +173,7 @@ def test_labels_match_the_fraction_oracle(reputations, bounds):
     metrics = {user: _received(*pair) for user, pair in enumerate(reputations)}
     thresholds = CategoryThresholds(*bounds)
     expected = _categorize_by_fraction(metrics, thresholds)
-    labels = categorize(_columns(metrics), thresholds)
+    labels = categorize(columns_of(metrics), thresholds)
     assert labels.tolist() == [LABELS.index(expected[user]) for user in sorted(metrics)]
 
 
@@ -206,7 +201,7 @@ def test_category_summary_counts_and_quantiles():
         4: _received(10, 10),
         5: _received(0, 0),
     }
-    columns = _columns(metrics)
+    columns = columns_of(metrics)
     stats = category_summary(columns, categorize(columns))
     assert set(stats.category) == set(LABELED_CATEGORIES)
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "rho").count == 2
@@ -218,7 +213,7 @@ def test_category_summary_counts_and_quantiles():
 
 
 def test_category_summary_empty_category_is_nan():
-    columns = _columns({1: _received(100, 2)})
+    columns = columns_of({1: _received(100, 2)})
     stats = category_summary(columns, categorize(columns))
     assert summary_row(stats, CategoryLabel.UNTRUSTED, "rho").count == 0
     assert math.isnan(summary_row(stats, CategoryLabel.UNTRUSTED, "rho").median)
@@ -230,7 +225,7 @@ def test_category_summary_tracks_out_activity():
         1: NodeMetrics(1, 0, 4, 3, 10, 0),
         2: NodeMetrics(0, 1, 0, 0, 0, 5),
     }
-    columns = _columns(metrics)
+    columns = columns_of(metrics)
     stats = category_summary(columns, categorize(columns))
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_plus").median == 4.0
     assert summary_row(stats, CategoryLabel.TRUSTWORTHY, "activity_minus").median == 3.0
@@ -283,7 +278,7 @@ def test_scatter_points_and_limit_slopes():
         2: NodeMetrics(0, 4, 0, 0, 0, 40),  # 4 maximal negative ratings
         3: NodeMetrics(2, 0, 0, 0, 2, 0),  # 2 minimal positive ratings
     }
-    columns = _columns(metrics)
+    columns = columns_of(metrics)
     result = reputation_vs_indegree_scatter(columns, categorize(columns))
     assert result.users.tolist() == [1, 2, 3]
     assert result.k_in_total.tolist() == [3, 4, 2]

@@ -87,6 +87,21 @@ def test_ingest_check_reports_rejections(capsys, tmp_path):
     assert [len(row) for row in csv.reader(rejected)] == [3, 3, 3]
 
 
+def test_rejected_lines_read_back_as_three_cells_each(tmp_path):
+    # a line that opens with `"`, which opens a quoted cell, and reasons that hold `"` and `'`
+    path = tmp_path / "quotes.csv"
+    path.write_text('1,2,5,100\n"x,2,3,200\n1,1,3,300\n1,2,a\'"b,5\n')
+    assert main(["ingest-check", "--input", str(path), "--out", str(tmp_path / "check")]) == 0
+    text = (tmp_path / "check" / "rejected_lines.csv").read_text()
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["line_no", "reason", "text"],
+        ["2", "invalid literal for int() with base 10: '\"x'", '"x;2;3;200'],
+        ["3", "self-rating rejected (user 1)", "1;1;3;300"],
+        ["4", "invalid literal for int() with base 10: 'a\\'\"b'", "1;2;a'\"b;5"],
+    ]
+    assert "\n3,self-rating rejected (user 1),1;1;3;300\n" in text  # a cell with no `"` is written as it is
+
+
 def test_strict_mode_rejects_bad_rows(capsys, tmp_path):
     path = tmp_path / "messy.csv"
     path.write_text(GOOD_ROWS + "4,4,5,400\n")
@@ -544,6 +559,19 @@ def test_a_run_that_fails_in_its_last_stage_publishes_nothing(capsys, synth_csv,
     assert _files_of(earlier) == before
     assert not new.exists()
     assert not list(tmp_path.glob(".*"))  # no staging directory is left beside either
+
+
+def test_an_existing_empty_out_keeps_its_mode(input_csv, tmp_path):
+    out = tmp_path / "empty"
+    out.mkdir()
+    out.chmod(0o700)
+    umask = os.umask(0o022)  # a staging directory renamed over `out` would be 0o755
+    try:
+        assert main(["categories", "--input", str(input_csv), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o700
+    assert _manifest_of(out)["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
 def test_manifest_hashes_the_bytes_that_were_analysed(input_csv, tmp_path, monkeypatch):
@@ -1115,45 +1143,9 @@ def test_only_a_stage_that_places_a_day_past_the_calendar_refuses_the_log(tmp_pa
 
 def test_all_runs_every_analysis(synth_csv, tmp_path):
     out = tmp_path / "all"
-    assert (
-        main(
-            [
-                "all",
-                "--input", str(synth_csv),
-                "--out", str(out),
-                "--seed", "5",
-                "--null-samples", "3",
-            ]
-        )
-        == 0
-    )
+    assert main(["all", "--input", str(synth_csv), "--out", str(out), "--seed", "5", "--null-samples", "3"]) == 0
     produced = {p.name for p in out.iterdir()}
-    expected = {
-        "weight_distribution.csv",
-        "degree_distributions.csv",
-        "reputation_distributions.csv",
-        "clustering_spectrum.csv",
-        "clustering_null.csv",
-        "norm_breaking_clustering.csv",
-        "neighbor_degree_trend.csv",
-        "tau_matrix.csv",
-        "ranking.csv",
-        "reputation_by_indegree.csv",
-        "categories.csv",
-        "category_summary.csv",
-        "reputation_scatter.csv",
-        "daily_activity.csv",
-        "interevent_distribution.csv",
-        "burstiness.csv",
-        "circadian_profile.csv",
-        "weekly_profile.csv",
-        "gini_series.csv",
-        "topk_stability.csv",
-        "trajectories_top_positive.csv",
-        "trajectories_top_negative.csv",
-        "manifest.json",
-    }
-    assert expected <= produced
+    assert produced == {*FOLD_SHA256, "manifest.json"}  # the tables of every analysis
     manifest = _manifest_of(out)
     assert manifest["command"] == "all"
     assert sorted(manifest["outputs"]) == sorted(produced - {"manifest.json"})

@@ -101,23 +101,6 @@ def test_every_query_returns_node_metrics_records(small_log):
     assert _same_rho(fold, small_log, node_metrics(small_log))
 
 
-def test_snapshots_match_truncated_aggregates():
-    rng = random.Random(23)
-    events = []
-    t = 0
-    for _ in range(50):
-        t += rng.randint(1, DAY)
-        a, b = rng.sample(range(1, 9), 2)
-        events.append((a, b, rng.choice([-10, -2, 1, 3, 10]), t))
-    log = EventLog(events)
-    for snap in snapshot_series(log):
-        cutoff = (
-            (snap.day - date(1970, 1, 1)).days + 1
-        ) * DAY - 1
-        expected = node_metrics(_truncated_log(log, cutoff))
-        assert snap.metrics == expected
-
-
 def test_snapshot_columns_grow_monotonically(small_log):
     prev = None
     for snap in snapshot_series(small_log):
@@ -359,41 +342,24 @@ def test_stability_full_lists_not_truncated():
 # one fold against the earlier multi-pass code
 
 
-def top_entrants(log: EventLog, key: str, k: int = 10) -> set[int]:
-    """Users in the day-level top-k of `key` on at least one day, from a
-    pass of their own over the snapshots."""
-    if key not in ("rho_plus", "rho_minus"):
-        raise ValueError("key must be 'rho_plus' or 'rho_minus'")
-    entrants: set[int] = set()
-    for snap in snapshot_series(log):
-        entrants.update(top_k_lists(snap, k)[key])
-    return entrants
-
-
 def _dynamics_rows_by_loop(log: EventLog, k: int):
     """The Gini and top-k stability CSV rows as `wotnet dynamics` built
-    them in a pass of its own."""
-    gini_rows = []
-    stability_rows = []
-    prev_day = prev_lists = None
+    them, and the users in the day-level top-k of each side on some day, from
+    one pass over the per-day snapshots."""
+    gini_rows, stability_rows = [], []
+    entrants = {TrajectorySelection.TOP_ENTRANTS_POSITIVE: set(), TrajectorySelection.TOP_ENTRANTS_NEGATIVE: set()}
+    prev = None
     for snap in snapshot_series(log):
         point = gini_point(snap)
         if point is not None:
-            gini_rows.append((point.day, point.gini_plus, point.gini_minus))
+            gini_rows.append(tuple(point))
         lists = top_k_lists(snap, k)
-        if prev_lists is not None:
-            p = stability_step(prev_day, prev_lists, lists, k)
-            sj = {
-                key: None
-                if not prev_lists[key] and not lists[key]
-                else plain_jaccard(prev_lists[key], lists[key])
-                for key in ("rho_plus", "rho_minus", "rho")
-            }
-            stability_rows.append(
-                (p.day, p.j_plus, p.j_minus, p.j_global, sj["rho_plus"], sj["rho_minus"], sj["rho"], p.truncated)
-            )
-        prev_day, prev_lists = snap.day, lists
-    return gini_rows, stability_rows
+        for side, key in zip(entrants.values(), ("rho_plus", "rho_minus")):
+            side.update(lists[key])
+        if prev is not None:
+            stability_rows.append(tuple(stability_step(*prev, lists, k)))
+        prev = snap.day, lists
+    return gini_rows, stability_rows, entrants
 
 
 def _unmasked(values, measured):
@@ -437,13 +403,10 @@ def _multi_day_logs(draw):
 
 def _assert_fold_matches_separate_passes(log: EventLog, k: int) -> None:
     fold = daily_fold(log, k)
-    gini_rows, stability_rows = _dynamics_rows_by_loop(log, k)
+    gini_rows, stability_rows, entrants = _dynamics_rows_by_loop(log, k)
     assert _gini_rows_of(fold) == gini_rows
     assert _stability_rows_of(fold) == stability_rows
-    assert fold.entrants == {
-        TrajectorySelection.TOP_ENTRANTS_POSITIVE: top_entrants(log, "rho_plus", k),
-        TrajectorySelection.TOP_ENTRANTS_NEGATIVE: top_entrants(log, "rho_minus", k),
-    }
+    assert fold.entrants == entrants
     assert _same_rho(fold, log, node_metrics(log))
 
 
@@ -532,60 +495,43 @@ def test_dynamics_with_k_above_the_user_count_gives_the_oracle_rows(small_log, t
         assert lines == [",".join(map(_fmt_by_isinstance_chain, row)) for row in rows]
 
 
-def _snapshots_by_event_loop(log: EventLog):
-    """(day, metrics, seen) of every day from the per-event loop that
-    `snapshot_series` ran before it folded whole days at once."""
-    user_ids, (rater_idx, ratee_idx) = log.user_codes()
-    names = ("k_in_plus", "k_in_minus", "k_out_plus", "k_out_minus", "rho_plus", "rho_minus")
-    cols = {name: np.zeros(len(user_ids), dtype=np.int64) for name in names}
-    seen = np.zeros(len(user_ids), dtype=bool)
-    days = log.timestamps // DAY
-    out = []
-    pos = 0
-    for day_no in range(int(days[0]), int(days[-1]) + 1) if len(log) else ():
-        while pos < len(log) and days[pos] == day_no:
-            r, e, s = rater_idx[pos], ratee_idx[pos], int(log.scores[pos])
-            seen[r] = True
-            seen[e] = True
-            if s > 0:
-                cols["k_in_plus"][e] += 1
-                cols["k_out_plus"][r] += 1
-                cols["rho_plus"][e] += s
-            else:
-                cols["k_in_minus"][e] += 1
-                cols["k_out_minus"][r] += 1
-                cols["rho_minus"][e] += -s
-            pos += 1
-        idx = np.flatnonzero(seen)
-        metrics = {
-            int(user_ids[i]): NodeMetrics(*(int(cols[name][i]) for name in names)) for i in idx
-        }
-        out.append((date(1970, 1, 1) + timedelta(days=day_no), metrics, seen.copy()))
-    return out
+def _seeded_log() -> EventLog:
+    """50 events among users 1-8, each up to a day after the one before."""
+    rng = random.Random(23)
+    events = []
+    t = 0
+    for _ in range(50):
+        t += rng.randint(1, DAY)
+        a, b = rng.sample(range(1, 9), 2)
+        events.append((a, b, rng.choice([-10, -2, 1, 3, 10]), t))
+    return EventLog(events)
+
+
+def _assert_snapshots_match_truncated_aggregates(log: EventLog) -> None:
+    """Each day from the first event's to the last one's has a snapshot, whose
+    metrics and seen users are those of `node_metrics` of the day's prefix."""
+    days = (log.timestamps // DAY).tolist()
+    snaps = list(snapshot_series(log))
+    assert [snap.day for snap in snaps] == [date(1970, 1, 1) + timedelta(days=d) for d in range(days[0], days[-1] + 1)] if days else not snaps
+    for snap in snaps:
+        cutoff = ((snap.day - date(1970, 1, 1)).days + 1) * DAY - 1
+        expected = node_metrics(_truncated_log(log, cutoff))
+        assert snap.metrics == expected
+        assert snap.user_ids[snap.seen].tolist() == list(expected)
+
+
+def test_snapshots_match_truncated_aggregates():
+    _assert_snapshots_match_truncated_aggregates(_seeded_log())
 
 
 @given(_multi_day_logs())
 @example(EventLog([]))
 # events on midnight boundaries on both sides of 1970 and two quiet days
-@example(
-    EventLog(
-        [
-            (3, 17, 4, -DAY),
-            (17, 3, -2, -1),
-            (3, 17, 1, 0),
-            (17, 8, 7, 0),
-            (8, 3, -9, 3 * DAY),
-        ]
-    )
-)
+@example(EventLog([(3, 17, 4, -DAY), (17, 3, -2, -1), (3, 17, 1, 0), (17, 8, 7, 0), (8, 3, -9, 3 * DAY)]))
 @settings(max_examples=150, deadline=None)
 def test_snapshot_series_matches_event_loop(log):
-    expected = _snapshots_by_event_loop(log)
-    snaps = list(snapshot_series(log))
-    assert [snap.day for snap in snaps] == [day for day, _, _ in expected]
-    for snap, (_, metrics, seen) in zip(snaps, expected):
-        assert snap.metrics == metrics
-        assert snap.seen.tolist() == seen.tolist()
+    # the prefix of each day, fed event by event to `node_metrics`
+    _assert_snapshots_match_truncated_aggregates(log)
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +587,15 @@ def test_trajectories_by_category_cover_all_rated_users(small_log):
 
 
 def _follow_by_event_loop(log, users, labels):
-    """`follow` as a per-event loop over running per-ratee sums, labelled
-    from the mapping `labels` of user ids."""
+    """`follow` and `pick` as a per-event loop over running per-ratee sums,
+    each chosen user once, labelled from the mapping `labels` of user ids."""
     values: dict[int, list[int]] = {}
     running: dict[int, int] = {}
     for ratee, score in zip(log.ratees.tolist(), log.scores.tolist()):
         new = running.get(ratee, 0) + score
         running[ratee] = new
         values.setdefault(ratee, []).append(new)
-    chosen = values if users is None else (u for u in users if u in values)
+    chosen = values if users is None else {u for u in users if u in values}
     return [(u, tuple(values[u]), labels[u]) for u in sorted(chosen)]
 
 
@@ -676,35 +622,19 @@ def test_follow_gives_repeated_ids_the_result_of_distinct_ids(small_log):
     assert _records(follow(small_log, repeated, labels)) == _records(follow(small_log, set(rated), labels))
 
 
-def _follow_by_chosen_runs(log, users, labels):
-    """`follow` as it was before `Trajectories.pick`: the ratee runs, then
-    the chosen ones moved up behind each other, with each run's start taken
-    from the sort; the oracle of `pick`."""
-    user_ids, (_, ratees) = log.user_codes()
-    order, starts, counts, running = dynamics._running_sums(ratees, log.scores)
-    rated = ratees[order[starts]]
-    ids, labels = user_ids[rated], labels[rated]
-    if users is not None:
-        chosen = np.unique(np.fromiter(users, dtype=np.int64))
-        pick = np.searchsorted(ids, chosen[np.isin(chosen, ids)])
-        ids, labels, starts, counts = ids[pick], labels[pick], starts[pick], counts[pick]
-        running = running[np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
-    return ids, labels, counts, running
-
-
 @given(
     _multi_day_logs(),
     # repeated ids, rated users, raters never rated, and ids absent from every log
     st.lists(st.sampled_from([-5, 0, 3, 17, 2**40, 8, 9, -6, 1, 2**41]), max_size=15),
 )
 @settings(max_examples=150, deadline=None)
-def test_pick_matches_following_the_chosen_runs(log, users):
-    labels, _ = _labels(log)
+def test_pick_matches_event_loop(log, users):
+    labels, label_of = _labels(log)
     runs = follow(log, None, labels)
     for chosen in (None, users):
         picked = runs if chosen is None else runs.pick(chosen)
-        for mine, oracle in zip(picked, _follow_by_chosen_runs(log, chosen, labels)):
-            assert mine.dtype == oracle.dtype and mine.tobytes() == oracle.tobytes()
+        assert [column.dtype for column in picked] == [column.dtype for column in runs]
+        assert _records(picked) == _follow_by_event_loop(log, chosen, label_of)
         assert _records(follow(log, chosen, labels)) == _records(picked)
 
 
@@ -721,12 +651,7 @@ def test_top_entrants_selection_subsets_by_category(small_log):
     neg = set(trajectories(small_log, TrajectorySelection.TOP_ENTRANTS_NEGATIVE).users.tolist())
     assert pos <= all_users
     assert neg <= all_users
-    assert pos == top_entrants(small_log, "rho_plus", 10)
-
-
-def test_top_entrants_key_validation(small_log):
-    with pytest.raises(ValueError):
-        top_entrants(small_log, "rho", 5)
+    assert pos == _dynamics_rows_by_loop(small_log, 10)[2][TrajectorySelection.TOP_ENTRANTS_POSITIVE]
 
 
 def test_trajectories_empty_log():

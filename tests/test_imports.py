@@ -1,5 +1,6 @@
-"""Every name imported by the package and by its tests is used, the package
-exports exactly the names it binds, a run loads no scipy module and no
+"""Every name imported by the package and by its tests is used, every
+private name they bind at module level is read, the package exports exactly
+the names it binds, a run loads no scipy module and no
 `numpy.ma`, and a long calendar costs a run one slice of each table."""
 
 from __future__ import annotations
@@ -57,6 +58,44 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os, sys\nfrom typing import Any\n__all__ = ['Any']\nsys.exit()\n"
     assert _unused_imports(source) == ["os (line 2)"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private functions, classes and constants that the modules
+    `sources` (name: text) bind at their top level and that none of them
+    reads: as a loaded name, an attribute, an imported name or a word of a
+    string that is not a docstring, such as a child process's code."""
+    bound: dict[tuple[str, str], int] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = (n for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        docstrings = {id(n.body[0].value) for n in scopes if ast.get_docstring(n, clean=False) is not None}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:  # the plain names that an assignment binds
+                names = [t.id for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Name)]
+            bound.update({(module, name): node.lineno for name in names if name.startswith("_") and not name.startswith("__")})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                read.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                read.update(re.findall(r"\w+", node.value))
+    return [f"{module}: {name} (line {line})" for (module, name), line in bound.items() if name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in SOURCES}
+    assert _unread_private_names(sources) == []
+
+
+def test_unread_private_name_is_reported():
+    first = '"""Reads `_documented`."""\n_read = 1\n_unread = 2\n_documented: int = 3\n\n\ndef _called():\n    return _read\n\n\nclass _Named:\n    pass\n'
+    second = "from first import _called\n\n_called()\nrun('first._Named')\n"
+    assert _unread_private_names({"first": first, "second": second}) == ["first: _unread (line 3)", "first: _documented (line 4)"]
 
 
 def test_all_lists_exactly_the_exported_names():

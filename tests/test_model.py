@@ -2,7 +2,6 @@ import codecs
 import gzip
 import io
 import random
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rows
-from daily_reference import columns_of, metrics_by_dict
+from daily_reference import columns_of
 from wotnet import model
 from wotnet.model import IngestReport
 from wotnet import (
@@ -444,39 +443,34 @@ def test_metrics_user_with_no_incoming():
 
 
 def _accumulate_naively(events) -> dict[int, NodeMetrics]:
+    """Oracle: each user's counters, added up event by event by field name."""
     counters: dict[int, dict[str, int]] = {}
-
-    def bucket(user):
-        return counters.setdefault(
-            user, dict(kip=0, kim=0, kop=0, kom=0, rp=0, rm=0)
-        )
-
     for rater, ratee, score, _ in events:
-        r, t = bucket(rater), bucket(ratee)
-        if score > 0:
-            r["kop"] += 1
-            t["kip"] += 1
-            t["rp"] += score
-        else:
-            r["kom"] += 1
-            t["kim"] += 1
-            t["rm"] += -score
-    return {
-        u: NodeMetrics(c["kip"], c["kim"], c["kop"], c["kom"], c["rp"], c["rm"])
-        for u, c in counters.items()
-    }
+        r, t = (counters.setdefault(user, dict.fromkeys(NodeMetrics._fields, 0)) for user in (rater, ratee))
+        side = "plus" if score > 0 else "minus"
+        r[f"k_out_{side}"] += 1
+        t[f"k_in_{side}"] += 1
+        t[f"rho_{side}"] += abs(score)
+    return {user: NodeMetrics(**c) for user, c in counters.items()}
+
+
+_SCORES = [s for s in range(-10, 11) if s != 0]
+
+
+def _random_events(rng, n_events, n_users, scores=_SCORES, max_step=9):
+    """Events between two distinct users of range(n_users), each with a score
+    from `scores`, 1 to `max_step` seconds after the one before."""
+    events, t = [], 0
+    for _ in range(n_events):
+        a, b = rng.sample(range(n_users), 2)
+        score = rng.choice(scores)
+        t += rng.randint(1, max_step)
+        events.append((a, b, score, t))
+    return events
 
 
 def test_metrics_match_naive_accumulation_oracle():
-    rng = random.Random(11)
-    events = []
-    t = 0
-    for _ in range(20):
-        a, b = rng.sample(range(6), 2)
-        s = rng.choice([s for s in range(-10, 11) if s != 0])
-        t += rng.randint(1, 50)
-        events.append((a, b, s, t))
-    log = EventLog(events)
+    log = EventLog(_random_events(random.Random(11), 20, 6, max_step=50))
     assert node_metrics(log) == _accumulate_naively(rows(log))
 
 
@@ -514,13 +508,14 @@ def test_metric_columns_equal_the_columns_of_the_dict_path(case, view):
     log = EventLog(events)
     plus, minus = split_layers(log)
     log = {"log": log, "plus": plus, "minus": minus}[view]
+    kept = [e for e in events if e[3] <= cutoff and (view == "log" or (e[2] > 0) == (view == "plus"))]
     columns = metric_columns(log, cutoff)
-    users, fields = columns_of(metrics_by_dict(log, cutoff))
+    users, fields = columns_of(_accumulate_naively(kept))
     assert columns.users.dtype == columns.fields.dtype == np.int64
     assert columns.fields.shape == (len(NodeMetrics._fields), len(columns.users))
     np.testing.assert_array_equal(columns.users, users)
     np.testing.assert_array_equal(columns.fields, fields)
-    assert node_metrics(log, cutoff) == metrics_by_dict(log, cutoff)
+    assert node_metrics(log, cutoff) == _accumulate_naively(kept)
 
 
 def test_metrics_degree_sums_equal_layer_edge_counts(small_log):
@@ -628,54 +623,44 @@ def test_trust_errors():
         gettrust(log, 99, 1)
 
 
-def _trust_by_path_enumeration(log, viewer, target, cutoff=None):
-    """Independent oracle: direct rating plus every 2-hop path, from the
-    latest-rating map, written as an explicit loop over intermediaries."""
-    last = latest_ratings(log, cutoff)
-    users = {u for pair in last for u in pair}
+def _latest_ratings_by_loop(events):
+    """Oracle: the last score of each (rater, ratee) pair over time-sorted rows."""
+    last = {}
+    for rater, ratee, score, _ in events:
+        last[(rater, ratee)] = score
+    return last
+
+
+def _trust_from_all_pairs(last, viewer, target):
+    """Oracle: the direct rating plus every 2-hop path through an
+    intermediary the viewer rates positively, from the latest ratings `last`."""
     total = last.get((viewer, target), 0)
-    for j in users:
-        if j in (viewer, target):
+    for (a, j), r_vj in last.items():
+        if a != viewer or j == target or r_vj <= 0:
             continue
-        first = last.get((viewer, j), 0)
-        second = last.get((j, target), 0)
-        if first > 0 and second != 0:
-            total += (1 if second > 0 else -1) * min(first, abs(second))
+        r_jt = last.get((j, target))
+        if not r_jt:
+            continue
+        capped = min(r_vj, abs(r_jt))
+        total += capped if r_jt > 0 else -capped
     return total
 
 
 def test_trust_matches_path_enumeration_on_random_logs():
     rng = random.Random(99)
     for trial in range(25):
-        events = []
-        t = 0
-        for _ in range(rng.randint(5, 40)):
-            a, b = rng.sample(range(7), 2)
-            s = rng.choice([s for s in range(-10, 11) if s != 0])
-            t += rng.randint(1, 9)
-            events.append((a, b, s, t))
+        events = _random_events(rng, rng.randint(5, 40), 7)
         log = EventLog(events)
-        users = sorted(log.users)
-        for viewer in users:
-            for target in users:
-                if viewer == target:
-                    continue
-                assert gettrust(log, viewer, target) == _trust_by_path_enumeration(
-                    log, viewer, target
-                ), (trial, viewer, target)
+        last = _latest_ratings_by_loop(events)  # the times rise
+        for viewer in log.users:
+            for target in log.users - {viewer}:
+                assert gettrust(log, viewer, target) == _trust_from_all_pairs(last, viewer, target), (trial, viewer, target)
 
 
 def test_trust_never_rises_when_contributing_edge_removed():
     rng = random.Random(5)
     for _ in range(20):
-        events = []
-        t = 0
-        for _ in range(rng.randint(6, 30)):
-            a, b = rng.sample(range(6), 2)
-            s = rng.choice([s for s in range(1, 11)])  # all-positive world
-            t += rng.randint(1, 9)
-            events.append((a, b, s, t))
-        log = EventLog(events)
+        log = EventLog(_random_events(rng, rng.randint(6, 30), 6, scores=range(1, 11)))  # all-positive world
         users = sorted(log.users)
         viewer, target = users[0], users[-1]
         baseline = gettrust(log, viewer, target)
@@ -692,77 +677,7 @@ def test_trust_never_rises_when_contributing_edge_removed():
 
 
 # ---------------------------------------------------------------------------
-# columnar store against the event-object implementation it replaced
-
-
-class _Event(NamedTuple):
-    rater: int
-    ratee: int
-    score: int
-    timestamp: int
-
-
-class _ObjectLog:
-    """The event-object log used before the columnar store: a sorted tuple
-    of events, with its users and dense index built from that tuple."""
-
-    def __init__(self, events):
-        self.events = tuple(sorted(map(_Event._make, events), key=lambda e: e.timestamp))
-        self.users = frozenset(e.rater for e in self.events) | frozenset(
-            e.ratee for e in self.events
-        )
-
-    def dense_index(self):
-        return {u: i for i, u in enumerate(sorted(self.users))}
-
-    def truncated(self, cutoff):
-        if cutoff is None:
-            return self
-        timestamps = np.array([e.timestamp for e in self.events], dtype=np.int64)
-        hi = int(np.searchsorted(timestamps, cutoff, side="right"))
-        return _ObjectLog(self.events[:hi])
-
-
-def _node_metrics_by_dict_lookup(log, cutoff=None):
-    sub = log.truncated(cutoff)
-    index = log.dense_index()
-    names = ("kin_p", "kin_m", "kout_p", "kout_m", "rho_p", "rho_m")
-    cols = {name: np.zeros(len(index), dtype=np.int64) for name in names}
-    rater_idx = np.array([index[e.rater] for e in sub.events], dtype=np.int64)
-    ratee_idx = np.array([index[e.ratee] for e in sub.events], dtype=np.int64)
-    scores = np.array([e.score for e in sub.events], dtype=np.int64)
-    pos = scores > 0
-    np.add.at(cols["kin_p"], ratee_idx[pos], 1)
-    np.add.at(cols["kin_m"], ratee_idx[~pos], 1)
-    np.add.at(cols["kout_p"], rater_idx[pos], 1)
-    np.add.at(cols["kout_m"], rater_idx[~pos], 1)
-    np.add.at(cols["rho_p"], ratee_idx[pos], scores[pos])
-    np.add.at(cols["rho_m"], ratee_idx[~pos], -scores[~pos])
-    return {
-        user: NodeMetrics(*(int(cols[name][index[user]]) for name in names))
-        for user in sub.users
-    }
-
-
-def _latest_ratings_by_loop(log, cutoff=None):
-    last = {}
-    for e in log.truncated(cutoff).events:
-        last[(e.rater, e.ratee)] = e.score
-    return last
-
-
-def _trust_from_all_pairs(log, viewer, target, cutoff=None):
-    last = _latest_ratings_by_loop(log, cutoff)
-    total = last.get((viewer, target), 0)
-    for (a, j), r_vj in last.items():
-        if a != viewer or j == target or r_vj <= 0:
-            continue
-        r_jt = last.get((j, target))
-        if not r_jt:
-            continue
-        capped = min(r_vj, abs(r_jt))
-        total += capped if r_jt > 0 else -capped
-    return total
+# the columnar store's queries against the row oracles
 
 
 @st.composite
@@ -787,28 +702,23 @@ def _small_logs(draw):
 
 @given(_small_logs())
 @settings(max_examples=150, deadline=None)
-def test_columnar_queries_match_event_object_oracles(events):
-    log, oracle = EventLog(events), _ObjectLog(events)
-    times = sorted({e.timestamp for e in oracle.events})
+def test_columnar_queries_match_row_oracles(events):
+    log = EventLog(events)
+    ordered = sorted(events, key=lambda e: e[3])  # stable: tied events keep their order
+    users = {u for e in events for u in e[:2]}
+    times = sorted({e[3] for e in events})
     # before the first event, on every (possibly tied) timestamp, between
     # events, and the whole log
-    cutoffs = [times[0] - 1, *times, *(t + 5 for t in times), None]
-    for cutoff in cutoffs:
-        sub, expected = log.truncated(cutoff), oracle.truncated(cutoff)
-        assert len(sub) == len(expected.events)
-        assert rows(sub) == list(expected.events)
-        assert sub.users == expected.users
-        ids, codes = sub.user_codes()
-        assert ids.tolist() == sorted(expected.users)
-        assert ids[codes[0]].tolist() == [e.rater for e in expected.events]
-        assert ids[codes[1]].tolist() == [e.ratee for e in expected.events]
-        assert node_metrics(log, cutoff) == _node_metrics_by_dict_lookup(oracle, cutoff)
-        latest = latest_ratings(log, cutoff)
-        assert list(latest.items()) == list(_latest_ratings_by_loop(oracle, cutoff).items())
-        for viewer in oracle.users:
-            for target in oracle.users - {viewer}:
+    for cutoff in [times[0] - 1, *times, *(t + 5 for t in times), None]:
+        expected = [e for e in ordered if cutoff is None or e[3] <= cutoff]
+        _assert_log_of(log.truncated(cutoff), expected)
+        assert node_metrics(log, cutoff) == _accumulate_naively(expected)
+        last = _latest_ratings_by_loop(expected)
+        assert list(latest_ratings(log, cutoff).items()) == list(last.items())
+        for viewer in users:
+            for target in users - {viewer}:
                 assert gettrust(log, viewer, target, cutoff) == _trust_from_all_pairs(
-                    oracle, viewer, target, cutoff
+                    last, viewer, target
                 ), (viewer, target, cutoff)
 
 

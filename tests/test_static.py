@@ -23,7 +23,6 @@ from daily_reference import columns_of
 from wotnet import (
     EventLog,
     Layer,
-    MetricColumns,
     NodeMetrics,
     SynthConfig,
     from_values,
@@ -55,10 +54,6 @@ from wotnet.static import (
     spectrum_trend,
     undirected_projection,
 )
-
-
-def _columns(metrics) -> MetricColumns:
-    return MetricColumns(*columns_of(metrics))
 
 
 def _layer_from_edges(edges, scores=None) -> EventLog:
@@ -118,7 +113,7 @@ def test_reputation_distribution_small_case():
         3: NodeMetrics(1, 0, 0, 0, 2, 0),
         4: NodeMetrics(0, 1, 0, 0, 0, 3),
     }
-    rho_p, rho_m, rho = reputation_distributions(_columns(metrics))
+    rho_p, rho_m, rho = reputation_distributions(columns_of(metrics))
     assert rho_p.support.tolist() == [1, 2]
     assert rho_p.pmf.tolist() == pytest.approx([2 / 3, 1 / 3])
     assert rho_m.support.tolist() == [3]
@@ -130,7 +125,7 @@ def test_reputation_distributions_skip_zero_sides():
         1: NodeMetrics(0, 0, 1, 0, 0, 0),  # pure rater: no mass on either side
         2: NodeMetrics(1, 1, 0, 0, 5, 3),
     }
-    rho_p, rho_m, rho = reputation_distributions(_columns(metrics))
+    rho_p, rho_m, rho = reputation_distributions(columns_of(metrics))
     assert rho_p.support.tolist() == [5]
     assert rho_m.support.tolist() == [3]
     assert sorted(rho.support.tolist()) == [0, 2]
@@ -148,11 +143,11 @@ def test_log_binned_ccdf_anchors_to_support():
 # clustering
 
 
-def _adjacency_sets(layer):
-    """Oracle: adjacency sets of the simple undirected graph underlying a
-    layer, keyed in order of first appearance."""
+def _adjacency_sets(raters, ratees):
+    """Oracle: adjacency sets of the simple undirected graph of the arcs
+    from `raters` to `ratees`, keyed in order of first appearance."""
     adj = {}
-    for u, v in zip(layer.raters.tolist(), layer.ratees.tolist()):
+    for u, v in zip(raters.tolist(), ratees.tolist()):
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     return adj
@@ -179,7 +174,7 @@ def test_triangle_clustering_is_one():
     layer = _layer_from_edges([(1, 2), (2, 3), (3, 1)])
     c = _clustering_by_node(project(layer))
     assert c == {1: 1.0, 2: 1.0, 3: 1.0}
-    assert c == _clustering_by_set_intersection(_adjacency_sets(layer))
+    assert c == _clustering_by_set_intersection(_adjacency_sets(layer.raters, layer.ratees))
 
 
 def test_star_center_clustering_is_zero():
@@ -193,7 +188,7 @@ def test_projection_collapses_directions_and_parallels():
     layer = _layer_from_edges([(1, 2), (2, 1), (1, 2), (2, 3), (3, 1)])
     projection = project(layer)
     assert adjacency_sets(projection) == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
-    assert adjacency_sets(projection) == _adjacency_sets(layer)
+    assert adjacency_sets(projection) == _adjacency_sets(layer.raters, layer.ratees)
     assert projection.nodes.tolist() == [1, 2, 3]
     assert projection.degree.tolist() == [2, 2, 2]
 
@@ -204,39 +199,21 @@ def test_clustering_values_in_unit_interval(small_log):
         assert 0.0 <= value <= 1.0
 
 
-def _clustering_by_triple_enumeration(adj):
-    """Oracle: count closed triangles through each node by scanning all
-    neighbor pairs explicitly."""
-    out = {}
-    for node, neigh in adj.items():
-        d = len(neigh)
-        if d < 2:
-            out[node] = 0.0
-            continue
-        closed = sum(
-            1 for u, v in itertools.combinations(sorted(neigh), 2) if v in adj[u]
-        )
-        out[node] = closed / (d * (d - 1) / 2)
-    return out
+def _random_layers(seed, p):
+    """The layers of 40 random graphs on 2-7 nodes, each arc there with
+    probability p; a graph with no arc is skipped."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < p]
+        if arcs:
+            yield _layer_from_edges(arcs)
 
 
 def test_clustering_matches_enumeration_oracle_on_small_graphs():
-    rng = random.Random(42)
-    for _ in range(40):
-        n = rng.randint(2, 7)
-        arcs = [
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and rng.random() < 0.45
-        ]
-        if not arcs:
-            continue
-        layer = _layer_from_edges(arcs)
-        adj = _adjacency_sets(layer)
-        expected = _clustering_by_triple_enumeration(adj)
-        assert _clustering_by_node(project(layer)) == pytest.approx(expected)
-        assert _clustering_by_set_intersection(adj) == pytest.approx(expected)
+    for layer in _random_layers(42, 0.45):
+        expected = _clustering_by_set_intersection(_adjacency_sets(layer.raters, layer.ratees))
+        assert _clustering_by_node(project(layer)) == expected
 
 
 def test_compact_forward_clustering_matches_oracle(small_log):
@@ -245,7 +222,7 @@ def test_compact_forward_clustering_matches_oracle(small_log):
     for layer in layers:
         projection = project(layer)
         clustering = local_clustering(projection.edges, projection.degree)
-        oracle = _clustering_by_set_intersection(_adjacency_sets(layer))
+        oracle = _clustering_by_set_intersection(_adjacency_sets(layer.raters, layer.ratees))
         assert clustering.tolist() == list(oracle.values())
         assert projection.clustering.tolist() == clustering.tolist()
 
@@ -259,7 +236,7 @@ def test_clustering_of_sparse_graphs_matches_oracle():
         arcs |= {(b, c) for a, b in list(arcs)[:60] for x, c in arcs if x == a}  # some triangles
         layer = _layer_from_edges(sorted((a, b) for a, b in arcs if a != b))
         projection = project(layer)
-        oracle = _clustering_by_set_intersection(_adjacency_sets(layer))
+        oracle = _clustering_by_set_intersection(_adjacency_sets(layer.raters, layer.ratees))
         assert projection.clustering.tolist() == list(oracle.values())
 
 
@@ -291,7 +268,8 @@ def test_clustering_spectrum_buckets_by_degree():
 
 
 def _spectrum_by_sets(adj, values, include_low_degree=True):
-    """Oracle: the pre-sparse bucketing of per-node values over adjacency sets."""
+    """Oracle: per-node values bucketed by their degrees in `adj`, with
+    `_bucket_spectrum`, which is checked against `_bucket_spectrum_by_mask`."""
     degrees, kept = [], []
     for node, value in values.items():
         if len(adj[node]) >= 2 or include_low_degree:
@@ -302,6 +280,11 @@ def _spectrum_by_sets(adj, values, include_low_degree=True):
 
 def _spectrum_tuple(spectrum):
     return tuple(a.tolist() for a in (spectrum.degree, spectrum.mean_value, spectrum.std_value, spectrum.n_nodes))
+
+
+def _neighbor_means(adj):
+    """Oracle: each node's mean neighbor degree."""
+    return {u: float(np.mean([len(adj[w]) for w in neigh])) for u, neigh in adj.items()}
 
 
 _arcs = st.lists(
@@ -320,7 +303,7 @@ _arcs = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_projection_matches_set_oracle(arcs):
     layer = _layer_from_edges(arcs)
-    adj = _adjacency_sets(layer)
+    adj = _adjacency_sets(layer.raters, layer.ratees)
     projection = project(layer)
     assert projection.nodes.tolist() == list(adj)
     assert projection.degree.tolist() == [len(n) for n in adj.values()]
@@ -336,10 +319,7 @@ def test_projection_matches_set_oracle(arcs):
         else:
             with pytest.raises(ValueError, match="no nodes satisfy"):
                 mean_clustering(projection, include_low)
-    neighbor_means = {
-        u: float(np.mean([len(adj[w]) for w in neigh])) for u, neigh in adj.items()
-    }
-    spectrum, _ = _spectrum_by_sets(adj, neighbor_means)
+    spectrum, _ = _spectrum_by_sets(adj, _neighbor_means(adj))
     assert _spectrum_tuple(avg_neighbor_degree_spectrum(projection)) == _spectrum_tuple(spectrum)
 
 
@@ -359,41 +339,6 @@ def test_distinct_equals_np_unique(values):
     assert distinct.tolist() == np.unique(x).tolist()
 
 
-def _local_clustering_by_sort(edges, degree):
-    """`local_clustering` as it was before it ordered the ranks with
-    `np.minimum`/`np.maximum`: the oracle."""
-    n = len(degree)
-    rank = np.argsort(np.argsort(degree, kind="stable"))
-    lo, hi = np.sort(rank[edges], axis=0)
-    keys = np.sort(lo * n + hi)
-    src, dst = np.divmod(keys, n)
-    later = np.cumsum(np.bincount(src, minlength=n))[src] - 1 - np.arange(len(src))
-    first = np.repeat(np.arange(len(src)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    wedges = dst[first] * n + dst[second]
-    hit = keys[np.minimum(np.searchsorted(keys, wedges), len(keys) - 1)] == wedges
-    corners = np.concatenate((src[first[hit]], dst[first[hit]], dst[second[hit]]))
-    closed = np.bincount(corners, minlength=n)[rank]
-    out = np.zeros(n)
-    np.divide(closed, degree * (degree - 1) / 2, out=out, where=degree >= 2)
-    return out
-
-
-def _projection_by_unique(raters, ratees):
-    """`undirected_projection` as it was before it numbered the ids with one
-    sort: `np.unique` with first positions and inverse, then two argsorts; the
-    oracle.  Returns nodes, edges, degree and clustering."""
-    ids, first, inverse = np.unique(
-        np.column_stack((raters, ratees)).ravel(), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    u, v = np.argsort(order)[inverse].reshape(-1, 2).T
-    n = len(ids)
-    edges = np.stack(np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n))
-    degree = np.bincount(edges.ravel(), minlength=n)
-    return ids[order], edges, degree, _local_clustering_by_sort(edges, degree)
-
-
 _extreme_ids = st.sampled_from([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2, 3, 5, 2**62, 2**63 - 2, 2**63 - 1])
 
 
@@ -404,20 +349,28 @@ _extreme_ids = st.sampled_from([-(2**63), -(2**63) + 1, -7, -1, 0, 1, 2, 3, 5, 2
 @example([(-(2**63), 2**63 - 1), (2**63 - 1, -(2**63)), (-(2**63), 0), (0, 2**63 - 1)])  # a triangle of extremes
 @example([(a, b) for a in range(5) for b in range(5) if a != b])  # complete graph
 @settings(max_examples=200, deadline=None)
-def test_projection_equals_the_unique_oracle(arcs):
+def test_projection_of_extreme_ids_matches_set_oracle(arcs):
     raters = np.array([a for a, _ in arcs], dtype=np.int64)
     ratees = np.array([b for _, b in arcs], dtype=np.int64)
-    projection = undirected_projection(raters, ratees)
-    got = (projection.nodes, projection.edges, projection.degree, projection.clustering)
-    for mine, oracle in zip(got, _projection_by_unique(raters, ratees)):
-        assert mine.dtype == oracle.dtype
-        assert mine.shape == oracle.shape
-        assert mine.tolist() == oracle.tolist()
+    adj = _adjacency_sets(raters, ratees)
+    # nodes numbered in order of first appearance, each edge (lower, higher) in lexicographic order
+    code = {node: i for i, node in enumerate(adj)}
+    edges = sorted((code[u], code[v]) for u in adj for v in adj[u] if code[u] < code[v])
+    expected = (
+        list(adj),
+        [[a for a, _ in edges], [b for _, b in edges]],
+        [len(neigh) for neigh in adj.values()],
+        list(_clustering_by_set_intersection(adj).values()),
+    )
+    for mine, oracle, dtype in zip(undirected_projection(raters, ratees), expected, (np.int64, np.int64, np.int64, np.float64)):
+        assert mine.dtype == dtype and mine.tolist() == oracle
 
 
 def _bucket_spectrum_by_mask(buckets, values):
     """`_bucket_spectrum` as it was before it grouped the values with one
-    sort: `ndarray.mean` and `.std` of each level's values; the oracle."""
+    sort: `ndarray.mean` and `.std` of each level's values; the oracle, kept
+    beside plain sums because the spectra are checked bit for bit, which
+    needs numpy's own summation order."""
     b = np.asarray(buckets)
     v = np.asarray(values, dtype=float)
     levels = np.unique(b)
@@ -475,34 +428,11 @@ def test_complete_graph_neighbor_degree():
     assert spectrum.mean_value.tolist() == [3.0]
 
 
-def _neighbor_means_by_enumeration(adj):
-    degrees = {u: len(n) for u, n in adj.items()}
-    per_node = {
-        u: sum(degrees[v] for v in neigh) / len(neigh) for u, neigh in adj.items()
-    }
-    buckets = {}
-    for u, value in per_node.items():
-        buckets.setdefault(degrees[u], []).append(value)
-    return {d: sum(vs) / len(vs) for d, vs in buckets.items()}
-
-
 def test_neighbor_degree_matches_enumeration_oracle():
-    rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(2, 7)
-        arcs = [
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and rng.random() < 0.5
-        ]
-        if not arcs:
-            continue
-        layer = _layer_from_edges(arcs)
-        spectrum = avg_neighbor_degree_spectrum(project(layer))
-        oracle = _neighbor_means_by_enumeration(_adjacency_sets(layer))
-        got = dict(zip(spectrum.degree.tolist(), spectrum.mean_value.tolist()))
-        assert got == pytest.approx(oracle)
+    for layer in _random_layers(7, 0.5):
+        adj = _adjacency_sets(layer.raters, layer.ratees)
+        spectrum, _ = _spectrum_by_sets(adj, _neighbor_means(adj))
+        assert _spectrum_tuple(avg_neighbor_degree_spectrum(project(layer))) == _spectrum_tuple(spectrum)
 
 
 def test_log_binned_means_collapse():
@@ -516,7 +446,9 @@ def test_log_binned_means_collapse():
 
 def _log_binned_means_by_mask(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """`log_binned_means` as it was before it grouped the bins with one sort:
-    `np.average` of each bin's means weighted by their node counts; the oracle."""
+    `np.average` of each bin's means weighted by their node counts; the
+    oracle, kept for `np.average`'s summation order, which the bit-for-bit
+    check needs."""
     keep = spectrum.degree >= 1
     deg = spectrum.degree[keep].astype(float)
     val = spectrum.mean_value[keep]
@@ -663,8 +595,9 @@ def _measured_by_projection(projection, replicas):
     """Each replica's edge keys projected again (sorted, split with `divmod`,
     degrees recounted) and its clustering spectrum, stds included, taken per
     level, as `configuration_null` measured replicas before it passed their
-    edges straight to `local_clustering`.  Returns the pooled spectrum and the
-    replicas' mean clustering."""
+    edges straight to `local_clustering`; kept with the null's two oracles,
+    whose spectra it pools in that path's summation order.  Returns the pooled
+    spectrum and the replicas' mean clustering."""
     n = len(projection.nodes)
     spectra, sample_means = [], []
     for keys in replicas:
@@ -683,9 +616,10 @@ def _configuration_null_by_projection(projection, n_samples, seed, swaps_per_edg
     """The null of independent chains, as `configuration_null` drew it before
     its replicas came from one chain: each replica `swaps_per_edge` x |E|
     proposals from the projection, on its own stream spawned from the seed,
-    and measured by `_measured_by_projection`; the reference the one chain is
-    tested against.  Returns the pooled spectrum, the replicas' mean
-    clustering and their swap counts."""
+    and measured by `_measured_by_projection`; kept as the reference sample
+    of the one chain's KS test, and for the first replica, which the one chain
+    draws as the independent chains did.  Returns the pooled spectrum, the
+    replicas' mean clustering and their swap counts."""
     n, replicas, swaps_done = len(projection.nodes), [], []
     for stream in np.random.SeedSequence(seed).spawn(n_samples):
         keys = projection.edges[0] * n + projection.edges[1]
@@ -700,9 +634,10 @@ def _one_chain_null_by_projection(projection, n_samples, seed, swaps_per_edge):
     spawned stream makes a burn-in of B = `swaps_per_edge` x m proposals from
     the projection's m edges, then G = min(B, max(m, ceil(B m / A))) more
     before each later replica, A the swaps the burn-in accepted (G = B when A
-    is 0); each replica is measured by `_measured_by_projection`.  Returns the
-    pooled spectrum, the replicas' mean clustering, the swaps accepted up to
-    each replica and G."""
+    is 0); each replica is measured by `_measured_by_projection`.  Kept
+    because the null is checked bit for bit, which needs the chain's own
+    random draws and summation order.  Returns the pooled spectrum, the
+    replicas' mean clustering, the swaps accepted up to each replica and G."""
     n, m = len(projection.nodes), projection.edges.shape[1]
     burn_in = swaps_per_edge * m
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -767,7 +702,9 @@ def test_one_replica_is_the_first_replica_of_many(small_log, n_samples):
 def _swap_round_by_sort(ends, keys, n, n_pairs, rng):
     """`_swap_round` as it was before it ordered the proposed ends with
     `np.minimum`/`np.maximum`, scattered the clash flags and kept only the
-    edges' keys: the oracle, which keeps the ends `ends` next to `keys`."""
+    edges' keys: the oracle, which keeps the ends `ends` next to `keys`.
+    Kept because the rounds are compared state for state, which needs the
+    same random draws in the same order."""
     slots = rng.permutation(len(keys))[: 2 * n_pairs]
     (a, c), (b, d) = ends[:, slots].reshape(2, 2, n_pairs)
     flip = rng.random(n_pairs) < 0.5
@@ -787,6 +724,21 @@ def _swap_round_by_sort(ends, keys, n, n_pairs, rng):
     return len(done) // 2
 
 
+def _twelve_rounds(edges, n, seed):
+    """The keys, the swaps accepted and the `np.argsort` calls of twelve
+    rounds of `_swap_round` and then of `_swap_round_by_sort`, each from the
+    same draws."""
+    states = []
+    for round_ in (_swap_round, partial(_swap_round_by_sort, edges.copy())):
+        keys = edges[0] * n + edges[1]
+        rng = np.random.default_rng(seed)
+        pairs = random.Random(seed)  # the same round sizes for both
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            accepted = [round_(keys, n, pairs.randint(1, edges.shape[1] // 2), rng) for _ in range(12)]
+        states.append((keys.tolist(), accepted, spy.call_count))
+    return states
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_logs(), st.integers(0, 2**32 - 1))
 @example(_log_of([(0, i) for i in range(1, 6)]), 1)  # star, odd m
@@ -796,17 +748,9 @@ def _swap_round_by_sort(ends, keys, n, n_pairs, rng):
 def test_swap_round_matches_the_sorting_round(log, seed):
     for layer in split_layers(log):
         projection = project(layer)
-        m, n = projection.edges.shape[1], len(projection.nodes)
-        if m < 2:
-            continue
-        states = []
-        for round_ in (_swap_round, partial(_swap_round_by_sort, projection.edges.copy())):
-            keys = projection.edges[0] * n + projection.edges[1]
-            rng = np.random.default_rng(seed)
-            pairs = random.Random(seed)  # the same round sizes for both
-            accepted = [round_(keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
-            states.append((keys.tolist(), accepted))
-        assert states[0] == states[1]
+        if projection.edges.shape[1] >= 2:
+            mine, oracle = _twelve_rounds(projection.edges, len(projection.nodes), seed)
+            assert mine[:2] == oracle[:2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -816,22 +760,11 @@ def test_swap_round_matches_the_sorting_round(log, seed):
 def test_swap_round_without_room_to_pack_matches_the_sorting_round(log, seed):
     # with this many nodes `n * n * size` reaches 2**63, so keys cannot carry
     # their positions and the round takes its argsort fallback
-    n = 3 * 10**9
     for layer in split_layers(log):
         edges = project(layer).edges
-        m = edges.shape[1]
-        if m < 2:
-            continue
-        states = []
-        for round_ in (_swap_round, partial(_swap_round_by_sort, edges.copy())):
-            keys = edges[0] * n + edges[1]
-            rng = np.random.default_rng(seed)
-            pairs = random.Random(seed)  # the same round sizes for both
-            with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-                accepted = [round_(keys, n, pairs.randint(1, m // 2), rng) for _ in range(12)]
-            assert spy.call_count == 12
-            states.append((keys.tolist(), accepted))
-        assert states[0] == states[1]
+        if edges.shape[1] >= 2:
+            mine, oracle = _twelve_rounds(edges, 3 * 10**9, seed)
+            assert mine == oracle and mine[2] == 12
 
 
 def _simple_graphs(degrees):
@@ -1085,28 +1018,12 @@ def test_tau_mismatched_user_sets_error():
 
 
 def _tau_b_by_pair_counting(a, b):
-    """O(n^2) oracle: count concordant/discordant pairs, tie-corrected."""
-    users = sorted(a)
-    concordant = discordant = ties_a = ties_b = 0
-    for i, j in itertools.combinations(range(len(users)), 2):
-        da = a[users[i]] - a[users[j]]
-        db = b[users[i]] - b[users[j]]
-        if da == 0 and db == 0:
-            ties_a += 1
-            ties_b += 1
-        elif da == 0:
-            ties_a += 1
-        elif db == 0:
-            ties_b += 1
-        elif (da > 0) == (db > 0):
-            concordant += 1
-        else:
-            discordant += 1
-    n_pairs = len(users) * (len(users) - 1) / 2
-    denom = math.sqrt((n_pairs - ties_a) * (n_pairs - ties_b))
-    if denom == 0:
-        return math.nan
-    return (concordant - discordant) / denom
+    """O(n^2) oracle: concordant minus discordant pairs over the root of the
+    product of the pairs untied on each side; NaN when a side is all ties."""
+    pairs = [(a[u] - a[v], b[u] - b[v]) for u, v in itertools.combinations(sorted(a), 2)]
+    score = sum(((da > 0) - (da < 0)) * ((db > 0) - (db < 0)) for da, db in pairs)
+    untied = sum(da != 0 for da, _ in pairs) * sum(db != 0 for _, db in pairs)
+    return score / math.sqrt(untied) if untied else math.nan
 
 
 def test_tau_matches_pair_counting_oracle():
@@ -1165,7 +1082,7 @@ def test_ranked_users_ties_break_by_id():
     assert ranked_users({3: 5.0, 1: 5.0, 2: 9.0}) == [2, 1, 3]
     # the rewarding in-degree ranking breaks its ties so too
     metrics = {u: NodeMetrics(k, 0, 0, 0, 0, 0) for u, k in ((3, 5), (1, 5), (2, 9))}
-    assert ranking_report(_columns(metrics)).by_inplus_rank[:, 1].tolist() == [2, 1, 3]
+    assert ranking_report(columns_of(metrics)).by_inplus_rank[:, 1].tolist() == [2, 1, 3]
 
 
 def test_ranking_report_shape(small_log):
@@ -1193,7 +1110,7 @@ def _metrics_maps(draw):
 @example({7: NodeMetrics(1, 0, 2, 0, 3, 1)})
 @settings(max_examples=150, deadline=None)
 def test_ranking_report_matches_ranked_users(metrics):
-    report = ranking_report(_columns(metrics))
+    report = ranking_report(columns_of(metrics))
     values = {key: {u: getattr(m, key) for u, m in metrics.items()} for key in RANKING_KEYS}
     expected_rows = [
         (rank, u, *metrics[u][:4], metrics[u].rho)
@@ -1209,7 +1126,7 @@ def test_ranking_report_matches_ranked_users(metrics):
 
 
 def test_ranking_report_empty_errors():
-    empty = _columns({})
+    empty = columns_of({})
     with pytest.raises(ValueError, match="empty"):
         reputation_distributions(empty)
     with pytest.raises(ValueError, match="empty"):
@@ -1219,7 +1136,7 @@ def test_ranking_report_empty_errors():
 
 
 def test_reputation_by_indegree_single_bucket():
-    spectrum = reputation_by_indegree(_columns({1: NodeMetrics(3, 0, 0, 0, 5, 0)}), Layer.REWARDING)
+    spectrum = reputation_by_indegree(columns_of({1: NodeMetrics(3, 0, 0, 0, 5, 0)}), Layer.REWARDING)
     assert spectrum.degree.tolist() == [3]
     assert spectrum.mean_value.tolist() == [5.0]
     assert spectrum.std_value.tolist() == [0.0]

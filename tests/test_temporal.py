@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from conftest import rows
 from wotnet import (
     Layer,
     EventLog,
@@ -22,55 +23,24 @@ from wotnet import (
     synth_log,
     weekly_profile,
 )
-from wotnet.temporal import AnnotationWindow, _calendar, _slice_burstiness, _utc_years
+from wotnet.temporal import AnnotationWindow, _calendar
 
 DAY = 86_400
 YEAR_2012 = 1_325_376_000  # 2012-01-01T00:00:00Z
 
 
-def activity_calendar(log: EventLog) -> dict[Layer, list[date]]:
-    """Sorted list of UTC days with at least one event, per layer."""
-    days = log.timestamps // DAY
-    out: dict[Layer, list[date]] = {}
-    for layer, mask in (
-        (Layer.REWARDING, log.scores > 0),
-        (Layer.PUNITIVE, log.scores < 0),
-    ):
-        active = np.unique(days[mask])
-        out[layer] = [date(1970, 1, 1) + timedelta(days=int(d)) for d in active]
-    return out
-
-
-def _user_gaps_by_mask(log: EventLog, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps between consecutive events received by the same user on a layer,
-    and the timestamp of each gap's later event, from one mask and one sort
-    per layer, as `_user_gaps` found them before it keyed both layers in one
-    sort; the oracle of the burstiness tests."""
-    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
-    ratees = log.ratees[mask]
-    ts = log.timestamps[mask]
-    order = np.argsort(ratees, kind="stable")  # events already time-sorted
-    ratees = ratees[order]
-    ts = ts[order]
-    same_user = ratees[1:] == ratees[:-1]
-    return np.diff(ts)[same_user], ts[1:][same_user]
-
-
-def interevent_times_by_user(log: EventLog, layer: Layer) -> dict[int, np.ndarray]:
-    """Per-user interevent gaps instead of the pooled sample.
-
-    Only users with at least two incoming events on the layer appear.
-    """
-    mask = log.scores > 0 if layer is Layer.REWARDING else log.scores < 0
-    ratees = log.ratees[mask]
-    ts = log.timestamps[mask]
-    out: dict[int, list[int]] = {}
+def _gaps_by_user(events, layer: Layer) -> list[tuple[int, int]]:
+    """Oracle: (gap, later timestamp) of each pair of consecutive events that
+    one user receives on a layer, from a scan of the time-sorted rows; user
+    by user in ascending id order, and in time order within a user."""
     last: dict[int, int] = {}
-    for user, t in zip(ratees.tolist(), ts.tolist()):
-        if user in last:
-            out.setdefault(user, []).append(t - last[user])
-        last[user] = t
-    return {u: np.array(gaps, dtype=np.int64) for u, gaps in out.items()}
+    gaps: dict[int, list[tuple[int, int]]] = {}
+    for _, ratee, score, t in events:
+        if (score > 0) == (layer is Layer.REWARDING):
+            if ratee in last:
+                gaps.setdefault(ratee, []).append((t - last[ratee], t))
+            last[ratee] = t
+    return [gap for user in sorted(gaps) for gap in gaps[user]]
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +108,6 @@ def test_days_past_the_calendar_raise_overflow_error():
     assert daily_fold(last).stability.day.tolist() == []
 
 
-def test_activity_calendar_skips_quiet_days():
-    log = EventLog(
-        [(1, 2, 5, 0), (2, 3, 4, 2 * DAY + 50), (3, 1, -1, 2 * DAY + 90)]
-    )
-    calendar = activity_calendar(log)
-    assert calendar[Layer.REWARDING] == [date(1970, 1, 1), date(1970, 1, 3)]
-    assert calendar[Layer.PUNITIVE] == [date(1970, 1, 3)]
-
-
 # ---------------------------------------------------------------------------
 # interevent times
 
@@ -166,23 +127,10 @@ def test_interevent_times_do_not_mix_receivers():
     assert sorted(interevent_times(log)[Layer.REWARDING].tolist()) == [30, 95]
 
 
-def _gaps_by_scanning(rows, want_positive):
-    """Oracle: per-user gap computation by direct scanning of event tuples."""
-    seen = {}
-    gaps = []
-    for rater, ratee, score, ts in sorted(rows, key=lambda r: r[3]):
-        if (score > 0) != want_positive:
-            continue
-        if ratee in seen:
-            gaps.append(ts - seen[ratee])
-        seen[ratee] = ts
-    return sorted(gaps)
-
-
 def test_interevent_times_match_scanning_oracle():
     rng = random.Random(11)
     for _ in range(25):
-        rows = []
+        events = []
         t = 0
         for _ in range(60):
             t += rng.randint(1, 500)
@@ -190,25 +138,16 @@ def test_interevent_times_match_scanning_oracle():
             b = rng.randint(1, 6)
             if a == b:
                 continue
-            rows.append((a, b, rng.choice([-3, -1, 2, 5]), t))
-        log = EventLog(rows)
-        for layer, positive in ((Layer.REWARDING, True), (Layer.PUNITIVE, False)):
-            assert sorted(interevent_times(log)[layer].tolist()) == _gaps_by_scanning(
-                rows, positive
-            )
+            events.append((a, b, rng.choice([-3, -1, 2, 5]), t))
+        log = EventLog(events)  # the times rise
+        for layer in Layer:
+            assert interevent_times(log)[layer].tolist() == [gap for gap, _ in _gaps_by_user(events, layer)]
 
 
 def test_interevent_times_by_user_consistent_with_pooled(small_log):
     for layer in Layer:
-        per_user = interevent_times_by_user(small_log, layer)
         pooled = interevent_times(small_log)[layer]
-        merged = sorted(
-            g for gaps in per_user.values() for g in gaps.tolist()
-        )
-        assert merged == sorted(pooled.tolist())
-        for gaps in per_user.values():
-            assert len(gaps) >= 1
-            assert (gaps >= 0).all()
+        assert pooled.tolist() == [gap for gap, _ in _gaps_by_user(rows(small_log), layer)]
 
 
 def test_poisson_synth_gaps_are_exponential():
@@ -347,21 +286,24 @@ def test_yearly_burstiness_omits_slices_of_zero_gaps():
     assert yearly.n_samples.tolist() == [2]
 
 
-def _yearly_burstiness_by_mask(log: EventLog) -> list[tuple]:
-    """`yearly_burstiness` as it was before it grouped the gaps with one sort:
-    `burstiness` of each year's gaps on each layer, as (year, layer, B, n)
-    rows by year and then layer; the oracle, omitting the slices of zero gaps."""
-    rows = []
-    for layer in (Layer.REWARDING, Layer.PUNITIVE):
-        gaps, later = _user_gaps_by_mask(log, layer)
-        years = _utc_years(later)
-        same_year = years == _utc_years(later - gaps)
-        deltas, delta_years = gaps[same_year], years[same_year]
-        for year in np.unique(delta_years):
-            sample = deltas[delta_years == year]
-            if sample.size >= 2 and sample.any():
-                rows.append((int(year), layer, burstiness(sample), int(sample.size)))
-    return sorted(rows, key=lambda r: (r[0], r[1] is Layer.PUNITIVE))
+def _year_of(t: int) -> int:
+    return (date(1970, 1, 1) + timedelta(days=t // DAY)).year
+
+
+def _burstiness_rows(log: EventLog) -> list[tuple]:
+    """Oracle: `burstiness` of each layer's gaps over the whole log (year
+    None), then of each calendar year's gaps on each layer, by year and then
+    layer, as (year, layer, B, n) rows; a slice of fewer than two gaps, or of
+    zero gaps only, makes no row."""
+    whole, yearly = [], {}
+    for side, layer in enumerate(Layer):
+        gaps = _gaps_by_user(rows(log), layer)
+        whole.append((None, layer, [gap for gap, _ in gaps]))
+        for gap, later in gaps:
+            if _year_of(later - gap) == _year_of(later):
+                yearly.setdefault((_year_of(later), side), []).append(gap)
+    slices = whole + [(year, list(Layer)[side], gaps) for (year, side), gaps in sorted(yearly.items())]
+    return [(year, layer, burstiness(gaps), len(gaps)) for year, layer, gaps in slices if len(gaps) >= 2 and any(gaps)]
 
 
 # three days before 2012, 1970 and 1900 begin: gaps across a new year, and pre-1970 times
@@ -386,36 +328,9 @@ def _small_logs(draw, scores=(-3, -1, 2, 10)):
 @settings(max_examples=200, deadline=None)
 def test_yearly_burstiness_is_bitwise_burstiness_of_each_year(log):
     yearly = _year_rows(log)
-    oracle = _yearly_burstiness_by_mask(log)
-    assert list(zip(yearly.year.tolist(), yearly.layer, yearly.n_samples.tolist())) == [
-        (year, layer, n) for year, layer, _, n in oracle
-    ]
+    oracle = [row for row in _burstiness_rows(log) if row[0] is not None]
+    assert list(zip(yearly.year.tolist(), yearly.layer, yearly.n_samples.tolist())) == [(year, layer, n) for year, layer, _, n in oracle]
     assert yearly.value.tobytes() == np.array([b for _, _, b, _ in oracle]).tobytes()
-
-
-def _burstiness_rows_by_two_calls(log: EventLog) -> tuple:
-    """The rows of `burstiness.csv` as the temporal stage composed them
-    before `burstiness_table`: `_slice_burstiness` over layer keys for the
-    whole-log rows, then `yearly_burstiness` as it was, over year x 2 +
-    layer keys; the oracle, as (year, layer, B, n) columns."""
-    whole = [_user_gaps_by_mask(log, layer)[0] for layer in Layer]
-    sides, value, n_samples = _slice_burstiness(np.repeat([0, 1], [len(g) for g in whole]), np.concatenate(whole))
-    keys, deltas = [], []
-    for side, layer in enumerate(Layer):
-        gaps, later = _user_gaps_by_mask(log, layer)
-        years = _utc_years(later)
-        same_year = years == _utc_years(later - gaps)
-        keys.append(years[same_year] * 2 + side)
-        deltas.append(gaps[same_year])
-    key, yearly_value, yearly_n = _slice_burstiness(np.concatenate(keys), np.concatenate(deltas))
-    years, yearly_sides = np.divmod(key, 2)
-    layers = np.array(list(Layer))
-    return (
-        [None] * len(sides) + years.tolist(),
-        layers[np.concatenate((sides, yearly_sides))].tolist(),
-        np.concatenate((value, yearly_value)),
-        np.concatenate((n_samples, yearly_n)),
-    )
 
 
 @given(_small_logs())
@@ -424,10 +339,11 @@ def _burstiness_rows_by_two_calls(log: EventLog) -> tuple:
 @example(EventLog([(1, 2, 5, YEAR_2012), (3, 2, 1, YEAR_2012 + 50), (2, 1, -2, YEAR_2012 + 9), (3, 1, -1, YEAR_2012 + 90)]))
 @settings(max_examples=200, deadline=None)
 def test_burstiness_table_is_bitwise_the_two_call_composition(log):
+    # the whole-log rows, then the yearly rows: `burstiness` of each slice's gaps
     table = burstiness_table(log)
-    year, layer, value, n_samples = _burstiness_rows_by_two_calls(log)
-    assert (table.year, table.layer, table.n_samples.tolist()) == (year, layer, n_samples.tolist())
-    assert table.value.dtype == value.dtype and table.value.tobytes() == value.tobytes()
+    oracle = _burstiness_rows(log)
+    assert list(zip(table.year, table.layer, table.n_samples.tolist())) == [(year, layer, n) for year, layer, _, n in oracle]
+    assert table.value.dtype == np.float64 and table.value.tobytes() == np.array([b for _, _, b, _ in oracle]).tobytes()
 
 
 @given(st.sampled_from([(-3, -1, 2, 10), (2, 10), (-3, -1)]).flatmap(_small_logs), st.sampled_from([0, -6, 5, 14]))
@@ -440,7 +356,7 @@ def test_keyed_passes_are_bitwise_the_per_layer_masks(log, tz_shift_hours):
     gaps = interevent_times(log)
     assert list(gaps) == list(Layer)
     for layer in Layer:
-        expected = _user_gaps_by_mask(log, layer)[0]
+        expected = np.array([gap for gap, _ in _gaps_by_user(rows(log), layer)], dtype=np.int64)
         assert gaps[layer].dtype == expected.dtype and gaps[layer].tobytes() == expected.tobytes()
 
     shifted = log.timestamps + tz_shift_hours * 3600
