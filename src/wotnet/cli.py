@@ -522,6 +522,9 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     for layer, projection in zip(LAYERS, projections):
         spectrum = clustering_spectrum(projection)
         binned_blocks.append((layer, *log_binned_means(spectrum)))
+        # a layer of no node has no spectrum rows either
+        if not _kept("clustering_null.csv", layer.value, "no node to average", len(projection.nodes) > 0):
+            continue
         null = configuration_null(projection, n_samples, seed)
         stats = (null.null_mean_clustering, null.null_std_clustering, null.n_samples, null.swaps_target)
         null_rows.append((layer, mean_clustering(projection), *stats, min(null.swaps_done), null.seed, null.swaps_gap))
@@ -641,11 +644,9 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
 
     interevent_blocks, binned_blocks = [], []
     for layer, deltas in interevent_times(log).items():
-        # layers without enough repeat ratings simply contribute no rows
-        if deltas.size > 0:
-            dist = from_values(deltas)
-            interevent_blocks.append((layer, *dist))
-            binned_blocks.append((layer, *log_binned_ccdf(dist)))
+        dist = from_values(deltas)
+        interevent_blocks.append((layer, *dist))
+        binned_blocks.append((layer, *log_binned_ccdf(dist)))
     writer.write_csv("interevent_distribution.csv", ["layer", "dt_seconds", "pmf", "ccdf"], *interevent_blocks)
     writer.write_csv("interevent_binned_ccdf.csv", ["layer", "dt_seconds", "ccdf"], *binned_blocks)
     writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], burstiness_table(log))

@@ -28,10 +28,8 @@ class Distribution(NamedTuple):
 
 
 def from_values(values) -> Distribution:
-    """Empirical distribution of a sample; raises ValueError when empty."""
+    """Empirical distribution of a sample; empty columns for an empty sample."""
     arr = np.asarray(values)
-    if arr.size == 0:
-        raise ValueError("cannot build a distribution from an empty sample")
     support, counts = np.unique(arr, return_counts=True)
     pmf = counts / arr.size
     ccdf = np.cumsum(pmf[::-1])[::-1]

@@ -307,16 +307,8 @@ def configuration_null(
 
 
 def weight_distribution(layer: EventLog) -> Distribution:
-    """Distribution of the layer's edge weights (absolute scores)."""
-    if len(layer) == 0:
-        raise ValueError("weight distribution of an empty layer is undefined")
+    """Distribution of the layer's edge weights (absolute scores); empty for an empty layer."""
     return from_values(np.abs(layer.scores))
-
-
-def _nonempty(columns: MetricColumns) -> MetricColumns:
-    if columns.users.size == 0:
-        raise ValueError("empty metric columns")
-    return columns
 
 
 def reputation_distributions(columns: MetricColumns) -> tuple[Distribution, Distribution, Distribution]:
@@ -325,8 +317,9 @@ def reputation_distributions(columns: MetricColumns) -> tuple[Distribution, Dist
     Positive/negative distributions cover only the users with a non-zero
     value on that side (a user never rated on a layer carries no mass
     there); the global distribution covers every user, signed support.
+    No user gives three empty distributions.
     """
-    rho_plus, rho_minus = _nonempty(columns).fields[4:]
+    rho_plus, rho_minus = columns.fields[4:]
     rho = rho_plus - rho_minus
     return from_values(rho_plus[rho_plus > 0]), from_values(rho_minus[rho_minus > 0]), from_values(rho)
 
@@ -413,8 +406,9 @@ class RankingReport(NamedTuple):
 
 def ranking_report(columns: MetricColumns) -> RankingReport:
     """The 5x5 tau-b matrix of the attributes, and the attribute table sorted
-    by the rewarding in-degree ranking."""
-    users, fields = _nonempty(columns)
+    by the rewarding in-degree ranking.  A tau over fewer than two users is
+    NaN, so no user gives NaN off the diagonal and no row."""
+    users, fields = columns
     # one row per RANKING_KEYS entry: the four degrees, then rho
     attributes = np.vstack((fields[:4], fields[4] - fields[5]))
     # each attribute ranked once, for its four pairs
@@ -431,8 +425,8 @@ def ranking_report(columns: MetricColumns) -> RankingReport:
 
 
 def reputation_by_indegree(columns: MetricColumns, layer: Layer) -> DegreeSpectrum:
-    """Mean/std of global reputation per in-degree level of one layer."""
-    fields = _nonempty(columns).fields
+    """Mean/std of global reputation per in-degree level of one layer; no level without users."""
+    fields = columns.fields
     return _bucket_spectrum(fields[list(Layer).index(layer)], fields[4] - fields[5])
 
 

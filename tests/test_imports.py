@@ -151,6 +151,8 @@ SCENARIOS = {
     "small-log": (0, ["synth --users 30 --events 60 --seed 1 --out small",
                       "all --input small/synthetic.csv --out small-run --seed 1 --null-samples 2"]),
     "tied-log": (0, ["temporal --input tied.csv --out tied"]),
+    # projections, `np.unique` and `reduceat` on the empty arrays of an empty layer
+    "one-layer": (0, [f"all --input {log}.csv --out {log} --seed 1 --null-samples 2" for log in ("header", "positive", "negative")]),
     "null-gap": (0, ["static --input gen/synthetic.csv --out null4 --seed 1 --null-samples 4"]),
     "twice": (0, [f"all --input gen/synthetic.csv --out twice-{x} --seed 1" for x in "ab"]),
     "sparse": (0, ["synth --users 3000 --events 1500 --seed 13 --out sparse"]
@@ -195,6 +197,9 @@ def scenario_runs(tmp_path_factory):
         "truncated.csv.gz": gzip.compress(log)[:2000],
         "latin.csv": log + b"1,2,3,\xff\n",
         "tied.csv": b"1,2,5,1300000000\n3,2,4,1300000000\n4,2,3,1300000000\n2,1,-2,1300000100\n3,1,-1,1300000200\n",
+        "header.csv": b"rater,ratee,score,timestamp\n",
+        "positive.csv": b"1,2,5,100\n2,3,4,200\n",
+        "negative.csv": b"1,2,-5,100\n2,3,-4,200\n",
         "comma.csv": b'"bull, run",2013-11-01,2013-11-03\n',
         "baddate.csv": b"label,start,end\nbubble,2013-11-01,2013-13-01\n",
         "inverted.csv": b"label,start,end\ninv,2014-01-01,2013-01-01\n",
