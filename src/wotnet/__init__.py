@@ -23,9 +23,7 @@ from .distributions import from_values, log_binned_ccdf
 from .dynamics import (
     TrajectorySelection,
     daily_fold,
-    extended_jaccard,
     follow,
-    gini,
     trajectories,
 )
 from .model import (
@@ -42,13 +40,11 @@ from .model import (
     node_metrics,
     split_layers,
     synth_log,
-    write_log_csv,
 )
 from .static import (
     avg_neighbor_degree_spectrum,
     clustering_spectrum,
     configuration_null,
-    kendall_tau,
     local_clustering,
     mean_clustering,
     ranking_report,
@@ -59,7 +55,6 @@ from .static import (
 )
 from .temporal import (
     annotations_for,
-    burstiness,
     burstiness_table,
     circadian_profile,
     daily_series,
@@ -80,7 +75,6 @@ __all__ = [
     "TrajectorySelection",
     "annotations_for",
     "avg_neighbor_degree_spectrum",
-    "burstiness",
     "burstiness_table",
     "categorize",
     "category_summary",
@@ -89,14 +83,11 @@ __all__ = [
     "configuration_null",
     "daily_fold",
     "daily_series",
-    "extended_jaccard",
     "follow",
     "from_values",
     "gettrust",
-    "gini",
     "ingest",
     "interevent_times",
-    "kendall_tau",
     "latest_ratings",
     "load_annotations",
     "local_clustering",
@@ -115,5 +106,4 @@ __all__ = [
     "undirected_projection",
     "weekly_profile",
     "weight_distribution",
-    "write_log_csv",
 ]

@@ -18,14 +18,6 @@ class Distribution(NamedTuple):
     pmf: np.ndarray
     ccdf: np.ndarray
 
-    def mode(self) -> int | float:
-        """Support value with the highest probability (smallest wins ties)."""
-        return self.support[int(np.argmax(self.pmf))].item()
-
-    def mass_where(self, mask: np.ndarray) -> float:
-        """Total probability of the support values selected by `mask`."""
-        return float(self.pmf[mask].sum())
-
 
 def from_values(values) -> Distribution:
     """Empirical distribution of a sample; empty columns for an empty sample."""

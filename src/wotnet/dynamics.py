@@ -8,7 +8,6 @@ per-user metrics of the whole log.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -18,54 +17,6 @@ from .categories import CategoryThresholds, categorize
 from .model import EventLog, metric_columns
 from .static import _buckets, _distinct
 from .temporal import SECONDS_PER_DAY, _calendar
-
-
-def gini(values) -> float:
-    """Gini inequality index of a non-negative sample.
-
-    0 when all values are equal; approaches 1 as the total concentrates on
-    a single holder.  Requires at least one value and a positive sum.
-    """
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        raise ValueError("gini of an empty sample is undefined")
-    if arr[0] < 0:
-        raise ValueError("gini requires non-negative values")
-    total = arr.sum()
-    if total <= 0:
-        raise ValueError("gini requires a positive sum")
-    n = arr.size
-    i = np.arange(1, n + 1)
-    return float(((2 * i - n - 1) * arr).sum() / (n * total))
-
-
-def extended_jaccard(list_a, list_b, k: int | None = None) -> float:
-    """Order-sensitive similarity of two ranked lists.
-
-    Averages the Jaccard overlap of the depth-d prefixes for d = 1..k;
-    1 exactly when the lists are identical in order and content, 0 when
-    they share nothing.  Lists shorter than k are compared as-is at the
-    missing depths.
-    """
-    a, b = list(list_a), list(list_b)
-    if len(set(a)) != len(a) or len(set(b)) != len(b):
-        raise ValueError("ranked lists must not contain duplicates")
-    if k is None:
-        k = max(len(a), len(b))
-    if k <= 0:
-        raise ValueError("k must be >= 1")
-    if len(a) > k or len(b) > k:
-        raise ValueError("lists longer than k")
-    # an entry at position i of a and j of b is in both prefixes from depth
-    # max(i, j) + 1 on
-    at_b = {x: j for j, x in enumerate(b)}
-    joins = Counter(max(i, at_b[x]) for i, x in enumerate(a) if x in at_b)
-    total, inter = 0.0, 0
-    for d in range(k):
-        inter += joins[d]
-        union = min(d + 1, len(a)) + min(d + 1, len(b)) - inter
-        total += inter / union if union else 1.0
-    return total / k
 
 
 class TrajectorySelection(Enum):
@@ -324,7 +275,7 @@ def _stability_rows(before: np.ndarray, after: np.ndarray, n: int, k: int) -> tu
     len_a, len_b = (a >= 0).sum(axis=1), (b >= 0).sum(axis=1)
     depth = np.arange(1, k + 1)
     union = np.minimum(depth, len_a[:, None]) + np.minimum(depth, len_b[:, None]) - inter
-    # a running sum adds the depths in order, as `extended_jaccard` does;
+    # a running sum adds the depths in order, as a loop over the depths does;
     # a union of 0 means two empty lists, which read None
     extended = np.cumsum(inter / np.maximum(union, 1), axis=1)[:, -1] / k
     overlap = inter[:, -1] / np.maximum(len_a + len_b - inter[:, -1], 1)

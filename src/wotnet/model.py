@@ -346,7 +346,7 @@ def ingest(
     report = IngestReport(
         events_kept=len(log),
         events_rejected=len(rejections),
-        n_users=len(log.users),
+        n_users=len(log.user_codes()[0]),
         rejections=tuple(rejections),
     )
     return log, report
@@ -517,10 +517,3 @@ def synth_log(config: SynthConfig) -> EventLog:
         times = (config.t_start + np.floor(np.cumsum(gaps))).astype(np.int64)
     return EventLog._from_columns(np.array([raters, ratees, scores, times], dtype=np.int64))
 
-
-def write_log_csv(log: EventLog, path: str | Path) -> None:
-    """Write a log back out in the ingestible CSV format (headered)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rater,ratee,score,timestamp\n")
-        for r, e, s, t in zip(*log._columns.tolist()):
-            fh.write(f"{r},{e},{s},{t}\n")

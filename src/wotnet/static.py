@@ -11,7 +11,7 @@ replicas keep the projected degrees that the clustering spectrum buckets by.
 from __future__ import annotations
 
 import warnings
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,9 +30,6 @@ class DegreeSpectrum(NamedTuple):
     mean_value: np.ndarray
     std_value: np.ndarray
     n_nodes: np.ndarray
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(d): float(m) for d, m in zip(self.degree, self.mean_value)}
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -322,30 +319,6 @@ def reputation_distributions(columns: MetricColumns) -> tuple[Distribution, Dist
     rho_plus, rho_minus = columns.fields[4:]
     rho = rho_plus - rho_minus
     return from_values(rho_plus[rho_plus > 0]), from_values(rho_minus[rho_minus > 0]), from_values(rho)
-
-
-def kendall_tau(
-    values_a: Mapping[int, float], values_b: Mapping[int, float]
-) -> float:
-    """Tie-aware rank correlation (tau-b) of two attributes over one user set.
-
-    Works on the raw attribute values, so equal values count as ties; any
-    strictly monotone transform of either side leaves the result unchanged.
-    """
-    if set(values_a) != set(values_b):
-        raise ValueError("rankings must cover the same user set")
-    if not values_a:
-        raise ValueError("empty rankings")
-    x = np.array(list(values_a.values()), dtype=float)
-    y = np.array([values_b[u] for u in values_a], dtype=float)
-    return _tau_b(x, y)
-
-
-def _tau_b(x: np.ndarray, y: np.ndarray) -> float:
-    """Kendall's tau-b of the pairs (x[i], y[i]); NaN if a side holds a NaN."""
-    if np.isnan([x, y]).any():
-        return float("nan")
-    return _tau_b_of_ranks(_ties(x), _ties(y))
 
 
 def _tau_b_of_ranks(x: tuple[np.ndarray, int], y: tuple[np.ndarray, int]) -> float:

@@ -89,22 +89,6 @@ def interevent_times(log: EventLog) -> dict[Layer, np.ndarray]:
     return dict(zip(Layer, np.split(gaps, [np.searchsorted(rows, True)])))
 
 
-def burstiness(deltas) -> float:
-    """Burstiness coefficient (sigma - mean) / (sigma + mean) of gap samples.
-
-    Uses the population standard deviation so perfectly regular gaps give
-    exactly -1; Poissonian gaps give ~0 and heavy-tailed ones approach 1.
-    """
-    arr = np.asarray(deltas, dtype=float)
-    if arr.size < 2:
-        raise ValueError("burstiness needs at least two interevent samples")
-    m = arr.mean()
-    s = arr.std()
-    if m == 0.0 and s == 0.0:
-        raise ValueError("degenerate interevent samples (all zero)")
-    return float((s - m) / (s + m))
-
-
 class BurstinessTable(NamedTuple):
     """Burstiness per layer over the whole log (`year` None), then per calendar
     year and layer, as columns, by year and then layer (rewarding first): the
@@ -123,7 +107,7 @@ def _utc_years(timestamps: np.ndarray) -> np.ndarray:
 def _slice_burstiness(keys: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distinct keys, each one's burstiness B and its gap count; a key
     with fewer than two gaps, or with only zero gaps, is omitted."""
-    # each slice's mean and std summed as `burstiness` sums them
+    # each slice's mean and std summed as `ndarray.mean` and `.std` sum them
     slices = _bucket_spectrum(keys, deltas)
     kept = (slices.n_nodes >= 2) & (slices.mean_value > 0)
     m, s = slices.mean_value[kept], slices.std_value[kept]

@@ -27,6 +27,7 @@ from wotnet import (
     undirected_projection,
 )
 from wotnet.categories import CategorySummary
+from wotnet.distributions import Distribution
 from wotnet.static import Projection
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +84,18 @@ def small_log() -> EventLog:
 def rows(log: EventLog) -> list[tuple[int, int, int, int]]:
     """The log's (rater, ratee, score, timestamp) tuples in time order."""
     return list(zip(*(c.tolist() for c in (log.raters, log.ratees, log.scores, log.timestamps))))
+
+
+def write_log_csv(log: EventLog, path: str | Path) -> None:
+    """Write a log in the ingestible CSV format, headered."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("rater,ratee,score,timestamp\n")
+        fh.writelines(f"{r},{e},{s},{t}\n" for r, e, s, t in rows(log))
+
+
+def mode(dist: Distribution) -> int | float:
+    """The support value of a distribution's highest probability, the smallest on a tie."""
+    return dist.support[int(np.argmax(dist.pmf))].item()
 
 
 def project(layer: EventLog) -> Projection:

@@ -13,7 +13,8 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from wotnet import EventLog, MetricColumns, NodeMetrics, extended_jaccard, gini
+from scalar_reference import extended_jaccard, gini
+from wotnet import EventLog, MetricColumns, NodeMetrics
 from wotnet.model import _fold
 from wotnet.temporal import _EPOCH, SECONDS_PER_DAY
 

@@ -19,6 +19,7 @@ from conftest import (
     adjacency_sets,
     dataset_path,
     keeps_projected_degrees,
+    mode,
     project,
     rows,
     summary_row,
@@ -28,16 +29,13 @@ from wotnet import (
     CategoryLabel,
     EventLog,
     Layer,
-    burstiness,
+    MetricColumns,
     burstiness_table,
     categorize,
     category_summary,
     circadian_profile,
     daily_fold,
-    extended_jaccard,
-    gini,
     ingest,
-    kendall_tau,
     mean_clustering,
     metric_columns,
     node_metrics,
@@ -116,8 +114,8 @@ def test_c1_dataset_counts():
 def test_c2_score_modes():
     _dataset_or_skip("C2", "score-modes")
     plus, minus = _layers()
-    mode_plus = weight_distribution(plus).mode()
-    mode_minus = weight_distribution(minus).mode()
+    mode_plus = mode(weight_distribution(plus))
+    mode_minus = mode(weight_distribution(minus))
     _verdict(
         "C2",
         "score-modes",
@@ -304,6 +302,20 @@ def _random_small_log(rng, n_users=8, n_events=50):
     return EventLog(events)
 
 
+def _fold_gini(values) -> float:
+    """The rewarding Gini index of `daily_fold` on the one day of a log in
+    which user u + 1 receives `values[u]`, in ratings of at most 10."""
+    ratings = [(user, min(10, value - given)) for user, value in enumerate(values, start=1) for given in range(0, value, 10)]
+    return float(daily_fold(EventLog((0, user, score, 0) for user, score in ratings)).gini.gini_plus[0])
+
+
+def _whole_log_burstiness(gaps) -> float:
+    """B of `burstiness_table`'s rewarding whole-log row for a log in which
+    one user receives ratings `gaps` seconds apart."""
+    times = 1_300_000_000 + np.concatenate(([0], np.cumsum(gaps)))
+    return float(burstiness_table(EventLog((1, 2, 1, t) for t in times.tolist())).value[0])
+
+
 def test_c10_property_suites():
     failures: list[str] = []
 
@@ -314,23 +326,26 @@ def test_c10_property_suites():
     rng = random.Random(SEED)
     nprng = np.random.default_rng(SEED)
 
-    # inequality-index axioms
-    check("gini equal values", gini([5, 5, 5, 5]) == pytest.approx(0.0))
+    # inequality-index axioms, on the kernel of gini_series.csv
+    check("gini equal values", _fold_gini([5, 5, 5, 5]) == pytest.approx(0.0))
     sample = [rng.randint(0, 100) for _ in range(50)] + [1]
-    g = gini(sample)
+    g = _fold_gini(sample)
     check("gini bounds", 0.0 <= g < 1.0)
-    check("gini scale invariance", gini([v * 13 for v in sample]) == pytest.approx(g))
+    check("gini scale invariance", _fold_gini([v * 13 for v in sample]) == pytest.approx(g))
 
-    # rank-correlation axioms
-    a = {u: rng.randint(-20, 20) for u in range(12)}
-    b = {u: rng.randint(-20, 20) for u in range(12)}
-    tau = kendall_tau(a, b)
+    # rank-correlation axioms, on the kernel of tau_matrix.csv: `ranking_report`
+    # ranks any integer columns, here a, b and a strictly monotone transform of
+    # a as three degrees, and a again as the reputation
+    a = np.array([rng.randint(-20, 20) for _ in range(12)])
+    b = np.array([rng.randint(-20, 20) for _ in range(12)])
+    zeros = np.zeros_like(a)
+    report = ranking_report(MetricColumns(np.arange(12), np.vstack((a, b, 3 * a**3 + 7, zeros, a, zeros))))
+    tau = report.tau("k_in_plus", "k_in_minus")
     check("tau bounds", -1.0 <= tau <= 1.0)
-    check("tau self-unity", kendall_tau(a, a) == pytest.approx(1.0))
-    transformed = {u: float(3 * v**3 + 7) for u, v in a.items()}  # strictly monotone
+    check("tau self-unity", report.tau("k_in_plus", "rho") == pytest.approx(1.0))
     check(
         "tau monotone-transform invariance",
-        kendall_tau(transformed, b) == pytest.approx(tau),
+        report.tau("k_out_plus", "k_in_minus") == pytest.approx(tau),
     )
 
     # clustering range and oracle equivalence on small graphs
@@ -342,7 +357,8 @@ def test_c10_property_suites():
         cc = dict(zip(projection.nodes.tolist(), projection.clustering.tolist()))
         check("clustering in [0,1]", all(0.0 <= c <= 1.0 for c in cc.values()))
         check("clustering oracle", cc == pytest.approx(_clustering_oracle(adj)))
-        annd = avg_neighbor_degree_spectrum(projection).as_dict()
+        spectrum = avg_neighbor_degree_spectrum(projection)
+        annd = dict(zip(spectrum.degree.tolist(), spectrum.mean_value.tolist()))
         oracle_vals: dict[int, list[float]] = {}
         for node, neigh in adj.items():
             mean_nd = sum(len(adj[v]) for v in neigh) / len(neigh)
@@ -350,19 +366,22 @@ def test_c10_property_suites():
         annd_oracle = {d: sum(vs) / len(vs) for d, vs in oracle_vals.items()}
         check("neighbor-degree oracle", annd == pytest.approx(annd_oracle))
 
-    # burstiness axioms
-    check("burstiness regular", burstiness([30] * 10) == pytest.approx(-1.0))
-    expo = nprng.exponential(scale=900.0, size=100_000)
-    check("burstiness exponential", abs(burstiness(expo)) <= 0.02)
+    # burstiness axioms, on the kernel of burstiness.csv
+    check("burstiness regular", _whole_log_burstiness([30] * 10) == pytest.approx(-1.0))
+    expo = np.rint(nprng.exponential(scale=900.0, size=100_000)).astype(np.int64)
+    check("burstiness exponential", abs(_whole_log_burstiness(expo)) <= 0.02)
 
-    # ranked-list similarity boundary cases
-    check("jaccard identical", extended_jaccard([1, 2, 3], [1, 2, 3]) == 1.0)
-    check("jaccard disjoint", extended_jaccard([1, 2], [3, 4]) == 0.0)
-    check("jaccard both empty", extended_jaccard([], [], k=3) == 1.0)
-    check(
-        "jaccard swapped head",
-        extended_jaccard(["a", "b", "c"], ["b", "a", "c"]) == pytest.approx(2 / 3),
-    )
+    # ranked-list similarity boundary cases, on the kernel of topk_stability.csv:
+    # the rewarding top 3 of four days is 1, 2, 3; the same, once user 1 gains 1;
+    # 2, 1, 3; and 4, 5, 6
+    days = ([1, 1, 1, 2, 2, 3], [1], [2, 2], [4, 5, 6] * 5)
+    log = EventLog((0, user, 10 if day != 1 else 1, day * 86_400) for day, users in enumerate(days) for user in users)
+    stability = daily_fold(log, k=3).stability
+    check("jaccard identical", stability.j_plus[0] == 1.0)
+    check("jaccard swapped head", stability.j_plus[1] == pytest.approx(2 / 3))
+    check("jaccard disjoint", stability.j_plus[2] == 0.0)
+    # no punitive list on any day: the pairs of two empty lists are unmeasured
+    check("jaccard both empty", not stability.measured[1].any())
 
     # interevent oracle on a small log
     log = _random_small_log(rng)

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _fmt_by_isinstance_chain, reciprocal_log
-from wotnet import CategoryLabel, EventLog, Layer, SynthConfig, synth_log, write_log_csv
+from conftest import _fmt_by_isinstance_chain, reciprocal_log, write_log_csv
+from wotnet import CategoryLabel, EventLog, Layer, SynthConfig, synth_log
 from wotnet import cli
 from wotnet.cli import OPTIONS, RunWriter, _fmt, main
 
@@ -330,7 +330,7 @@ def test_a_byte_order_mark_is_not_part_of_a_config_or_annotation_file(input_csv,
     assert (out / "daily_activity.csv").read_text().splitlines()[1].endswith(",bubble")
 
 
-def test_analysis_error_on_degenerate_log(capsys, tmp_path):
+def test_one_sided_log_exits_0_without_its_punitive_rows(capsys, tmp_path):
     # a log with no punitive events has no punitive rows, and its manifest says which it left out
     path = tmp_path / "onesided.csv"
     path.write_text("1,2,5,100\n")

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wotnet.dynamics as dynamics
-from conftest import _fmt_by_isinstance_chain, rows
+from conftest import _fmt_by_isinstance_chain, rows, write_log_csv
 from daily_reference import columns_of, gini_point, plain_jaccard, snapshot_series, stability_step, top_k_lists
+from scalar_reference import extended_jaccard, gini
 from wotnet import (
     CategoryLabel,
     EventLog,
@@ -17,13 +18,10 @@ from wotnet import (
     TrajectorySelection,
     categorize,
     daily_fold,
-    extended_jaccard,
     follow,
-    gini,
     metric_columns,
     node_metrics,
     trajectories,
-    write_log_csv,
 )
 from wotnet.cli import main
 

@@ -1,6 +1,7 @@
 """Every name imported by the package and by its tests is used, every
 private name they bind at module level is read, the package exports exactly
-the names it binds, a run loads no scipy module and no
+the names it binds and no function that neither a run nor a benchmarked
+query calls, a run loads no scipy module and no
 `numpy.ma`, and a long calendar costs a run one slice of each table."""
 
 from __future__ import annotations
@@ -107,6 +108,36 @@ def test_all_lists_exactly_the_exported_names():
     assert len(wotnet.__all__) == len(set(wotnet.__all__))
     assert set(wotnet.__all__) == bound
     assert all(hasattr(wotnet, name) for name in wotnet.__all__)
+
+
+def _reached_from_cli() -> set[str]:
+    """The package's functions and classes that `wotnet.cli` imports, and in
+    turn those that their bodies read and do not bind themselves."""
+    reads: dict[str, set[str]] = {}
+    for path in REPO_ROOT.glob("src/wotnet/*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+                bound = {n.id for n in names if not isinstance(n.ctx, ast.Load)}
+                bound.update(a.arg for a in ast.walk(node) if isinstance(a, ast.arg))
+                reads.setdefault(node.name, set()).update(n.id for n in names if n.id not in bound)
+    cli = ast.parse((REPO_ROOT / "src/wotnet/cli.py").read_text(encoding="utf-8"))
+    todo = [alias.name for node in cli.body if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(reads.get(name, ()))
+    return reached
+
+
+def test_every_exported_function_is_called_by_a_run_or_a_benchmarked_query():
+    # `otc-1x-queries` calls `gettrust` and `node_metrics`; BENCHMARK.json
+    # times `trajectories` and `latest_ratings` as layers of their own
+    queries = {"gettrust", "node_metrics", "latest_ratings", "trajectories"}
+    functions = {name for name in wotnet.__all__ if isinstance(getattr(wotnet, name), types.FunctionType)}
+    assert sorted(functions - queries - _reached_from_cli()) == []
 
 
 def _loaded_after_import(*modules: str) -> list[str]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rows
+from conftest import rows, write_log_csv
 from daily_reference import columns_of
 from wotnet import model
 from wotnet.model import IngestReport
@@ -24,7 +24,6 @@ from wotnet import (
     node_metrics,
     split_layers,
     synth_log,
-    write_log_csv,
 )
 
 

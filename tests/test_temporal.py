@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from conftest import rows
+from scalar_reference import burstiness
 from wotnet import (
     Layer,
     EventLog,
     SynthConfig,
     annotations_for,
-    burstiness,
     burstiness_table,
     circadian_profile,
     daily_fold,
