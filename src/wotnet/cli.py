@@ -473,7 +473,7 @@ def _write_summary(writer: RunWriter | None, ctx: RunContext) -> None:
     log = ctx.log
     plus, minus = ctx.layers
     names = ("users", "events", "e_plus", "e_minus")
-    counts = (len(log.users), len(log), len(plus), len(minus))
+    counts = (len(log.user_codes()[0]), len(log), len(plus), len(minus))
     print("\n".join(f"{name}={count}" for name, count in zip(names, counts)))
     if writer is not None:
         writer.write_csv("summary.csv", names, counts)

@@ -74,15 +74,31 @@ class EventLog:
     @classmethod
     def _from_columns(cls, columns: np.ndarray) -> "EventLog":
         """Log from a 4 x n int64 array of legal (rater, ratee, score,
-        timestamp) rows in input order."""
+        timestamp) rows in input order.  A C-contiguous array already in
+        time order becomes the log's columns, made read-only, not a copy."""
         log = cls.__new__(cls)
         log._build(columns)
         return log
 
     def _build(self, columns: np.ndarray) -> None:
-        columns = columns.take(np.argsort(columns[3], kind="stable"), axis=1)
-        ids, codes = np.unique(columns[:2].ravel(), return_inverse=True)
-        self._init_view(columns, ids, codes.reshape(2, -1))
+        times = columns[3]
+        if not (times[1:] >= times[:-1]).all():  # a time-ordered log is kept as it is
+            columns = columns.take(np.argsort(times, kind="stable"), axis=1)
+        columns = np.ascontiguousarray(columns)  # `EventLog(rows)` hands in a transposed view
+        # each rater's and ratee's rank among the distinct ids, from one sort
+        # of both rows, which are one contiguous run of the columns
+        ids = columns[:2].reshape(-1)
+        order = np.argsort(ids)
+        ranks = ids[order]
+        first = np.empty(len(ranks), dtype=bool)
+        first[:1] = True
+        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+        universe = ranks[first]
+        np.cumsum(first, out=ranks)  # over the sorted ids, which `universe` now holds
+        ranks -= 1
+        codes = np.empty_like(ranks)
+        codes[order] = ranks
+        self._init_view(columns, universe, codes.reshape(2, -1))
         self._own = (self._universe, self._codes)
 
     def _init_view(self, columns: np.ndarray, universe: np.ndarray, codes: np.ndarray) -> None:
@@ -108,6 +124,8 @@ class EventLog:
 
     @property
     def users(self) -> frozenset[int]:
+        """The ids of the users in the log, as a set built on first use;
+        `user_codes()[0]` holds them as a sorted array."""
         if self._users is None:
             self._users = frozenset(self.user_codes()[0].tolist())
         return self._users
@@ -272,6 +290,7 @@ def _ingest_lines(data: bytes, mode: str) -> tuple[np.ndarray, list[RejectedLine
 # does; whitespace, letters (nan, inf, 1_0), quotes and comment marks are left
 # to the line loop
 _PLAIN_BODY = b"0123456789,+-.eE\n"
+_CHECK_BYTES = 1 << 16
 _RECORD = np.dtype([("rater", np.int64), ("ratee", np.int64), ("score", np.int64), ("timestamp", np.float64)])
 
 
@@ -280,7 +299,8 @@ def _ingest_columns(data: bytes) -> np.ndarray | None:
     keeps, parsed at once by `np.loadtxt`; None when some line may not be
     kept, or may need the line loop's reading, so that the caller falls
     back to it.  Timestamps are read as float64 and floored, which is exact
-    while every |t| < 2**53."""
+    while every |t| < 2**53.  Beside `data` and the columns, it holds the
+    parsed record table and slices of the bytes, not a copy of the body."""
     try:
         if data[:2] == b"\x1f\x8b":
             with gzip.GzipFile(fileobj=io.BytesIO(data)) as unzipped:
@@ -301,23 +321,34 @@ def _ingest_columns(data: bytes) -> np.ndarray | None:
             start = end + 1
         if not text:
             return None
-        body = data[end + 1 :] if _is_header(text) else data[start:]
-        if body.translate(None, _PLAIN_BODY):
+        body = end + 1 if _is_header(text) else start
+        # a slice at a time: `translate` allocates a result of its input's size
+        if any(data[at : at + _CHECK_BYTES].translate(None, _PLAIN_BODY) for at in range(body, len(data), _CHECK_BYTES)):
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning, such as no data, means fall back
+            binary = io.BytesIO(data)  # shares the bytes of `data`, not a copy
+            binary.seek(body)
             # decoded as it is read: a str of the whole body would take 4 bytes a character
-            stream = io.TextIOWrapper(io.BytesIO(body), encoding="ascii", newline="\n")
+            stream = io.TextIOWrapper(binary, encoding="ascii", newline="\n")
             table = np.loadtxt(stream, dtype=_RECORD, delimiter=",", comments=None, ndmin=1)
+        times = table["timestamp"]
+        if not (-(2.0**53) < times.min() and times.max() < 2.0**53):  # false for nan too
+            return None
     except (ValueError, OSError, EOFError, zlib.error, Warning):
         return None  # the line loop reads the same bytes and reports what it finds
-    raters, ratees, scores, times = (table[name] for name in _RECORD.names)
+    columns = np.empty((4, len(table)), dtype=np.int64)
+    for row, name in zip(columns, _RECORD.names[:3]):
+        row[:] = table[name]
+    np.floor(times, out=columns[3], casting="unsafe")
+    raters, ratees, scores, _ = columns
     legal = (
-        (np.abs(times) < 2.0**53).all()  # false for nan and inf too
-        and ((MIN_SCORE <= scores) & (scores <= MAX_SCORE) & (scores != 0)).all()
-        and (raters != ratees).all()
+        MIN_SCORE <= scores.min()
+        and scores.max() <= MAX_SCORE
+        and np.count_nonzero(scores) == len(scores)
+        and not (raters == ratees).any()
     )
-    return np.stack((raters, ratees, scores, np.floor(times).astype(np.int64))) if legal else None
+    return columns if legal else None
 
 
 def ingest(
@@ -342,6 +373,7 @@ def ingest(
     columns, rejections = _ingest_columns(data), []
     if columns is None:
         columns, rejections = _ingest_lines(data, mode)
+    del data  # the log is built without the bytes: they are half the size of its columns
     log = EventLog._from_columns(columns)
     report = IngestReport(
         events_kept=len(log),
@@ -431,9 +463,11 @@ def gettrust(
     """
     if viewer == target:
         raise ValueError("viewer and target must differ")
-    if viewer not in log.users or target not in log.users:
-        missing = viewer if viewer not in log.users else target
-        raise ValueError(f"unknown user {missing}")
+    ids = log.user_codes()[0]
+    for user in (viewer, target):  # the viewer is named first when neither is known
+        at = np.searchsorted(ids, user) if _INT64_MIN <= user <= _INT64_MAX else len(ids)
+        if at == len(ids) or ids[at] != user:
+            raise ValueError(f"unknown user {user}")
     sub = log.truncated(cutoff)
     raters, ratees, scores = sub.raters, sub.ratees, sub.scores
     by_viewer = raters == viewer

@@ -278,6 +278,24 @@ def test_a_long_calendar_costs_one_slice_of_memory(tmp_path):
     assert peak_kib < 80 * 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_ingest_peaks_at_a_few_times_the_log_it_keeps(tmp_path):
+    # a log keeps 48 bytes an event: four int64 columns and two int64 rows of
+    # user codes. Ingest holds the file's bytes (25 an event here), the table
+    # `np.loadtxt` parses and the columns, about 90 bytes an event above the
+    # imports; a copy of the body, stacked columns and `np.unique`'s
+    # temporaries took it to 183.
+    assert main(["synth", "--users", "30000", "--events", "200000", "--seed", "1", "--out", str(tmp_path)]) == 0
+    code = (
+        "import re; from pathlib import Path; import wotnet; "
+        "kib = lambda key: re.search(key + r':\\s+(\\d+) kB', Path('/proc/self/status').read_text()).group(1); "
+        "base = kib('VmRSS'); log, _ = wotnet.ingest('synthetic.csv'); print(len(log), base, kib('VmHWM'))"
+    )
+    events, base_kib, peak_kib = map(int, _child(code, tmp_path).stdout.split())
+    assert events == 200_000
+    assert (peak_kib - base_kib) * 1024 < 3 * 48 * events
+
+
 def test_the_build_reads_the_version_of_the_package():
     # pyproject.toml declares the version dynamic, read from wotnet.__version__
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")

@@ -2,6 +2,7 @@ import codecs
 import gzip
 import io
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,6 +361,84 @@ def test_constructor_and_strict_ingest_accept_the_same_rows(candidates):
         ]
 
 
+def _build_by_unique(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns, user ids and codes of a log built from 4 x n columns by
+    a stable argsort of the timestamps and `np.unique` of both id rows."""
+    columns = columns.take(np.argsort(columns[3], kind="stable"), axis=1)
+    ids, codes = np.unique(columns[:2].ravel(), return_inverse=True)
+    return columns, ids, codes.reshape(2, -1)
+
+
+def _assert_built_as_the_oracle_builds(make) -> None:
+    """`make()` builds a log whose arrays equal those the oracle builds from
+    the columns handed to `EventLog._build`, and are read-only and
+    C-contiguous."""
+    handed = []
+    build = EventLog._build
+
+    def spy(log, columns):
+        handed.append(np.array(columns))
+        build(log, columns)
+
+    with mock.patch.object(EventLog, "_build", spy):
+        log = make()
+    assert len(handed) == 1
+    for got, expected in zip((log._columns, *log.user_codes()), _build_by_unique(handed[0])):
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+
+_IDS = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 1 - 2**63, 2**63 - 2, 2**63 - 1]))
+
+
+@st.composite
+def _ordered_rows(draw):
+    """Legal rows whose timestamps are in time order, reversed, all tied or
+    in any order; small time ranges tie some of them too."""
+    pairs = draw(st.lists(st.tuples(_IDS, _IDS).filter(lambda p: p[0] != p[1]), max_size=10))
+    scores = draw(st.lists(st.sampled_from([s for s in range(-10, 11) if s]), min_size=len(pairs), max_size=len(pairs)))
+    times = draw(
+        st.lists(
+            st.one_of(st.integers(-2, 2), st.integers(-(10**12), 10**12), st.sampled_from([-(2**63), 2**63 - 1])),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    order = draw(st.sampled_from(["ordered", "reversed", "tied", "any"]))
+    if order == "tied":
+        times = times[:1] * len(times)
+    elif order != "any":
+        times.sort(reverse=order == "reversed")
+    return [(a, b, s, t) for (a, b), s, t in zip(pairs, scores, times)]
+
+
+@given(_ordered_rows(), st.sampled_from(["rows", "ingest"]))
+@example([(2**63 - 1, -(2**63), 3, 5), (-(2**63), 2**63 - 1, -2, 5), (0, -1, 1, 4)], "ingest")
+@example([(1, 2, 3, 2), (2, 1, -4, 1), (1, 3, 1, 0)], "rows")  # reversed
+@settings(max_examples=200, deadline=None)
+def test_the_build_equals_the_unique_oracle(candidates, route):
+    # ingest reads timestamps below 2**53 with `np.loadtxt`, the others with the line loop
+    text = _HEADER + "".join(f"{a},{b},{s},{t}\n" for a, b, s, t in candidates)
+    make = {"rows": lambda: EventLog(candidates), "ingest": lambda: ingest(_stream(text), mode="strict")[0]}[route]
+    _assert_built_as_the_oracle_builds(make)
+
+
+@given(
+    st.builds(
+        SynthConfig,
+        n_users=st.integers(2, 30),
+        n_events=st.integers(0, 80),
+        seed=st.integers(0, 2**32),
+        time_model=st.sampled_from(["uniform", "poisson"]),
+        t_span=st.integers(1, 100),  # ties
+        rate=st.sampled_from([0.01, 10.0]),  # 10 a second: ties
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_synthetic_logs_build_as_the_unique_oracle_builds(config):
+    _assert_built_as_the_oracle_builds(lambda: synth_log(config))
+
+
 def test_log_columns_read_only():
     log = EventLog([(1, 2, 3, 10)])
     with pytest.raises(ValueError):
@@ -620,6 +699,33 @@ def test_trust_errors():
         gettrust(log, 1, 99)
     with pytest.raises(ValueError):
         gettrust(log, 99, 1)
+
+
+@pytest.mark.parametrize("layer", ["log", "punitive"])
+def test_trust_knows_exactly_the_sorted_user_ids(layer):
+    log = EventLog([(10, 20, 5, 1), (20, 40, 3, 2), (40, 10, -2, 3), (10, 40, 1, 4), (60, 40, -1, 5)])
+    sub = log if layer == "log" else log.where(log.scores < 0)
+    known = sub.user_codes()[0].tolist()
+    assert known == ([10, 20, 40, 60] if layer == "log" else [10, 40, 60])
+    # below the smallest id, above the largest (`searchsorted` gives the
+    # length), in a gap, outside int64; on the layer, 20 is in the gap too
+    unknown = [5, 70, 30, 2**63, -(2**63) - 1] + ([20] if layer == "punitive" else [])
+    for user in unknown:
+        for viewer, target in ((user, known[0]), (known[-1], user), (user, 2**64)):
+            with pytest.raises(ValueError, match=f"^unknown user {user}$"):
+                gettrust(sub, viewer, target)
+    for viewer in known:
+        for target in set(known) - {viewer}:
+            assert type(gettrust(sub, viewer, target)) is int
+    assert sub._users is None  # no set of the users was built
+    with pytest.raises(ValueError, match="^unknown user 1$"):
+        gettrust(EventLog([]), 1, 2)
+    # next to the int64 extremes, which a float64 reads as the same numbers
+    edges = EventLog([(2**63 - 1, -(2**63), 1, 0)])
+    for user in (2**63, -(2**63) - 1):
+        for viewer, target in ((user, 2**63 - 1), (-(2**63), user)):
+            with pytest.raises(ValueError, match=f"^unknown user {user}$"):
+                gettrust(edges, viewer, target)
 
 
 def _latest_ratings_by_loop(events):
