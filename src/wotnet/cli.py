@@ -402,7 +402,7 @@ class RunContext:
     labels, and folds the daily snapshots once.
     """
 
-    def __init__(self, config: dict, selection: str | None):
+    def __init__(self, config: dict):
         self.config = config
         self.log, self.report, self.input_sha256 = _load_log(config)
         # read before any stage writes, so that a bad file writes nothing
@@ -414,8 +414,8 @@ class RunContext:
                 raise InputError(f"cannot read annotation file: {exc}") from exc
         # `all` follows both top-entrant selections
         self.selections = (
-            [TrajectorySelection(selection)]
-            if selection
+            [TrajectorySelection(config["selection"])]
+            if "selection" in config
             else [TrajectorySelection.TOP_ENTRANTS_POSITIVE, TrajectorySelection.TOP_ENTRANTS_NEGATIVE]
         )
 
@@ -726,7 +726,9 @@ def _run(args: argparse.Namespace) -> int:
     then write the manifest; the run's files are published only if all of
     this succeeds."""
     config = _resolve_config(args)
-    ctx = RunContext(config, getattr(args, "selection", None))
+    if hasattr(args, "selection"):  # `trajectories`, whose manifest then says whom it followed
+        config["selection"] = args.selection
+    ctx = RunContext(config)
     stages = [stage for stage in STAGES.values() if stage.analysis] if args.command == "all" else [STAGES[args.command]]
     if stages[0].analysis:
         _require(config, "out", "to write analysis outputs")

@@ -1,9 +1,10 @@
 """Shared fixtures.
 
-The Bitcoin-OTC dataset is not bundled.  Tests that need it look for the
+The Bitcoin-OTC dataset is not bundled.  The release gate looks for the
 file named by the WOTNET_DATASET environment variable, falling back to
-data/soc-sign-bitcoinotc.csv[.gz] next to the repository root, and skip
-with a clear message when it is absent.  Everything else runs data-free.
+data/soc-sign-bitcoinotc.csv[.gz] next to the repository root, and skips
+its dataset criteria with a clear message when it is absent.  Everything
+else runs data-free.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from wotnet import (
     EventLog,
     Layer,
     SynthConfig,
-    ingest,
     synth_log,
     undirected_projection,
 )
 from wotnet.categories import CategorySummary
-from wotnet.distributions import Distribution
 from wotnet.static import Projection
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,20 +38,18 @@ _CANDIDATES = (
 
 
 def dataset_path() -> Path | None:
+    """The dataset file, or None where none is found; a WOTNET_DATASET
+    that names no file is an error."""
     env = os.environ.get("WOTNET_DATASET")
     if env:
-        return Path(env) if os.path.exists(env) else None
+        if not os.path.isfile(env):
+            raise FileNotFoundError(f"WOTNET_DATASET names no file: {env!r}")
+        return Path(env)
     for candidate in _CANDIDATES:
         if candidate.exists():
             return candidate
     return None
 
-
-requires_dataset = pytest.mark.skipif(
-    dataset_path() is None,
-    reason="Bitcoin-OTC dataset not found (set WOTNET_DATASET or place "
-    "soc-sign-bitcoinotc.csv[.gz] under data/)",
-)
 
 # one line per acceptance criterion, replayed after the test summary so the
 # verdicts are visible even when stdout capturing is on
@@ -64,15 +61,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session")
-def otc_log() -> EventLog:
-    path = dataset_path()
-    if path is None:
-        pytest.skip("Bitcoin-OTC dataset not available")
-    log, _report = ingest(path)
-    return log
 
 
 @pytest.fixture(scope="session")
@@ -91,11 +79,6 @@ def write_log_csv(log: EventLog, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rater,ratee,score,timestamp\n")
         fh.writelines(f"{r},{e},{s},{t}\n" for r, e, s, t in rows(log))
-
-
-def mode(dist: Distribution) -> int | float:
-    """The support value of a distribution's highest probability, the smallest on a tie."""
-    return dist.support[int(np.argmax(dist.pmf))].item()
 
 
 def project(layer: EventLog) -> Projection:

@@ -1,15 +1,21 @@
 """Release gate: one verdict line per criterion.
 
-Criteria 1-9 measure the Bitcoin-OTC event log and print a SKIP verdict
-when the data file is absent (see conftest for how it is located);
-criterion 10 bundles the dataset-independent property checks and always
-runs.  Every verdict is replayed in a terminal section after the run.
+Criteria 1-9, and two tests of reputation, check the paper's claims about
+the Bitcoin-OTC log.  Each claim is a reader of the manifest and CSVs of
+one `wotnet all` run of the log with the settings of `gate.conf`; without
+the data file (see conftest for how it is located) each criterion prints a
+SKIP verdict.  Criterion 10 bundles the dataset-independent property checks
+and always runs.  Every verdict is replayed in a terminal section after the run.
 """
 
+import csv
 import itertools
+import json
+import math
 import random
 from datetime import date
-from functools import lru_cache
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -19,42 +25,34 @@ from conftest import (
     adjacency_sets,
     dataset_path,
     keeps_projected_degrees,
-    mode,
     project,
     rows,
-    summary_row,
 )
 from daily_reference import snapshot_series
 from wotnet import (
-    CategoryLabel,
     EventLog,
     Layer,
     MetricColumns,
     burstiness_table,
-    categorize,
-    category_summary,
-    circadian_profile,
     daily_fold,
     ingest,
-    mean_clustering,
-    metric_columns,
     node_metrics,
     ranking_report,
     split_layers,
     synth_log,
     SynthConfig,
-    weekly_profile,
-    weight_distribution,
 )
+from wotnet.cli import main
 from wotnet.static import (
+    BIN_FACTOR,
     _double_edge_swaps,
     avg_neighbor_degree_spectrum,
     configuration_null,
-    spectrum_trend,
 )
 from wotnet.temporal import interevent_times
 
 SEED = 20240822
+GATE_CONFIG = Path(__file__).with_name("gate.conf")
 
 
 def _verdict(cid: str, name: str, ok: bool, detail: str = "") -> None:
@@ -65,213 +63,293 @@ def _verdict(cid: str, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _dataset_or_skip(cid: str, name: str):
-    path = dataset_path()
-    if path is None:
-        line = (
-            f"ACCEPTANCE {cid} {name}: SKIP "
-            "(dataset not present; set WOTNET_DATASET or data/)"
+# ---------------------------------------------------------------------------
+# readers: each claim as a function of one run directory
+
+
+class Reading(NamedTuple):
+    """A claim read from one run: whether it holds, the numbers it weighs
+    and the detail of its verdict line."""
+
+    ok: bool
+    statistic: tuple[float, ...]
+    detail: str
+
+
+class NotMeasured(Exception):
+    """The run's tables hold no value that a claim reads."""
+
+
+def _rows(run: Path, name: str, **match: str) -> list[dict[str, str]]:
+    """The rows of the run's table `name` whose cells equal `match`; none is not measured."""
+    with open(run / name, encoding="utf-8", newline="") as fh:
+        found = [row for row in csv.DictReader(fh) if all(row[key] == value for key, value in match.items())]
+    if not found:
+        raise NotMeasured(f"no row of {name} where {match}")
+    return found
+
+
+def _values(rows: list[dict[str, str]], column: str) -> np.ndarray:
+    """The numbers in the non-empty cells of a column; none, or one that is not finite, is not measured."""
+    values = np.array([float(row[column]) for row in rows if row[column]])
+    if not len(values) or not np.isfinite(values).all():
+        raise NotMeasured(f"{column}: no value, or one not finite")
+    return values
+
+
+def _cell(run: Path, name: str, column: str, **match: str) -> float:
+    """The number in `column` of the row of the run's table `name` whose cells equal `match`."""
+    return float(_values(_rows(run, name, **match)[:1], column)[0])
+
+
+def dataset_counts(run: Path) -> Reading:
+    ingested = json.loads((run / "manifest.json").read_text(encoding="utf-8"))["ingest"]
+    days = _rows(run, "daily_activity.csv", tz_shift_hours="0")
+    layers = (int(_values(days, f"count_{side}").sum()) for side in ("plus", "minus"))
+    got = (ingested["users"], ingested["kept"], *layers)
+    want = (5_878, 35_795, 32_305, 3_490)
+    labels = ("users", "events", "e_plus", "e_minus")
+    deltas = ", ".join(f"{label}={g}({g - w:+d})" for label, g, w in zip(labels, got, want))
+    return Reading(got == want, got, deltas)
+
+
+def score_modes(run: Path) -> Reading:
+    # the weight of the highest probability, the smallest on a tie
+    mode_plus, mode_minus = (
+        int(max(_rows(run, "weight_distribution.csv", layer=layer), key=lambda row: float(row["pmf"]))["weight"])
+        for layer in ("rewarding", "punitive")
+    )
+    detail = f"mode_plus={mode_plus}, mode_minus={mode_minus}"
+    return Reading(mode_plus == 1 and mode_minus == 10, (mode_plus, mode_minus), detail)
+
+
+def gini_plateau(run: Path) -> Reading:
+    # the last 365 days of the series; a day whose side has fewer than two
+    # holders has no Gini there
+    last = _rows(run, "gini_series.csv")[-365:]
+    plus, minus = (float(np.mean(_values(last, column))) for column in ("gini_plus", "gini_minus"))
+    ok = abs(plus - 0.75) <= 0.05 and abs(minus - 0.60) <= 0.05 and plus > minus
+    return Reading(ok, (plus, minus), f"mean_gini_plus={plus:.4f} (0.75±0.05), mean_gini_minus={minus:.4f} (0.60±0.05)")
+
+
+def clustering_vs_null(run: Path) -> Reading:
+    (emp_plus, mean_plus, std_plus), (emp_minus, mean_minus, std_minus) = (
+        [_cell(run, "clustering_null.csv", column, layer=layer) for column in ("empirical_mean", "null_mean", "null_std")]
+        for layer in ("rewarding", "punitive")
+    )
+    margins = (emp_plus - mean_plus, mean_minus - emp_minus)
+    detail = (
+        f"plus: emp={emp_plus:.4f} null={mean_plus:.4f}±{std_plus:.4f}; "
+        f"minus: emp={emp_minus:.4f} null={mean_minus:.4f}±{std_minus:.4f}"
+    )
+    return Reading(margins[0] > std_plus and margins[1] > std_minus, margins, detail)
+
+
+def norm_breaking_clustering(run: Path) -> Reading:
+    results = {
+        convention: tuple(
+            _cell(run, "norm_breaking_clustering.csv", "mean_clustering", convention=convention, sublayer=sublayer)
+            for sublayer in ("w_gt_1", "w_eq_1")
         )
-        ACCEPTANCE_LINES.append(line)
-        print(line)
-        pytest.skip("dataset not present")
-    return path
+        for convention in ("all_nodes", "degree_ge_2")
+    }
+    ok = any(
+        c_gt > c_eq and abs(c_gt - 0.063) <= 0.2 * 0.063 and abs(c_eq - 0.022) <= 0.2 * 0.022
+        for c_gt, c_eq in results.values()
+    )
+    detail = "; ".join(
+        f"{name}: c_gt1={c_gt:.4f} (0.063±20%), c_eq1={c_eq:.4f} (0.022±20%)" for name, (c_gt, c_eq) in results.items()
+    )
+    return Reading(ok, sum(results.values(), ()), detail)
 
 
-@lru_cache(maxsize=None)
-def _ingested():
-    log, report = ingest(dataset_path())
-    return log, report
+def disassortativity(run: Path) -> Reading:
+    plus, minus = (_cell(run, "neighbor_degree_trend.csv", "spearman", layer=layer) for layer in ("rewarding", "punitive"))
+    return Reading(plus < 0 and minus < 0, (plus, minus), f"trend_plus={plus:.3f}, trend_minus={minus:.3f}")
 
 
-@lru_cache(maxsize=None)
-def _layers():
-    return split_layers(_ingested()[0])
+def rank_correlations(run: Path) -> Reading:
+    keys = ("k_in_plus", "k_out_plus", "k_in_minus", "k_out_minus")
+    taus = in_plus, out_plus, in_minus, out_minus = tuple(_cell(run, "tau_matrix.csv", column, key="rho") for column in keys)
+    detail = (
+        f"tau(rho, k_in+)={in_plus:.3f}, tau(rho, k_out+)={out_plus:.3f} "
+        f"vs tau(rho, k_in-)={in_minus:.3f}, tau(rho, k_out-)={out_minus:.3f}"
+    )
+    return Reading(min(in_plus, out_plus) > max(in_minus, out_minus), taus, detail)
 
 
-@lru_cache(maxsize=None)
-def _metrics():
-    return metric_columns(_ingested()[0])
+def categories(run: Path) -> Reading:
+    (tw, co, un), (rho_tw, rho_co, rho_un), (act_tw, act_co, act_un) = (
+        [
+            _cell(run, "category_summary.csv", column, category=category, quantity=quantity)
+            for category in ("trustworthy", "controversial", "untrusted")
+        ]
+        for quantity, column in (("rho", "count"), ("rho", "median"), ("activity_total", "median"))
+    )
+    ok = tw > un and tw > co and rho_un < rho_co < rho_tw and act_un < act_tw and act_un < act_co
+    detail = (
+        f"counts tw/co/un={tw:.0f}/{co:.0f}/{un:.0f}; "
+        f"median rho un/co/tw={rho_un:.1f}/{rho_co:.1f}/{rho_tw:.1f}; "
+        f"median out-activity un/co/tw={act_un:.1f}/{act_co:.1f}/{act_tw:.1f}"
+    )
+    return Reading(ok, (tw, co, un, rho_tw, rho_co, rho_un, act_tw, act_co, act_un), detail)
+
+
+def temporal_patterns(run: Path) -> Reading:
+    # the per-year rows; the whole-log rows have no year
+    yearly = {(int(row["year"]), row["layer"]): float(row["B"]) for row in _rows(run, "burstiness.csv") if row["year"]}
+    missing = [
+        (year, layer.value)
+        for year in (2012, 2013, 2014, 2015)
+        for layer in Layer
+        if yearly.get((year, layer.value), -1.0) <= 0
+    ]
+    weekly = _rows(run, "weekly_profile.csv", tz_shift_hours="-6")
+    hourly = _rows(run, "circadian_profile.csv", tz_shift_hours="-6")
+    weekend = float(_values([row for row in weekly if int(row["weekday"]) >= 5], "frac_minus").sum())
+    midday = float(_values([row for row in hourly if 11 <= int(row["hour"]) <= 14], "frac_minus").sum())
+    detail = (
+        f"non-positive yearly B: {missing or 'none'}; "
+        f"weekend punitive share={weekend:.3f} (<{2 / 7:.3f}); "
+        f"punitive 11-14h mass={midday:.3f} (>{4 / 24:.3f})"
+    )
+    return Reading(not missing and weekend < 2 / 7 and midday > 4 / 24, (len(missing), weekend, midday), detail)
+
+
+def _r_squared_loglog(support: np.ndarray, ccdf: np.ndarray, decades: float = 1.5) -> float:
+    """Straightness of a CCDF on log-log axes over its first `decades`."""
+    keep = (support > 0) & (ccdf > 0)
+    x, y = np.log10(support[keep]), np.log10(ccdf[keep])
+    window = x <= x[0] + decades
+    x, y = x[window], y[window]
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = y - (slope * x + intercept)
+    return float(1 - residual.var() / y.var())
+
+
+def reputation_tails(run: Path) -> Reading:
+    """The CCDFs of rho+ and rho- are straight on log-log axes, and more users hold a positive rho than a negative one."""
+    r2_plus, r2_minus = (
+        _r_squared_loglog(*(_values(rows, column) for column in ("value", "ccdf")))
+        for rows in (_rows(run, "reputation_distributions.csv", measure=m) for m in ("rho_plus", "rho_minus"))
+    )
+    rho = _rows(run, "reputation_distributions.csv", measure="rho")
+    value, pmf = _values(rho, "value"), _values(rho, "pmf")
+    positive, negative = float(pmf[value > 0].sum()), float(pmf[value < 0].sum())
+    detail = f"R² rho+={r2_plus:.3f}, rho-={r2_minus:.3f} (>0.90); mass rho>0={positive:.3f}, rho<0={negative:.3f}"
+    ok = r2_plus > 0.90 and r2_minus > 0.90 and positive > negative
+    return Reading(ok, (r2_plus, r2_minus, positive, negative), detail)
+
+
+def reputation_rises_with_rewarding_indegree(run: Path) -> Reading:
+    """The mean rho rises over the lower half of the log bins of rewarding in-degree."""
+    rows = _rows(run, "reputation_by_indegree.csv", layer="rewarding")
+    degree, mean, users = (_values(rows, column) for column in ("in_degree", "mean_rho", "n_users"))
+    keep = degree >= 1
+    # the bins [1, f), [f, f²), ... of `log_binned_means`, each degree weighted by its users
+    bins = np.unique(np.floor(np.log(degree[keep]) / np.log(BIN_FACTOR)), return_inverse=True)[1]
+    means = np.bincount(bins, (mean * users)[keep]) / np.bincount(bins, users[keep])
+    steps = np.diff(means[: len(means) // 2])
+    falling = int((steps <= 0).sum())
+    return Reading(falling == 0, (len(steps), falling), f"{falling} of {len(steps)} steps over the lower bins do not rise")
+
+
+# each criterion's ID, name and reader
+CRITERIA: dict[str, tuple[str, Callable[[Path], Reading]]] = {
+    "C1": ("dataset-counts", dataset_counts),
+    "C2": ("score-modes", score_modes),
+    "C3": ("gini-plateau", gini_plateau),
+    "C4": ("clustering-vs-null", clustering_vs_null),
+    "C5": ("norm-breaking-clustering", norm_breaking_clustering),
+    "C6": ("disassortativity", disassortativity),
+    "C7": ("rank-correlations", rank_correlations),
+    "C8": ("categories", categories),
+    "C9": ("temporal-patterns", temporal_patterns),
+}
+REPUTATION_CLAIMS = (reputation_tails, reputation_rises_with_rewarding_indegree)
+READERS = [reader for _, reader in CRITERIA.values()] + list(REPUTATION_CLAIMS)
+
+
+def read(reader: Callable[[Path], Reading], run: Path) -> Reading:
+    """A reader's reading of `run`; a value it reads that the run does not hold fails the claim with the reason."""
+    try:
+        return reader(run)
+    except NotMeasured as exc:
+        return Reading(False, (), f"not measured: {exc}")
+
+
+def _gate_run(log: Path, out: Path, *flags: str) -> Path:
+    """The directory of a `wotnet all` run of `log` with the settings of `gate.conf`, overridden by `flags`."""
+    assert main(["all", "--config", str(GATE_CONFIG), "--input", str(log), "--out", str(out), *flags]) == 0
+    return out
+
+
+@pytest.fixture(scope="session")
+def gate_run(tmp_path_factory) -> Path | None:
+    """The one run of the dataset that every dataset claim reads; None without the dataset."""
+    path = dataset_path()
+    return None if path is None else _gate_run(path, tmp_path_factory.mktemp("gate") / "run")
+
+
+@pytest.fixture(scope="session")
+def synthetic_run(tmp_path_factory) -> Path:
+    """A gate run, with two replicas, of a log shaped like an eighth of Bitcoin-OTC's."""
+    where = tmp_path_factory.mktemp("synthetic")
+    flags = "--users 738 --events 4500 --seed 7 --scores skewed --t-span 20500000"
+    assert main(["synth", *flags.split(), "--out", str(where / "log")]) == 0
+    return _gate_run(where / "log" / "synthetic.csv", where / "run", "--null-samples", "2")
+
+
+@pytest.fixture(scope="session")
+def one_layer_run(tmp_path_factory) -> Path:
+    """A gate run of two rewarding ratings: no punitive table has a row."""
+    where = tmp_path_factory.mktemp("one-layer")
+    (where / "log.csv").write_text("1,2,5,100\n2,3,4,200\n")
+    return _gate_run(where / "log.csv", where / "run", "--null-samples", "2")
 
 
 # ---------------------------------------------------------------------------
 # dataset criteria
 
 
-def test_c1_dataset_counts():
-    _dataset_or_skip("C1", "dataset-counts")
-    _log, report = _ingested()
-    plus, minus = _layers()
-    got = (report.n_users, report.events_kept, len(plus), len(minus))
-    want = (5_878, 35_795, 32_305, 3_490)
-    deltas = ", ".join(
-        f"{label}={g}({g - w:+d})"
-        for label, g, w in zip(("users", "events", "e_plus", "e_minus"), got, want)
-    )
-    _verdict("C1", "dataset-counts", got == want, deltas)
+@pytest.mark.parametrize("cid", CRITERIA)
+def test_criterion_reads_the_dataset_run(gate_run, cid):
+    name, reader = CRITERIA[cid]
+    if gate_run is None:
+        line = f"ACCEPTANCE {cid} {name}: SKIP (dataset not present; set WOTNET_DATASET or data/)"
+        ACCEPTANCE_LINES.append(line)
+        print(line)
+        pytest.skip("dataset not present")
+    reading = read(reader, gate_run)
+    _verdict(cid, name, reading.ok, reading.detail)
 
 
-def test_c2_score_modes():
-    _dataset_or_skip("C2", "score-modes")
-    plus, minus = _layers()
-    mode_plus = mode(weight_distribution(plus))
-    mode_minus = mode(weight_distribution(minus))
-    _verdict(
-        "C2",
-        "score-modes",
-        mode_plus == 1 and mode_minus == 10,
-        f"mode_plus={mode_plus}, mode_minus={mode_minus}",
-    )
+@pytest.mark.parametrize("reader", REPUTATION_CLAIMS, ids=lambda reader: reader.__name__)
+def test_reputation_claim_reads_the_dataset_run(gate_run, reader):
+    if gate_run is None:
+        pytest.skip("dataset not present")
+    reading = read(reader, gate_run)
+    assert reading.ok, reading.detail
 
 
-def test_c3_gini_plateau():
-    _dataset_or_skip("C3", "gini-plateau")
-    gini = daily_fold(_ingested()[0]).gini
-    # the last 365 days of the series; a day whose side has fewer than two
-    # holders has no Gini there
-    mean_plus, mean_minus = (
-        float(np.mean(values[-365:][measured[-365:]]))
-        for values, measured in zip((gini.gini_plus, gini.gini_minus), gini.measured)
-    )
-    ok = (
-        abs(mean_plus - 0.75) <= 0.05
-        and abs(mean_minus - 0.60) <= 0.05
-        and mean_plus > mean_minus
-    )
-    _verdict(
-        "C3",
-        "gini-plateau",
-        ok,
-        f"mean_gini_plus={mean_plus:.4f} (0.75±0.05), "
-        f"mean_gini_minus={mean_minus:.4f} (0.60±0.05)",
-    )
+@pytest.mark.parametrize("reader", READERS, ids=lambda reader: reader.__name__)
+def test_every_reader_measures_a_synthetic_run_and_names_what_a_one_layer_run_lacks(synthetic_run, one_layer_run, reader):
+    reading = read(reader, synthetic_run)
+    assert reading.statistic and all(map(math.isfinite, reading.statistic)), reading
+    reading = read(reader, one_layer_run)
+    assert all(map(math.isfinite, reading.statistic)) if reading.statistic else reading.detail.startswith("not measured: ")
 
 
-def test_c4_clustering_null_ordering():
-    _dataset_or_skip("C4", "clustering-vs-null")
-    plus, minus = (project(layer) for layer in _layers())
-    null_plus = configuration_null(plus, n_samples=20, seed=SEED)
-    null_minus = configuration_null(minus, n_samples=20, seed=SEED + 1)
-    empirical_plus = mean_clustering(plus)
-    empirical_minus = mean_clustering(minus)
-    margin_plus = empirical_plus - null_plus.null_mean_clustering
-    margin_minus = null_minus.null_mean_clustering - empirical_minus
-    ok = (
-        margin_plus > null_plus.null_std_clustering
-        and margin_minus > null_minus.null_std_clustering
-    )
-    _verdict(
-        "C4",
-        "clustering-vs-null",
-        ok,
-        f"plus: emp={empirical_plus:.4f} "
-        f"null={null_plus.null_mean_clustering:.4f}±{null_plus.null_std_clustering:.4f}; "
-        f"minus: emp={empirical_minus:.4f} "
-        f"null={null_minus.null_mean_clustering:.4f}±{null_minus.null_std_clustering:.4f}",
-    )
+def test_layer_sums_of_the_daily_series_are_the_layers(synthetic_run):
+    # C1 reads the layers' sizes from `daily_activity.csv`
+    log, report = ingest(synthetic_run / ".." / "log" / "synthetic.csv")
+    assert dataset_counts(synthetic_run).statistic == (report.n_users, len(log), *map(len, split_layers(log)))
 
 
-def test_c5_norm_breaking_clustering():
-    _dataset_or_skip("C5", "norm-breaking-clustering")
-    plus, _ = _layers()
-    strong = project(plus.where(plus.scores >= 2))
-    single = project(plus.where(plus.scores == 1))
-    results = {}
-    for convention, include_low in (("all_nodes", True), ("degree_ge_2", False)):
-        c_gt = mean_clustering(strong, include_low_degree=include_low)
-        c_eq = mean_clustering(single, include_low_degree=include_low)
-        results[convention] = (c_gt, c_eq)
-    ok = any(
-        c_gt > c_eq
-        and abs(c_gt - 0.063) <= 0.2 * 0.063
-        and abs(c_eq - 0.022) <= 0.2 * 0.022
-        for c_gt, c_eq in results.values()
-    )
-    detail = "; ".join(
-        f"{name}: c_gt1={c_gt:.4f} (0.063±20%), c_eq1={c_eq:.4f} (0.022±20%)"
-        for name, (c_gt, c_eq) in results.items()
-    )
-    _verdict("C5", "norm-breaking-clustering", ok, detail)
-
-
-def test_c6_disassortativity():
-    _dataset_or_skip("C6", "disassortativity")
-    plus, minus = _layers()
-    trend_plus = spectrum_trend(avg_neighbor_degree_spectrum(project(plus)))
-    trend_minus = spectrum_trend(avg_neighbor_degree_spectrum(project(minus)))
-    _verdict(
-        "C6",
-        "disassortativity",
-        trend_plus < 0 and trend_minus < 0,
-        f"trend_plus={trend_plus:.3f}, trend_minus={trend_minus:.3f}",
-    )
-
-
-def test_c7_rank_correlations():
-    _dataset_or_skip("C7", "rank-correlations")
-    report = ranking_report(_metrics())
-    favorable = (report.tau("rho", "k_in_plus"), report.tau("rho", "k_out_plus"))
-    adverse = (report.tau("rho", "k_in_minus"), report.tau("rho", "k_out_minus"))
-    ok = min(favorable) > max(adverse)
-    _verdict(
-        "C7",
-        "rank-correlations",
-        ok,
-        f"tau(rho, k_in+)={favorable[0]:.3f}, tau(rho, k_out+)={favorable[1]:.3f} "
-        f"vs tau(rho, k_in-)={adverse[0]:.3f}, tau(rho, k_out-)={adverse[1]:.3f}",
-    )
-
-
-def test_c8_categories():
-    _dataset_or_skip("C8", "categories")
-    columns = _metrics()
-    stats = category_summary(columns, categorize(columns))
-    tw, un, co = (
-        {q: summary_row(stats, category, q) for q in ("rho", "activity_total")}
-        for category in (CategoryLabel.TRUSTWORTHY, CategoryLabel.UNTRUSTED, CategoryLabel.CONTROVERSIAL)
-    )
-    largest = tw["rho"].count > un["rho"].count and tw["rho"].count > co["rho"].count
-    rho_order = un["rho"].median < co["rho"].median < tw["rho"].median
-    activity = (
-        un["activity_total"].median < tw["activity_total"].median
-        and un["activity_total"].median < co["activity_total"].median
-    )
-    _verdict(
-        "C8",
-        "categories",
-        largest and rho_order and activity,
-        f"counts tw/co/un={tw['rho'].count}/{co['rho'].count}/{un['rho'].count}; "
-        f"median rho un/co/tw={un['rho'].median:.1f}/{co['rho'].median:.1f}/{tw['rho'].median:.1f}; "
-        f"median out-activity un/co/tw={un['activity_total'].median:.1f}/"
-        f"{co['activity_total'].median:.1f}/{tw['activity_total'].median:.1f}",
-    )
-
-
-def test_c9_temporal_patterns():
-    _dataset_or_skip("C9", "temporal-patterns")
-    log, _ = _ingested()
-    columns = burstiness_table(log)
-    # the per-year rows; the whole-log rows have no year
-    yearly = dict(zip(zip(columns.year, columns.layer), columns.value.tolist()))
-    missing = [
-        (year, layer.value)
-        for year in (2012, 2013, 2014, 2015)
-        for layer in Layer
-        if yearly.get((year, layer), -1.0) <= 0
-    ]
-    weekend = float(weekly_profile(log, tz_shift_hours=-6)[Layer.PUNITIVE][5:].sum())
-    midday = float(
-        circadian_profile(log, tz_shift_hours=-6)[Layer.PUNITIVE][11:15].sum()
-    )
-    ok = not missing and weekend < 2 / 7 and midday > 4 / 24
-    _verdict(
-        "C9",
-        "temporal-patterns",
-        ok,
-        f"non-positive yearly B: {missing or 'none'}; "
-        f"weekend punitive share={weekend:.3f} (<{2 / 7:.3f}); "
-        f"punitive 11-14h mass={midday:.3f} (>{4 / 24:.3f})",
-    )
+def test_a_dataset_path_that_names_no_file_is_an_error(monkeypatch, tmp_path):
+    monkeypatch.setenv("WOTNET_DATASET", str(tmp_path / "no-such.csv"))
+    with pytest.raises(FileNotFoundError, match=str(tmp_path / "no-such.csv")):
+        dataset_path()
 
 
 # ---------------------------------------------------------------------------

@@ -1058,6 +1058,10 @@ def test_trajectories_selection_flag(synth_csv, tmp_path):
     user, seq, rho, category = lines[1].split(",")
     assert seq == "1"
     assert category in ("trustworthy", "untrusted", "controversial", "uncategorized")
+    # the manifest records the selection; `all`, which follows both top-entrant ones, records none
+    assert _manifest_of(out)["config"]["selection"] == "by-category"
+    assert main(["all", "--input", str(synth_csv), "--out", str(tmp_path / "all"), "--seed", "1", "--null-samples", "1"]) == 0
+    assert _manifest_of(tmp_path / "all")["config"].keys() == OPTIONS.keys()
 
 
 def test_temporal_annotations_joined(capsys, tmp_path):

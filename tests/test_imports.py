@@ -186,6 +186,8 @@ SCENARIOS = {
     "one-layer": (0, [f"all --input {log}.csv --out {log} --seed 1 --null-samples 2" for log in ("header", "positive", "negative")]),
     "null-gap": (0, ["static --input gen/synthetic.csv --out null4 --seed 1 --null-samples 4"]),
     "twice": (0, [f"all --input gen/synthetic.csv --out twice-{x} --seed 1" for x in "ab"]),
+    # the settings of the release gate's one run, which every dataset claim reads
+    "gate": (0, [f"all --config {REPO_ROOT / 'tests' / 'gate.conf'} --input gen/synthetic.csv --out gate"]),
     "sparse": (0, ["synth --users 3000 --events 1500 --seed 13 --out sparse"]
                + [f"all --input sparse/synthetic.csv --out sparse-{x} --seed 1 --topk 5" for x in "ab"]),
     "ingest": (0, [f"{command} --input {log}" for command in ("summary", "ingest-check")

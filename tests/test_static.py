@@ -16,7 +16,6 @@ from scipy import stats as sps
 from conftest import (
     adjacency_sets,
     keeps_projected_degrees,
-    mode,
     project,
     reciprocal_log,
 )
@@ -1145,42 +1144,3 @@ def test_reputation_by_indegree_single_bucket():
     assert spectrum.degree.tolist() == [3]
     assert spectrum.mean_value.tolist() == [5.0]
     assert spectrum.std_value.tolist() == [0.0]
-
-
-# ---------------------------------------------------------------------------
-# dataset-dependent checks (skipped without the data file)
-
-
-def _r_squared_loglog(support, ccdf, decades=1.5):
-    """Straightness of a CCDF on log-log axes over its first `decades`."""
-    support = np.asarray(support, dtype=float)
-    ccdf = np.asarray(ccdf, dtype=float)
-    keep = (support > 0) & (ccdf > 0)
-    x, y = np.log10(support[keep]), np.log10(ccdf[keep])
-    window = x <= x[0] + decades
-    x, y = x[window], y[window]
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = y - (slope * x + intercept)
-    return 1 - residual.var() / y.var()
-
-
-def test_dataset_weight_modes(otc_log):
-    plus, minus = split_layers(otc_log)
-    assert mode(weight_distribution(plus)) == 1
-    assert mode(weight_distribution(minus)) == 10
-
-
-def test_dataset_reputation_tails_and_asymmetry(otc_log):
-    rho_p, rho_m, rho = reputation_distributions(metric_columns(otc_log))
-    assert _r_squared_loglog(rho_p.support, rho_p.ccdf) > 0.90
-    assert _r_squared_loglog(rho_m.support, rho_m.ccdf) > 0.90
-    positive_mass = rho.pmf[rho.support > 0].sum()
-    negative_mass = rho.pmf[rho.support < 0].sum()
-    assert positive_mass > negative_mass
-
-
-def test_dataset_reputation_rises_with_rewarding_indegree(otc_log):
-    spectrum = reputation_by_indegree(metric_columns(otc_log), Layer.REWARDING)
-    centers, means = log_binned_means(spectrum)
-    low = means[: len(means) // 2]
-    assert (np.diff(low) > 0).all()

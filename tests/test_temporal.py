@@ -508,25 +508,3 @@ def test_annotation_file_validation(tmp_path):
         load_annotations(inverted)
     with pytest.raises(ValueError):
         AnnotationWindow("inverted", date(2014, 1, 1), date(2013, 1, 1))
-
-
-# ---------------------------------------------------------------------------
-# dataset-dependent checks
-
-
-def test_dataset_yearly_burstiness_positive_mid_years(otc_log):
-    yearly = _year_rows(otc_log)
-    rows = dict(zip(zip(yearly.year.tolist(), yearly.layer), yearly.value.tolist()))
-    for year in (2012, 2013, 2014, 2015):
-        assert rows[(year, Layer.REWARDING)] > 0
-        assert rows[(year, Layer.PUNITIVE)] > 0
-
-
-def test_dataset_weekend_dip_on_punitive_layer(otc_log):
-    weekly = weekly_profile(otc_log, tz_shift_hours=-6)[Layer.PUNITIVE]
-    assert weekly[5] + weekly[6] < 2 / 7
-
-
-def test_dataset_midday_concentration_on_punitive_layer(otc_log):
-    hourly = circadian_profile(otc_log, tz_shift_hours=-6)[Layer.PUNITIVE]
-    assert hourly[11:15].sum() > 4 / 24
