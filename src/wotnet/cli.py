@@ -28,7 +28,7 @@ import warnings
 import zlib
 from contextlib import nullcontext
 from dataclasses import MISSING, astuple, fields
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .categories import (
     LABEL_TEXTS,
-    CategoryLabel,
     CategoryThresholds,
     categorize,
     category_summary,
@@ -109,40 +108,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    """The CSV text of one cell."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.12g" % value
-    if isinstance(value, date):
-        return value.isoformat()
-    if isinstance(value, (Layer, CategoryLabel)):
-        return value._value_
-    return str(value)
-
-
 # rows formatted and written at a time: a run holds one slice's text, never a
 # whole table's, however long the calendar
 _SLICE_ROWS = 1 << 10
 
 
 def _texts(column: np.ndarray | list) -> list:
-    """The values of a column that its `%` format reads: Python floats for a
-    float64 array (`%.12g`), ints for an int array and else the cells' text
-    (`%s`), one `_fmt` per cell for any column but a list of texts or an
-    array of str, bools or days."""
+    """The values of a slice of a column that its `%` format reads: a list of
+    texts as it is, bools as true/false, days as ISO dates, and else the
+    array's own Python ints, floats or texts."""
     if isinstance(column, list):
-        return column if set(map(type, column)) <= {str} else list(map(_fmt, column))
-    if column.dtype.kind in "iuU" or column.dtype == np.float64:
-        return column.tolist()
+        return column
     if column.dtype.kind == "b":
         return np.where(column, "true", "false").tolist()
-    if column.dtype == "datetime64[D]":
+    if column.dtype.kind == "M":
         return np.datetime_as_string(column).tolist()
-    return list(map(_fmt, column))
+    return column.tolist()
 
 
 class _masked:
@@ -164,11 +145,15 @@ def _block_lines(name: str, block: Sequence) -> Iterator[str]:
     columns of one length and constant cells, one format string for all."""
     formats, columns = [], []
     for cell in block:
-        if isinstance(cell, (np.ndarray, list, _masked)):
-            formats.append("%.12g" if isinstance(cell, np.ndarray) and cell.dtype == np.float64 else "%s")
+        array = isinstance(cell, np.ndarray)
+        if isinstance(cell, (list, _masked)) or array and (cell.dtype.kind in "iubU" or cell.dtype in (np.float64, "datetime64[D]")):
+            formats.append("%.12g" if array and cell.dtype == np.float64 else "%s")
             columns.append(cell)
+        elif isinstance(cell, (int, float, str, Layer)) and not isinstance(cell, bool):
+            text = "%.12g" % cell if isinstance(cell, float) else cell.value if isinstance(cell, Layer) else str(cell)
+            formats.append(text.replace("%", "%%"))
         else:
-            formats.append(_fmt(cell).replace("%", "%%"))
+            raise TypeError(f"{name}: no CSV format for a cell of {cell.dtype if array else type(cell).__name__}")
     row = ",".join(formats)
     if not columns:
         yield row % () + "\n"
@@ -223,14 +208,14 @@ class RunWriter:
         """Write the table of `blocks`, one below the other; no block makes a
         header-only file.
 
-        A block is a sequence of cells.  A numpy array, a list or `_masked`
-        is a column; the columns of a block have one length.  Any other cell
-        is a constant of each of the block's rows, and a block of constants
-        only is one row.  Every cell is written as `_fmt` writes it: ints in
-        decimal, floats with %.12g, None as an empty cell, bools as
-        true/false and enum members as their values.  Arrays of ints,
-        float64, bools, datetime64[D] days or str and lists of texts are
-        formatted whole, any other column cell by cell.
+        A block is a sequence of cells.  A column is a list of texts, an
+        integer, float64, bool, str or datetime64[D] array or `_masked`, all
+        of one length; a constant, an int, a float, a str or a `Layer`, is a
+        cell of each row, and a block of constants only is one row.  Floats
+        are written with %.12g, bools as true/false, days as ISO dates and a
+        `Layer` as its value.  Any other cell raises `TypeError`: a column
+        of optional or enum cells is passed as texts, as `burstiness.csv`
+        gets its `year` (empty on the whole-log rows) and `layer`.
         """
         with open(self.out_dir / name, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -571,8 +556,8 @@ def _write_static(writer: RunWriter, ctx: RunContext) -> None:
     spectra = [avg_neighbor_degree_spectrum(projection) for projection in projections]
     binned = [(layer, *log_binned_means(spectrum)) for layer, spectrum in zip(LAYERS, spectra)]
     trends = [
-        (layer, spectrum_trend(spectrum))
-        for (layer, centers, _), spectrum in zip(binned, spectra)
+        (layer, spectrum_trend(centers, means))
+        for layer, centers, means in binned
         if _kept("neighbor_degree_trend.csv", layer.value, "fewer than two log bins", len(centers) >= 2)
     ]
     writer.write_csv(
@@ -649,7 +634,9 @@ def _write_temporal(writer: RunWriter, ctx: RunContext) -> None:
         binned_blocks.append((layer, *log_binned_ccdf(dist)))
     writer.write_csv("interevent_distribution.csv", ["layer", "dt_seconds", "pmf", "ccdf"], *interevent_blocks)
     writer.write_csv("interevent_binned_ccdf.csv", ["layer", "dt_seconds", "ccdf"], *binned_blocks)
-    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], burstiness_table(log))
+    years, layers, *measures = burstiness_table(log)
+    texts = ["" if year is None else str(year) for year in years], [layer.value for layer in layers]
+    writer.write_csv("burstiness.csv", ["year", "layer", "B", "n_samples"], [*texts, *measures])
 
     profiles = (("circadian", "hour", circadian_profile), ("weekly", "weekday", weekly_profile))
     for name, slot, profile in profiles:

@@ -420,13 +420,13 @@ def log_binned_means(spectrum: DegreeSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return BIN_FACTOR ** (bins + 0.5), means
 
 
-def spectrum_trend(spectrum: DegreeSpectrum) -> float:
-    """Spearman correlation between log-binned degree and bin mean value.
+def spectrum_trend(centers: np.ndarray, means: np.ndarray) -> float:
+    """Spearman correlation between the bin centers and bin means of a
+    log-binned spectrum (`log_binned_means`).
 
     Negative values indicate a decreasing spectrum (disassortative mixing
     when applied to neighbor degrees).
     """
-    centers, means = log_binned_means(spectrum)
     if len(centers) < 2:
         raise ValueError("need at least two occupied bins for a trend")
     # the bin centers are distinct, so only the means can be constant

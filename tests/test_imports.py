@@ -2,7 +2,8 @@
 private name they bind at module level is read, the package exports exactly
 the names it binds and no function that neither a run nor a benchmarked
 query calls, a run loads no scipy module and no
-`numpy.ma`, and a long calendar costs a run one slice of each table."""
+`numpy.ma`, and a long calendar costs a run one slice of each table and
+its top-k stability one chunk of day pairs."""
 
 from __future__ import annotations
 
@@ -277,6 +278,23 @@ def test_a_long_calendar_costs_one_slice_of_memory(tmp_path):
     )
     peak_kib = int(re.search(r"^VmHWM:\s+(\d+) kB$", _child(code, tmp_path).stdout, re.M).group(1))
     assert len((tmp_path / "run" / "daily_activity.csv").read_text().splitlines()) == 1 + 2 * 400_001
+    assert peak_kib < 80 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_a_deep_top_k_measures_its_stability_a_chunk_of_day_pairs_at_a_time(tmp_path):
+    # two events 3,000 days apart and --topk 1000: `_stability_rows` holds
+    # 3 * (k + 1) int64 cells a day pair however narrow the lists (two users
+    # here), so the fold measures the pairs a chunk sized by k at a time. It
+    # peaks at about 38 MB; all 3,000 pairs in one call peak at about 320 MB.
+    (tmp_path / "deep.csv").write_text(f"1,2,5,0\n2,1,-3,{3_000 * 86_400}\n")
+    code = (
+        "from pathlib import Path; from wotnet.cli import main; "
+        "assert main(['dynamics', '--input', 'deep.csv', '--out', 'run', '--topk', '1000']) == 0; "
+        "print(Path('/proc/self/status').read_text())"
+    )
+    peak_kib = int(re.search(r"^VmHWM:\s+(\d+) kB$", _child(code, tmp_path).stdout, re.M).group(1))
+    assert len((tmp_path / "run" / "topk_stability.csv").read_text().splitlines()) == 1 + 3_000
     assert peak_kib < 80 * 1024
 
 

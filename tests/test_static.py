@@ -482,7 +482,7 @@ def test_log_binned_means_is_bitwise_the_weighted_average_of_each_bin(rows):
 
 def test_spectrum_trend_sign():
     layer = _layer_from_edges([(0, i) for i in range(1, 6)])
-    assert spectrum_trend(avg_neighbor_degree_spectrum(project(layer))) < 0
+    assert spectrum_trend(*log_binned_means(avg_neighbor_degree_spectrum(project(layer)))) < 0
 
 
 @given(
@@ -507,7 +507,7 @@ def test_spectrum_trend_is_bitwise_scipy_spearmanr(rows):
     centers, means = log_binned_means(spectrum)
     assume(len(centers) >= 2)
     caught = []
-    for trend in (lambda: sps.spearmanr(centers, means).statistic, lambda: spectrum_trend(spectrum)):
+    for trend in (lambda: sps.spearmanr(centers, means).statistic, lambda: spectrum_trend(centers, means)):
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             caught.append((trend(), [str(w.message) for w in warned]))
@@ -519,7 +519,7 @@ def test_spectrum_trend_is_bitwise_scipy_spearmanr(rows):
 def test_spectrum_trend_needs_two_bins():
     arcs = [(a, b) for a in range(4) for b in range(4) if a != b]
     with pytest.raises(ValueError):
-        spectrum_trend(avg_neighbor_degree_spectrum(project(_layer_from_edges(arcs))))
+        spectrum_trend(*log_binned_means(avg_neighbor_degree_spectrum(project(_layer_from_edges(arcs)))))
 
 
 # ---------------------------------------------------------------------------
